@@ -117,7 +117,7 @@ void print_table() {
   std::fputs(
       table
           .to_string("T10: sharded arena intern contention (" +
-                     std::to_string(arena_shard_count()) + " shards)")
+                     std::to_string(kArenaShards) + " shards)")
           .c_str(),
       stdout);
 }

@@ -132,41 +132,6 @@ void BM_Warm(benchmark::State& state, const Workload& w) {
   state.counters["warm_state_misses"] = static_cast<double>(new_misses);
 }
 
-// The same warm start with the loader path pinned (store/env.hpp:
-// LACON_MMAP): the "mmap" row maps the snapshot and adopts the flat state
-// payloads in place — zero copy, zero per-state allocation — while the
-// "stream" row forces the byte-for-byte decode the loader always did. The
-// workloads use even n, so adoption covers every state; the row pair is
-// exactly what the mapping buys (acceptance: mmap warm beats streaming
-// warm). "mapped_states" carries the proof that adoption actually ran.
-void BM_WarmPinned(benchmark::State& state, const Workload& w,
-                   const char* mode) {
-  ::setenv("LACON_MMAP", mode, 1);
-  const std::string& path = snapshot_file(w);
-  auto& mapped = runtime::Stats::global().counter("arena.state_mapped");
-  std::uint64_t new_mapped = 0;
-  for (auto _ : state) {
-    Instance inst = make_instance(w);
-    const std::uint64_t before = mapped.value();
-    const store::Result r = store::load(*inst.model, path, inst.engine.get());
-    if (!r.ok()) state.SkipWithError(r.detail.c_str());
-    benchmark::DoNotOptimize(run_analysis(inst, w));
-    new_mapped += mapped.value() - before;
-  }
-  ::unsetenv("LACON_MMAP");
-  state.counters["mapped_states"] = static_cast<double>(
-      new_mapped / static_cast<std::uint64_t>(
-                       state.iterations() > 0 ? state.iterations() : 1));
-}
-
-void BM_WarmMmap(benchmark::State& state, const Workload& w) {
-  BM_WarmPinned(state, w, "on");
-}
-
-void BM_WarmStream(benchmark::State& state, const Workload& w) {
-  BM_WarmPinned(state, w, "off");
-}
-
 void BM_Load(benchmark::State& state, const Workload& w) {
   const std::string& path = snapshot_file(w);
   for (auto _ : state) {
@@ -376,8 +341,6 @@ int main(int argc, char** argv) {
   lacon::print_table();
   lacon::register_workloads("BM_Cold", lacon::BM_Cold);
   lacon::register_workloads("BM_Warm", lacon::BM_Warm);
-  lacon::register_workloads("BM_WarmMmap", lacon::BM_WarmMmap);
-  lacon::register_workloads("BM_WarmStream", lacon::BM_WarmStream);
   lacon::register_workloads("BM_Load", lacon::BM_Load);
   lacon::register_workloads("BM_Save", lacon::BM_Save);
   lacon::register_workloads("BM_WalAppend", lacon::BM_WalAppend);

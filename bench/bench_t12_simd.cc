@@ -5,7 +5,7 @@
 // rows, DenseBitset bulk sweeps, and the BFS frontier-advance step behind
 // Graph::diameter — plus an end-to-end n=8 explore + similarity + diameter
 // workload per table. Benchmarks are registered once per kernel table the
-// host can execute (always "scalar"; "avx2"/"neon" where supported), so
+// host can execute (always "scalar"; "avx2" where supported), so
 // names stay stable per host family and the ci.sh baseline gate compares
 // like with like. The printed T12 table reports the per-kernel speedup of
 // each dispatched table over scalar; the identity of the *results* is the
@@ -38,8 +38,8 @@ using simd::Kernels;
 
 std::vector<const Kernels*> available_tables() {
   std::vector<const Kernels*> out = {&simd::scalar_kernels()};
-  for (simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kNeon}) {
-    if (const Kernels* k = simd::kernels_for(isa)) out.push_back(k);
+  if (const Kernels* k = simd::kernels_for(simd::Isa::kAvx2)) {
+    out.push_back(k);
   }
   return out;
 }

@@ -43,7 +43,7 @@ run_config() {
     # (truncated/corrupt file parsing is exactly where ASan earns its keep);
     # service_test is the satellite TSan soak: concurrent socket clients
     # sharing one session's arenas, layer cache and valence memo.
-    # simd_test rides along so the AVX2/NEON kernels and the scalar
+    # simd_test rides along so the AVX2 kernels and the scalar
     # reference run their randomized equivalence sweeps under both
     # sanitizers (ASan in particular audits the tail-masked lane reads).
     # LACON_SYMMETRY=on puts the orbit-canonicalization memos (core/sym.hpp,
@@ -70,7 +70,7 @@ run_config() {
     # Forced-scalar lane: the SIMD dispatch contract says LACON_SIMD=scalar
     # changes speed, never results. Re-run the kernel-facing suites with the
     # knob pinned so the portable path stays green on hosts whose auto pick
-    # is avx2/neon (regression coverage for scalar-only fallback hosts).
+    # is avx2 (regression coverage for scalar-only fallback hosts).
     echo "=== [$name] LACON_SIMD=scalar lane (kernel-facing suites)"
     for scalar_bin in simd_test core_test relation_test store_test; do
       LACON_SIMD=scalar "$dir/tests/$scalar_bin" --gtest_brief=1
@@ -241,7 +241,7 @@ run_config() {
     # every response) and arena.state_restored covering the replayed space
     # — all asserted by bench/check_recovery.py. The in-process variant of
     # this lane (examples/crash_recover.cc) also runs under TSan/ASan.
-    echo "=== [$name] kill-and-recover lane (LACON_WAL=on + LACON_MMAP=on" \
+    echo "=== [$name] kill-and-recover lane (LACON_WAL=on" \
          "+ SIGKILL under 4 concurrent clients)"
     "$dir/examples/crash_recover"
     wal_dir="store_artifacts/wal_recover"
@@ -252,12 +252,8 @@ run_config() {
       '{"id":3,"model":"mobile","n":3,"query":"diameter","depth":2}'
       '{"id":4,"model":"mobile","n":3,"query":"similarity","depth":2}'
     )
-    # LACON_MMAP=on is pinned explicitly (it is also the default): the
-    # recovery daemon below must warm-start through the mmap loader, so
-    # this lane proves the zero-copy path under the durability contract,
-    # not just in unit tests.
     wsock="/tmp/laconrd_wal1_$$.sock"
-    LACON_WAL=on LACON_MMAP=on LACON_STORE=off LACON_STORE_DIR="$wal_dir" \
+    LACON_WAL=on LACON_STORE=off LACON_STORE_DIR="$wal_dir" \
       "$dir/examples/laconrd" --socket "$wsock" &
     wal_pid=$!
     for _ in $(seq 50); do [[ -S "$wsock" ]] && break; sleep 0.1; done
@@ -292,7 +288,7 @@ run_config() {
     # Restart over the same store dir on a fresh socket (the old socket
     # file survived the kill and would defeat the readiness probe).
     wsock2="/tmp/laconrd_wal2_$$.sock"
-    LACON_WAL=on LACON_MMAP=on LACON_STORE=off LACON_STORE_DIR="$wal_dir" \
+    LACON_WAL=on LACON_STORE=off LACON_STORE_DIR="$wal_dir" \
       "$dir/examples/laconrd" --socket "$wsock2" &
     wal_pid=$!
     for _ in $(seq 50); do [[ -S "$wsock2" ]] && break; sleep 0.1; done

@@ -52,19 +52,8 @@ LayeredModel::~LayeredModel() {
   }
 }
 
-StateId LayeredModel::restore_state(GlobalState s) {
-  return arena_.restore(std::move(s));
-}
-
-void LayeredModel::adopt_mapped_states(const std::int64_t* base,
-                                       std::shared_ptr<const void> keepalive) {
-  arena_.adopt_mapped_region(base, std::move(keepalive));
-}
-
-StateId LayeredModel::restore_mapped_state(const StateRef& s,
-                                           std::uint64_t word_offset,
-                                           std::uint64_t hash) {
-  return arena_.restore_mapped(s, word_offset, hash);
+StateId LayeredModel::restore_state(const StateRef& s, std::uint64_t hash) {
+  return arena_.restore(s, hash);
 }
 
 const std::uint64_t* LayeredModel::fingerprint_row(StateId x) {

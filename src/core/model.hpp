@@ -120,19 +120,10 @@ class LayeredModel {
   // object receives exactly its stored id and later re-interning of the
   // same content hits the rebuilt hash-consing index.
 
-  // Replays one interned state out of a snapshot; counts into
-  // "arena.state_restored" instead of the miss counters.
-  StateId restore_state(GlobalState s);
-
-  // mmap zero-copy adoption: pins an mmap'ed snapshot and replays a state
-  // whose flat payload lives in it, `word_offset` words past `base` (see
-  // StateArena::adopt_mapped_region / restore_mapped for the layout
-  // preconditions). The loader calls these instead of restore_state when
-  // the on-disk record layout matches the pool encoding byte for byte.
-  void adopt_mapped_states(const std::int64_t* base,
-                           std::shared_ptr<const void> keepalive);
-  StateId restore_mapped_state(const StateRef& s, std::uint64_t word_offset,
-                               std::uint64_t hash);
+  // Replays one interned state read back by the store; counts into
+  // "arena.state_restored" instead of the miss counters. See
+  // StateArena::restore for the contract on `s` and `hash`.
+  StateId restore_state(const StateRef& s, std::uint64_t hash);
 
   // The memoized erase-one fingerprint row of x: n entries, entry j equal
   // to similarity_fingerprint(x, j). Rows are published once per state in a

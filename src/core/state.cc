@@ -1,9 +1,6 @@
 #include "core/state.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "runtime/fault.hpp"
@@ -25,32 +22,7 @@ std::size_t state_footprint(std::size_t env_len, std::size_t n) noexcept {
   return 16 /* header */ + words * sizeof(std::int64_t) + 48 /* index */;
 }
 
-std::size_t parse_shard_env() noexcept {
-  constexpr std::size_t kDefault = 64;
-  const char* raw = std::getenv("LACON_ARENA_SHARDS");
-  if (raw == nullptr || *raw == '\0') return kDefault;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(raw, &end, 10);
-  if (errno == ERANGE || end == raw || *end != '\0' || v < 1 || v > 1024) {
-    std::fprintf(stderr,
-                 "lacon: ignoring malformed LACON_ARENA_SHARDS=%s "
-                 "(want an integer in [1, 1024]); using %zu\n",
-                 raw, kDefault);
-    return kDefault;
-  }
-  // Round up to a power of two so shard_for can mask.
-  std::size_t shards = 1;
-  while (shards < static_cast<std::size_t>(v)) shards *= 2;
-  return shards;
-}
-
 }  // namespace
-
-std::size_t arena_shard_count() noexcept {
-  static const std::size_t shards = parse_shard_env();
-  return shards;
-}
 
 bool operator==(const StateRef& a, const StateRef& b) noexcept {
   if (a.env.size() != b.env.size() || a.locals.size() != b.locals.size() ||
@@ -80,83 +52,28 @@ bool agree_modulo(const StateRef& x, const StateRef& y, ProcessId j) {
 }
 
 StateArena::StateArena()
-    : shard_mask_(arena_shard_count() - 1),
-      shards_(std::make_unique<Shard[]>(arena_shard_count())),
+    : shards_(std::make_unique<Shard[]>(kArenaShards)),
       hits_(&runtime::Stats::global().counter("arena.state_hits")),
       misses_(&runtime::Stats::global().counter("arena.state_misses")),
       restored_(&runtime::Stats::global().counter("arena.state_restored")),
-      mapped_(&runtime::Stats::global().counter("arena.state_mapped")),
       shard_waits_(
           &runtime::Stats::global().counter("arena.state_shard_waits")) {}
 
-void StateArena::adopt_mapped_region(const std::int64_t* base,
-                                     std::shared_ptr<const void> keepalive) {
-  assert(size() == 0 && "mapped adoption requires an empty arena");
-  mapped_base_ = base;
-  mapped_keepalive_ = std::move(keepalive);
-}
-
-StateId StateArena::restore_mapped(const StateRef& s,
-                                   std::uint64_t word_offset,
-                                   std::uint64_t hash) {
-  fault::maybe_throw_alloc_fault();
-  assert(mapped_base_ != nullptr && "adopt_mapped_region first");
-  assert(s.decisions.size() == s.locals.size() &&
-         "StateRef carries one decision slot per process");
-  assert(s.locals.size() % 2 == 0 &&
-         "mapped adoption is even-n only (the pool pads odd-count lanes, "
-         "the disk record does not)");
-  assert(hash == content_hash(s) && "hash must be content_hash(s)");
-  Shard& sh = shard_for(hash);
-  std::unique_lock<std::mutex> lock(sh.mu, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    shard_waits_->increment();
-    lock.lock();
-  }
-  auto [lo, hi] = sh.index.equal_range(hash);
-  for (auto it = lo; it != hi; ++it) {
-    if (state(it->second) == s) {
-      hits_->increment();
-      return it->second;
-    }
-  }
-  Header hd;
-  hd.offset = word_offset;
-  hd.env_len = static_cast<std::uint32_t>(s.env.size());
-  hd.n = static_cast<std::uint32_t>(s.locals.size());
-  const StateId id =
-      static_cast<StateId>(next_id_.fetch_add(1, std::memory_order_acq_rel));
-  headers_.slot(static_cast<std::size_t>(id)) = hd;
-  // Adoption runs in stored-id order into an empty arena, so the mapped
-  // prefix stays dense: every id below mapped_count_ resolves through the
-  // mapping, everything at or above it through the pool.
-  mapped_count_ = static_cast<std::size_t>(id) + 1;
-  // Identical byte accounting to intern/restore: the guard's memory budget
-  // must read the same total for the same content on every load path, or
-  // truncation depths would differ between mmap and streaming warm starts.
-  approx_bytes_.fetch_add(state_footprint(s.env.size(), s.locals.size()),
-                          std::memory_order_relaxed);
-  sh.index.emplace(hash, id);
-  restored_->increment();
-  mapped_->increment();
-  return id;
-}
-
 StateId StateArena::intern(GlobalState s) {
-  return intern_impl(std::move(s), misses_);
+  const StateRef candidate(s);
+  return intern_impl(candidate, content_hash(candidate), misses_);
 }
 
-StateId StateArena::restore(GlobalState s) {
-  return intern_impl(std::move(s), restored_);
+StateId StateArena::restore(const StateRef& s, std::uint64_t hash) {
+  assert(hash == content_hash(s) && "hash must be content_hash(s)");
+  return intern_impl(s, hash, restored_);
 }
 
-StateId StateArena::intern_impl(GlobalState s,
+StateId StateArena::intern_impl(const StateRef& s, std::uint64_t h,
                                 runtime::Counter* miss_counter) {
   fault::maybe_throw_alloc_fault();
   assert(s.decisions.size() == s.locals.size() &&
-         "GlobalState carries one decision slot per process");
-  const StateRef candidate(s);
-  const std::uint64_t h = content_hash(candidate);  // once, outside the lock
+         "a state carries one decision slot per process");
   Shard& sh = shard_for(h);
   std::unique_lock<std::mutex> lock(sh.mu, std::try_to_lock);
   if (!lock.owns_lock()) {
@@ -165,7 +82,7 @@ StateId StateArena::intern_impl(GlobalState s,
   }
   auto [lo, hi] = sh.index.equal_range(h);
   for (auto it = lo; it != hi; ++it) {
-    if (state(it->second) == candidate) {
+    if (state(it->second) == s) {
       hits_->increment();
       return it->second;
     }

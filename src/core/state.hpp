@@ -10,7 +10,9 @@
 // interned state as a single (offset, len) region — env words first, then
 // the locals and decisions packed as 32-bit lanes. Readers see a StateRef of
 // spans into the pool; GlobalState (three vectors) remains the construction
-// type handed to intern().
+// type handed to intern(). Snapshot and WAL replay hand restore() a StateRef
+// instead, so a loader can view a stored record in place and the arena
+// makes the one copy into the pool.
 #pragma once
 
 #include <atomic>
@@ -67,18 +69,13 @@ bool operator==(const StateRef& a, const StateRef& b) noexcept;
 // (view and decision variable) equal except possibly j's (Section 2).
 bool agree_modulo(const StateRef& x, const StateRef& y, ProcessId j);
 
-// Shard count for the concurrent arenas: LACON_ARENA_SHARDS, rounded up to
-// a power of two and clamped to [1, 1024]; default 64. Parsed once per
-// process (malformed values warn once and fall back, like LACON_THREADS).
-std::size_t arena_shard_count() noexcept;
-
 // Interns GlobalStates; equal states receive equal StateIds. This makes the
 // paper's state-equality arguments — e.g. x(j,[0]) == x(j',[0]) in the mobile
 // model, or the permutation-layering diamond — checkable as id equality.
 //
 // Thread-safety: intern() may be called concurrently (the parallel runtime's
 // layer computations do). The index is hash-sharded with striped mutexes
-// (LACON_ARENA_SHARDS, default 64), so interns of distinct states proceed in
+// (kArenaShards), so interns of distinct states proceed in
 // parallel; racing interns of equal content land in the same shard, are
 // serialized there, and agree on the id. Ids are claimed from one atomic
 // counter, so they stay dense — but *which* content gets which id depends on
@@ -93,39 +90,22 @@ class StateArena {
 
   StateId intern(GlobalState s);
 
-  // Re-interns a state streamed out of a lacon.store.v1 snapshot
-  // (store/snapshot.hpp). Identical to intern() — same pool copy, same
-  // index insert, same id assignment — except that a fresh insertion bumps
+  // Re-interns a state read back from a lacon.store.v1 snapshot or a
+  // lacon.wal.v1 record (store/). Identical to intern() — same pool copy,
+  // same index insert, same id assignment, same kArenaAlloc fault probe and
+  // byte accounting — except that a fresh insertion bumps
   // "arena.state_restored" instead of the miss counter, so the arena miss
   // count after a warm start reflects only *new* content discovered by the
-  // analysis, not the snapshot replay itself.
-  StateId restore(GlobalState s);
-
-  // --- mmap zero-copy adoption (store/snapshot.cc, FORMATS.md) -------------
-  //
-  // A snapshot loader may adopt the flat state payloads of an mmap'ed
-  // lacon.store.v1 file in place instead of copying them into the pool:
-  // adopt_mapped_region() pins the mapping (released when the arena dies)
-  // and restore_mapped() interns a state whose payload already lives
-  // `word_offset` words past the mapped base. Only legal on an empty arena
-  // before any analysis, in stored-id order, and only for layouts whose
-  // on-disk record payload is byte-identical to the pool encoding (even n:
-  // no odd-count lane padding). Mapped ids occupy [0, mapped_count_)
-  // densely; state() serves them from the mapping and everything younger
-  // from the pool. `hash` must be content_hash of `s` (callers compute it
-  // once for the digest cross-check anyway). Counts into both
-  // "arena.state_restored" (it is a restore) and "arena.state_mapped".
-  void adopt_mapped_region(const std::int64_t* base,
-                           std::shared_ptr<const void> keepalive);
-  StateId restore_mapped(const StateRef& s, std::uint64_t word_offset,
-                         std::uint64_t hash);
+  // analysis, not the replay itself. `s` may view any caller-owned memory
+  // (the loaders view records inside their read buffers); it is copied
+  // before restore returns. `hash` must be content_hash(s): the loaders
+  // compute it once for their digest cross-checks.
+  StateId restore(const StateRef& s, std::uint64_t hash);
 
   StateRef state(StateId id) const noexcept {
     const Header& h = headers_[static_cast<std::size_t>(id)];
     if (h.total_words() == 0) return {};
-    const std::int64_t* base = static_cast<std::size_t>(id) < mapped_count_
-                                   ? mapped_base_ + h.offset
-                                   : pool_.data(h.offset);
+    const std::int64_t* base = pool_.data(h.offset);
     const auto* locals =
         reinterpret_cast<const ViewId*>(base + h.env_len);
     const auto* decisions = reinterpret_cast<const Value*>(
@@ -183,29 +163,20 @@ class StateArena {
   }
 
   Shard& shard_for(std::uint64_t h) const noexcept {
-    return shards_[(h >> 40) & shard_mask_];
+    return shards_[(h >> 40) & (kArenaShards - 1)];
   }
 
-  StateId intern_impl(GlobalState s, runtime::Counter* miss_counter);
+  StateId intern_impl(const StateRef& s, std::uint64_t h,
+                      runtime::Counter* miss_counter);
 
-  std::size_t shard_mask_;
   std::unique_ptr<Shard[]> shards_;
   mutable runtime::WordPool pool_;
   runtime::ConcurrentSlotVector<Header> headers_;
   std::atomic<std::size_t> next_id_{0};
   std::atomic<std::size_t> approx_bytes_{0};
-  // Mapped-snapshot adoption state. Plain (non-atomic) members by the same
-  // publication discipline as headers_ slot contents: both are written only
-  // during the single-threaded snapshot load, and every id reaches another
-  // thread through a synchronized channel (shard mutexes, the runtime's work
-  // queues) established afterwards.
-  const std::int64_t* mapped_base_ = nullptr;
-  std::size_t mapped_count_ = 0;
-  std::shared_ptr<const void> mapped_keepalive_;
   runtime::Counter* hits_;
   runtime::Counter* misses_;
   runtime::Counter* restored_;
-  runtime::Counter* mapped_;
   runtime::Counter* shard_waits_;
 };
 

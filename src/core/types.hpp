@@ -1,6 +1,7 @@
 // Fundamental identifier and value types shared across the library.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "util/process_set.hpp"
@@ -23,5 +24,10 @@ inline constexpr ViewId kNoView = -1;
 
 // Index of an interned global state in a StateArena.
 using StateId = std::uint32_t;
+
+// Shard count of the StateArena and ViewArena intern indexes (a power of
+// two, so shard selection is a mask). Snapshots record it as their
+// digest_shards.
+inline constexpr std::size_t kArenaShards = 64;
 
 }  // namespace lacon

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "core/state.hpp"  // arena_shard_count
 #include "runtime/fault.hpp"
 #include "runtime/stats.hpp"
 
@@ -10,8 +9,7 @@ namespace lacon {
 
 ViewArena::ViewArena(int n)
     : n_(n),
-      shard_mask_(arena_shard_count() - 1),
-      shards_(std::make_unique<Shard[]>(arena_shard_count())),
+      shards_(std::make_unique<Shard[]>(kArenaShards)),
       hits_(&runtime::Stats::global().counter("arena.view_hits")),
       misses_(&runtime::Stats::global().counter("arena.view_misses")),
       restored_(&runtime::Stats::global().counter("arena.view_restored")),

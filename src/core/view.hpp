@@ -56,7 +56,7 @@ struct ViewNode {
 //
 // Thread-safety: initial()/extend()/known_inputs() may be called
 // concurrently (the parallel runtime's layer computations do). The index is
-// hash-sharded with striped mutexes (LACON_ARENA_SHARDS, shared with
+// hash-sharded with striped mutexes (kArenaShards, shared with
 // StateArena); interning is content-addressed, so racing interns of equal
 // nodes land in the same shard and agree on the id, while distinct nodes
 // proceed in parallel. node() and to_string() are lock-free reads, safe for
@@ -133,11 +133,10 @@ class ViewArena {
   ViewId intern_impl(ViewNode node, runtime::Counter* miss_counter);
 
   Shard& shard_for(std::uint64_t h) const noexcept {
-    return shards_[(h >> 40) & shard_mask_];
+    return shards_[(h >> 40) & (kArenaShards - 1)];
   }
 
   int n_;
-  std::size_t shard_mask_;
   std::unique_ptr<Shard[]> shards_;
   runtime::ConcurrentSlotVector<ViewNode> nodes_;
   std::atomic<std::size_t> next_id_{0};

@@ -30,19 +30,6 @@ bool similar(LayeredModel& model, StateId x, StateId y) {
 guard::Partial<Graph> similarity_graph(LayeredModel& model,
                                        const std::vector<StateId>& X,
                                        const guard::Guard& g) {
-  if (similarity_strategy() == SimilarityStrategy::kNaive) {
-    guard::Partial<Graph> out{Graph(X.size())};
-    // Pre-check only: the quadratic reference sweep stays unguarded inside
-    // (it exists to cross-check the index, not to run under budgets).
-    if (g.tripped()) {
-      out.truncation = g.reason();
-      return out;
-    }
-    out.value = similarity_graph_naive(model, X);
-    out.completed = X.size() < 2 ? 0 : X.size() * (X.size() - 1) / 2;
-    out.truncation = g.reason();
-    return out;
-  }
   return similarity_graph_indexed(model, X, g);
 }
 

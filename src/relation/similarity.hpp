@@ -22,9 +22,9 @@ bool similar(LayeredModel& model, StateId x, StateId y);
 std::optional<ProcessId> similarity_witness(LayeredModel& model, StateId x,
                                             StateId y);
 
-// The graph (X, ~s). Built through the erase-one fingerprint index
-// (relation/similarity_index.hpp) unless LACON_SIMILARITY=naive selects the
-// quadratic reference sweep; both strategies produce byte-identical graphs.
+// The graph (X, ~s), built through the erase-one fingerprint index
+// (relation/similarity_index.hpp). Tests hold it byte-identical to the
+// quadratic reference sweep, similarity_graph_naive.
 Graph similarity_graph(LayeredModel& model, const std::vector<StateId>& X);
 
 bool similarity_connected(LayeredModel& model, const std::vector<StateId>& X);
@@ -33,11 +33,8 @@ bool similarity_connected(LayeredModel& model, const std::vector<StateId>& X);
 std::optional<std::size_t> s_diameter(LayeredModel& model,
                                       const std::vector<StateId>& X);
 
-// Guarded graph build. With the indexed strategy (the default) truncation
-// is candidate-granular, see similarity_graph_indexed; under the naive
-// reference sweep the guard is only consulted before the sweep starts (the
-// quadratic ablation path stays deliberately simple), so a mid-sweep trip
-// surfaces after it finishes.
+// Guarded graph build; truncation is candidate-granular, see
+// similarity_graph_indexed.
 guard::Partial<Graph> similarity_graph(LayeredModel& model,
                                        const std::vector<StateId>& X,
                                        const guard::Guard& g);

@@ -1,10 +1,6 @@
 #include "relation/similarity_index.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "relation/similarity.hpp"
@@ -13,21 +9,6 @@
 #include "runtime/trace.hpp"
 
 namespace lacon {
-
-SimilarityStrategy similarity_strategy() {
-  const char* env = std::getenv("LACON_SIMILARITY");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "indexed") == 0) {
-    return SimilarityStrategy::kIndexed;
-  }
-  if (std::strcmp(env, "naive") == 0) return SimilarityStrategy::kNaive;
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true)) {
-    std::fprintf(stderr,
-                 "lacon: unknown LACON_SIMILARITY='%s', using 'indexed'\n",
-                 env);
-  }
-  return SimilarityStrategy::kIndexed;
-}
 
 Graph similarity_graph_naive(LayeredModel& model,
                              const std::vector<StateId>& X) {

@@ -12,11 +12,9 @@
 // rebuild the *byte-identical* graph the naive sweep produces — at
 // O(|X| * n) hashing plus bucket-local verification instead of O(|X|^2).
 //
-// Strategy selection: LACON_SIMILARITY=naive forces the quadratic sweep
-// (cross-checking, ablation benches), LACON_SIMILARITY=indexed (or unset)
-// uses the index; any other value earns a one-line stderr warning and falls
-// back to the index. relation/similarity.hpp's similarity_graph()
-// dispatches.
+// relation/similarity.hpp's similarity_graph() always builds the index. The
+// naive sweep stays public as the reference the equivalence tests and the
+// t2/t5 ablation tables compare it against.
 #pragma once
 
 #include <vector>
@@ -26,12 +24,6 @@
 #include "runtime/guard.hpp"
 
 namespace lacon {
-
-enum class SimilarityStrategy { kIndexed, kNaive };
-
-// The strategy selected by the LACON_SIMILARITY environment variable,
-// re-read on every call so tests and benches can toggle it at runtime.
-SimilarityStrategy similarity_strategy();
 
 // The graph (X, ~s) via the erase-one fingerprint index. Counters:
 //   relation.index_buckets     (j, fingerprint) groups holding >= 2 states

@@ -9,10 +9,6 @@
 #include <immintrin.h>
 #define LACON_SIMD_X86 1
 #endif
-#if defined(__aarch64__)
-#include <arm_neon.h>
-#define LACON_SIMD_NEON 1
-#endif
 
 namespace lacon::simd {
 
@@ -418,172 +414,6 @@ const Kernels kAvx2Table = {
 
 #endif  // LACON_SIMD_X86
 
-#if LACON_SIMD_NEON
-
-// NEON is baseline on aarch64, so no target attributes or CPUID checks are
-// needed — presence of __aarch64__ is the feature test. The fingerprint
-// kernel stays scalar here: emulating exact 64x64 low multiplies from
-// vmull_u32 partials costs more than the two scalar mul pipes deliver, and
-// the dispatch is per-kernel precisely so each entry can take the portable
-// path when vectorizing it doesn't pay.
-
-inline bool neon_all_zero(uint64x2_t v) noexcept {
-  return (vgetq_lane_u64(v, 0) | vgetq_lane_u64(v, 1)) == 0;
-}
-
-bool words_equal_neon(const std::int64_t* a, const std::int64_t* b,
-                      std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t va =
-        vld1q_u64(reinterpret_cast<const std::uint64_t*>(a + i));
-    const uint64x2_t vb =
-        vld1q_u64(reinterpret_cast<const std::uint64_t*>(b + i));
-    if (!neon_all_zero(veorq_u64(va, vb))) return false;
-  }
-  for (; i < n; ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  return true;
-}
-
-bool lanes_equal_skip_neon(const std::int32_t* a, const std::int32_t* b,
-                           std::size_t n, std::size_t skip) noexcept {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const int32x4_t va = vld1q_s32(a + i);
-    const int32x4_t vb = vld1q_s32(b + i);
-    uint32x4_t mismatch = vmvnq_u32(vceqq_s32(va, vb));
-    if (skip >= i && skip - i < 4) {
-      // Clear the erased lane's mismatch bit before testing the block.
-      alignas(16) std::uint32_t lanes[4];
-      vst1q_u32(lanes, mismatch);
-      lanes[skip - i] = 0;
-      mismatch = vld1q_u32(lanes);
-    }
-    if (!neon_all_zero(vreinterpretq_u64_u32(mismatch))) return false;
-  }
-  for (; i < n; ++i) {
-    if (i != skip && a[i] != b[i]) return false;
-  }
-  return true;
-}
-
-void bitset_or_neon(std::uint64_t* dst, const std::uint64_t* src,
-                    std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_u64(dst + i, vorrq_u64(vld1q_u64(dst + i), vld1q_u64(src + i)));
-  }
-  for (; i < n; ++i) dst[i] |= src[i];
-}
-
-void bitset_and_neon(std::uint64_t* dst, const std::uint64_t* src,
-                     std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_u64(dst + i, vandq_u64(vld1q_u64(dst + i), vld1q_u64(src + i)));
-  }
-  for (; i < n; ++i) dst[i] &= src[i];
-}
-
-void bitset_andnot_neon(std::uint64_t* dst, const std::uint64_t* src,
-                        std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    // vbicq(a, b) = a & ~b.
-    vst1q_u64(dst + i, vbicq_u64(vld1q_u64(dst + i), vld1q_u64(src + i)));
-  }
-  for (; i < n; ++i) dst[i] &= ~src[i];
-}
-
-std::uint64_t bitset_popcount_neon(const std::uint64_t* w,
-                                   std::size_t n) noexcept {
-  std::uint64_t total = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint8x16_t counts =
-        vcntq_u8(vreinterpretq_u8_u64(vld1q_u64(w + i)));
-    total += vaddvq_u8(counts);
-  }
-  for (; i < n; ++i) {
-    total += static_cast<std::uint64_t>(std::popcount(w[i]));
-  }
-  return total;
-}
-
-std::size_t bitset_find_first_neon(const std::uint64_t* w,
-                                   std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    if (!neon_all_zero(vld1q_u64(w + i))) break;
-  }
-  for (; i < n; ++i) {
-    if (w[i] != 0) {
-      return i * 64 + static_cast<std::size_t>(std::countr_zero(w[i]));
-    }
-  }
-  return kNpos;
-}
-
-std::size_t frontier_advance_neon(std::uint64_t* next, std::uint64_t* visited,
-                                  std::size_t nwords,
-                                  std::uint32_t* out) noexcept {
-  std::size_t count = 0;
-  std::size_t w = 0;
-  for (; w + 2 <= nwords; w += 2) {
-    const uint64x2_t nx = vld1q_u64(next + w);
-    if (neon_all_zero(nx)) continue;
-    const uint64x2_t vs = vld1q_u64(visited + w);
-    const uint64x2_t fresh = vbicq_u64(nx, vs);
-    vst1q_u64(visited + w, vorrq_u64(vs, fresh));
-    vst1q_u64(next + w, vdupq_n_u64(0));
-    alignas(16) std::uint64_t block[2];
-    vst1q_u64(block, fresh);
-    for (std::size_t k = 0; k < 2; ++k) {
-      std::uint64_t bits = block[k];
-      const auto base = static_cast<std::uint32_t>((w + k) * 64);
-      while (bits != 0) {
-        out[count++] =
-            base + static_cast<std::uint32_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-      }
-    }
-  }
-  for (; w < nwords; ++w) {
-    std::uint64_t fresh = next[w] & ~visited[w];
-    next[w] = 0;
-    if (fresh == 0) continue;
-    visited[w] |= fresh;
-    const auto base = static_cast<std::uint32_t>(w * 64);
-    do {
-      out[count++] =
-          base + static_cast<std::uint32_t>(std::countr_zero(fresh));
-      fresh &= fresh - 1;
-    } while (fresh != 0);
-  }
-  return count;
-}
-
-const Kernels kNeonTable = {
-    "neon",
-    &words_equal_neon,
-    &lanes_equal_skip_neon,
-    &scalar::fingerprint_lanes,  // see note above: scalar wins here
-    &bitset_or_neon,
-    &bitset_and_neon,
-    &bitset_andnot_neon,
-    &bitset_popcount_neon,
-    &bitset_find_first_neon,
-    // The position-keyed hashes hit the same emulated-multiply wall as the
-    // fingerprint kernel on NEON, so they stay scalar here too.
-    &scalar::hash_words,
-    &scalar::hash_lanes,
-    &frontier_advance_neon,
-};
-
-#endif  // LACON_SIMD_NEON
-
 void warn_once(const char* text, const char* detail,
                const char* used) noexcept {
   static std::atomic<bool> warned{false};
@@ -597,9 +427,6 @@ void warn_once(const char* text, const char* detail,
 const Kernels& auto_table() noexcept {
 #if LACON_SIMD_X86
   if (host_supports(Isa::kAvx2)) return kAvx2Table;
-#endif
-#if LACON_SIMD_NEON
-  return kNeonTable;
 #endif
   return kScalarTable;
 }
@@ -616,12 +443,8 @@ const Kernels& select_table() noexcept {
       if (const Kernels* k = kernels_for(Isa::kAvx2)) return *k;
       warn_once(text, "host cannot execute AVX2", auto_table().name);
       return auto_table();
-    case Choice::kNeon:
-      if (const Kernels* k = kernels_for(Isa::kNeon)) return *k;
-      warn_once(text, "host cannot execute NEON", auto_table().name);
-      return auto_table();
     case Choice::kMalformed:
-      warn_once(text, "want auto|scalar|avx2|neon", auto_table().name);
+      warn_once(text, "want auto|scalar|avx2", auto_table().name);
       return auto_table();
   }
   return kScalarTable;  // unreachable
@@ -636,7 +459,6 @@ Choice parse_choice(const char* text) noexcept {
   if (std::strcmp(text, "auto") == 0) return Choice::kAuto;
   if (std::strcmp(text, "scalar") == 0) return Choice::kScalar;
   if (std::strcmp(text, "avx2") == 0) return Choice::kAvx2;
-  if (std::strcmp(text, "neon") == 0) return Choice::kNeon;
   return Choice::kMalformed;
 }
 
@@ -649,12 +471,6 @@ bool host_supports(Isa isa) noexcept {
       return __builtin_cpu_supports("avx2") &&
              __builtin_cpu_supports("bmi2") &&
              __builtin_cpu_supports("popcnt");
-#else
-      return false;
-#endif
-    case Isa::kNeon:
-#if LACON_SIMD_NEON
-      return true;
 #else
       return false;
 #endif
@@ -673,12 +489,6 @@ const Kernels* kernels_for(Isa isa) noexcept {
       if (host_supports(Isa::kAvx2)) return &kAvx2Table;
 #endif
       return nullptr;
-    case Isa::kNeon:
-#if LACON_SIMD_NEON
-      return &kNeonTable;
-#else
-      return nullptr;
-#endif
   }
   return nullptr;
 }

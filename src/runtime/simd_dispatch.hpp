@@ -1,12 +1,12 @@
 // Runtime dispatch for the SIMD kernel library (util/simd.hpp).
 //
 // One kernel table is selected per process, once, on first use: AVX2 when
-// the CPU reports it (x86), NEON on aarch64 (baseline there), the portable
-// scalar table otherwise. The LACON_SIMD environment knob overrides the
-// choice — `auto` (default), `scalar`, `avx2`, `neon` — with the PR-3
-// warn-once + fallback contract: a malformed value, or a request for an ISA
-// this host cannot execute, warns once on stderr and falls back to the
-// automatic pick. Every table is bit-identical in output by contract
+// the CPU reports it (x86), the portable scalar table otherwise (every
+// other host, aarch64 included). The LACON_SIMD environment knob overrides
+// the choice — `auto` (default), `scalar`, `avx2` — with the warn-once +
+// fallback contract: a malformed value, or a request for an ISA this host
+// cannot execute, warns once on stderr and falls back to the automatic
+// pick. Every table is bit-identical in output by contract
 // (tests/simd_test.cc), so the knob only ever moves speed, never results.
 #pragma once
 
@@ -14,12 +14,12 @@
 
 namespace lacon::simd {
 
-enum class Isa { kScalar, kAvx2, kNeon };
+enum class Isa { kScalar, kAvx2 };
 
-// The LACON_SIMD choices: the three ISAs plus automatic selection, plus a
+// The LACON_SIMD choices: the two ISAs plus automatic selection, plus a
 // marker for text that parses as none of them (the caller warns once and
 // uses kAuto). Pure and allocation-free for testability.
-enum class Choice { kAuto, kScalar, kAvx2, kNeon, kMalformed };
+enum class Choice { kAuto, kScalar, kAvx2, kMalformed };
 Choice parse_choice(const char* text) noexcept;
 
 // True when this process can execute `isa`'s kernels.
@@ -29,7 +29,7 @@ bool host_supports(Isa isa) noexcept;
 // latched on first call. An active KernelOverride takes precedence.
 const Kernels& active() noexcept;
 
-// Name of the table active() currently returns ("scalar"|"avx2"|"neon").
+// Name of the table active() currently returns ("scalar"|"avx2").
 const char* active_name() noexcept;
 
 // The portable reference table (always available).

@@ -187,10 +187,11 @@ void Session::ensure_store_loaded(ValenceEngine* eng) {
   // (and the compaction target), so it loads even when LACON_STORE itself
   // is off.
   const std::string path = store::snapshot_path(*model_);
-  const store::Result r = store::load(*model_, path, eng, lemmas_.get());
+  store::SnapshotMeta meta;
+  const store::Result r =
+      store::load(*model_, path, eng, lemmas_.get(), &meta);
   if (r.ok()) {
-    store::SnapshotMeta meta;
-    if (store::probe(path, &meta).ok()) snapshot_bytes_ = meta.file_bytes;
+    snapshot_bytes_ = meta.file_bytes;
   } else if (r.status != store::Status::kIoError) {
     // kIoError is the common no-snapshot-yet case; anything else means a
     // snapshot existed and was rejected — say why, then cold-start.
@@ -229,10 +230,10 @@ void Session::ensure_store_loaded(ValenceEngine* eng) {
     // "notice" naming the quarantined file.
     pending_notice_ = "wal quarantined to " + wpath + ".bad (" +
                       store::to_string(w.status) + ": " + w.detail + ")";
-    const store::Result s = store::save(*model_, path, eng, lemmas_.get());
+    const store::Result s =
+        store::save(*model_, path, eng, lemmas_.get(), &meta);
     if (s.ok()) {
-      store::SnapshotMeta meta;
-      if (store::probe(path, &meta).ok()) snapshot_bytes_ = meta.file_bytes;
+      snapshot_bytes_ = meta.file_bytes;
     } else {
       std::fprintf(stderr, "laconrd: snapshot save failed (%s): %s\n",
                    store::to_string(s.status), s.detail.c_str());
@@ -304,19 +305,19 @@ void Session::leader_commit_locked(
     return;
   }
   // The log dwarfs the snapshot: fold everything into a fresh snapshot and
-  // restart the log from it. The watermark counts come from the file just
-  // written (probe), not the live model — interning may have raced the
+  // restart the log from it. The watermark counts are the ones save wrote
+  // into the file, not the live model's — interning may have raced the
   // save.
   ValenceEngine* eng = engines.empty() ? nullptr : engines.front();
   const std::string path = store::snapshot_path(*model_);
-  const store::Result s = store::save(*model_, path, eng, lemmas_.get());
+  store::SnapshotMeta meta;
+  const store::Result s =
+      store::save(*model_, path, eng, lemmas_.get(), &meta);
   if (!s.ok()) {
     std::fprintf(stderr, "laconrd: compaction snapshot failed (%s): %s\n",
                  store::to_string(s.status), s.detail.c_str());
     return;
   }
-  store::SnapshotMeta meta;
-  if (!store::probe(path, &meta).ok()) return;
   snapshot_bytes_ = meta.file_bytes;
   const store::Result t = wal_->reset_to(*model_, meta.num_views,
                                          meta.num_states, eng, lemmas_.get());
@@ -341,7 +342,13 @@ bool Session::store_save() {
     eng = last_engine_;
   }
   const std::string path = store::snapshot_path(*model_);
-  const store::Result r = store::save(*model_, path, eng, lemmas_.get());
+  // Held across the save so no compaction rewrites the file between it and
+  // the log reset below: the reset watermarks are the counts this save
+  // wrote.
+  std::lock_guard<std::mutex> lock(store_mu_);
+  store::SnapshotMeta meta;
+  const store::Result r =
+      store::save(*model_, path, eng, lemmas_.get(), &meta);
   if (!r.ok()) {
     std::fprintf(stderr, "laconrd: snapshot save failed (%s): %s\n",
                  store::to_string(r.status), r.detail.c_str());
@@ -350,14 +357,10 @@ bool Session::store_save() {
   // The fresh snapshot supersedes every logged record; restart the log so
   // the next run replays nothing it already has. Skipping this is safe
   // (replay skips covered records) but leaves the log to grow stale bytes.
-  std::lock_guard<std::mutex> lock(store_mu_);
   if (wal_ != nullptr) {
-    store::SnapshotMeta meta;
-    if (store::probe(path, &meta).ok()) {
-      snapshot_bytes_ = meta.file_bytes;
-      wal_->reset_to(*model_, meta.num_views, meta.num_states, eng,
-                     lemmas_.get());
-    }
+    snapshot_bytes_ = meta.file_bytes;
+    wal_->reset_to(*model_, meta.num_views, meta.num_states, eng,
+                   lemmas_.get());
   }
   return true;
 }

@@ -5,7 +5,7 @@
 // GlobalState, layer-cache entry, valence-memo entry, fingerprint row — so
 // the per-record encodings live here, used by both writers and both
 // loaders. A record decoded by the WAL replayer is byte-for-byte the record
-// the snapshot loader would decode; only the framing (sectioned file vs
+// the snapshot loader views in place; only the framing (sectioned file vs
 // append-only log) differs.
 //
 // Everything is little-endian (the host the toolchain targets); a
@@ -18,6 +18,7 @@
 // replay horizon.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <utility>
@@ -81,6 +82,12 @@ class Reader {
     if (static_cast<std::size_t>(end_ - p_) < bytes) return false;
     p_ += bytes;
     return true;
+  }
+  // Consumes `bytes` and returns where they start in the underlying buffer
+  // (no copy), or nullptr when fewer remain.
+  const std::uint8_t* view(std::size_t bytes) {
+    const std::uint8_t* at = p_;
+    return skip(bytes) ? at : nullptr;
   }
   std::size_t remaining() const noexcept {
     return static_cast<std::size_t>(end_ - p_);
@@ -153,6 +160,28 @@ inline bool decode_state(Reader& r, int n, GlobalState* s) {
     if (!r.i32(&raw)) return false;
     d = static_cast<Value>(raw);
   }
+  return true;
+}
+
+// Views a state record in place: the spans point into the reader's buffer,
+// which must outlive them. The snapshot loader's path — it copies each view
+// into the arena once. Requires the record to start 8-aligned in memory;
+// the env words are then 8-aligned and both lane arrays 4-aligned, for
+// every n (FORMATS.md §1.4).
+inline bool view_state(Reader& r, int n, StateRef* s) {
+  static_assert(sizeof(ViewId) == 4 && sizeof(Value) == 4);
+  std::uint64_t env_len = 0;
+  if (!r.u64(&env_len) || env_len > r.remaining() / 8) return false;
+  const auto words = static_cast<std::size_t>(env_len);
+  const auto lanes = static_cast<std::size_t>(n);
+  const std::uint8_t* p = r.view(words * 8 + lanes * 8);
+  if (p == nullptr) return false;
+  assert(reinterpret_cast<std::uintptr_t>(p) % 8 == 0 &&
+         "state records are viewed only from an 8-aligned buffer");
+  *s = StateRef{{reinterpret_cast<const std::int64_t*>(p), words},
+                {reinterpret_cast<const ViewId*>(p + words * 8), lanes},
+                {reinterpret_cast<const Value*>(p + words * 8 + lanes * 4),
+                 lanes}};
   return true;
 }
 

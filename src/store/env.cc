@@ -39,15 +39,6 @@ void warn_wal_once(const char* text, bool used) {
                text, used ? "on" : "off");
 }
 
-void warn_mmap_once(const char* text, bool used) {
-  static std::atomic<bool> warned{false};
-  if (warned.exchange(true)) return;
-  std::fprintf(stderr,
-               "lacon: ignoring malformed LACON_MMAP='%s' (want off|on); "
-               "using '%s'\n",
-               text, used ? "on" : "off");
-}
-
 void warn_wal_compact_once(const char* text, std::uint64_t used) {
   static std::atomic<bool> warned{false};
   if (warned.exchange(true)) return;
@@ -127,16 +118,6 @@ bool wal_enabled() { return parse_wal(std::getenv("LACON_WAL"), false); }
 std::uint64_t wal_compact_ratio() {
   return parse_wal_compact(std::getenv("LACON_WAL_COMPACT"), 8);
 }
-
-bool parse_mmap(const char* text, bool fallback) noexcept {
-  if (text == nullptr || *text == '\0') return fallback;
-  if (std::strcmp(text, "off") == 0) return false;
-  if (std::strcmp(text, "on") == 0) return true;
-  warn_mmap_once(text, fallback);
-  return fallback;
-}
-
-bool mmap_enabled() { return parse_mmap(std::getenv("LACON_MMAP"), true); }
 
 std::string snapshot_filename(const std::string& model_name, int n,
                               int max_faulty) {

@@ -5,8 +5,6 @@
 //   LACON_WAL          off | on                       (default: off)
 //   LACON_WAL_COMPACT  log-to-snapshot size ratio that triggers compaction,
 //                      integer in [1, 1024]           (default: 8)
-//   LACON_MMAP         off | on — mmap zero-copy snapshot loading
-//                                                     (default: on)
 //
 // `load` warm-starts a model from an existing snapshot before analysis,
 // `save` writes one after analysis, `loadsave` does both (load if present,
@@ -63,17 +61,11 @@ inline constexpr std::uint64_t kMaxWalCompactRatio = 1024;
 std::uint64_t parse_wal_compact(const char* text,
                                 std::uint64_t fallback) noexcept;
 
-// Parses a LACON_MMAP-style value: "off"/"on". Empty/null yields the
-// fallback silently; anything else warns once per process and yields the
-// fallback.
-bool parse_mmap(const char* text, bool fallback) noexcept;
-
 // The knobs as configured by the environment right now.
 Mode mode();
 std::string dir();
 bool wal_enabled();
 std::uint64_t wal_compact_ratio();
-bool mmap_enabled();
 
 // Canonical snapshot filename for a model instance:
 // <dir>/<sanitized-model-name>.n<n>.t<max_faulty>.lacon.store — model names

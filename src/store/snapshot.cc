@@ -1,12 +1,11 @@
 #include "store/snapshot.hpp"
 
 #include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -22,7 +21,6 @@
 #include "runtime/stats.hpp"
 #include "runtime/trace.hpp"
 #include "store/codec.hpp"
-#include "store/env.hpp"
 
 namespace lacon::store {
 
@@ -184,49 +182,30 @@ Writer encode_header(const Header& h) {
   return w;
 }
 
-Result read_file(const std::string& path, std::vector<std::uint8_t>* out) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return fail(Status::kIoError, "cannot open " + path);
-  const std::streamoff size = in.tellg();
-  if (size < 0) return fail(Status::kIoError, "cannot stat " + path);
-  out->resize(static_cast<std::size_t>(size));
-  in.seekg(0);
-  if (size > 0 &&
-      !in.read(reinterpret_cast<char*>(out->data()), size)) {
-    return fail(Status::kIoError, "short read on " + path);
-  }
-  return {};
-}
-
-// A read-only private mapping of a whole file, released by the last owner of
-// the returned keepalive (the arena outlives the load when state sections
-// are adopted in place). Returns nullptr — never a typed error — on any
-// failure (missing file, empty file, mmap refusal): the caller falls back to
-// the streaming read, whose error vocabulary existing callers rely on.
-std::shared_ptr<const void> map_file(const std::string& path,
-                                     std::size_t* size) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return nullptr;
-  struct stat st {};
-  if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
-    ::close(fd);
-    return nullptr;
-  }
-  const std::size_t bytes = static_cast<std::size_t>(st.st_size);
-  void* base = ::mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (base == MAP_FAILED) return nullptr;
-  *size = bytes;
-  return std::shared_ptr<const void>(
-      base, [bytes](const void* p) {
-        ::munmap(const_cast<void*>(p), bytes);
-      });
-}
-
 struct Bytes {
   const std::uint8_t* data = nullptr;
   std::size_t size = 0;
 };
+
+// Reads the whole file into `buf`. Array-new storage is aligned for every
+// fundamental type, so the 8-aligned section offsets stay 8-aligned in
+// memory and the state records can be viewed in place (codec::view_state).
+Result read_file(const std::string& path, std::unique_ptr<std::byte[]>* buf,
+                 Bytes* bytes) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return fail(Status::kIoError, "cannot open " + path);
+  const std::streamoff size = in.tellg();
+  if (size < 0) return fail(Status::kIoError, "cannot stat " + path);
+  *buf = std::make_unique_for_overwrite<std::byte[]>(
+      static_cast<std::size_t>(size));
+  in.seekg(0);
+  if (size > 0 && !in.read(reinterpret_cast<char*>(buf->get()), size)) {
+    return fail(Status::kIoError, "short read on " + path);
+  }
+  *bytes = {reinterpret_cast<const std::uint8_t*>(buf->get()),
+            static_cast<std::size_t>(size)};
+  return {};
+}
 
 Result parse_header(const Bytes& bytes, const std::string& path, Header* h) {
   if (bytes.size < kPreludeBytes) {
@@ -300,6 +279,30 @@ const SectionEntry* find_section(const Header& h, SectionKind kind) {
     if (e.kind == static_cast<std::uint32_t>(kind)) return &e;
   }
   return nullptr;
+}
+
+SnapshotMeta meta_of(const Header& h, std::uint64_t file_bytes) {
+  SnapshotMeta meta;
+  meta.model_name = h.name;
+  meta.n = static_cast<int>(h.n);
+  meta.max_faulty = static_cast<int>(h.max_faulty);
+  meta.num_views = h.num_views;
+  meta.num_states = h.num_states;
+  meta.file_bytes = file_bytes;
+  if (const auto* e = find_section(h, SectionKind::kLayerCache)) {
+    meta.layer_entries = e->count;
+  }
+  if (const auto* e = find_section(h, SectionKind::kValenceMemo)) {
+    meta.memo_entries = e->count;
+  }
+  if (const auto* e = find_section(h, SectionKind::kFingerprints)) {
+    meta.fingerprint_rows = e->count;
+  }
+  if (const auto* e = find_section(h, SectionKind::kLemmas)) {
+    meta.lemma_entries = e->count;
+  }
+  meta.symmetry = h.symmetry == 1;
+  return meta;
 }
 
 Result checksum_section(const Bytes& bytes, const std::string& path,
@@ -396,13 +399,13 @@ const char* to_string(Status status) noexcept {
 }
 
 Result save(LayeredModel& model, const std::string& path,
-            ValenceEngine* engine, LemmaStore* lemmas) {
+            ValenceEngine* engine, LemmaStore* lemmas, SnapshotMeta* meta) {
   auto& stats = runtime::Stats::global();
   runtime::ScopedTimer timer(stats.timer("store.save_time"));
   LACON_TRACE_PHASE("store", "save", model.num_states());
 
   const std::uint32_t digest_shards =
-      static_cast<std::uint32_t>(arena_shard_count());
+      static_cast<std::uint32_t>(kArenaShards);
 
   // Capture the id horizons ONCE, states before views: with S read first,
   // every view a state < S references exists (< V) even if interning races
@@ -505,64 +508,18 @@ Result save(LayeredModel& model, const std::string& path,
   }
   stats.counter("store.bytes_written").add(file.size());
   stats.counter("store.snapshots_saved").increment();
-  return {};
-}
-
-Result probe(const std::string& path, SnapshotMeta* meta) {
-  std::vector<std::uint8_t> file;
-  if (Result r = read_file(path, &file); !r.ok()) return r;
-  const Bytes bytes{file.data(), file.size()};
-  Header h;
-  if (Result r = parse_header(bytes, path, &h); !r.ok()) return r;
-  if (meta != nullptr) {
-    meta->version = kFormatVersion;
-    meta->model_name = h.name;
-    meta->n = static_cast<int>(h.n);
-    meta->max_faulty = static_cast<int>(h.max_faulty);
-    meta->num_views = h.num_views;
-    meta->num_states = h.num_states;
-    meta->file_bytes = bytes.size;
-    if (const auto* e = find_section(h, SectionKind::kLayerCache)) {
-      meta->layer_entries = e->count;
-    }
-    if (const auto* e = find_section(h, SectionKind::kValenceMemo)) {
-      meta->memo_entries = e->count;
-    }
-    if (const auto* e = find_section(h, SectionKind::kFingerprints)) {
-      meta->fingerprint_rows = e->count;
-    }
-    if (const auto* e = find_section(h, SectionKind::kLemmas)) {
-      meta->lemma_entries = e->count;
-    }
-    meta->symmetry = h.symmetry == 1;
-  }
+  if (meta != nullptr) *meta = meta_of(h, file.size());
   return {};
 }
 
 Result load(LayeredModel& model, const std::string& path,
-            ValenceEngine* engine, LemmaStore* lemmas) {
+            ValenceEngine* engine, LemmaStore* lemmas, SnapshotMeta* meta) {
   auto& stats = runtime::Stats::global();
   runtime::ScopedTimer timer(stats.timer("store.load_time"));
 
-  // Byte source: an mmap'ed view of the file when LACON_MMAP allows it (the
-  // kStates section can then be adopted in place), otherwise a streamed
-  // heap copy. A failed mmap falls back to streaming silently, so the error
-  // vocabulary (missing file => kIoError, short file => kTruncated, ...) is
-  // identical on both paths.
-  std::vector<std::uint8_t> file;
-  std::shared_ptr<const void> mapping;
+  std::unique_ptr<std::byte[]> file;
   Bytes bytes;
-  if (mmap_enabled()) {
-    std::size_t mapped_size = 0;
-    mapping = map_file(path, &mapped_size);
-    if (mapping != nullptr) {
-      bytes = {static_cast<const std::uint8_t*>(mapping.get()), mapped_size};
-    }
-  }
-  if (mapping == nullptr) {
-    if (Result r = read_file(path, &file); !r.ok()) return r;
-    bytes = {file.data(), file.size()};
-  }
+  if (Result r = read_file(path, &file, &bytes); !r.ok()) return r;
   Header h;
   if (Result r = parse_header(bytes, path, &h); !r.ok()) return r;
   LACON_TRACE_PHASE("store", "load", h.num_states);
@@ -654,66 +611,16 @@ Result load(LayeredModel& model, const std::string& path,
 
     // --- States, in stored-id order. --------------------------------------
     //
-    // Two replay paths over the same record stream. The zero-copy path
-    // adopts each flat payload straight out of the mapping: for even n the
-    // on-disk record (env words | n packed locals lanes | n packed
-    // decisions lanes) is byte-identical to the pool encoding, and every
-    // record in the 8-aligned section is itself 8-aligned (8 + 8*env_len +
-    // 8n bytes). Odd n pads its lane words in the pool but not on disk, so
-    // it streams; LACON_MMAP=off streams everything. Either way the digest
-    // cross-check below sees the identical content hashes.
+    // Each record is viewed in place inside the read buffer and copied into
+    // the arena pool once; the digest cross-check below reuses the hash
+    // restore_state needs.
     DigestAccumulator state_digests(h.digest_shards);
-    const bool adopt = mapping != nullptr && n % 2 == 0;
-    if (adopt && states_sec->count > 0) {
-      // The mapping's lifetime transfers to the arena with the first
-      // adopted state (kept alive until the model dies).
-      model.adopt_mapped_states(
-          reinterpret_cast<const std::int64_t*>(bytes.data), mapping);
-    }
     {
       Reader r(bytes.data + states_sec->offset, states_sec->bytes);
       const std::uint64_t num_views = views_sec->count;
-      const std::size_t lanes = static_cast<std::size_t>(n) / 2;
       for (std::uint64_t id = 0; id < states_sec->count; ++id) {
-        if (adopt) {
-          const std::size_t rec_off = states_sec->bytes - r.remaining();
-          std::uint64_t env_len = 0;
-          if (!r.u64(&env_len) || env_len > r.remaining() / 8 ||
-              !r.skip(static_cast<std::size_t>(env_len) * 8 +
-                      static_cast<std::size_t>(n) * 8)) {
-            return fail(Status::kTruncated,
-                        path + ": state record " + std::to_string(id) +
-                            " extends past its section");
-          }
-          const auto* payload = reinterpret_cast<const std::int64_t*>(
-              bytes.data + states_sec->offset + rec_off + 8);
-          const StateRef s{
-              {payload, static_cast<std::size_t>(env_len)},
-              {reinterpret_cast<const ViewId*>(payload + env_len),
-               static_cast<std::size_t>(n)},
-              {reinterpret_cast<const Value*>(payload + env_len + lanes),
-               static_cast<std::size_t>(n)}};
-          for (ViewId v : s.locals) {
-            if (v < 0 || static_cast<std::uint64_t>(v) >= num_views) {
-              return fail(Status::kCorrupt,
-                          path + ": state record " + std::to_string(id) +
-                              " references an unknown view");
-            }
-          }
-          const std::uint64_t hash = StateArena::content_hash(s);
-          state_digests.add(hash);
-          const std::uint64_t word_offset =
-              (states_sec->offset + rec_off + 8) / 8;
-          const StateId got = model.restore_mapped_state(s, word_offset, hash);
-          if (static_cast<std::uint64_t>(got) != id) {
-            return fail(Status::kCorrupt,
-                        path + ": state replay diverged at id " +
-                            std::to_string(id));
-          }
-          continue;
-        }
-        GlobalState s;
-        if (!codec::decode_state(r, n, &s)) {
+        StateRef s;
+        if (!codec::view_state(r, n, &s)) {
           return fail(Status::kTruncated,
                       path + ": state record " + std::to_string(id) +
                           " extends past its section");
@@ -725,8 +632,9 @@ Result load(LayeredModel& model, const std::string& path,
                             " references an unknown view");
           }
         }
-        state_digests.add(StateArena::content_hash(s));
-        const StateId got = model.restore_state(std::move(s));
+        const std::uint64_t hash = StateArena::content_hash(s);
+        state_digests.add(hash);
+        const StateId got = model.restore_state(s, hash);
         if (static_cast<std::uint64_t>(got) != id) {
           return fail(Status::kCorrupt,
                       path + ": state replay diverged at id " +
@@ -871,8 +779,8 @@ Result load(LayeredModel& model, const std::string& path,
   }
 
   stats.counter("store.bytes_read").add(bytes.size);
-  if (mapping != nullptr) stats.counter("store.mmap_loads").increment();
   stats.counter("store.snapshots_loaded").increment();
+  if (meta != nullptr) *meta = meta_of(h, bytes.size);
   return {};
 }
 

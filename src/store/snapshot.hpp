@@ -29,13 +29,10 @@
 // always-zero reserved field, so pre-symmetry snapshots load exactly when
 // the quotient is off — which is the mode they were saved under.
 //
-// The layout is mmap-friendly — fixed prelude, absolute section offsets,
-// aligned payloads — and the loader exploits it: under LACON_MMAP=on (the
-// default) load() maps the file and adopts the flat state payloads in
-// place (StateArena::restore_mapped), falling back to the streaming read
-// when the mapping fails, the knob is off, or the record layout differs
-// from the pool encoding (odd n pads its lane words in memory but not on
-// disk). FORMATS.md is the normative byte-level spec.
+// Every section starts 8-aligned and every state record is a multiple of 8
+// bytes, so load() reads the file into one aligned buffer and views each
+// state record in place (codec::view_state) for every n, copying it into
+// the arena pool once. FORMATS.md is the normative byte-level spec.
 // Corrupt, short, or mismatched files are rejected with a typed Status and
 // leave the model untouched up to the failing section (a failed load should
 // be answered by constructing a fresh model). Files with version != 1 are
@@ -89,9 +86,10 @@ struct Result {
   bool ok() const noexcept { return status == Status::kOk; }
 };
 
-// Identity and inventory read off a snapshot without replaying it.
+// Identity and inventory of a snapshot, as save() wrote it or load() read
+// it: the counts are the file's own, not the live model's, which may have
+// grown since.
 struct SnapshotMeta {
-  std::uint32_t version = 0;
   std::string model_name;
   int n = 0;
   int max_faulty = 0;
@@ -109,21 +107,21 @@ struct SnapshotMeta {
 // `path`. Writes `path + ".tmp"` and renames, so readers never observe a
 // half-written snapshot. The model must be quiescent (no analysis in
 // flight); the save side only takes the same shard locks export_layer_cache
-// and export_memo do.
+// and export_memo do. On success fills `meta` (may be null) with what the
+// file holds.
 Result save(LayeredModel& model, const std::string& path,
-            ValenceEngine* engine = nullptr, LemmaStore* lemmas = nullptr);
+            ValenceEngine* engine = nullptr, LemmaStore* lemmas = nullptr,
+            SnapshotMeta* meta = nullptr);
 
 // Replays `path` into `model`, which must be freshly constructed (same
 // name/n/max_faulty as at save time, nothing interned yet — call load
 // *before* initial_states()). When `engine` is given and its horizon and
 // exactness mode match the stored memo's, the memo is imported too;
-// otherwise the memo section is skipped. On any non-kOk result the model
-// may hold a partial replay and should be discarded.
+// otherwise the memo section is skipped. On success fills `meta` (may be
+// null) with what the file held. On any non-kOk result the model may hold a
+// partial replay and should be discarded.
 Result load(LayeredModel& model, const std::string& path,
-            ValenceEngine* engine = nullptr, LemmaStore* lemmas = nullptr);
-
-// Validates the prelude + header of `path` and fills `meta` (may be null).
-// Does not checksum section payloads.
-Result probe(const std::string& path, SnapshotMeta* meta);
+            ValenceEngine* engine = nullptr, LemmaStore* lemmas = nullptr,
+            SnapshotMeta* meta = nullptr);
 
 }  // namespace lacon::store

@@ -455,8 +455,9 @@ Result Wal::replay(LayeredModel& model, ValenceEngine* engine,
           }
         }
         for (std::uint64_t i = 0; i < rec.new_states; ++i) {
-          const StateId got = model.restore_state(
-              std::move(rec.states[static_cast<std::size_t>(i)]));
+          const StateRef s = rec.states[static_cast<std::size_t>(i)];
+          const StateId got =
+              model.restore_state(s, StateArena::content_hash(s));
           if (static_cast<std::uint64_t>(got) != rec.base_states + i) {
             return fail(Status::kCorrupt,
                         path_ + ": state replay diverged at id " +

@@ -17,8 +17,8 @@
 //       level-synchronous BFS behind Graph::diameter (relation/graph.cc):
 //       fresh = next & ~visited; visited |= fresh; emit fresh bit indices.
 //
-// The scalar implementations below are the semantic definition; the AVX2 /
-// NEON implementations in runtime/simd_dispatch.cc must be bit-identical
+// The scalar implementations below are the semantic definition; the AVX2
+// implementations in runtime/simd_dispatch.cc must be bit-identical
 // (same fingerprints, same graphs, same truncation depths — the identity
 // contract tests/simd_test.cc enforces). Call sites fetch the selected
 // table once per operation via lacon::simd::active() (runtime dispatch,
@@ -41,7 +41,7 @@ inline constexpr std::size_t kNoSkip = ~std::size_t{0};
 inline constexpr std::size_t kNpos = ~std::size_t{0};
 
 struct Kernels {
-  // Implementation name for logs/benches: "scalar" | "avx2" | "neon".
+  // Implementation name for logs/benches: "scalar" | "avx2".
   const char* name;
 
   // All n 64-bit words equal.

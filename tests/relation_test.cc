@@ -194,24 +194,6 @@ TEST(Graph, FromSortedEdgesMatchesFromRelation) {
 
 // --- Fingerprint-indexed similarity graph ---
 
-TEST(SimilarityIndex, StrategyKnobReadsEnvironment) {
-  ASSERT_EQ(setenv("LACON_SIMILARITY", "naive", 1), 0);
-  EXPECT_EQ(similarity_strategy(), SimilarityStrategy::kNaive);
-  ASSERT_EQ(setenv("LACON_SIMILARITY", "indexed", 1), 0);
-  EXPECT_EQ(similarity_strategy(), SimilarityStrategy::kIndexed);
-  ASSERT_EQ(unsetenv("LACON_SIMILARITY"), 0);
-  EXPECT_EQ(similarity_strategy(), SimilarityStrategy::kIndexed);
-  // Unknown values warn once on stderr and fall back to the default
-  // instead of silently picking a strategy the operator didn't ask for.
-  ASSERT_EQ(setenv("LACON_SIMILARITY", "quantum", 1), 0);
-  EXPECT_EQ(similarity_strategy(), SimilarityStrategy::kIndexed);
-  ASSERT_EQ(setenv("LACON_SIMILARITY", "", 1), 0);
-  EXPECT_EQ(similarity_strategy(), SimilarityStrategy::kIndexed);
-  ASSERT_EQ(setenv("LACON_SIMILARITY", "NAIVE", 1), 0);  // case-sensitive
-  EXPECT_EQ(similarity_strategy(), SimilarityStrategy::kIndexed);
-  ASSERT_EQ(unsetenv("LACON_SIMILARITY"), 0);
-}
-
 // The index must reproduce the naive sweep's graph *exactly* — same edges,
 // same adjacency order — on every model, including the synchronous one
 // whose states record failures (exercising the witness liveness condition)

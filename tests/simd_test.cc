@@ -42,8 +42,8 @@ using simd::Kernels;
 // on the CI x86 hosts {scalar, avx2}.
 std::vector<const Kernels*> available_tables() {
   std::vector<const Kernels*> out = {&simd::scalar_kernels()};
-  for (simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kNeon}) {
-    if (const Kernels* k = simd::kernels_for(isa)) out.push_back(k);
+  if (const Kernels* k = simd::kernels_for(simd::Isa::kAvx2)) {
+    out.push_back(k);
   }
   return out;
 }
@@ -79,7 +79,7 @@ TEST(SimdDispatch, ParseChoice) {
   EXPECT_EQ(simd::parse_choice("auto"), simd::Choice::kAuto);
   EXPECT_EQ(simd::parse_choice("scalar"), simd::Choice::kScalar);
   EXPECT_EQ(simd::parse_choice("avx2"), simd::Choice::kAvx2);
-  EXPECT_EQ(simd::parse_choice("neon"), simd::Choice::kNeon);
+  EXPECT_EQ(simd::parse_choice("neon"), simd::Choice::kMalformed);
   EXPECT_EQ(simd::parse_choice("AVX2"), simd::Choice::kMalformed);
   EXPECT_EQ(simd::parse_choice("sse"), simd::Choice::kMalformed);
   EXPECT_EQ(simd::parse_choice(" scalar"), simd::Choice::kMalformed);
@@ -99,9 +99,8 @@ TEST(SimdDispatch, TablesAndOverride) {
     EXPECT_STREQ(simd::active_name(), k->name);  // nesting restores
   }
   // host_supports gates kernels_for: a table exists iff the host runs it.
-  for (simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kNeon}) {
-    EXPECT_EQ(simd::kernels_for(isa) != nullptr, simd::host_supports(isa));
-  }
+  EXPECT_EQ(simd::kernels_for(simd::Isa::kAvx2) != nullptr,
+            simd::host_supports(simd::Isa::kAvx2));
 }
 
 TEST(SimdKernels, WordsEqualMatchesScalar) {

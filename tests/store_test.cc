@@ -146,160 +146,86 @@ TEST_F(StoreTest, RestoredOddNStatesKeepZeroedPadding) {
 }
 
 TEST_F(StoreTest, WarmAnalysisInternsNothingNew) {
-  auto cold = make_instance(ModelKind::kMobile, 3, 1, 3);
-  analyze(cold, 2);
-  const std::string file = path("warm.store");
-  ASSERT_TRUE(store::save(*cold.model, file, cold.engine.get()).ok());
+  // Odd and even n restore through the same in-place record path.
+  for (const int n : {3, 4}) {
+    auto cold = make_instance(ModelKind::kMobile, n, 1, 3);
+    analyze(cold, 2);
+    const std::string file = path("warm" + std::to_string(n) + ".store");
+    ASSERT_TRUE(store::save(*cold.model, file, cold.engine.get()).ok());
 
-  auto& stats = runtime::Stats::global();
-  auto warm = make_instance(ModelKind::kMobile, 3, 1, 3);
-  ASSERT_TRUE(store::load(*warm.model, file, warm.engine.get()).ok());
+    auto& stats = runtime::Stats::global();
+    auto warm = make_instance(ModelKind::kMobile, n, 1, 3);
+    const std::uint64_t restored_before =
+        stats.counter("arena.state_restored").value();
+    ASSERT_TRUE(store::load(*warm.model, file, warm.engine.get()).ok());
+    // Every stored state is restored exactly once, none re-interned.
+    EXPECT_EQ(stats.counter("arena.state_restored").value(),
+              restored_before + cold.model->num_states())
+        << "n=" << n;
 
-  const std::uint64_t restored = stats.counter("arena.state_restored").value();
-  EXPECT_GE(restored, cold.model->num_states());
+    const std::uint64_t misses_before =
+        stats.counter("arena.state_misses").value();
+    const std::uint64_t view_misses_before =
+        stats.counter("arena.view_misses").value();
+    const std::uint64_t hits_before =
+        stats.counter("arena.state_hits").value();
 
-  const std::uint64_t misses_before =
-      stats.counter("arena.state_misses").value();
-  const std::uint64_t view_misses_before =
-      stats.counter("arena.view_misses").value();
-  const std::uint64_t hits_before = stats.counter("arena.state_hits").value();
+    // The full analysis replays as hits against the restored index.
+    const auto frontier = analyze(warm, 2);
+    EXPECT_EQ(stats.counter("arena.state_misses").value(), misses_before)
+        << "n=" << n;
+    EXPECT_EQ(stats.counter("arena.view_misses").value(), view_misses_before)
+        << "n=" << n;
+    EXPECT_GT(stats.counter("arena.state_hits").value(), hits_before);
+    EXPECT_EQ(warm.model->num_states(), cold.model->num_states());
 
-  // The full analysis replays as hits against the restored index.
-  const auto frontier = analyze(warm, 2);
-  EXPECT_EQ(stats.counter("arena.state_misses").value(), misses_before);
-  EXPECT_EQ(stats.counter("arena.view_misses").value(), view_misses_before);
-  EXPECT_GT(stats.counter("arena.state_hits").value(), hits_before);
-  EXPECT_EQ(warm.model->num_states(), cold.model->num_states());
-
-  // Valence answers agree entry for entry (memo was imported).
-  const auto cold_frontier = analyze(cold, 2);
-  ASSERT_EQ(frontier.size(), cold_frontier.size());
-  for (std::size_t i = 0; i < frontier.size(); ++i) {
-    const ValenceInfo a = warm.engine->valence(frontier[i]);
-    const ValenceInfo b = cold.engine->valence(cold_frontier[i]);
-    EXPECT_EQ(a.v0, b.v0);
-    EXPECT_EQ(a.v1, b.v1);
-    EXPECT_EQ(a.exact, b.exact);
+    // Valence answers agree entry for entry (memo was imported).
+    const auto cold_frontier = analyze(cold, 2);
+    ASSERT_EQ(frontier.size(), cold_frontier.size());
+    for (std::size_t i = 0; i < frontier.size(); ++i) {
+      const ValenceInfo a = warm.engine->valence(frontier[i]);
+      const ValenceInfo b = cold.engine->valence(cold_frontier[i]);
+      EXPECT_EQ(a.v0, b.v0);
+      EXPECT_EQ(a.v1, b.v1);
+      EXPECT_EQ(a.exact, b.exact);
+    }
   }
-}
-
-// --- mmap zero-copy loading (LACON_MMAP, FORMATS.md "Alignment") ---
-//
-// The contract under test: a mapped load and a streaming load of the same
-// snapshot are INDISTINGUISHABLE to every consumer — same ids, same content
-// hashes, same analysis output, zero re-interns — the only difference being
-// where the flat state words live (the mapping vs the arena pool). Even n
-// adopts in place ("arena.state_mapped" counts the adoptions); odd n, a
-// failed map and LACON_MMAP=off all fall back to the streaming decode with
-// no behavior change.
-
-TEST_F(StoreTest, MmapAndStreamingLoadsAreEquivalent) {
-  constexpr int kN = 4;  // even: disk records match the pool layout
-  auto cold = make_instance(ModelKind::kMobile, kN, 1, 3);
-  analyze(cold, 2);
-  const std::string file = path("mmap.store");
-  ASSERT_TRUE(store::save(*cold.model, file, cold.engine.get()).ok());
-
-  auto& stats = runtime::Stats::global();
-  const std::uint64_t mapped_before =
-      stats.counter("arena.state_mapped").value();
-  const std::uint64_t mmap_loads_before =
-      stats.counter("store.mmap_loads").value();
-
-  ::setenv("LACON_MMAP", "on", 1);
-  auto warm_map = make_instance(ModelKind::kMobile, kN, 1, 3);
-  const store::Result rm = store::load(*warm_map.model, file,
-                                       warm_map.engine.get());
-  ASSERT_TRUE(rm.ok()) << rm.detail;
-  // The load went through the mapping and adopted every state in place.
-  EXPECT_EQ(stats.counter("store.mmap_loads").value(), mmap_loads_before + 1);
-  EXPECT_EQ(stats.counter("arena.state_mapped").value(),
-            mapped_before + cold.model->num_states());
-
-  ::setenv("LACON_MMAP", "off", 1);
-  auto warm_stream = make_instance(ModelKind::kMobile, kN, 1, 3);
-  ASSERT_TRUE(store::load(*warm_stream.model, file,
-                          warm_stream.engine.get()).ok());
-  ::unsetenv("LACON_MMAP");
-
-  // Same population, position by position, on both paths.
-  EXPECT_EQ(state_hashes(*warm_map.model), state_hashes(*cold.model));
-  EXPECT_EQ(state_hashes(*warm_stream.model), state_hashes(*cold.model));
-  EXPECT_EQ(view_hashes(*warm_map.model), view_hashes(*cold.model));
-
-  // Re-running the analysis over the mapped arena interns nothing new and
-  // produces output identical to the streaming-loaded model's.
-  const std::uint64_t misses_before =
-      stats.counter("arena.state_misses").value();
-  const auto frontier_map = analyze(warm_map, 2);
-  const auto frontier_stream = analyze(warm_stream, 2);
-  EXPECT_EQ(stats.counter("arena.state_misses").value(), misses_before);
-  EXPECT_EQ(frontier_map, frontier_stream);
-  EXPECT_EQ(warm_map.model->num_states(), warm_stream.model->num_states());
-  EXPECT_EQ(state_hashes(*warm_map.model), state_hashes(*warm_stream.model));
-  for (std::size_t i = 0; i < frontier_map.size(); ++i) {
-    const ValenceInfo a = warm_map.engine->valence(frontier_map[i]);
-    const ValenceInfo b = warm_stream.engine->valence(frontier_stream[i]);
-    EXPECT_EQ(a.v0, b.v0);
-    EXPECT_EQ(a.v1, b.v1);
-    EXPECT_EQ(a.exact, b.exact);
-  }
-}
-
-TEST_F(StoreTest, OddNFallsBackToStreamingUnderMmap) {
-  // Odd n pads its lane words in the pool but not on disk, so the record
-  // layout differs from the pool encoding and adoption must not happen —
-  // the "misaligned file" of the mmap contract. The load still succeeds,
-  // through the streaming decode.
-  auto cold = make_instance(ModelKind::kMobile, 3, 1, 3);
-  analyze(cold, 2);
-  const std::string file = path("odd_mmap.store");
-  ASSERT_TRUE(store::save(*cold.model, file, cold.engine.get()).ok());
-
-  auto& stats = runtime::Stats::global();
-  const std::uint64_t mapped_before =
-      stats.counter("arena.state_mapped").value();
-
-  ::setenv("LACON_MMAP", "on", 1);
-  auto warm = make_instance(ModelKind::kMobile, 3, 1, 3);
-  const store::Result r = store::load(*warm.model, file, warm.engine.get());
-  ::unsetenv("LACON_MMAP");
-  ASSERT_TRUE(r.ok()) << r.detail;
-  EXPECT_EQ(stats.counter("arena.state_mapped").value(), mapped_before);
-  EXPECT_EQ(state_hashes(*warm.model), state_hashes(*cold.model));
 }
 
 TEST_F(StoreTest, MmapLoadRejectsTruncationAtEveryPrefix) {
-  // Every proper prefix of a snapshot must be rejected on the mmap path
-  // exactly as on the streaming path — mapping a file does not skip any
-  // length or checksum validation.
-  constexpr int kN = 4;
-  auto cold = make_instance(ModelKind::kMobile, kN, 1, 2);
-  analyze(cold, 1);
-  const std::string file = path("mmap_trunc.store");
-  ASSERT_TRUE(store::save(*cold.model, file, nullptr).ok());
+  // Every proper prefix of a snapshot must be rejected, for odd and even n
+  // alike: viewing state records in place skips no length or checksum
+  // validation.
+  for (const int n : {3, 4}) {
+    auto cold = make_instance(ModelKind::kMobile, n, 1, 2);
+    analyze(cold, 1);
+    const std::string file = path("trunc" + std::to_string(n) + ".store");
+    ASSERT_TRUE(store::save(*cold.model, file, nullptr).ok());
 
-  std::ifstream in(file, std::ios::binary);
-  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  ASSERT_GT(bytes.size(), 0u);
+    std::ifstream in(file, std::ios::binary);
+    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    ASSERT_GT(bytes.size(), 0u);
 
-  ::setenv("LACON_MMAP", "on", 1);
-  // Every prefix for small files; a deterministic stride (still covering
-  // every 8-byte boundary and both ends) once the quadratic checksum work
-  // would dominate the suite.
-  const std::size_t stride = bytes.size() > 8192 ? 7 : 1;
-  for (std::size_t keep = 0; keep < bytes.size(); keep += stride) {
-    const std::string cut = path("mmap_cut.store");
-    std::ofstream out(cut, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(keep));
-    out.close();
+    // Every prefix for small files; a deterministic stride (still covering
+    // every 8-byte boundary and both ends) once the quadratic checksum work
+    // would dominate the suite. A rejected prefix must leave the target
+    // untouched, so one empty target serves every prefix.
+    auto target = make_instance(ModelKind::kMobile, n, 1, 2);
+    const std::size_t stride = bytes.size() > 8192 ? 7 : 1;
+    for (std::size_t keep = 0; keep < bytes.size(); keep += stride) {
+      const std::string cut = path("cut.store");
+      std::ofstream out(cut, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(keep));
+      out.close();
 
-    auto target = make_instance(ModelKind::kMobile, kN, 1, 2);
-    const store::Result r = store::load(*target.model, cut, nullptr);
-    EXPECT_FALSE(r.ok()) << "prefix of " << keep << " bytes was accepted";
+      const store::Result r = store::load(*target.model, cut, nullptr);
+      EXPECT_FALSE(r.ok()) << "n=" << n << ": prefix of " << keep
+                           << " bytes was accepted";
+      ASSERT_EQ(target.model->num_states(), 0u) << "n=" << n << " " << keep;
+      ASSERT_EQ(target.model->num_views(), 0u) << "n=" << n << " " << keep;
+    }
   }
-  ::unsetenv("LACON_MMAP");
 }
 
 TEST_F(StoreTest, OddNPadsLanesAndRoundTrips) {
@@ -322,26 +248,46 @@ TEST_F(StoreTest, OddNPadsLanesAndRoundTrips) {
     copy.env.assign(s.env.begin(), s.env.end());
     copy.locals.assign(s.locals.begin(), s.locals.end());
     copy.decisions.assign(s.decisions.begin(), s.decisions.end());
-    EXPECT_EQ(warm.model->restore_state(std::move(copy)), 0u);
+    EXPECT_EQ(warm.model->restore_state(copy, StateArena::content_hash(copy)),
+              0u);
     EXPECT_EQ(warm.model->num_states(), before);
   }
 }
 
-TEST_F(StoreTest, ProbeReportsIdentityAndInventory) {
+TEST_F(StoreTest, SaveAndLoadReportIdentityAndInventory) {
   auto cold = make_instance(ModelKind::kMobile, 3, 1, 3);
   analyze(cold, 2);
-  const std::string file = path("probe.store");
-  ASSERT_TRUE(store::save(*cold.model, file, cold.engine.get()).ok());
+  const std::string file = path("meta.store");
+  store::SnapshotMeta saved;
+  ASSERT_TRUE(
+      store::save(*cold.model, file, cold.engine.get(), nullptr, &saved).ok());
+  EXPECT_EQ(saved.model_name, cold.model->name());
+  EXPECT_EQ(saved.n, 3);
+  EXPECT_EQ(saved.max_faulty, 1);
+  EXPECT_EQ(saved.num_states, cold.model->num_states());
+  EXPECT_EQ(saved.num_views, cold.model->num_views());
+  EXPECT_GT(saved.layer_entries, 0u);
+  EXPECT_GT(saved.memo_entries, 0u);
+  EXPECT_GT(saved.fingerprint_rows, 0u);
+  EXPECT_EQ(saved.file_bytes, fs::file_size(file));
+  EXPECT_FALSE(saved.symmetry);
 
-  store::SnapshotMeta meta;
-  ASSERT_TRUE(store::probe(file, &meta).ok());
-  EXPECT_EQ(meta.model_name, cold.model->name());
-  EXPECT_EQ(meta.n, 3);
-  EXPECT_EQ(meta.max_faulty, 1);
-  EXPECT_EQ(meta.num_states, cold.model->num_states());
-  EXPECT_EQ(meta.num_views, cold.model->num_views());
-  EXPECT_GT(meta.memo_entries, 0u);
-  EXPECT_GT(meta.fingerprint_rows, 0u);
+  // The loader reports the same inventory off the same file.
+  auto warm = make_instance(ModelKind::kMobile, 3, 1, 3);
+  store::SnapshotMeta loaded;
+  ASSERT_TRUE(
+      store::load(*warm.model, file, warm.engine.get(), nullptr, &loaded).ok());
+  EXPECT_EQ(loaded.model_name, saved.model_name);
+  EXPECT_EQ(loaded.n, saved.n);
+  EXPECT_EQ(loaded.max_faulty, saved.max_faulty);
+  EXPECT_EQ(loaded.num_states, saved.num_states);
+  EXPECT_EQ(loaded.num_views, saved.num_views);
+  EXPECT_EQ(loaded.layer_entries, saved.layer_entries);
+  EXPECT_EQ(loaded.memo_entries, saved.memo_entries);
+  EXPECT_EQ(loaded.fingerprint_rows, saved.fingerprint_rows);
+  EXPECT_EQ(loaded.lemma_entries, saved.lemma_entries);
+  EXPECT_EQ(loaded.file_bytes, saved.file_bytes);
+  EXPECT_EQ(loaded.symmetry, saved.symmetry);
 }
 
 TEST_F(StoreTest, TruncatedFilesAreRejectedAtEveryLength) {
@@ -405,7 +351,6 @@ TEST_F(StoreTest, ForwardVersionsAreRefused) {
   auto target = make_instance(ModelKind::kMobile, 3, 1, 2);
   EXPECT_EQ(store::load(*target.model, file, nullptr).status,
             store::Status::kBadVersion);
-  EXPECT_EQ(store::probe(file, nullptr).status, store::Status::kBadVersion);
 }
 
 TEST_F(StoreTest, BadMagicAndMissingFile) {
@@ -460,9 +405,8 @@ TEST_F(StoreTest, SaveWithoutEngineOmitsMemo) {
   auto cold = make_instance(ModelKind::kMobile, 3, 1, 2);
   analyze(cold, 1);
   const std::string file = path("nomemo.store");
-  ASSERT_TRUE(store::save(*cold.model, file, nullptr).ok());
   store::SnapshotMeta meta;
-  ASSERT_TRUE(store::probe(file, &meta).ok());
+  ASSERT_TRUE(store::save(*cold.model, file, nullptr, nullptr, &meta).ok());
   EXPECT_EQ(meta.memo_entries, 0u);
 
   auto warm = make_instance(ModelKind::kMobile, 3, 1, 2);
@@ -492,7 +436,7 @@ void intern_one_extra_state(LayeredModel& model) {
   copy.decisions.assign(s.decisions.begin(), s.decisions.end());
   copy.decisions[0] = copy.decisions[0] == 7 ? 8 : 7;
   const std::size_t before = model.num_states();
-  ASSERT_EQ(model.restore_state(std::move(copy)), before);
+  ASSERT_EQ(model.restore_state(copy, StateArena::content_hash(copy)), before);
 }
 
 TEST_F(StoreTest, WalAppendReplayRoundTrip) {
@@ -739,9 +683,9 @@ TEST_F(StoreTest, WalResetToAfterSnapshotLogsOnlyNewWork) {
   EXPECT_GT(wal.log_bytes(), 0u);
 
   // Compaction: fold the log into a snapshot, then reset the log to it.
-  ASSERT_TRUE(store::save(*cold.model, snap, cold.engine.get()).ok());
   store::SnapshotMeta meta;
-  ASSERT_TRUE(store::probe(snap, &meta).ok());
+  ASSERT_TRUE(
+      store::save(*cold.model, snap, cold.engine.get(), nullptr, &meta).ok());
   ASSERT_TRUE(
       wal.reset_to(*cold.model, meta.num_views, meta.num_states,
                    cold.engine.get())
@@ -784,9 +728,9 @@ TEST_F(StoreTest, SymmetryMismatchedSnapshotRejected) {
     auto cold = make_instance(ModelKind::kMsgPass, 3, 1, 2);
     analyze(cold, 1);
     ASSERT_FALSE(cold.model->sym_quotient_active());
-    ASSERT_TRUE(store::save(*cold.model, file, cold.engine.get()).ok());
     store::SnapshotMeta meta;
-    ASSERT_TRUE(store::probe(file, &meta).ok());
+    ASSERT_TRUE(
+        store::save(*cold.model, file, cold.engine.get(), nullptr, &meta).ok());
     EXPECT_FALSE(meta.symmetry);
   }
   sym::ScopedSymmetry on(true);
@@ -805,9 +749,9 @@ TEST_F(StoreTest, QuotientSnapshotRejectedByFullSpaceModel) {
     auto cold = make_instance(ModelKind::kMsgPass, 3, 1, 2);
     analyze(cold, 1);
     ASSERT_TRUE(cold.model->sym_quotient_active());
-    ASSERT_TRUE(store::save(*cold.model, file, cold.engine.get()).ok());
     store::SnapshotMeta meta;
-    ASSERT_TRUE(store::probe(file, &meta).ok());
+    ASSERT_TRUE(
+        store::save(*cold.model, file, cold.engine.get(), nullptr, &meta).ok());
     EXPECT_TRUE(meta.symmetry);
     // Same mode loads fine.
     auto same = make_instance(ModelKind::kMsgPass, 3, 1, 2);
@@ -868,10 +812,8 @@ TEST_F(StoreTest, LemmaFactsRoundTripThroughSnapshot) {
   ValenceEngine eng(model, 3, Exactness::kQuiescence, &lemmas);
   classify_reachable(model, eng, 2);
   ASSERT_GT(lemmas.size(), 0u);
-  ASSERT_TRUE(store::save(model, file, &eng, &lemmas).ok());
-
   store::SnapshotMeta meta;
-  ASSERT_TRUE(store::probe(file, &meta).ok());
+  ASSERT_TRUE(store::save(model, file, &eng, &lemmas, &meta).ok());
   EXPECT_EQ(meta.lemma_entries, lemmas.size());
 
   auto rule2 = min_after_round(2);
@@ -980,17 +922,6 @@ TEST(StoreEnvTest, ParseWalKeywords) {
   EXPECT_FALSE(store::parse_wal("ON", false));
   EXPECT_FALSE(store::parse_wal("1", false));
   EXPECT_FALSE(store::parse_wal("yes", false));
-}
-
-TEST(StoreEnvTest, ParseMmapKeywords) {
-  EXPECT_FALSE(store::parse_mmap("off", true));
-  EXPECT_TRUE(store::parse_mmap("on", false));
-  // Null/empty fall back silently; malformed values fall back with a warn.
-  EXPECT_TRUE(store::parse_mmap(nullptr, true));
-  EXPECT_FALSE(store::parse_mmap("", false));
-  EXPECT_FALSE(store::parse_mmap("ON", false));
-  EXPECT_FALSE(store::parse_mmap("1", false));
-  EXPECT_FALSE(store::parse_mmap("mmap", false));
 }
 
 TEST(StoreEnvTest, ParseWalCompactRange) {
