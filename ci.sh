@@ -16,6 +16,32 @@ cd "$(dirname "$0")"
 JOBS="${JOBS:-$(nproc)}"
 export LACON_THREADS="${LACON_THREADS:-4}"
 
+# wait_listening SOCK — returns once a connect() to the AF_UNIX socket SOCK
+# succeeds, retrying for up to 5 s (examples/crash_recover.cc's wait_ready
+# does the same in C++). The socket file alone proves nothing: bind()
+# creates it before listen() (service/server.cc), and a client connecting
+# in between gets ECONNREFUSED.
+wait_listening() {
+  python3 - "$1" <<'PY'
+import socket
+import sys
+import time
+
+deadline = time.monotonic() + 5
+while True:
+    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        probe.connect(sys.argv[1])
+        break
+    except OSError:
+        if time.monotonic() > deadline:
+            sys.exit("nothing listening on " + sys.argv[1] + " after 5 s")
+        time.sleep(0.05)
+    finally:
+        probe.close()
+PY
+}
+
 run_config() {
   local name="$1" sanitize="$2"
   local dir="build-ci-$name"
@@ -43,9 +69,8 @@ run_config() {
     # (truncated/corrupt file parsing is exactly where ASan earns its keep);
     # service_test is the satellite TSan soak: concurrent socket clients
     # sharing one session's arenas, layer cache and valence memo.
-    # simd_test rides along so the AVX2 kernels and the scalar
-    # reference run their randomized equivalence sweeps under both
-    # sanitizers (ASan in particular audits the tail-masked lane reads).
+    # simd_test rides along so the flat-encoding kernels run their
+    # randomized reference-definition sweeps under both sanitizers.
     # LACON_SYMMETRY=on puts the orbit-canonicalization memos (core/sym.hpp,
     # shared mutable state under parallel interning) on the sanitized paths;
     # the symmetry contract says results cannot change, so the suites must
@@ -67,14 +92,6 @@ run_config() {
     "$dir/examples/crash_recover"
   fi
   if [[ "$name" == "plain" ]]; then
-    # Forced-scalar lane: the SIMD dispatch contract says LACON_SIMD=scalar
-    # changes speed, never results. Re-run the kernel-facing suites with the
-    # knob pinned so the portable path stays green on hosts whose auto pick
-    # is avx2 (regression coverage for scalar-only fallback hosts).
-    echo "=== [$name] LACON_SIMD=scalar lane (kernel-facing suites)"
-    for scalar_bin in simd_test core_test relation_test store_test; do
-      LACON_SIMD=scalar "$dir/tests/$scalar_bin" --gtest_brief=1
-    done
     # Docs drift gate: every LACON_* knob read anywhere in src/ must have a
     # README knob-table row, and every row must still be backed by a read
     # (bench/check_docs.py) — documentation for the operational surface
@@ -106,8 +123,9 @@ run_config() {
     # same smoke budget when a PR intentionally moves performance. The gated
     # JSONs (plus their metrics snapshots) are copied to the repo top level
     # as CI artifacts.
-    # t12 rides the same hard gate: its per-kernel A/B rows regress only if
-    # a kernel or its dispatch got slower, never because a workload grew.
+    # t12 rides the same hard gate: its one end-to-end row (explore +
+    # similarity + diameter at n=8) regresses only if the flat-encoding
+    # kernels or the paths around them got slower.
     echo "=== [$name] bench regression gate (t9+t10+t12 vs bench/baseline/)"
     for tag in t9_runtime t10_arena t12_simd; do
       python3 bench/compare_baseline.py \
@@ -183,8 +201,7 @@ run_config() {
     sock="/tmp/laconrd_ci_$$.sock"
     "$dir/examples/laconrd" --socket "$sock" &
     laconrd_pid=$!
-    for _ in $(seq 50); do [[ -S "$sock" ]] && break; sleep 0.1; done
-    [[ -S "$sock" ]]
+    wait_listening "$sock"
     "$dir/examples/laconrd" --socket "$sock" --client \
       '{"id":"starved","model":"sharedmem","n":3,"depth":4,"budget_ms":1}' \
       > store_artifacts/starved.json &
@@ -221,8 +238,7 @@ run_config() {
       LACON_SYMMETRY="$sym_mode" LACON_STORE=off LACON_WAL=off \
         "$dir/examples/laconrd" --socket "$ssock" &
       sym_pid=$!
-      for _ in $(seq 50); do [[ -S "$ssock" ]] && break; sleep 0.1; done
-      [[ -S "$ssock" ]]
+      wait_listening "$ssock"
       : > "store_artifacts/sym_$sym_mode.jsonl"
       for r in "${sym_reqs[@]}"; do
         "$dir/examples/laconrd" --socket "$ssock" --client "$r" \
@@ -256,8 +272,7 @@ run_config() {
     LACON_WAL=on LACON_STORE=off LACON_STORE_DIR="$wal_dir" \
       "$dir/examples/laconrd" --socket "$wsock" &
     wal_pid=$!
-    for _ in $(seq 50); do [[ -S "$wsock" ]] && break; sleep 0.1; done
-    [[ -S "$wsock" ]]
+    wait_listening "$wsock"
     : > "$wal_dir/before.jsonl"
     for r in "${wal_reqs[@]}"; do
       "$dir/examples/laconrd" --socket "$wsock" --client "$r" \
@@ -285,14 +300,13 @@ run_config() {
     for p in "${inflight_pids[@]}"; do
       wait "$p" || true                # may have lost its connection: fine
     done
-    # Restart over the same store dir on a fresh socket (the old socket
-    # file survived the kill and would defeat the readiness probe).
+    # Restart over the same store dir on a fresh socket (the killed
+    # daemon's socket file survives it, with nothing listening behind it).
     wsock2="/tmp/laconrd_wal2_$$.sock"
     LACON_WAL=on LACON_STORE=off LACON_STORE_DIR="$wal_dir" \
       "$dir/examples/laconrd" --socket "$wsock2" &
     wal_pid=$!
-    for _ in $(seq 50); do [[ -S "$wsock2" ]] && break; sleep 0.1; done
-    [[ -S "$wsock2" ]]
+    wait_listening "$wsock2"
     : > "$wal_dir/after.jsonl"
     for r in "${wal_reqs[@]}"; do
       "$dir/examples/laconrd" --socket "$wsock2" --client "$r" \

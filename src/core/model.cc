@@ -5,8 +5,8 @@
 #include <numeric>
 #include <set>
 
-#include "runtime/simd_dispatch.hpp"
 #include "runtime/stats.hpp"
+#include "util/simd.hpp"
 
 namespace lacon {
 
@@ -67,7 +67,7 @@ const std::uint64_t* LayeredModel::fingerprint_row(StateId x) {
   for (ProcessId j = 0; j < n_; ++j) {
     // The batched row must be bit-identical to the per-j definition; a model
     // that overrode similarity_fingerprint without fingerprint_row_into (or
-    // a divergent SIMD kernel) trips here immediately.
+    // a divergent fingerprint_lanes) trips here immediately.
     assert(mine[static_cast<std::size_t>(j)] == similarity_fingerprint(x, j));
   }
 #endif
@@ -183,9 +183,8 @@ std::uint64_t LayeredModel::similarity_fingerprint(StateId x,
 void LayeredModel::fingerprint_row_into(StateId x, std::uint64_t* out) const {
   const StateRef s = state(x);
   const std::uint64_t env_hash = hash_range(s.env, 0x73696d666970ULL);
-  simd::active().fingerprint_lanes(env_hash, s.locals.data(),
-                                   s.decisions.data(),
-                                   static_cast<std::size_t>(n_), out);
+  simd::fingerprint_lanes(env_hash, s.locals.data(), s.decisions.data(),
+                          static_cast<std::size_t>(n_), out);
 }
 
 std::string LayeredModel::env_to_string(StateId x) const {

@@ -4,8 +4,8 @@
 #include <cstring>
 
 #include "runtime/fault.hpp"
-#include "runtime/simd_dispatch.hpp"
 #include "runtime/stats.hpp"
+#include "util/simd.hpp"
 
 namespace lacon {
 
@@ -29,13 +29,12 @@ bool operator==(const StateRef& a, const StateRef& b) noexcept {
       a.decisions.size() != b.decisions.size()) {
     return false;
   }
-  const simd::Kernels& k = simd::active();
   const std::size_t n = a.locals.size();
-  return k.words_equal(a.env.data(), b.env.data(), a.env.size()) &&
-         k.lanes_equal_skip(a.locals.data(), b.locals.data(), n,
-                            simd::kNoSkip) &&
-         k.lanes_equal_skip(a.decisions.data(), b.decisions.data(), n,
-                            simd::kNoSkip);
+  return simd::words_equal(a.env.data(), b.env.data(), a.env.size()) &&
+         simd::lanes_equal_skip(a.locals.data(), b.locals.data(), n,
+                                simd::kNoSkip) &&
+         simd::lanes_equal_skip(a.decisions.data(), b.decisions.data(), n,
+                                simd::kNoSkip);
 }
 
 bool agree_modulo(const StateRef& x, const StateRef& y, ProcessId j) {
@@ -43,12 +42,14 @@ bool agree_modulo(const StateRef& x, const StateRef& y, ProcessId j) {
   if (x.env.size() != y.env.size()) return false;
   // The kernels read exactly size() elements, so vector-backed candidate
   // refs (no padded tail) and pool-backed refs mix freely here.
-  const simd::Kernels& k = simd::active();
-  if (!k.words_equal(x.env.data(), y.env.data(), x.env.size())) return false;
+  if (!simd::words_equal(x.env.data(), y.env.data(), x.env.size())) {
+    return false;
+  }
   const std::size_t n = x.locals.size();
   const auto skip = static_cast<std::size_t>(j);  // j == -1 -> kNoSkip
-  return k.lanes_equal_skip(x.locals.data(), y.locals.data(), n, skip) &&
-         k.lanes_equal_skip(x.decisions.data(), y.decisions.data(), n, skip);
+  return simd::lanes_equal_skip(x.locals.data(), y.locals.data(), n, skip) &&
+         simd::lanes_equal_skip(x.decisions.data(), y.decisions.data(), n,
+                                skip);
 }
 
 StateArena::StateArena()
@@ -110,9 +111,10 @@ StateId StateArena::intern_impl(const StateRef& s, std::uint64_t h,
     std::memcpy(lanes_base + lanes, s.decisions.data(), n * sizeof(Value));
 #ifndef NDEBUG
     if (n % 2 != 0) {
-      // SIMD kernels may read whole packed words; the odd-n padding lanes
-      // must stay zero forever (intern AND restore both land here). See
-      // DESIGN.md §13 and the store_test restored-padding case.
+      // The odd-n padding lanes must stay zero forever (intern AND restore
+      // both land here), so a pooled word region is a pure function of the
+      // state's content. See DESIGN.md §13 and the store_test
+      // restored-padding case.
       assert(reinterpret_cast<const std::uint32_t*>(lanes_base)[n] == 0 &&
              "odd-n locals padding lane must be zero");
       assert(reinterpret_cast<const std::uint32_t*>(lanes_base + lanes)[n] ==

@@ -25,10 +25,10 @@
 #include <vector>
 
 #include "core/types.hpp"
-#include "runtime/simd_dispatch.hpp"
 #include "runtime/stable_vector.hpp"
 #include "runtime/word_pool.hpp"
 #include "util/hash.hpp"
+#include "util/simd.hpp"
 
 namespace lacon::runtime {
 class Counter;
@@ -127,17 +127,14 @@ class StateArena {
     return approx_bytes_.load(std::memory_order_relaxed);
   }
 
-  // Three position-keyed sections chained through the SIMD kernel table
-  // (util/simd.hpp hash_words/hash_lanes): the env words seed the locals
-  // section, which seeds the decisions section. This is explore's
-  // intern-path hot loop; every table computes the identical value (the
-  // scalar kernels are the semantic definition, tests/simd_test.cc holds
-  // the others to it).
+  // Three position-keyed sections (util/simd.hpp hash_words/hash_lanes):
+  // the env words seed the locals section, which seeds the decisions
+  // section. This is explore's intern-path hot loop.
   static std::uint64_t content_hash(const StateRef& s) noexcept {
-    const simd::Kernels& k = simd::active();
-    std::uint64_t h = k.hash_words(s.env.data(), s.env.size(), 0x6c61636f6eULL);
-    h = k.hash_lanes(s.locals.data(), s.locals.size(), h);
-    return k.hash_lanes(s.decisions.data(), s.decisions.size(), h);
+    std::uint64_t h =
+        simd::hash_words(s.env.data(), s.env.size(), 0x6c61636f6eULL);
+    h = simd::hash_lanes(s.locals.data(), s.locals.size(), h);
+    return simd::hash_lanes(s.decisions.data(), s.decisions.size(), h);
   }
 
  private:

@@ -36,7 +36,7 @@
 //       represents the orbit, never any verdict.)
 //
 // Gated by LACON_SYMMETRY=off|on (default off; malformed values warn once
-// and fall back, like LACON_SIMD). Models opt in via
+// and fall back, like LACON_THREADS). Models opt in via
 // LayeredModel::symmetry() — see core/model.hpp; asymmetric models keep the
 // kTrivial default and are never touched. DESIGN.md §15 documents the
 // contracts (equivariance, decision-rule symmetry, id-nondeterminism).
@@ -83,7 +83,8 @@ bool parse_symmetry(const char* text, bool fallback) noexcept;
 bool enabled() noexcept;
 
 // RAII override of the knob for benches and in-process A/B tests (the
-// analogue of simd::KernelOverride). Nestable; restores on destruction.
+// analogue of runtime::WorkerCountOverride). Nestable; restores on
+// destruction.
 // Affects models constructed while active (the quotient decision is
 // latched per model at first intern).
 class ScopedSymmetry {

@@ -35,22 +35,22 @@ guard::Partial<std::vector<std::vector<StateId>>> reachable_by_depth(
       break;
     }
     const std::vector<StateId>& frontier = out.value.back();
-    // Phase 1 (parallel): expand every frontier state, filling the model's
-    // layer cache. The per-state work — computing S(x) and interning its
-    // states and views — dominates the whole exploration, so this is also
-    // where the guard is probed per state; a trip means the cache may be
-    // missing layers, in which case the merge below must not run (it would
-    // recompute them serially, unguarded).
+    // Phase 1 (parallel; inline at one worker): expand every frontier
+    // state, filling the model's layer cache. The per-state work — computing
+    // S(x) and interning its states and views — dominates the whole
+    // exploration, so this is also where the guard is probed per state; a
+    // trip means the cache may be missing layers, in which case the merge
+    // below must not run (it would recompute them serially, unguarded).
+    // Running it at every worker count keeps that work charged to
+    // explore.expand, not to the merge.
     {
       // The per-worker chunks of this section trace as "explore.expand"
       // spans (the PhaseScope publishes the site; arg = layer depth).
       LACON_TRACE_PHASE("explore", "expand", d);
       if (g.never_trips()) {
-        if (runtime::worker_count() > 1) {
-          runtime::parallel_for(
-              frontier.size(),
-              [&](std::size_t i) { model.layer(frontier[i]); });
-        }
+        runtime::parallel_for(
+            frontier.size(),
+            [&](std::size_t i) { model.layer(frontier[i]); });
       } else {
         const std::size_t filled = runtime::parallel_for_guarded(
             g, frontier.size(),

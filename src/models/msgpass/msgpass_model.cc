@@ -4,8 +4,8 @@
 #include <array>
 #include <cassert>
 
-#include "runtime/simd_dispatch.hpp"
 #include "util/permutations.hpp"
+#include "util/simd.hpp"
 
 namespace lacon {
 
@@ -170,12 +170,11 @@ StateId MsgPassModel::apply_schedule(StateId x, const Schedule& schedule) {
 bool MsgPassModel::agree_modulo(StateId x, StateId y, ProcessId j) const {
   const StateRef sx = state(x);
   const StateRef sy = state(y);
-  const simd::Kernels& k = simd::active();
   const auto nn = static_cast<std::size_t>(n());
   const auto skip = static_cast<std::size_t>(j);
-  if (!k.lanes_equal_skip(sx.locals.data(), sy.locals.data(), nn, skip) ||
-      !k.lanes_equal_skip(sx.decisions.data(), sy.decisions.data(), nn,
-                          skip)) {
+  if (!simd::lanes_equal_skip(sx.locals.data(), sy.locals.data(), nn, skip) ||
+      !simd::lanes_equal_skip(sx.decisions.data(), sy.decisions.data(), nn,
+                              skip)) {
     return false;
   }
   // The messages addressed to j form j's mailbox and belong to j's local

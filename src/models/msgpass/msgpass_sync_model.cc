@@ -4,7 +4,7 @@
 #include <cassert>
 
 #include "models/msgpass/msgpass_model.hpp"
-#include "runtime/simd_dispatch.hpp"
+#include "util/simd.hpp"
 
 namespace lacon {
 namespace {
@@ -123,12 +123,11 @@ bool MsgPassSyncModel::agree_modulo(StateId x, StateId y, ProcessId j) const {
   // messages addressed to j belong to j's local state.
   const StateRef sx = state(x);
   const StateRef sy = state(y);
-  const simd::Kernels& k = simd::active();
   const auto nn = static_cast<std::size_t>(n());
   const auto skip = static_cast<std::size_t>(j);
-  if (!k.lanes_equal_skip(sx.locals.data(), sy.locals.data(), nn, skip) ||
-      !k.lanes_equal_skip(sx.decisions.data(), sy.decisions.data(), nn,
-                          skip)) {
+  if (!simd::lanes_equal_skip(sx.locals.data(), sy.locals.data(), nn, skip) ||
+      !simd::lanes_equal_skip(sx.decisions.data(), sy.decisions.data(), nn,
+                              skip)) {
     return false;
   }
   auto it_x = sx.env.begin();

@@ -301,9 +301,7 @@ void Session::leader_commit_locked(
                  store::to_string(r.status), r.detail.c_str());
     return;
   }
-  if (!wal_->should_compact(snapshot_bytes_, store::wal_compact_ratio())) {
-    return;
-  }
+  if (!wal_->should_compact(snapshot_bytes_)) return;
   // The log dwarfs the snapshot: fold everything into a fresh snapshot and
   // restart the log from it. The watermark counts are the ones save wrote
   // into the file, not the live model's — interning may have raced the

@@ -114,7 +114,7 @@ class Session {
   // caller waits for a round that started no earlier than its own arrival,
   // which — appends cover everything past the durability watermark — is
   // what makes its finished work durable. Compacts the log into a fresh
-  // snapshot once it outgrows LACON_WAL_COMPACT times the snapshot. The
+  // snapshot once it outgrows store::kWalCompactRatio times the snapshot. The
   // vector overload stages several engines in one round (a pipelined batch
   // of requests shares one fsync).
   void commit_wal(ValenceEngine* eng);

@@ -1,7 +1,6 @@
 #include "store/env.hpp"
 
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,16 +36,6 @@ void warn_wal_once(const char* text, bool used) {
                "lacon: ignoring malformed LACON_WAL='%s' (want off|on); "
                "using '%s'\n",
                text, used ? "on" : "off");
-}
-
-void warn_wal_compact_once(const char* text, std::uint64_t used) {
-  static std::atomic<bool> warned{false};
-  if (warned.exchange(true)) return;
-  std::fprintf(stderr,
-               "lacon: ignoring malformed LACON_WAL_COMPACT='%s' (want an "
-               "integer in [1, %llu]); using %llu\n",
-               text, static_cast<unsigned long long>(kMaxWalCompactRatio),
-               static_cast<unsigned long long>(used));
 }
 
 }  // namespace
@@ -93,20 +82,6 @@ bool parse_wal(const char* text, bool fallback) noexcept {
   return fallback;
 }
 
-std::uint64_t parse_wal_compact(const char* text,
-                                std::uint64_t fallback) noexcept {
-  if (text == nullptr || *text == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0' || value < 1 ||
-      value > kMaxWalCompactRatio) {
-    warn_wal_compact_once(text, fallback);
-    return fallback;
-  }
-  return static_cast<std::uint64_t>(value);
-}
-
 Mode mode() { return parse_mode(std::getenv("LACON_STORE"), Mode::kOff); }
 
 std::string dir() {
@@ -114,10 +89,6 @@ std::string dir() {
 }
 
 bool wal_enabled() { return parse_wal(std::getenv("LACON_WAL"), false); }
-
-std::uint64_t wal_compact_ratio() {
-  return parse_wal_compact(std::getenv("LACON_WAL_COMPACT"), 8);
-}
 
 std::string snapshot_filename(const std::string& model_name, int n,
                               int max_faulty) {

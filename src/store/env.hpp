@@ -3,8 +3,6 @@
 //   LACON_STORE        off | load | save | loadsave   (default: off)
 //   LACON_STORE_DIR    directory snapshots live in    (default: lacon_store)
 //   LACON_WAL          off | on                       (default: off)
-//   LACON_WAL_COMPACT  log-to-snapshot size ratio that triggers compaction,
-//                      integer in [1, 1024]           (default: 8)
 //
 // `load` warm-starts a model from an existing snapshot before analysis,
 // `save` writes one after analysis, `loadsave` does both (load if present,
@@ -54,18 +52,10 @@ std::string parse_dir(const char* text, const std::string& fallback);
 // fallback.
 bool parse_wal(const char* text, bool fallback) noexcept;
 
-// Parses a LACON_WAL_COMPACT-style value: a decimal integer clamped-by-
-// rejection to [1, kMaxWalCompactRatio] (out-of-range or non-numeric warns
-// once and yields the fallback).
-inline constexpr std::uint64_t kMaxWalCompactRatio = 1024;
-std::uint64_t parse_wal_compact(const char* text,
-                                std::uint64_t fallback) noexcept;
-
 // The knobs as configured by the environment right now.
 Mode mode();
 std::string dir();
 bool wal_enabled();
-std::uint64_t wal_compact_ratio();
 
 // Canonical snapshot filename for a model instance:
 // <dir>/<sanitized-model-name>.n<n>.t<max_faulty>.lacon.store — model names

@@ -259,6 +259,10 @@ Result parse_header(const Bytes& bytes, const std::string& path, Header* h) {
       (h->digest_shards & (h->digest_shards - 1)) != 0) {
     return fail(Status::kCorrupt, path + ": digest shard count not a power of two");
   }
+  if (h->section_count > r.remaining() / sizeof(SectionEntry)) {
+    return fail(Status::kCorrupt,
+                path + ": section table longer than the header");
+  }
   h->sections.resize(h->section_count);
   for (SectionEntry& e : h->sections) {
     if (!r.raw(&e, sizeof e)) {
@@ -563,6 +567,18 @@ Result load(LayeredModel& model, const std::string& path,
       vdig_sec->count != h.digest_shards) {
     return fail(Status::kCorrupt, path + ": digest section count mismatch");
   }
+  // Counts that size an allocation are bounded by the bytes that carry
+  // them, and checked before anything is restored (FORMATS.md §1).
+  if (sdig_sec->bytes != 8ULL * h.digest_shards ||
+      vdig_sec->bytes != 8ULL * h.digest_shards) {
+    return fail(Status::kCorrupt,
+                path + ": digest section size disagrees with the shard count");
+  }
+  const SectionEntry* layers_sec = find_section(h, SectionKind::kLayerCache);
+  if (layers_sec != nullptr && layers_sec->count > layers_sec->bytes / 8) {
+    return fail(Status::kCorrupt,
+                path + ": layer-cache count exceeds its section");
+  }
 
   const int n = model.n();
   try {
@@ -661,7 +677,7 @@ Result load(LayeredModel& model, const std::string& path,
     const std::uint64_t num_states = states_sec->count;
 
     // --- Layer cache. ------------------------------------------------------
-    if (const SectionEntry* e = find_section(h, SectionKind::kLayerCache)) {
+    if (const SectionEntry* e = layers_sec) {
       Reader r(bytes.data + e->offset, e->bytes);
       std::vector<std::pair<StateId, std::vector<StateId>>> entries;
       entries.reserve(static_cast<std::size_t>(e->count));

@@ -690,12 +690,11 @@ Result Wal::append(LayeredModel& model,
   return {};
 }
 
-bool Wal::should_compact(std::uint64_t snapshot_bytes,
-                         std::uint64_t ratio) const noexcept {
+bool Wal::should_compact(std::uint64_t snapshot_bytes) const noexcept {
   if (fd_ < 0) return false;
   const std::uint64_t floor =
       snapshot_bytes > kCompactFloorBytes ? snapshot_bytes : kCompactFloorBytes;
-  return log_bytes() > ratio * floor;
+  return log_bytes() > kWalCompactRatio * floor;
 }
 
 Result Wal::reset_to(LayeredModel& model, std::uint64_t num_views,

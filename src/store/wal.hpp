@@ -85,6 +85,10 @@ inline constexpr char kWalMagic[8] = {'L', 'A', 'C', 'O', 'N', 'W', 'L', '1'};
 inline constexpr std::uint32_t kWalFormatVersion = 1;
 inline constexpr std::uint32_t kWalRecordMagic = 0x4352574Cu;  // "LWRC"
 
+// Log-to-snapshot size ratio past which should_compact() asks for a fresh
+// snapshot.
+inline constexpr std::uint64_t kWalCompactRatio = 8;
+
 // What replay() did: applied records extend the model, skipped records were
 // already covered by the snapshot, truncated bytes were cut off a torn or
 // corrupt tail (truncation is recovery, not failure).
@@ -145,10 +149,9 @@ class Wal {
                 LemmaStore* lemmas = nullptr);
 
   // True once the live log payload outweighs `snapshot_bytes` by more than
-  // `ratio` (with a 64 KiB floor so tiny snapshots don't force compaction
-  // on every record).
-  bool should_compact(std::uint64_t snapshot_bytes,
-                      std::uint64_t ratio) const noexcept;
+  // kWalCompactRatio (with a 64 KiB floor so tiny snapshots don't force
+  // compaction on every record).
+  bool should_compact(std::uint64_t snapshot_bytes) const noexcept;
 
   // After a fresh snapshot of `model` was durably saved covering
   // `num_views`/`num_states` (read them off store::probe, not the live

@@ -8,10 +8,8 @@
 // insert/contains a shift and a mask, and the whole set a contiguous
 // allocation that grows geometrically.
 //
-// Bulk operations (or_with/and_with/subtract/popcount/find_first and the
-// BFS step drain_fresh_into) run on the SIMD kernel table selected by
-// runtime/simd_dispatch (DESIGN.md §13); the scalar kernels define the
-// semantics.
+// The BFS step drain_fresh_into runs simd::frontier_advance
+// (util/simd.hpp, DESIGN.md §13).
 //
 // Not thread-safe; the engines use it from their serial merge phases only.
 #pragma once
@@ -21,7 +19,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "runtime/simd_dispatch.hpp"
+#include "util/simd.hpp"
 
 namespace lacon {
 
@@ -80,45 +78,14 @@ class DenseBitset {
   // bit of capacity in the worst case; both sets must share a capacity
   // (reset() to the same hint).
   std::size_t drain_fresh_into(DenseBitset& visited, std::uint32_t* out) {
-    const std::size_t fresh = simd::active().frontier_advance(
+    const std::size_t fresh = simd::frontier_advance(
         words_.data(), visited.words_.data(), words_.size(), out);
     visited.count_ += fresh;
     count_ = 0;
     return fresh;
   }
 
-  // this |= other / this &= other / this &= ~other, by content (bits the
-  // narrower operand cannot hold are absent from it).
-  void or_with(const DenseBitset& other) {
-    if (other.words_.size() > words_.size()) words_.resize(other.words_.size(), 0);
-    simd::active().bitset_or(words_.data(), other.words_.data(),
-                             other.words_.size());
-    recount();
-  }
-  void and_with(const DenseBitset& other) {
-    const std::size_t common = std::min(words_.size(), other.words_.size());
-    simd::active().bitset_and(words_.data(), other.words_.data(), common);
-    std::fill(words_.begin() + static_cast<std::ptrdiff_t>(common),
-              words_.end(), 0);
-    recount();
-  }
-  void subtract(const DenseBitset& other) {
-    const std::size_t common = std::min(words_.size(), other.words_.size());
-    simd::active().bitset_andnot(words_.data(), other.words_.data(), common);
-    recount();
-  }
-
-  // Index of the lowest set bit, or simd::kNpos when empty.
-  std::size_t find_first() const noexcept {
-    return simd::active().bitset_find_first(words_.data(), words_.size());
-  }
-
  private:
-  void recount() noexcept {
-    count_ = static_cast<std::size_t>(
-        simd::active().bitset_popcount(words_.data(), words_.size()));
-  }
-
   static std::size_t word_index(std::size_t i) noexcept { return i >> 6; }
 
   void grow(std::size_t w) {

@@ -1,29 +1,25 @@
-// SIMD kernel library over the flat WordPool state encoding (DESIGN.md §13).
+// The flat-encoding kernels: loops over the WordPool state encoding
+// (DESIGN.md §13).
 //
-// PR 4 flattened every interned GlobalState into one contiguous word region
-// — env int64 words, then locals and decisions packed as 32-bit lanes, two
-// per word, with odd-n padding lanes zeroed — precisely so the pairwise hot
-// loops of the layered analysis could vectorize. This header defines those
-// loops as a table of kernels:
+// Every interned GlobalState is one contiguous word region — env int64
+// words, then locals and decisions packed as 32-bit lanes, two per word,
+// with odd-n padding lanes zeroed. These are the loops the layered analysis
+// runs over that encoding:
 //
-//   (1) words_equal / lanes_equal_skip  — the agree_modulo compare: bulk
+//   (1) words_equal / lanes_equal_skip — the agree_modulo compare: bulk
 //       env-word equality plus a 32-bit-lane compare that masks out the
-//       erased process j's slot (core/state.cc).
+//       erased process j's slot (core/state.cc, the msgpass models).
 //   (2) fingerprint_lanes — all n erase-one similarity fingerprints of a
 //       state in one pass over its lanes instead of n (core/model.cc).
-//   (3) bitset_or/and/andnot/popcount/find_first — DenseBitset bulk sweeps
-//       (util/bitset.hpp; explore seen-sets, diameter visited-sets).
-//   (4) frontier_advance — the fused CSR frontier-expansion step of the
-//       level-synchronous BFS behind Graph::diameter (relation/graph.cc):
-//       fresh = next & ~visited; visited |= fresh; emit fresh bit indices.
+//   (3) hash_words / hash_lanes — the position-keyed sections of
+//       StateArena::content_hash (core/state.hpp).
+//   (4) frontier_advance — the fused frontier-expansion step of the
+//       level-synchronous BFS behind Graph::diameter (util/bitset.hpp
+//       drain_fresh_into): fresh = next & ~visited; visited |= fresh; emit
+//       fresh bit indices.
 //
-// The scalar implementations below are the semantic definition; the AVX2
-// implementations in runtime/simd_dispatch.cc must be bit-identical
-// (same fingerprints, same graphs, same truncation depths — the identity
-// contract tests/simd_test.cc enforces). Call sites fetch the selected
-// table once per operation via lacon::simd::active() (runtime dispatch,
-// LACON_SIMD knob); the scalar table stays reachable through
-// scalar_kernels() for A/B benches and equivalence tests.
+// They are plain loops, called inline; tests/simd_test.cc checks each one
+// against its reference definition.
 #pragma once
 
 #include <bit>
@@ -37,84 +33,10 @@ namespace lacon::simd {
 // "No lane erased" sentinel for lanes_equal_skip (any value >= n works).
 inline constexpr std::size_t kNoSkip = ~std::size_t{0};
 
-// "Not found" result of bitset_find_first.
-inline constexpr std::size_t kNpos = ~std::size_t{0};
-
-struct Kernels {
-  // Implementation name for logs/benches: "scalar" | "avx2".
-  const char* name;
-
-  // All n 64-bit words equal.
-  bool (*words_equal)(const std::int64_t* a, const std::int64_t* b,
-                      std::size_t n) noexcept;
-
-  // All n 32-bit lanes equal, ignoring lane `skip` (pass kNoSkip to compare
-  // every lane). Reads exactly n lanes from each side — callers may hand in
-  // vector-backed spans without padded tails.
-  bool (*lanes_equal_skip)(const std::int32_t* a, const std::int32_t* b,
-                           std::size_t n, std::size_t skip) noexcept;
-
-  // Erase-one fingerprint row: out[j] becomes the fold of hash_combine over
-  //   seed, locals[0], decisions[0], ..., locals[n-1], decisions[n-1]
-  // with locals[j] and decisions[j] skipped — exactly
-  // LayeredModel::similarity_fingerprint(x, j) when `seed` is the state's
-  // env hash. Lanes are sign-extended to 64 bits before combining, matching
-  // the scalar static_cast<std::uint64_t>(ViewId) on int32 lanes.
-  void (*fingerprint_lanes)(std::uint64_t seed, const std::int32_t* locals,
-                            const std::int32_t* decisions, std::size_t n,
-                            std::uint64_t* out) noexcept;
-
-  // dst[i] |= src[i] / dst[i] &= src[i] / dst[i] &= ~src[i], i in [0, n).
-  void (*bitset_or)(std::uint64_t* dst, const std::uint64_t* src,
-                    std::size_t n) noexcept;
-  void (*bitset_and)(std::uint64_t* dst, const std::uint64_t* src,
-                     std::size_t n) noexcept;
-  void (*bitset_andnot)(std::uint64_t* dst, const std::uint64_t* src,
-                        std::size_t n) noexcept;
-
-  // Total set bits across n words.
-  std::uint64_t (*bitset_popcount)(const std::uint64_t* w,
-                                   std::size_t n) noexcept;
-
-  // Index of the lowest set bit across n words, kNpos when all zero.
-  std::size_t (*bitset_find_first)(const std::uint64_t* w,
-                                   std::size_t n) noexcept;
-
-  // Position-keyed content hash over n 64-bit words — one section of
-  // StateArena::content_hash (explore's intern-path hot loop). Defined as
-  //   acc  = Σ_i mix64(w_i ^ (seed + (i+1) * kHashPhi))   (mod 2^64)
-  //   hash = hash_combine(hash_combine(seed, n), acc)
-  // The per-position mixes are independent and the fold is a wrapping sum
-  // (commutative, associative), so wide implementations keep vector
-  // accumulators and reduce horizontally — bit-identical by construction.
-  std::uint64_t (*hash_words)(const std::int64_t* w, std::size_t n,
-                              std::uint64_t seed) noexcept;
-
-  // Same hash over n 32-bit lanes, each sign-extended to 64 bits first
-  // (locals/decisions sections; matches static_cast<std::int64_t> on the
-  // lane value).
-  std::uint64_t (*hash_lanes)(const std::int32_t* v, std::size_t n,
-                              std::uint64_t seed) noexcept;
-
-  // One level of bitmap BFS over `nwords`-word sets: for every word,
-  //   fresh      = next & ~visited
-  //   visited   |= fresh
-  //   next       = 0
-  // and the bit indices of every fresh word are appended to `out` in
-  // ascending order. Returns the number of fresh bits (out must have room
-  // for 64 * nwords entries in the worst case).
-  std::size_t (*frontier_advance)(std::uint64_t* next, std::uint64_t* visited,
-                                  std::size_t nwords,
-                                  std::uint32_t* out) noexcept;
-};
-
 // Position key stride of hash_words/hash_lanes (the splitmix64 increment).
 inline constexpr std::uint64_t kHashPhi = 0x9e3779b97f4a7c15ULL;
 
-// --- Scalar reference kernels (the semantic definition) ---------------------
-
-namespace scalar {
-
+// All n 64-bit words equal.
 inline bool words_equal(const std::int64_t* a, const std::int64_t* b,
                         std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) {
@@ -123,6 +45,9 @@ inline bool words_equal(const std::int64_t* a, const std::int64_t* b,
   return true;
 }
 
+// All n 32-bit lanes equal, ignoring lane `skip` (pass kNoSkip to compare
+// every lane). Reads exactly n lanes from each side — callers may hand in
+// vector-backed spans without padded tails.
 inline bool lanes_equal_skip(const std::int32_t* a, const std::int32_t* b,
                              std::size_t n, std::size_t skip) noexcept {
   for (std::size_t i = 0; i < n; ++i) {
@@ -131,6 +56,12 @@ inline bool lanes_equal_skip(const std::int32_t* a, const std::int32_t* b,
   return true;
 }
 
+// Erase-one fingerprint row: out[j] becomes the fold of hash_combine over
+//   seed, locals[0], decisions[0], ..., locals[n-1], decisions[n-1]
+// with locals[j] and decisions[j] skipped — exactly
+// LayeredModel::similarity_fingerprint(x, j) when `seed` is the state's
+// env hash. Lanes are sign-extended to 64 bits before combining, matching
+// static_cast<std::uint64_t>(ViewId) on int32 lanes.
 inline void fingerprint_lanes(std::uint64_t seed, const std::int32_t* locals,
                               const std::int32_t* decisions, std::size_t n,
                               std::uint64_t* out) noexcept {
@@ -151,6 +82,10 @@ inline void fingerprint_lanes(std::uint64_t seed, const std::int32_t* locals,
   }
 }
 
+// Position-keyed content hash over n 64-bit words — one section of
+// StateArena::content_hash (explore's intern-path hot loop):
+//   acc  = Σ_i mix64(w_i ^ (seed + (i+1) * kHashPhi))   (mod 2^64)
+//   hash = hash_combine(hash_combine(seed, n), acc)
 inline std::uint64_t hash_words(const std::int64_t* w, std::size_t n,
                                 std::uint64_t seed) noexcept {
   std::uint64_t acc = 0;
@@ -161,6 +96,9 @@ inline std::uint64_t hash_words(const std::int64_t* w, std::size_t n,
   return hash_combine(hash_combine(seed, n), acc);
 }
 
+// Same hash over n 32-bit lanes, each sign-extended to 64 bits first
+// (locals/decisions sections; matches static_cast<std::int64_t> on the
+// lane value).
 inline std::uint64_t hash_lanes(const std::int32_t* v, std::size_t n,
                                 std::uint64_t seed) noexcept {
   std::uint64_t acc = 0;
@@ -171,40 +109,13 @@ inline std::uint64_t hash_lanes(const std::int32_t* v, std::size_t n,
   return hash_combine(hash_combine(seed, n), acc);
 }
 
-inline void bitset_or(std::uint64_t* dst, const std::uint64_t* src,
-                      std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) dst[i] |= src[i];
-}
-
-inline void bitset_and(std::uint64_t* dst, const std::uint64_t* src,
-                       std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) dst[i] &= src[i];
-}
-
-inline void bitset_andnot(std::uint64_t* dst, const std::uint64_t* src,
-                          std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) dst[i] &= ~src[i];
-}
-
-inline std::uint64_t bitset_popcount(const std::uint64_t* w,
-                                     std::size_t n) noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total += static_cast<std::uint64_t>(std::popcount(w[i]));
-  }
-  return total;
-}
-
-inline std::size_t bitset_find_first(const std::uint64_t* w,
-                                     std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (w[i] != 0) {
-      return i * 64 + static_cast<std::size_t>(std::countr_zero(w[i]));
-    }
-  }
-  return kNpos;
-}
-
+// One level of bitmap BFS over `nwords`-word sets: for every word,
+//   fresh      = next & ~visited
+//   visited   |= fresh
+//   next       = 0
+// and the bit indices of every fresh word are appended to `out` in
+// ascending order. Returns the number of fresh bits (out must have room
+// for 64 * nwords entries in the worst case).
 inline std::size_t frontier_advance(std::uint64_t* next,
                                     std::uint64_t* visited, std::size_t nwords,
                                     std::uint32_t* out) noexcept {
@@ -223,7 +134,5 @@ inline std::size_t frontier_advance(std::uint64_t* next,
   }
   return count;
 }
-
-}  // namespace scalar
 
 }  // namespace lacon::simd

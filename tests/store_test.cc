@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -26,6 +27,7 @@
 #include "models/iis/iis_model.hpp"
 #include "relation/similarity.hpp"
 #include "runtime/stats.hpp"
+#include "store/codec.hpp"
 #include "store/env.hpp"
 #include "store/snapshot.hpp"
 #include "store/wal.hpp"
@@ -117,9 +119,8 @@ TEST_F(StoreTest, RoundTripPreservesContentAndIds) {
 
 // PR-4/§13 invariant: the padding halves of odd-n packed locals/decisions
 // words are zero at intern time AND after a snapshot restore (restore goes
-// through the same intern path). The SIMD kernels may read whole packed
-// words, so a restore that left stale bytes in the padding lane would make
-// pool-word comparisons diverge from lane-exact semantics.
+// through the same intern path), so a pooled word region is a pure function
+// of the state's content, whichever path put it there.
 TEST_F(StoreTest, RestoredOddNStatesKeepZeroedPadding) {
   constexpr std::size_t kN = 3;  // odd: one padding lane per packed array
   auto cold = make_instance(ModelKind::kMobile, kN, 1, 3);
@@ -334,6 +335,88 @@ TEST_F(StoreTest, CorruptPayloadFailsChecksum) {
   auto target = make_instance(ModelKind::kMobile, 3, 1, 2);
   const store::Result r = store::load(*target.model, file, nullptr);
   EXPECT_EQ(r.status, store::Status::kCorrupt) << r.detail;
+}
+
+// A header whose counts outrun the bytes that carry them (FORMATS.md §1).
+// Every edit re-seals the header checksum, so only the bounds stand between
+// the count and an allocation sized by it: each load must return kCorrupt
+// without throwing and leave the target empty.
+TEST_F(StoreTest, CraftedHeaderCountsAreRejected) {
+  auto cold = make_instance(ModelKind::kMobile, 3, 1, 3);
+  analyze(cold, 2);
+  const std::string file = path("crafted.store");
+  ASSERT_TRUE(store::save(*cold.model, file, cold.engine.get()).ok());
+  std::ifstream in(file, std::ios::binary);
+  const std::vector<std::uint8_t> saved((std::istreambuf_iterator<char>(in)),
+                                        std::istreambuf_iterator<char>());
+
+  // Prelude: magic, u32 version, u32 header bytes, u64 header checksum.
+  // Header body: eight u32 fields, two u64 counts, the padded name, then
+  // the 40-byte section entries {u32 kind, u32, u64 offset, bytes, count,
+  // u64 checksum}.
+  constexpr std::size_t kPrelude = 24;
+  auto get32 = [&](std::size_t at) {
+    std::uint32_t v = 0;
+    std::memcpy(&v, saved.data() + at, sizeof v);
+    return v;
+  };
+  const std::uint32_t header_bytes = get32(12);
+  const std::size_t digest_shards_at = kPrelude + 16;
+  const std::size_t section_count_at = kPrelude + 24;
+  const std::size_t name_len = get32(kPrelude + 20);
+  const std::size_t table_at = kPrelude + 48 + (name_len + 7) / 8 * 8;
+  auto count_at = [&](store::SectionKind kind) {
+    for (std::uint32_t i = 0; i < get32(section_count_at); ++i) {
+      const std::size_t entry = table_at + 40 * i;
+      if (get32(entry) == static_cast<std::uint32_t>(kind)) return entry + 24;
+    }
+    ADD_FAILURE() << "no section of kind " << static_cast<int>(kind);
+    return std::size_t{0};
+  };
+
+  struct Edit {
+    const char* what;
+    std::size_t at;
+    std::uint64_t value;
+    std::size_t width;
+  };
+  const std::vector<std::vector<Edit>> cases = {
+      {{"layer-cache count 2^60", count_at(store::SectionKind::kLayerCache),
+        std::uint64_t{1} << 60, 8}},
+      {{"section_count 2^32-1", section_count_at, 0xffffffffu, 4}},
+      {{"section_count 2^24", section_count_at, std::uint64_t{1} << 24, 4}},
+      // The digest sections' counts follow the shard count, so only their
+      // byte sizes disagree with it.
+      {{"digest_shards 2^28", digest_shards_at, std::uint64_t{1} << 28, 4},
+       {"", count_at(store::SectionKind::kStateDigests),
+        std::uint64_t{1} << 28, 8},
+       {"", count_at(store::SectionKind::kViewDigests),
+        std::uint64_t{1} << 28, 8}},
+  };
+  for (const std::vector<Edit>& edits : cases) {
+    const char* what = edits.front().what;
+    std::vector<std::uint8_t> bytes = saved;
+    for (const Edit& e : edits) {
+      std::memcpy(bytes.data() + e.at, &e.value, e.width);
+    }
+    const std::uint64_t sum =
+        store::codec::fnv1a(bytes.data() + kPrelude, header_bytes);
+    std::memcpy(bytes.data() + 16, &sum, sizeof sum);
+    const std::string edited = path("edited.store");
+    std::ofstream out(edited, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    out.close();
+
+    auto target = make_instance(ModelKind::kMobile, 3, 1, 3);
+    store::Result r;
+    EXPECT_NO_THROW(r = store::load(*target.model, edited,
+                                    target.engine.get()))
+        << what;
+    EXPECT_EQ(r.status, store::Status::kCorrupt) << what << ": " << r.detail;
+    EXPECT_EQ(target.model->num_states(), 0u) << what;
+    EXPECT_EQ(target.model->num_views(), 0u) << what;
+  }
 }
 
 TEST_F(StoreTest, ForwardVersionsAreRefused) {
@@ -712,7 +795,7 @@ TEST_F(StoreTest, WalResetToAfterSnapshotLogsOnlyNewWork) {
 
   // should_compact has a 64 KiB floor: a small log never forces compaction
   // just because the snapshot is tiny.
-  EXPECT_FALSE(w.should_compact(/*snapshot_bytes=*/1, /*ratio=*/1));
+  EXPECT_FALSE(w.should_compact(/*snapshot_bytes=*/1));
 }
 
 // --- symmetry mode recording and lemma-fact persistence ---------------------
@@ -922,24 +1005,6 @@ TEST(StoreEnvTest, ParseWalKeywords) {
   EXPECT_FALSE(store::parse_wal("ON", false));
   EXPECT_FALSE(store::parse_wal("1", false));
   EXPECT_FALSE(store::parse_wal("yes", false));
-}
-
-TEST(StoreEnvTest, ParseWalCompactRange) {
-  EXPECT_EQ(store::parse_wal_compact(nullptr, 8), 8u);
-  EXPECT_EQ(store::parse_wal_compact("", 8), 8u);
-  EXPECT_EQ(store::parse_wal_compact("1", 8), 1u);
-  EXPECT_EQ(store::parse_wal_compact("16", 8), 16u);
-  EXPECT_EQ(store::parse_wal_compact(
-                std::to_string(store::kMaxWalCompactRatio).c_str(), 8),
-            store::kMaxWalCompactRatio);
-  // Out-of-range and malformed values fall back, never clamp.
-  EXPECT_EQ(store::parse_wal_compact("0", 8), 8u);
-  EXPECT_EQ(store::parse_wal_compact(
-                std::to_string(store::kMaxWalCompactRatio + 1).c_str(), 8),
-            8u);
-  EXPECT_EQ(store::parse_wal_compact("-4", 8), 8u);
-  EXPECT_EQ(store::parse_wal_compact("8x", 8), 8u);
-  EXPECT_EQ(store::parse_wal_compact("ratio", 8), 8u);
 }
 
 TEST(StoreEnvTest, WalPathRidesSnapshotPath) {

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -214,6 +215,27 @@ TEST(TraceSpans, PhaseScopeNamesWorkerChunks) {
   }
   EXPECT_GE(phased, 2u) << "chunk spans did not inherit the phase name";
   EXPECT_EQ(trace::current_phase(), nullptr);
+}
+
+// Serial attribution: at one worker the layer computations still run in
+// explore's expand phase, so their time is charged to explore.expand and
+// the merge only walks the cached layers.
+TEST(TraceSpans, SerialExploreChargesLayerWorkToExpand) {
+  ModeGuard mode(trace::Mode::kSpans);
+  WorkerCountOverride workers(1);
+  trace::clear();
+  auto rule = min_after_round(2);
+  auto model = make_model(ModelKind::kMobile, 4, 1, *rule);
+  reachable_by_depth(*model, 3);
+  std::uint64_t expand_ns = 0;
+  std::uint64_t merge_ns = 0;
+  for (const trace::CollectedSpan& s : trace::collect()) {
+    if (s.is_instant || std::string_view(s.category) != "explore") continue;
+    if (std::string_view(s.name) == "expand") expand_ns += s.dur_ns;
+    if (std::string_view(s.name) == "merge") merge_ns += s.dur_ns;
+  }
+  EXPECT_GT(merge_ns, 0u);
+  EXPECT_GT(expand_ns, merge_ns);
 }
 
 TEST(TraceSpans, ChromeExportCarriesEventsAndThreadNames) {
