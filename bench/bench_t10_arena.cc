@@ -1,29 +1,31 @@
 // T10 — Concurrent sharded hash-consing arenas (core/state.hpp).
 //
-// Intern contention microbench: every worker hammers StateArena::intern
+// Intern contention microbench: N writer threads hammer one
+// StateArena::intern, the way concurrent connections sharing a session do,
 // under two key-set regimes — disjoint (each op interns distinct content:
-// all misses, no index sharing) and overlapping (all workers intern the
+// all misses, no index sharing) and overlapping (all writers intern the
 // same small key set: hit-heavy, racing equal-content interns that must
-// agree on one id). The worker sweep is fixed at 1/2/4/8 regardless of the
+// agree on one id). The writer sweep is fixed at 1/2/4/8 regardless of the
 // host's core count so bench names stay stable for the baseline comparison
-// in ci.sh; on a single-core host the >1-worker rows measure contention
-// structure (shard waits), not parallel speedup. BM_ExploreN8 is the
-// acceptance workload: the n=8 mobile-model exploration whose cost is
-// dominated by state/view interning.
+// in ci.sh (the rows keep their "workers:N" names); on a single-core host
+// the >1-writer rows measure contention structure (shard waits), not
+// speedup. BM_ExploreN8 is the n=8 mobile-model exploration whose cost is
+// dominated by state/view interning, run on the calling thread.
 #include <benchmark/benchmark.h>
 
 #include "bench_flags.hpp"
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "analysis/reports.hpp"
 #include "core/state.hpp"
 #include "engine/explore.hpp"
-#include "runtime/parallel.hpp"
 #include "runtime/stats.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/hash.hpp"
 #include "util/table.hpp"
 
@@ -47,12 +49,33 @@ GlobalState make_state(std::uint64_t i) {
   return s;
 }
 
+// Runs write(i) for every i in [0, kOps) on `writers` threads that claim
+// contiguous chunks of the index space, four per writer, from a shared
+// counter (the schedule these rows were first recorded with). The calling
+// thread is writer 0, so one writer spawns no thread at all.
+template <typename Write>
+void run_writers(unsigned writers, const Write& write) {
+  const std::size_t chunks = 4 * std::size_t{writers};
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t c = next++; c < chunks; c = next++) {
+      for (std::size_t i = kOps * c / chunks; i < kOps * (c + 1) / chunks;
+           ++i) {
+        write(i);
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (unsigned w = 1; w < writers; ++w) threads.emplace_back(work);
+  work();
+  for (std::thread& t : threads) t.join();
+}
+
 void BM_InternDisjoint(benchmark::State& state) {
-  runtime::WorkerCountOverride workers(
-      static_cast<unsigned>(state.range(0)));
+  const auto writers = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
     StateArena arena;
-    runtime::parallel_for(kOps, [&](std::size_t i) {
+    run_writers(writers, [&](std::size_t i) {
       benchmark::DoNotOptimize(
           arena.intern(make_state(static_cast<std::uint64_t>(i))));
     });
@@ -62,11 +85,10 @@ void BM_InternDisjoint(benchmark::State& state) {
 }
 
 void BM_InternOverlapping(benchmark::State& state) {
-  runtime::WorkerCountOverride workers(
-      static_cast<unsigned>(state.range(0)));
+  const auto writers = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
     StateArena arena;
-    runtime::parallel_for(kOps, [&](std::size_t i) {
+    run_writers(writers, [&](std::size_t i) {
       benchmark::DoNotOptimize(arena.intern(
           make_state(static_cast<std::uint64_t>(i) % kDistinct)));
     });
@@ -79,8 +101,6 @@ void BM_InternOverlapping(benchmark::State& state) {
 // The n=8 exploration interning path: one mobile-model layer below Con_0
 // interns ~18k global states and ~150k views through the sharded arenas.
 void BM_ExploreN8(benchmark::State& state) {
-  runtime::WorkerCountOverride workers(
-      static_cast<unsigned>(state.range(0)));
   auto rule = never_decide();
   for (auto _ : state) {
     auto model = make_model(ModelKind::kMobile, 8, 1, *rule);
@@ -88,20 +108,19 @@ void BM_ExploreN8(benchmark::State& state) {
   }
 }
 
-// Serial-vs-8-worker audit table with the shard-contention counters, so a
-// run shows at a glance how often interns actually waited on a shard.
+// One-vs-8-writer table with the shard-contention counters, so a run shows
+// at a glance how often interns actually waited on a shard.
 void print_table() {
   auto& stats = runtime::Stats::global();
-  Table table({"regime", "workers", "unique states", "hits", "misses",
+  Table table({"regime", "writers", "unique states", "hits", "misses",
                "shard waits"});
   for (const unsigned w : {1u, 8u}) {
     for (const bool overlapping : {false, true}) {
       stats.counter("arena.state_hits").reset();
       stats.counter("arena.state_misses").reset();
       stats.counter("arena.state_shard_waits").reset();
-      runtime::WorkerCountOverride workers(w);
       StateArena arena;
-      runtime::parallel_for(kOps, [&](std::size_t i) {
+      run_writers(w, [&](std::size_t i) {
         const auto key = static_cast<std::uint64_t>(i);
         arena.intern(make_state(overlapping ? key % kDistinct : key));
       });
@@ -122,7 +141,7 @@ void print_table() {
       stdout);
 }
 
-void register_worker_sweep(const char* name,
+void register_writer_sweep(const char* name,
                            void (*fn)(benchmark::State&)) {
   for (const unsigned w : {1u, 2u, 4u, 8u}) {
     benchmark::RegisterBenchmark(
@@ -138,10 +157,11 @@ void register_worker_sweep(const char* name,
 int main(int argc, char** argv) {
   lacon::benchflags::init(&argc, argv);
   lacon::print_table();
-  lacon::register_worker_sweep("BM_InternDisjoint", lacon::BM_InternDisjoint);
-  lacon::register_worker_sweep("BM_InternOverlapping",
+  lacon::register_writer_sweep("BM_InternDisjoint", lacon::BM_InternDisjoint);
+  lacon::register_writer_sweep("BM_InternOverlapping",
                                lacon::BM_InternOverlapping);
-  lacon::register_worker_sweep("BM_ExploreN8", lacon::BM_ExploreN8);
+  benchmark::RegisterBenchmark("BM_ExploreN8/workers:1/1", lacon::BM_ExploreN8)
+      ->Unit(benchmark::kMillisecond);
   lacon::benchflags::add_json_context();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -5,10 +5,10 @@
 // interning path), build the indexed similarity graph of the frontier
 // (fingerprint rows + agree_modulo candidate confirmation), check its
 // connectivity and fold the s-diameters of the first initial layers (bitmap
-// BFS over frontier_advance). One worker: this measures the kernels, not
-// scheduling. The row keeps its "/scalar" suffix so the committed baseline
-// row still gates it (ci.sh, compare_baseline.py); the correctness of the
-// kernels is the tests' job (tests/simd_test.cc), not this harness's.
+// BFS over frontier_advance), all on the calling thread. The row keeps its
+// "/scalar" suffix so the committed baseline row still gates it (ci.sh,
+// compare_baseline.py); the correctness of the kernels is the tests' job
+// (tests/simd_test.cc), not this harness's.
 #include <benchmark/benchmark.h>
 
 #include "bench_flags.hpp"
@@ -20,13 +20,11 @@
 #include "engine/explore.hpp"
 #include "relation/graph.hpp"
 #include "relation/similarity_index.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace lacon {
 namespace {
 
 void BM_ExploreSimilarityDiameterN8(benchmark::State& state) {
-  runtime::WorkerCountOverride workers(1);
   auto rule = never_decide();
   for (auto _ : state) {
     auto model = make_model(ModelKind::kMobile, 8, 1, *rule);

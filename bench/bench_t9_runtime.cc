@@ -1,41 +1,29 @@
-// T9 — The parallel analysis runtime (src/runtime/).
+// T9 — The analysis hot paths, each run to completion on the calling thread.
 //
-// Serial-vs-parallel wall clock for the three ported hot paths — frontier
-// expansion, the ~s pair sweep, per-initial-state valence classification —
-// together with a determinism audit: each workload's complete analysis
-// output (connectivity verdict, s-diameter, per-level state counts, valence
-// tags) is rendered to a string under 1 worker and under the configured
-// maximum and must be byte-identical. On a >= 4-core machine the pair-sweep
-// row is the acceptance workload for the >= 2x speedup criterion; worker
-// counts are capped to the hardware so a single-core host degenerates to a
-// (still byte-identical) 1-vs-1 comparison.
+// Wall clock for frontier expansion, the ~s pair sweep and per-initial-state
+// valence classification, with each workload's complete analysis output
+// (per-level state counts, connectivity verdict, s-diameter, valence tags)
+// printed next to its timings. The benchmark rows keep the "/workers:1/1"
+// suffix of the worker sweep they replaced, so the committed baseline
+// (bench/baseline/BENCH_t9_runtime.json) still gates them in ci.sh.
 #include <benchmark/benchmark.h>
 
 #include "bench_flags.hpp"
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <thread>
 
 #include "analysis/reports.hpp"
 #include "engine/explore.hpp"
 #include "engine/valence.hpp"
 #include "relation/similarity.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/table.hpp"
 
 namespace lacon {
 namespace {
 
-unsigned max_workers() {
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  return runtime::parse_worker_env(std::getenv("LACON_THREADS"), hw);
-}
-
-// The audit workload: explore, sweep ~s over the deepest level, classify
+// The table workload: explore, sweep ~s over the deepest level, classify
 // Con_0. Returns the full analysis output as a printable string.
 std::string run_workload(ModelKind kind, int n, int depth,
                          std::string* timings) {
@@ -54,16 +42,12 @@ std::string run_workload(ModelKind kind, int n, int depth,
   const auto infos = engine.classify_all(model->initial_states());
   const auto t3 = std::chrono::steady_clock::now();
 
-  if (timings != nullptr) {
-    const auto ms = [](auto a, auto b) {
-      return cell(std::chrono::duration<double, std::milli>(b - a).count(),
-                  1);
-    };
-    *timings = ms(t0, t1) + " / " + ms(t1, t2) + " / " + ms(t2, t3);
-  }
+  const auto ms = [](auto a, auto b) {
+    return cell(std::chrono::duration<double, std::milli>(b - a).count(), 1);
+  };
+  *timings = ms(t0, t1) + " / " + ms(t1, t2) + " / " + ms(t2, t3);
 
-  std::string out = model_kind_name(kind) + " n=" + std::to_string(n);
-  out += " levels=";
+  std::string out = "levels=";
   for (const auto& level : levels) {
     out += std::to_string(level.size()) + ",";
   }
@@ -78,10 +62,7 @@ std::string run_workload(ModelKind kind, int n, int depth,
 }
 
 void print_table() {
-  const unsigned workers = max_workers();
-  Table table({"workload", "serial ms (explore/sweep/valence)",
-               "parallel ms (w=" + std::to_string(workers) + ")",
-               "identical output"});
+  Table table({"workload", "ms (explore/sweep/valence)", "analysis output"});
   struct Row {
     ModelKind kind;
     int n;
@@ -90,33 +71,17 @@ void print_table() {
   for (const Row& row : {Row{ModelKind::kMobile, 4, 2},
                          Row{ModelKind::kSharedMem, 3, 2},
                          Row{ModelKind::kSync, 4, 2}}) {
-    std::string serial_ms, parallel_ms, serial_out, parallel_out;
-    {
-      runtime::WorkerCountOverride serial(1);
-      serial_out = run_workload(row.kind, row.n, row.depth, &serial_ms);
-    }
-    {
-      runtime::WorkerCountOverride parallel(workers);
-      parallel_out = run_workload(row.kind, row.n, row.depth, &parallel_ms);
-    }
+    std::string timings;
+    const std::string output =
+        run_workload(row.kind, row.n, row.depth, &timings);
     table.add_row({model_kind_name(row.kind) + " n=" + std::to_string(row.n),
-                   serial_ms, parallel_ms,
-                   cell(serial_out == parallel_out)});
-    if (serial_out != parallel_out) {
-      std::fprintf(stderr,
-                   "T9 DETERMINISM VIOLATION\n serial:   %s\n parallel: %s\n",
-                   serial_out.c_str(), parallel_out.c_str());
-    }
+                   timings, output});
   }
-  std::fputs(table.to_string("T9: parallel runtime, serial vs parallel")
-                 .c_str(),
-             stdout);
+  std::fputs(table.to_string("T9: analysis hot paths").c_str(), stdout);
 }
 
-// Acceptance workload: the ~s pair sweep over a deep mobile-model level.
+// The ~s pair sweep over a deep mobile-model level.
 void BM_SimilaritySweep(benchmark::State& state) {
-  runtime::WorkerCountOverride workers(
-      static_cast<unsigned>(state.range(0)));
   auto rule = never_decide();
   auto model = make_model(ModelKind::kMobile, 4, 1, *rule);
   const auto X = reachable_states(*model, 2);
@@ -127,8 +92,6 @@ void BM_SimilaritySweep(benchmark::State& state) {
 }
 
 void BM_Explore(benchmark::State& state) {
-  runtime::WorkerCountOverride workers(
-      static_cast<unsigned>(state.range(0)));
   auto rule = never_decide();
   for (auto _ : state) {
     auto model = make_model(ModelKind::kMobile, 4, 1, *rule);
@@ -137,8 +100,6 @@ void BM_Explore(benchmark::State& state) {
 }
 
 void BM_ValenceClassify(benchmark::State& state) {
-  runtime::WorkerCountOverride workers(
-      static_cast<unsigned>(state.range(0)));
   auto rule = min_after_round(2);
   for (auto _ : state) {
     auto model = make_model(ModelKind::kSharedMem, 3, 1, *rule);
@@ -149,21 +110,10 @@ void BM_ValenceClassify(benchmark::State& state) {
   }
 }
 
-void register_worker_sweep(const char* name,
-                           void (*fn)(benchmark::State&)) {
-  const unsigned cap = max_workers();
-  for (unsigned w = 1; w <= cap; w *= 2) {
-    benchmark::RegisterBenchmark(
-        (std::string(name) + "/workers:" + std::to_string(w)).c_str(), fn)
-        ->Arg(static_cast<int>(w))
-        ->Unit(benchmark::kMillisecond);
-  }
-  if ((cap & (cap - 1)) != 0) {  // cap itself if not a power of two
-    benchmark::RegisterBenchmark(
-        (std::string(name) + "/workers:" + std::to_string(cap)).c_str(), fn)
-        ->Arg(static_cast<int>(cap))
-        ->Unit(benchmark::kMillisecond);
-  }
+void register_row(const char* name, void (*fn)(benchmark::State&)) {
+  benchmark::RegisterBenchmark((std::string(name) + "/workers:1/1").c_str(),
+                               fn)
+      ->Unit(benchmark::kMillisecond);
 }
 
 }  // namespace
@@ -172,11 +122,9 @@ void register_worker_sweep(const char* name,
 int main(int argc, char** argv) {
   lacon::benchflags::init(&argc, argv);
   lacon::print_table();
-  lacon::register_worker_sweep("BM_SimilaritySweep",
-                               lacon::BM_SimilaritySweep);
-  lacon::register_worker_sweep("BM_Explore", lacon::BM_Explore);
-  lacon::register_worker_sweep("BM_ValenceClassify",
-                               lacon::BM_ValenceClassify);
+  lacon::register_row("BM_SimilaritySweep", lacon::BM_SimilaritySweep);
+  lacon::register_row("BM_Explore", lacon::BM_Explore);
+  lacon::register_row("BM_ValenceClassify", lacon::BM_ValenceClassify);
   lacon::benchflags::add_json_context();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -7,16 +7,6 @@ Usage:
         [--max-regression 0.25] [--floor-ms 1.0] \
         [--baseline-metrics METRICS.json --metrics METRICS.json]
 
-    bench/compare_baseline.py --sweep OUT_DIR --workers 1,2,4,8
-
-The second form summarizes a `bench/run_all.sh --workers ...` sweep: for
-every benchmark present at every worker count it prints wall time, speedup
-vs the smallest worker count, and parallel efficiency (speedup / workers).
-The sweep table is informational and exits 0 unless no artifacts match —
-multi-core scaling is evidence to read, not a regression gate (a 1-core CI
-host would fail any efficiency threshold for reasons that say nothing
-about the code).
-
 When both --baseline-metrics and --metrics name MetricsSnapshot files
 (schema lacon.metrics.v1, emitted next to each BENCH_*.json by
 bench/run_all.sh), a per-phase timer comparison is printed after the gate
@@ -79,80 +69,10 @@ def print_phase_diff(baseline_path, current_path, floor_ms):
               f"({(ratio - 1.0) * 100.0:+.1f}%)")
 
 
-def run_sweep(out_dir, workers_csv, floor_ms):
-    """Speedup/efficiency table over BENCH_<tag>_w<N>.json sweep artifacts."""
-    import glob
-    import os
-
-    workers = []
-    for tok in workers_csv.split(","):
-        tok = tok.strip()
-        if not tok.isdigit() or int(tok) < 1:
-            print(f"error: bad worker count {tok!r} in --workers "
-                  f"{workers_csv}", file=sys.stderr)
-            return 2
-        workers.append(int(tok))
-    workers = sorted(set(workers))
-    base_w = workers[0]
-
-    # tag -> worker count -> {benchmark name -> ms}
-    tags = {}
-    for w in workers:
-        for path in sorted(glob.glob(os.path.join(out_dir,
-                                                  f"BENCH_*_w{w}.json"))):
-            stem = os.path.basename(path)[len("BENCH_"):-len(".json")]
-            tag = stem[:-len(f"_w{w}")]
-            tags.setdefault(tag, {})[w] = load_times_ms(path)
-    if not tags:
-        print(f"error: no BENCH_*_w<N>.json sweep artifacts under {out_dir} "
-              f"for workers {workers_csv} — run "
-              f"bench/run_all.sh --workers {workers_csv} first",
-              file=sys.stderr)
-        return 2
-
-    header = f"{'benchmark':<48}" + "".join(
-        f"  w={w:<14}" for w in workers)
-    print(header)
-    print(f"{'':<48}" + "".join(f"  {'ms  spd  eff':<15}" for _ in workers))
-    rows = 0
-    for tag in sorted(tags):
-        per_worker = tags[tag]
-        if sorted(per_worker) != workers:
-            missing = [w for w in workers if w not in per_worker]
-            print(f"note: {tag}: missing worker count(s) "
-                  f"{missing} — skipped")
-            continue
-        shared = sorted(set.intersection(
-            *(set(per_worker[w]) for w in workers)))
-        for name in shared:
-            base_ms = per_worker[base_w][name]
-            if all(per_worker[w][name] < floor_ms for w in workers):
-                continue
-            cells = []
-            for w in workers:
-                ms = per_worker[w][name]
-                speedup = base_ms / ms if ms > 0 else float("inf")
-                eff = speedup * base_w / w
-                cells.append(f"  {ms:7.2f} {speedup:4.2f} {eff:4.2f}")
-            print(f"{name:<48}" + "".join(cells))
-            rows += 1
-    if rows == 0:
-        print("note: every shared benchmark sat under the floor; nothing "
-              "to summarize")
-    else:
-        print(f"({rows} benchmark(s); spd = t(w={base_w})/t(w=N), "
-              f"eff = spd*{base_w}/N)")
-    return 0
-
-
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("baseline", nargs="?")
-    ap.add_argument("current", nargs="?")
-    ap.add_argument("--sweep", default=None,
-                    help="summarize a --workers sweep in this artifact dir")
-    ap.add_argument("--workers", default="1,2,4,8",
-                    help="comma-separated worker counts of the sweep")
+    ap.add_argument("baseline")
+    ap.add_argument("current")
     ap.add_argument("--max-regression", type=float, default=0.25,
                     help="fail when current > baseline * (1 + this)")
     ap.add_argument("--floor-ms", type=float, default=1.0,
@@ -162,11 +82,6 @@ def main():
     ap.add_argument("--metrics", default=None,
                     help="current MetricsSnapshot for the phase diff")
     args = ap.parse_args()
-
-    if args.sweep is not None:
-        return run_sweep(args.sweep, args.workers, args.floor_ms)
-    if args.baseline is None or args.current is None:
-        ap.error("BASELINE and CURRENT are required unless --sweep is given")
 
     base = load_times_ms(args.baseline)
     cur = load_times_ms(args.current)

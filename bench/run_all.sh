@@ -2,7 +2,7 @@
 # Runs every bench binary and records machine-readable results, one JSON
 # file per experiment, so the perf trajectory across PRs is diffable:
 #
-#   bench/run_all.sh [--workers N1,N2,...] [BUILD_DIR] [OUT_DIR]
+#   bench/run_all.sh [BUILD_DIR] [OUT_DIR]
 #
 # defaults: BUILD_DIR=build, OUT_DIR=bench_results. Each bench writes
 # OUT_DIR/BENCH_<tag>.json via google-benchmark's --benchmark_out (the
@@ -13,22 +13,9 @@
 # TRACE_<tag>.json, a Chrome trace-event file loadable in Perfetto
 # (https://ui.perfetto.dev) or chrome://tracing.
 #
-# --workers runs the whole suite once per worker count with LACON_THREADS
-# pinned, suffixing every artifact with _w<N> (BENCH_t9_runtime_w4.json,
-# METRICS_t9_runtime_w4.json, ...). Summarize a sweep into a speedup /
-# efficiency table with:
-#
-#   bench/compare_baseline.py --sweep OUT_DIR --workers N1,N2,...
-#
 # Extra arguments for the bench binaries can be passed via BENCH_ARGS,
 # e.g. BENCH_ARGS=--benchmark_min_time=0.01 for a smoke run.
 set -euo pipefail
-
-WORKERS=""
-if [[ "${1:-}" == "--workers" ]]; then
-  WORKERS="${2:?--workers needs a comma-separated list, e.g. 1,2,4,8}"
-  shift 2
-fi
 
 BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-bench_results}"
@@ -46,48 +33,28 @@ status=0
 ran=0
 failed=()
 
-# run_suite SUFFIX [THREADS] — one pass over every bench binary. SUFFIX is
-# appended to each artifact tag; THREADS (when non-empty) pins LACON_THREADS
-# for the pass so the sweep measures the runtime at that worker count.
-run_suite() {
-  local suffix="$1" threads="${2:-}"
-  local bench name tag
-  for bench in "$BUILD_DIR"/bench/bench_*; do
-    [[ -x "$bench" ]] || continue
-    ran=$((ran + 1))
-    name="$(basename "$bench")"
-    tag="${name#bench_}$suffix"
-    echo "=== $name${threads:+ (LACON_THREADS=$threads)} -> $OUT_DIR/BENCH_$tag.json"
-    # Per-bench observability artifacts: the metrics snapshot is always
-    # emitted; the span trace only materializes when LACON_TRACE=spans (the
-    # runtime skips LACON_TRACE_FILE otherwise, so pointing it somewhere is
-    # harmless in the default counters mode).
-    if ! env ${threads:+LACON_THREADS="$threads"} \
-        LACON_METRICS_FILE="$OUT_DIR/METRICS_$tag.json" \
-        LACON_TRACE_FILE="${LACON_TRACE_FILE:-$OUT_DIR/TRACE_$tag.json}" \
-        "$bench" \
-        --benchmark_out="$OUT_DIR/BENCH_$tag.json" \
-        --benchmark_out_format=json \
-        ${BENCH_ARGS} \
-        | tee "$OUT_DIR/BENCH_$tag.txt"; then
-      echo "FAILED: $name$suffix" >&2
-      status=1
-      failed+=("$name$suffix")
-    fi
-  done
-}
-
-if [[ -n "$WORKERS" ]]; then
-  for w in ${WORKERS//,/ }; do
-    [[ "$w" =~ ^[0-9]+$ && "$w" -ge 1 ]] || {
-      echo "error: bad worker count '$w' in --workers $WORKERS" >&2
-      exit 2
-    }
-    run_suite "_w$w" "$w"
-  done
-else
-  run_suite ""
-fi
+for bench in "$BUILD_DIR"/bench/bench_*; do
+  [[ -x "$bench" ]] || continue
+  ran=$((ran + 1))
+  name="$(basename "$bench")"
+  tag="${name#bench_}"
+  echo "=== $name -> $OUT_DIR/BENCH_$tag.json"
+  # Per-bench observability artifacts: the metrics snapshot is always
+  # emitted; the span trace only materializes when LACON_TRACE=spans (the
+  # runtime skips LACON_TRACE_FILE otherwise, so pointing it somewhere is
+  # harmless in the default counters mode).
+  if ! LACON_METRICS_FILE="$OUT_DIR/METRICS_$tag.json" \
+      LACON_TRACE_FILE="${LACON_TRACE_FILE:-$OUT_DIR/TRACE_$tag.json}" \
+      "$bench" \
+      --benchmark_out="$OUT_DIR/BENCH_$tag.json" \
+      --benchmark_out_format=json \
+      ${BENCH_ARGS} \
+      | tee "$OUT_DIR/BENCH_$tag.txt"; then
+    echo "FAILED: $name" >&2
+    status=1
+    failed+=("$name")
+  fi
+done
 
 if [[ "$ran" -eq 0 ]]; then
   echo "error: no bench binaries found under $BUILD_DIR/bench" >&2
@@ -116,14 +83,6 @@ if [[ -e "${trace_files[0]}" ]]; then
     status=1
     failed+=("validate:trace")
   fi
-fi
-
-# A sweep run closes with the speedup/efficiency summary over the artifacts
-# it just wrote (diagnostic: the summary never changes the exit status).
-if [[ -n "$WORKERS" && "$status" -eq 0 ]]; then
-  echo "=== worker sweep summary (speedup vs efficiency)"
-  python3 "$script_dir/compare_baseline.py" --sweep "$OUT_DIR" \
-    --workers "$WORKERS" || true
 fi
 
 if [[ "$status" -ne 0 ]]; then

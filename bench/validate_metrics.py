@@ -23,8 +23,8 @@ import json
 import sys
 
 METRICS_KEYS = {
-    "schema", "workers", "trace_mode", "guard", "counters", "timers",
-    "histograms", "spans",
+    "schema", "trace_mode", "guard", "counters", "timers", "histograms",
+    "spans",
 }
 GUARD_KEYS = {"budget_ms", "max_states", "max_bytes", "trips"}
 TRIP_KEYS = {"deadline", "state_budget", "cancelled"}
@@ -43,8 +43,6 @@ def check_metrics(path, doc):
         return fail(path, f"missing keys: {sorted(missing)}")
     if doc["schema"] != "lacon.metrics.v1":
         return fail(path, f"unexpected schema {doc['schema']!r}")
-    if not isinstance(doc["workers"], int) or doc["workers"] < 1:
-        return fail(path, f"workers must be a positive int, got {doc['workers']!r}")
     if doc["trace_mode"] not in ("off", "counters", "spans"):
         return fail(path, f"unknown trace_mode {doc['trace_mode']!r}")
     guard = doc["guard"]

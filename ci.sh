@@ -1,20 +1,16 @@
 #!/usr/bin/env bash
 # CI matrix: plain RelWithDebInfo, ThreadSanitizer and AddressSanitizer
-# builds, each running the tier-1 test suite. TSan is mandatory for the
-# parallel runtime: the layer cache, both interning arenas and the valence
-# memo are shared across workers, and the equivalence tests in
-# tests/runtime_test.cc drive them with 4 workers.
+# builds, each running the tier-1 test suite. TSan is mandatory for changes
+# to shared session state: the layer cache, both interning arenas and the
+# valence memo are written concurrently by laconrd's connection threads,
+# and tests/service_test.cc drives them with 8 concurrent clients.
 #
 #   ./ci.sh            # all three configurations
 #   ./ci.sh tsan       # just one: plain | tsan | asan
-#
-# LACON_THREADS is exported (default 4) so the parallel paths genuinely
-# multi-thread even on small CI machines.
 set -euo pipefail
 
 cd "$(dirname "$0")"
 JOBS="${JOBS:-$(nproc)}"
-export LACON_THREADS="${LACON_THREADS:-4}"
 
 # wait_listening SOCK — returns once a connect() to the AF_UNIX socket SOCK
 # succeeds, retrying for up to 5 s (examples/crash_recover.cc's wait_ready
@@ -56,23 +52,24 @@ run_config() {
   ctest --test-dir "$dir" -j "$JOBS" --output-on-failure --timeout 300
   if [[ "$name" == "tsan" || "$name" == "asan" ]]; then
     # Fault-injection soak: re-run the runtime-facing suites with a seeded
-    # fault plan so the injected-failure paths (task-body throws, simulated
-    # allocation failure, budget trips) execute under the sanitizer. The
+    # fault plan so the injected-failure paths (simulated allocation
+    # failure, budget trips) execute under the sanitizer. The
     # seed/rate env knobs only parameterize the dedicated FaultSoak tests;
     # the deterministic equivalence tests in the same binaries ignore them.
     echo "=== [$name] fault-injection soak" \
          "(seed=${LACON_FAULT_SEED:-20260805} rate=${LACON_FAULT_RATE:-0.05})"
-    # trace_test rides along with tracing forced on: span buffers are the
-    # one lock-free structure written concurrently by every worker, so the
-    # soak doubles as the TSan/ASan proof for the publish protocol.
+    # trace_test rides along with tracing forced on: span buffers are
+    # lock-free per-thread structures read concurrently by the exporters, so
+    # the soak doubles as the TSan/ASan proof for the publish protocol.
     # store_test rides along for the snapshot replay paths under ASan
     # (truncated/corrupt file parsing is exactly where ASan earns its keep);
-    # service_test is the satellite TSan soak: concurrent socket clients
-    # sharing one session's arenas, layer cache and valence memo.
+    # service_test is the concurrency soak: eight socket clients writing one
+    # cold session's arenas, layer cache, valence memo and fingerprint-row
+    # memo at once, every answer checked against a lone session's.
     # simd_test rides along so the flat-encoding kernels run their
     # randomized reference-definition sweeps under both sanitizers.
     # LACON_SYMMETRY=on puts the orbit-canonicalization memos (core/sym.hpp,
-    # shared mutable state under parallel interning) on the sanitized paths;
+    # shared mutable state under concurrent interning) on the sanitized paths;
     # the symmetry contract says results cannot change, so the suites must
     # stay green with the quotient folding wherever a model permits it.
     for soak_bin in guard_test runtime_test fuzz_test trace_test \
@@ -117,8 +114,8 @@ run_config() {
     done
     python3 bench/validate_metrics.py --kind metrics \
       bench_results/METRICS_*.json
-    # Regression gate on the runtime-path experiments (t9: parallel runtime,
-    # t10: arena intern contention): >25% real_time regression vs the
+    # Regression gate on the runtime-path experiments (t9: analysis hot
+    # paths, t10: arena intern contention): >25% real_time regression vs the
     # committed bench/baseline/ fails CI. Regenerate the baseline with the
     # same smoke budget when a PR intentionally moves performance. The gated
     # JSONs (plus their metrics snapshots) are copied to the repo top level

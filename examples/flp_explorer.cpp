@@ -95,8 +95,8 @@ int main(int argc, char** argv) {
 
   // Arena accounting for the run-construction model. approx_bytes is a
   // content-derived estimate (per-state/per-view formulas, DESIGN.md §9) —
-  // deliberately NOT allocator or pool occupancy, so it is identical for
-  // every worker count. It is the same quantity the guard's memory budget
+  // deliberately NOT allocator or pool occupancy, so it is identical however
+  // interns interleave. It is the same quantity the guard's memory budget
   // evaluates and the metrics snapshot reports as guard.max_bytes headroom.
   std::printf("\ninterned: %zu states, approx_bytes %zu "
               "(content-derived, scheduling-independent)\n",

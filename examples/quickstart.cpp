@@ -89,9 +89,8 @@ int main() {
   // Every span recorded above also fed a log2 latency histogram
   // "span.<category>.<name>" in the stats registry; print the per-phase
   // totals, then export the full event timeline as a Chrome trace. In the
-  // Perfetto UI each worker thread is a lane, engine phases appear as
-  // explore.expand / explore.merge / valence.classify spans, and work
-  // steals show as instants.
+  // Perfetto UI each thread is a lane, and engine phases appear as nested
+  // explore.expand / similarity.confirm / valence.classify spans.
   for (const runtime::HistogramSample& h :
        runtime::Stats::global().histogram_snapshot()) {
     if (h.count == 0) continue;

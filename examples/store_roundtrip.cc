@@ -3,7 +3,7 @@
 // Runs one canonical analysis (explore to depth, classify the frontier,
 // s-diameter) and prints a canonical, id-free transcript on stdout:
 // level sizes, sorted canonical state renderings, valence counts, diameter.
-// Everything on stdout is deterministic across runs and worker counts
+// Everything on stdout is deterministic across runs
 // (raw ids never appear — DESIGN.md §9), so the CI lane can demand
 // byte-identical output between:
 //

@@ -2,7 +2,6 @@
 
 #include "runtime/guard.hpp"
 #include "runtime/stats.hpp"
-#include "runtime/thread_pool.hpp"
 #include "runtime/trace.hpp"
 #include "util/table.hpp"
 
@@ -129,8 +128,6 @@ std::vector<NamedCheck> run_lemma_suite(ModelKind kind, int n, int t,
 
 std::string runtime_report() {
   Table table({"stat", "kind", "value", "calls"});
-  table.add_row({"runtime.workers", "config",
-                 cell(static_cast<long long>(runtime::worker_count())), "-"});
   table.add_row({"trace.mode", "config", trace::to_string(trace::mode()), "-"});
   const guard::GuardSpec& spec = guard::process_guard_spec();
   if (spec.limited()) {

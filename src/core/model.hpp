@@ -55,8 +55,9 @@ class LayeredModel {
   const std::vector<StateId>& initial_states();
 
   // S(x): the layer of x, deduplicated, in a deterministic order. Cached in
-  // a sharded, striped-mutex map, so concurrent layer computations from the
-  // parallel runtime are safe; racing computations of the same layer are
+  // a sharded, striped-mutex map, so concurrent layer computations from
+  // connections sharing a session are safe; racing computations of the same
+  // layer are
   // idempotent because interning is content-addressed. The returned
   // reference stays valid for the model's lifetime.
   const std::vector<StateId>& layer(StateId x);
@@ -209,8 +210,8 @@ class LayeredModel {
   // O(orbit · n · rewrite) rather than n!.
   std::vector<StateId> unfold_orbit(StateId x);
 
-  // Id-free 128-bit content signature of x: equal across runs, worker
-  // counts and warm restarts for equal content. Keys the cross-level lemma
+  // Id-free 128-bit content signature of x: equal across runs, intern
+  // orders and warm restarts for equal content. Keys the cross-level lemma
   // store (engine/lemma_store.hpp). Available for every symmetry class.
   std::pair<std::uint64_t, std::uint64_t> canonical_signature(StateId x);
 
@@ -225,8 +226,8 @@ class LayeredModel {
   // prints the raw words — canonical only for models whose environment
   // holds plain scalars. Models whose environment embeds interned ViewIds
   // (shared-memory/snapshot registers, in-transit messages) override this
-  // to render view *terms*: raw ids may differ across worker counts
-  // (threads race to intern first), so output compared across runs must go
+  // to render view *terms*: raw ids depend on intern order (connections
+  // race to intern first), so output compared across runs must go
   // through this, never through s.env directly.
   virtual std::string env_to_string(StateId x) const;
 

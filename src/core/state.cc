@@ -14,9 +14,9 @@ namespace {
 // Deterministic per-state byte estimate: header + flat payload + a flat
 // allowance for the shard-index entry. A pure function of the state's
 // content — never of pool occupancy or vector capacities — so the guard's
-// memory budget reads the same total at a depth boundary for every worker
-// count (chunk-tail waste in the pool varies with scheduling and is
-// deliberately not counted).
+// memory budget reads the same total for the same interned content however
+// interns interleave (chunk-tail waste in the pool varies with scheduling
+// and is deliberately not counted).
 std::size_t state_footprint(std::size_t env_len, std::size_t n) noexcept {
   const std::size_t words = env_len + 2 * ((n + 1) / 2);
   return 16 /* header */ + words * sizeof(std::int64_t) + 48 /* index */;
@@ -81,12 +81,10 @@ StateId StateArena::intern_impl(const StateRef& s, std::uint64_t h,
     shard_waits_->increment();  // contended: another intern holds this shard
     lock.lock();
   }
-  auto [lo, hi] = sh.index.equal_range(h);
-  for (auto it = lo; it != hi; ++it) {
-    if (state(it->second) == s) {
-      hits_->increment();
-      return it->second;
-    }
+  if (const std::optional<StateId> found =
+          sh.index.find(h, [&](StateId id) { return state(id) == s; })) {
+    hits_->increment();
+    return *found;
   }
   // Miss: copy the payload into the pool, claim a dense id, publish the
   // header, then index it. Only the index insert needs the shard lock for
@@ -128,7 +126,7 @@ StateId StateArena::intern_impl(const StateRef& s, std::uint64_t h,
   headers_.slot(static_cast<std::size_t>(id)) = hd;
   approx_bytes_.fetch_add(state_footprint(s.env.size(), n),
                           std::memory_order_relaxed);
-  sh.index.emplace(h, id);
+  sh.index.insert(h, id);
   miss_counter->increment();
   return id;
 }

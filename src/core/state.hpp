@@ -21,9 +21,9 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "core/hash_index.hpp"
 #include "core/types.hpp"
 #include "runtime/stable_vector.hpp"
 #include "runtime/word_pool.hpp"
@@ -73,9 +73,9 @@ bool agree_modulo(const StateRef& x, const StateRef& y, ProcessId j);
 // paper's state-equality arguments — e.g. x(j,[0]) == x(j',[0]) in the mobile
 // model, or the permutation-layering diamond — checkable as id equality.
 //
-// Thread-safety: intern() may be called concurrently (the parallel runtime's
-// layer computations do). The index is hash-sharded with striped mutexes
-// (kArenaShards), so interns of distinct states proceed in
+// Thread-safety: intern() may be called concurrently (layer computations of
+// connections sharing a session do). The index is hash-sharded with striped
+// mutexes (kArenaShards), so interns of distinct states proceed in
 // parallel; racing interns of equal content land in the same shard, are
 // serialized there, and agree on the id. Ids are claimed from one atomic
 // counter, so they stay dense — but *which* content gets which id depends on
@@ -121,8 +121,8 @@ class StateArena {
   // deterministic function of the interned *content* (header + payload words
   // + a flat index allowance per unique state), not of pool occupancy:
   // chunk-tail waste depends on scheduling, and the guard's memory budget
-  // must read the same value at every depth boundary regardless of worker
-  // count. Monotone, relaxed reads.
+  // must read the same value for the same content however interns
+  // interleave. Monotone, relaxed reads.
   std::size_t approx_bytes() const noexcept {
     return approx_bytes_.load(std::memory_order_relaxed);
   }
@@ -151,7 +151,7 @@ class StateArena {
     std::mutex mu;
     // hash -> id; equality is confirmed against the pooled payload, so the
     // index stores no second copy of any state.
-    std::unordered_multimap<std::uint64_t, StateId> index;
+    HashIndex<StateId> index;
   };
 
   // 32-bit lanes (locals, decisions) pack two per word.

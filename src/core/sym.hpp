@@ -36,7 +36,7 @@
 //       represents the orbit, never any verdict.)
 //
 // Gated by LACON_SYMMETRY=off|on (default off; malformed values warn once
-// and fall back, like LACON_THREADS). Models opt in via
+// and fall back, like LACON_TRACE). Models opt in via
 // LayeredModel::symmetry() — see core/model.hpp; asymmetric models keep the
 // kTrivial default and are never touched. DESIGN.md §15 documents the
 // contracts (equivariance, decision-rule symmetry, id-nondeterminism).
@@ -82,9 +82,8 @@ bool parse_symmetry(const char* text, bool fallback) noexcept;
 // constructions).
 bool enabled() noexcept;
 
-// RAII override of the knob for benches and in-process A/B tests (the
-// analogue of runtime::WorkerCountOverride). Nestable; restores on
-// destruction.
+// RAII override of the knob for benches and in-process A/B tests.
+// Nestable; restores on destruction.
 // Affects models constructed while active (the quotient decision is
 // latched per model at first intern).
 class ScopedSymmetry {
@@ -140,7 +139,8 @@ class Relabeling {
 
 // Orbit canonicalization over one model's view arena. Owns the shape /
 // relevant-set / rewrite memo tables (thread-safe: canonicalization runs
-// inside parallel layer computations). One instance per LayeredModel.
+// inside layer computations of concurrent connections). One instance per
+// LayeredModel.
 class Canonicalizer {
  public:
   // `views` must outlive the canonicalizer. Relabelings require n <= 15
@@ -164,7 +164,7 @@ class Canonicalizer {
                       const Permutation& perm);
 
   // Id-free 128-bit content signature of `s` (identity relabeling keys):
-  // stable across runs, worker counts and restarts — the lemma-store key
+  // stable across runs, intern orders and restarts — the lemma-store key
   // (engine/lemma_store.hpp). Works for every symmetry class.
   std::pair<std::uint64_t, std::uint64_t> signature(const LayeredModel& model,
                                                     const StateRef& s);

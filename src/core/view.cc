@@ -64,22 +64,20 @@ ViewId ViewArena::intern_impl(ViewNode nd, runtime::Counter* miss_counter) {
     shard_waits_->increment();
     lock.lock();
   }
-  auto [lo, hi] = sh.index.equal_range(h);
-  for (auto it = lo; it != hi; ++it) {
-    if (node(it->second) == nd) {
-      hits_->increment();
-      return it->second;
-    }
+  if (const std::optional<ViewId> found =
+          sh.index.find(h, [&](ViewId id) { return node(id) == nd; })) {
+    hits_->increment();
+    return *found;
   }
   // Footprint uses obs.size(), not capacity(): the estimate must be a pure
   // function of the node's content so guard byte accounting is identical
-  // for every worker count (see StateArena::approx_bytes).
+  // however interns interleave (see StateArena::approx_bytes).
   approx_bytes_.fetch_add(sizeof(ViewNode) + nd.obs.size() * sizeof(Obs) + 64,
                           std::memory_order_relaxed);
   const std::size_t idx = next_id_.fetch_add(1, std::memory_order_acq_rel);
   const ViewId id = static_cast<ViewId>(idx);
   nodes_.slot(idx) = std::move(nd);
-  sh.index.emplace(h, id);
+  sh.index.insert(h, id);
   miss_counter->increment();
   return id;
 }

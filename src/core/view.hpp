@@ -16,9 +16,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "core/hash_index.hpp"
 #include "core/types.hpp"
 #include "runtime/stable_vector.hpp"
 #include "util/hash.hpp"
@@ -55,8 +55,8 @@ struct ViewNode {
 // Interns ViewNodes; equal nodes receive equal ViewIds.
 //
 // Thread-safety: initial()/extend()/known_inputs() may be called
-// concurrently (the parallel runtime's layer computations do). The index is
-// hash-sharded with striped mutexes (kArenaShards, shared with
+// concurrently (layer computations of connections sharing a session do).
+// The index is hash-sharded with striped mutexes (kArenaShards, shared with
 // StateArena); interning is content-addressed, so racing interns of equal
 // nodes land in the same shard and agree on the id, while distinct nodes
 // proceed in parallel. node() and to_string() are lock-free reads, safe for
@@ -126,7 +126,7 @@ class ViewArena {
   struct alignas(64) Shard {
     std::mutex mu;
     // hash -> id; equality confirmed against the arena-resident node.
-    std::unordered_multimap<std::uint64_t, ViewId> index;
+    HashIndex<ViewId> index;
   };
 
   ViewId intern(ViewNode node);

@@ -1,7 +1,6 @@
 #include "engine/explore.hpp"
 
 #include "runtime/fault.hpp"
-#include "runtime/parallel.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/trace.hpp"
 #include "util/bitset.hpp"
@@ -28,61 +27,30 @@ guard::Partial<std::vector<std::vector<StateId>>> reachable_by_depth(
   for (StateId x : out.value[0]) seen.insert(x);
   for (int d = 0; d < depth; ++d) {
     // Depth boundary: the one place the state/memory budget is evaluated.
-    // The arena population here is scheduling-independent, so a budget trip
-    // truncates at the same depth for every worker count.
-    if (g.check(model.num_states(), model.memory_footprint()) !=
+    // The state count is this exploration's own reached set, so states a
+    // shared session interned for earlier requests never count against it.
+    if (g.check(seen.size(), model.memory_footprint()) !=
         guard::TruncationReason::kNone) {
       break;
     }
     const std::vector<StateId>& frontier = out.value.back();
-    // Phase 1 (parallel; inline at one worker): expand every frontier
-    // state, filling the model's layer cache. The per-state work — computing
-    // S(x) and interning its states and views — dominates the whole
-    // exploration, so this is also where the guard is probed per state; a
-    // trip means the cache may be missing layers, in which case the merge
-    // below must not run (it would recompute them serially, unguarded).
-    // Running it at every worker count keeps that work charged to
-    // explore.expand, not to the merge.
-    {
-      // The per-worker chunks of this section trace as "explore.expand"
-      // spans (the PhaseScope publishes the site; arg = layer depth).
-      LACON_TRACE_PHASE("explore", "expand", d);
-      if (g.never_trips()) {
-        runtime::parallel_for(
-            frontier.size(),
-            [&](std::size_t i) { model.layer(frontier[i]); });
-      } else {
-        const std::size_t filled = runtime::parallel_for_guarded(
-            g, frontier.size(),
-            [&](std::size_t i) { model.layer(frontier[i]); });
-        if (filled < frontier.size() || g.tripped()) break;
-      }
-    }
-    // Phase 2 (serial, canonical): merge layers in frontier order, so the
-    // discovery order — and with it every level's content — is a function
-    // of the cached layers alone, not of thread scheduling. A trip mid-merge
-    // discards the partial level: truncation is level-granular.
+    // Expand the frontier in order, keeping each successor the first time
+    // it is seen: the discovery order — and with it every level's content —
+    // is a function of the layers alone. Computing S(x) and interning its
+    // states and views dominates the whole exploration, so the guard is
+    // probed per frontier state; a trip discards the partial level, so
+    // truncation is level-granular.
     std::vector<StateId> next;
-    bool aborted = false;
+    std::size_t expanded = 0;
     {
-      LACON_TRACE_SPAN_ARG("explore", "merge", frontier.size());
-      try {
-        for (StateId x : frontier) {
-          if (g.tripped()) {
-            aborted = true;
-            break;
-          }
-          for (StateId y : model.layer(x)) {
-            if (seen.insert(y)) next.push_back(y);
-          }
+      LACON_TRACE_SPAN_ARG("explore", "expand", d);
+      expanded = guard::guarded_for(g, frontier.size(), [&](std::size_t i) {
+        for (StateId y : model.layer(frontier[i])) {
+          if (seen.insert(y)) next.push_back(y);
         }
-      } catch (const fault::InjectedAllocError&) {
-        if (g.never_trips()) throw;  // inert guard: behave like the raw call
-        g.note_memory_exhausted();
-        aborted = true;
-      }
+      });
     }
-    if (aborted) break;
+    if (expanded < frontier.size()) break;
     stats.counter("explore.layers_expanded").add(frontier.size());
     if (next.empty()) break;  // quiescent: complete, not truncated
     out.value.push_back(std::move(next));

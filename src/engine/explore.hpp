@@ -16,14 +16,14 @@ std::vector<std::vector<StateId>> reachable_by_depth(LayeredModel& model,
                                                      int depth);
 
 // Guarded exploration. The guard is probed per frontier state during the
-// parallel expansion and the state/memory budget is evaluated against the
-// arena population at every depth boundary; a trip truncates to *complete
-// levels only* — the returned value never contains a partially-discovered
-// level. `completed` is the depth reached (value.size() - 1). Budget
-// truncation is deterministic across worker counts: the arena population at
-// a depth boundary does not depend on thread scheduling, so a budget of k
-// states truncates at the same depth with the same levels under
-// LACON_THREADS=1 and under 16 workers.
+// expansion, and at every depth boundary the state budget is evaluated
+// against the states this call reached so far (the memory budget against
+// the arena footprint); a trip truncates to *complete levels only* — the
+// returned value never contains a partially-discovered level. `completed`
+// is the depth reached (value.size() - 1). Budget truncation depends on the
+// request alone: a budget of k states truncates at the same depth with the
+// same levels on a fresh model and on one that earlier calls already
+// populated.
 guard::Partial<std::vector<std::vector<StateId>>> reachable_by_depth(
     LayeredModel& model, int depth, const guard::Guard& g);
 

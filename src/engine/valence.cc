@@ -5,7 +5,6 @@
 #include <tuple>
 
 #include "engine/lemma_store.hpp"
-#include "runtime/parallel.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/trace.hpp"
 
@@ -118,10 +117,10 @@ guard::Partial<std::vector<ValenceInfo>> ValenceEngine::classify_all(
     const std::vector<StateId>& X, const guard::Guard& g) {
   auto& stats = runtime::Stats::global();
   runtime::ScopedTimer timer(stats.timer("valence.classify_time"));
-  LACON_TRACE_PHASE("valence", "classify", X.size());
+  LACON_TRACE_SPAN_ARG("valence", "classify", X.size());
   guard::Partial<std::vector<ValenceInfo>> out;
   out.value.resize(X.size());
-  out.completed = runtime::parallel_for_guarded(
+  out.completed = guard::guarded_for(
       g, X.size(), [&](std::size_t i) { out.value[i] = valence(X[i]); });
   out.value.resize(out.completed);
   out.truncation = g.reason();

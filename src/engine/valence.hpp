@@ -79,13 +79,13 @@ class ValenceEngine {
 
   ValenceInfo valence(StateId x);
 
-  // Classifies every state of X, in X order, on the parallel runtime. The
-  // memo is shared across the concurrent classifications (their explored
-  // subtrees overlap heavily), which is safe: each memo entry is a pure
-  // function of its state and lookahead. Exact results are identical for
-  // every worker count; inexact (budget-truncated) ones can witness more
-  // valences through a warmer memo, exactly as a different serial call
-  // order already could.
+  // Classifies every state of X, in X order. The memo is shared with every
+  // other caller of this engine, concurrent connections included (their
+  // explored subtrees overlap heavily), which is safe: each memo entry is a
+  // pure function of its state and lookahead. Exact results never depend on
+  // what else ran; inexact (budget-truncated) ones can witness more
+  // valences through a warmer memo, exactly as a different call order
+  // already could.
   std::vector<ValenceInfo> classify_all(const std::vector<StateId>& X);
 
   // Guarded classification: the guard is probed before each state; a trip

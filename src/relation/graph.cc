@@ -6,7 +6,6 @@
 #include <queue>
 #include <utility>
 
-#include "runtime/parallel.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/trace.hpp"
 
@@ -15,27 +14,6 @@ namespace lacon {
 namespace {
 
 constexpr std::size_t kUnreached = std::numeric_limits<std::size_t>::max();
-
-// Unordered pairs (a, b), a < b, of {0..size-1} are flattened
-// lexicographically; row a starts at pair index a*(2*size - a - 1)/2.
-std::size_t pair_row_start(std::size_t size, std::size_t a) {
-  return a * (2 * size - a - 1) / 2;
-}
-
-// The row containing flattened pair index k: the largest a with
-// row_start(a) <= k.
-std::size_t pair_row_of(std::size_t size, std::size_t k) {
-  std::size_t lo = 0, hi = size - 1;
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi + 1) / 2;
-    if (pair_row_start(size, mid) <= k) {
-      lo = mid;
-    } else {
-      hi = mid - 1;
-    }
-  }
-  return lo;
-}
 
 }  // namespace
 
@@ -50,36 +28,17 @@ Graph Graph::from_relation(std::size_t size,
   runtime::ScopedTimer timer(stats.timer("relation.pair_sweep_time"));
   const std::size_t pairs = size < 2 ? 0 : size * (size - 1) / 2;
   stats.counter("relation.pairs_evaluated").add(pairs);
-  LACON_TRACE_PHASE("relation", "pair_sweep", pairs);
+  LACON_TRACE_SPAN_ARG("relation", "pair_sweep", pairs);
 
-  // Each ordered chunk of the flattened pair-index space yields its edges in
-  // lexicographic (a, b) order; concatenating the chunks in order therefore
-  // reproduces exactly the serial sweep's edge sequence.
-  const std::vector<std::vector<Edge>> chunks =
-      runtime::parallel_map_chunks<std::vector<Edge>>(
-          pairs, [&](std::size_t begin, std::size_t end) {
-            std::vector<Edge> out;
-            std::size_t a = pair_row_of(size, begin);
-            std::size_t b = a + 1 + (begin - pair_row_start(size, a));
-            for (std::size_t k = begin; k < end; ++k) {
-              if (related(a, b)) {
-                out.emplace_back(static_cast<Vertex>(a),
-                                 static_cast<Vertex>(b));
-              }
-              if (++b == size) {
-                ++a;
-                b = a + 1;
-              }
-            }
-            return out;
-          });
-
-  std::size_t total = 0;
-  for (const auto& chunk : chunks) total += chunk.size();
+  // Lexicographic (a, b) order is the sorted edge order from_sorted_edges
+  // expects.
   std::vector<Edge> edges;
-  edges.reserve(total);
-  for (const auto& chunk : chunks) {
-    edges.insert(edges.end(), chunk.begin(), chunk.end());
+  for (std::size_t a = 0; a < size; ++a) {
+    for (std::size_t b = a + 1; b < size; ++b) {
+      if (related(a, b)) {
+        edges.emplace_back(static_cast<Vertex>(a), static_cast<Vertex>(b));
+      }
+    }
   }
   return from_sorted_edges(size, std::move(edges));
 }
@@ -122,8 +81,8 @@ std::span<const Graph::Vertex> Graph::neighbors(std::size_t v) const {
 }
 
 std::vector<std::size_t> Graph::bfs_distances(std::size_t source) const {
-  // Callers hold a finalized CSR (ensure_csr() ran before any parallel
-  // fan-out), so this reads offsets_/csr_ directly.
+  // Callers hold a finalized CSR (they ran ensure_csr()), so this reads
+  // offsets_/csr_ directly.
   std::vector<std::size_t> dist(size(), kUnreached);
   std::queue<std::size_t> queue;
   dist[source] = 0;
@@ -209,70 +168,37 @@ guard::Partial<std::optional<std::size_t>> Graph::diameter(
   ensure_csr();
   auto& stats = runtime::Stats::global();
   runtime::ScopedTimer timer(stats.timer("relation.diameter_time"));
-  LACON_TRACE_PHASE("relation", "diameter", size());
-  // Record every source's eccentricity, then fold only the completed prefix:
-  // a truncated value depends on [0, completed) alone, never on which
-  // straggler sources also happened to finish.
-  std::vector<std::size_t> ecc(size(), 0);
-  const std::size_t done =
-      runtime::parallel_for_guarded(g, size(), [&](std::size_t v) {
-        // One scratch per worker thread: the BFS bit sets and frontier are
-        // reset per source but their allocations persist across sources.
-        static thread_local EccScratch scratch;
-        ecc[v] = bfs_eccentricity(v, scratch);
-      });
+  LACON_TRACE_SPAN_ARG("relation", "diameter", size());
+  // Fold eccentricities in source order. One full BFS that misses a vertex
+  // proves disconnection: the answer cannot change, so the remaining
+  // sources are skipped and the result is reported complete.
+  EccScratch scratch;  // reset per source; its allocations persist
+  std::size_t best = 0;
+  bool disconnected = false;
+  const std::size_t done = guard::guarded_for(g, size(), [&](std::size_t v) {
+    if (disconnected) return;
+    const std::size_t e = bfs_eccentricity(v, scratch);
+    if (e == kUnreached) {
+      disconnected = true;
+    } else {
+      best = std::max(best, e);
+    }
+  });
   stats.counter("relation.diameter_sources").add(done);
+  if (disconnected) {
+    out.value = std::nullopt;
+    out.completed = size();
+    return out;
+  }
   out.completed = done;
   out.truncation = g.reason();
-  std::size_t best = 0;
-  for (std::size_t v = 0; v < done; ++v) {
-    if (ecc[v] == kUnreached) {
-      // One full BFS that misses a vertex proves disconnection; the answer
-      // cannot change, so report it complete.
-      out.value = std::nullopt;
-      out.truncation = guard::TruncationReason::kNone;
-      out.completed = size();
-      return out;
-    }
-    best = std::max(best, ecc[v]);
-  }
   if (done > 0) out.value = best;  // no sources finished -> no bound at all
   return out;
 }
 
 std::optional<std::size_t> Graph::diameter() const {
-  const guard::GuardSpec& spec = guard::process_guard_spec();
-  if (spec.limited()) {
-    guard::ScopedGuard scoped(spec);
-    return diameter(scoped.get()).value;
-  }
-  if (size() == 0) return std::nullopt;
-  ensure_csr();
-  auto& stats = runtime::Stats::global();
-  runtime::ScopedTimer timer(stats.timer("relation.diameter_time"));
-  LACON_TRACE_PHASE("relation", "diameter", size());
-  stats.counter("relation.diameter_sources").add(size());
-  // Per-chunk eccentricity maxima, merged by max — commutative, so the
-  // result is the same for every worker count. kUnreached marks a
-  // disconnected chunk and dominates the merge.
-  const std::vector<std::size_t> partial =
-      runtime::parallel_map_chunks<std::size_t>(
-          size(), [&](std::size_t begin, std::size_t end) {
-            EccScratch scratch;  // reused across this chunk's sources
-            std::size_t best = 0;
-            for (std::size_t v = begin; v < end; ++v) {
-              const std::size_t e = bfs_eccentricity(v, scratch);
-              if (e == kUnreached) return kUnreached;
-              best = std::max(best, e);
-            }
-            return best;
-          });
-  std::size_t best = 0;
-  for (std::size_t p : partial) {
-    if (p == kUnreached) return std::nullopt;
-    best = std::max(best, p);
-  }
-  return best;
+  guard::ScopedGuard scoped(guard::process_guard_spec());
+  return diameter(scoped.get()).value;
 }
 
 std::optional<std::size_t> Graph::distance(std::size_t a, std::size_t b) const {

@@ -26,8 +26,7 @@ namespace lacon {
 //
 // Thread-safety: building (add_edge) and the *first* query finalize shared
 // state and must not race with other accesses; afterwards all queries are
-// const reads and safe to run concurrently (diameter() exploits this by
-// fanning the all-sources BFS out over the parallel runtime).
+// const reads and safe to run concurrently.
 class Graph {
  public:
   using Vertex = std::uint32_t;
@@ -36,12 +35,8 @@ class Graph {
   explicit Graph(std::size_t size);
 
   // Builds the graph of a symmetric relation by evaluating `related` on all
-  // unordered pairs. The sweep runs on the parallel runtime: the flattened
-  // pair-index space is split into ordered chunks whose edge lists merge in
-  // chunk order, so the resulting graph — adjacency order included — is
-  // identical for every worker count. `related` must be safe to invoke
-  // concurrently (all in-tree relations are read-only over the model); it is
-  // taken by value so the sweep holds its own copy for the tasks' lifetime.
+  // unordered pairs (a, b), a < b, in lexicographic order — the edge order
+  // from_sorted_edges expects.
   static Graph from_relation(std::size_t size,
                              std::function<bool(std::size_t, std::size_t)>
                                  related);
@@ -65,11 +60,9 @@ class Graph {
   // order.
   std::vector<std::size_t> components() const;
 
-  // Diameter of the graph: the largest BFS eccentricity, computed by an
-  // all-sources BFS parallelized over source chunks (max-merge is
-  // order-independent, so the result is deterministic for every worker
-  // count). nullopt when the graph is disconnected (infinite diameter) or
-  // empty.
+  // Diameter of the graph: the largest BFS eccentricity over all sources,
+  // under the process guard spec (the guarded overload's value). nullopt
+  // when the graph is disconnected (infinite diameter) or empty.
   std::optional<std::size_t> diameter() const;
 
   // Guarded diameter. `completed` counts BFS sources fully evaluated (a

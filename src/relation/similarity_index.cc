@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "relation/similarity.hpp"
-#include "runtime/parallel.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/trace.hpp"
 
@@ -31,17 +30,16 @@ guard::Partial<Graph> similarity_graph_indexed(LayeredModel& model,
   }
   const int n = model.n();
 
-  // Fingerprint table, one row per state — embarrassingly parallel. Rows
-  // come from the model's per-state memo (LayeredModel::fingerprint_row):
-  // the first sweep over a state hashes and publishes its row, later sweeps
-  // — and sweeps after a lacon::store warm start — only read. A trip here
-  // leaves nothing usable (candidates need every row), so the result
-  // degrades to the empty graph.
+  // Fingerprint table, one row per state. Rows come from the model's
+  // per-state memo (LayeredModel::fingerprint_row): the first sweep over a
+  // state hashes and publishes its row, later sweeps — and sweeps after a
+  // lacon::store warm start — only read. A trip here leaves nothing usable
+  // (candidates need every row), so the result degrades to the empty graph.
   std::vector<const std::uint64_t*> rows(m);
   std::size_t hashed = 0;
   {
-    LACON_TRACE_PHASE("similarity", "fingerprint", m);
-    hashed = runtime::parallel_for_guarded(g, m, [&](std::size_t i) {
+    LACON_TRACE_SPAN_ARG("similarity", "fingerprint", m);
+    hashed = guard::guarded_for(g, m, [&](std::size_t i) {
       rows[i] = model.fingerprint_row(X[i]);
     });
   }
@@ -94,36 +92,23 @@ guard::Partial<Graph> similarity_graph_indexed(LayeredModel& model,
   stats.counter("relation.index_buckets").add(buckets);
   stats.counter("relation.index_candidates").add(candidates.size());
 
-  // Confirm candidates with the exact relation, in ordered chunks: the
-  // candidate list is (a, b)-lexicographically sorted, so concatenating the
-  // per-chunk survivors reproduces exactly the naive sweep's edge sequence;
-  // under truncation the survivors of the confirmed candidate prefix do.
-  LACON_TRACE_PHASE("similarity", "confirm", candidates.size());
-  const runtime::PartialChunks<std::vector<Graph::Edge>> chunks =
-      runtime::parallel_map_chunks_guarded<std::vector<Graph::Edge>>(
-          g, candidates.size(), [&](std::size_t begin, std::size_t end) {
-            std::vector<Graph::Edge> chunk_edges;
-            for (std::size_t k = begin; k < end; ++k) {
-              const auto [a, b] = candidates[k];
-              if (similar(model, X[a], X[b])) {
-                chunk_edges.push_back(candidates[k]);
-              }
-            }
-            return chunk_edges;
-          });
-  stats.counter("relation.pairs_evaluated").add(chunks.completed);
-  std::size_t confirmed = 0;
-  for (const auto& chunk : chunks.values) confirmed += chunk.size();
-  stats.counter("relation.index_confirmed").add(confirmed);
-  stats.counter("relation.index_rejected").add(chunks.completed - confirmed);
-
+  // Confirm candidates with the exact relation, in order: the candidate
+  // list is (a, b)-lexicographically sorted, so the survivors reproduce
+  // exactly the naive sweep's edge sequence; under truncation the survivors
+  // of the confirmed candidate prefix do.
+  LACON_TRACE_SPAN_ARG("similarity", "confirm", candidates.size());
   std::vector<Graph::Edge> edges;
-  edges.reserve(confirmed);
-  for (const auto& chunk : chunks.values) {
-    edges.insert(edges.end(), chunk.begin(), chunk.end());
-  }
+  const std::size_t evaluated =
+      guard::guarded_for(g, candidates.size(), [&](std::size_t k) {
+        const auto [a, b] = candidates[k];
+        if (similar(model, X[a], X[b])) edges.push_back(candidates[k]);
+      });
+  stats.counter("relation.pairs_evaluated").add(evaluated);
+  stats.counter("relation.index_confirmed").add(edges.size());
+  stats.counter("relation.index_rejected").add(evaluated - edges.size());
+
   out.value = Graph::from_sorted_edges(m, std::move(edges));
-  out.completed = chunks.completed;
+  out.completed = evaluated;
   out.truncation = g.reason();
   return out;
 }

@@ -29,8 +29,6 @@ std::size_t index_of(Site site) noexcept {
 
 const char* to_string(Site site) noexcept {
   switch (site) {
-    case Site::kTaskBody:
-      return "task_body";
     case Site::kArenaAlloc:
       return "arena_alloc";
     case Site::kGuardBudget:
@@ -128,10 +126,6 @@ FaultScope::~FaultScope() {
   FaultPlan* expected = &plan_;
   g_plan.compare_exchange_strong(expected, nullptr,
                                  std::memory_order_acq_rel);
-}
-
-void maybe_throw_task_fault() {
-  if (fire(Site::kTaskBody)) throw InjectedFault();
 }
 
 void maybe_throw_alloc_fault() {

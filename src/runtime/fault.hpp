@@ -1,13 +1,13 @@
 // Deterministic fault injection for the analysis runtime (lacon::fault).
 //
-// Production blowups — exhausted memory, a task body throwing mid-layer, a
-// budget tripping inside a parallel section — are exactly the paths that
-// never run in ordinary tests. A FaultPlan makes them reproducible: a seeded
-// plan decides, per *decision point*, whether the k-th probe of that point
-// fires, as a pure function of (seed, site, k). The firing schedule is
-// therefore identical across runs with the same seed and rate; under
-// multi-worker execution, *which thread* draws the k-th probe races, but the
-// set of firing probe indices does not.
+// Production blowups — exhausted memory, a budget tripping mid-layer — are
+// exactly the paths that never run in ordinary tests. A FaultPlan makes them
+// reproducible: a seeded plan decides, per *decision point*, whether the
+// k-th probe of that point fires, as a pure function of (seed, site, k). The
+// firing schedule is therefore identical across runs with the same seed and
+// rate; when several threads probe one plan (concurrent connections),
+// *which thread* draws the k-th probe races, but the set of firing probe
+// indices does not.
 //
 // Injection is off unless a plan is installed (FaultScope). The environment
 // knobs LACON_FAULT_SEED / LACON_FAULT_RATE do not activate injection
@@ -17,9 +17,6 @@
 // unrelated tests in the same process stay deterministic.
 //
 // Sites:
-//   kTaskBody   — a parallel-section chunk body throws InjectedFault before
-//                 running user work (exercises first-exception-wins and the
-//                 pool-stays-usable contract).
 //   kArenaAlloc — StateArena/ViewArena::intern throws InjectedAllocError
 //                 (simulated allocation failure; guarded engine paths turn
 //                 it into a kStateBudget truncation).
@@ -33,19 +30,13 @@
 #include <cstdint>
 #include <new>
 #include <optional>
-#include <stdexcept>
 
 namespace lacon::fault {
 
-enum class Site : std::uint8_t { kTaskBody = 0, kArenaAlloc, kGuardBudget };
-inline constexpr std::size_t kSiteCount = 3;
+enum class Site : std::uint8_t { kArenaAlloc = 0, kGuardBudget };
+inline constexpr std::size_t kSiteCount = 2;
 
 const char* to_string(Site site) noexcept;
-
-// Thrown by a chunk body when kTaskBody fires.
-struct InjectedFault : std::runtime_error {
-  InjectedFault() : std::runtime_error("lacon::fault injected task failure") {}
-};
 
 // Thrown by arena interning when kArenaAlloc fires. Derives from
 // std::bad_alloc so callers that already handle allocation failure handle
@@ -100,7 +91,7 @@ FaultPlan* active_plan() noexcept;
 bool fire(Site site) noexcept;
 
 // RAII installation of a plan for the current scope. Scopes must not nest
-// and must not be entered while parallel work is in flight.
+// and must not be entered while guarded work is in flight.
 class FaultScope {
  public:
   FaultScope(std::uint64_t seed, double rate, unsigned site_mask = ~0u);
@@ -115,11 +106,6 @@ class FaultScope {
  private:
   FaultPlan plan_;
 };
-
-// Throws InjectedFault iff kTaskBody fires. Called by the parallel
-// runtime's chunk dispatcher inside its try block, so the exception takes
-// the same first-exception-wins path a user task body's would.
-void maybe_throw_task_fault();
 
 // Throws InjectedAllocError iff kArenaAlloc fires. Called by the arenas'
 // intern paths before touching storage.

@@ -3,11 +3,12 @@
 // Every analysis this repository runs — reachable_by_depth over the layered
 // run tree, the similarity index, all-sources diameter, valence
 // classification — is exponential in process count and depth. A Guard bounds
-// such a computation with a wall-clock deadline, a state/memory budget (read
-// off the StateArena/ViewArena accounting) and a cooperative cancellation
-// token, and the engine layers return Partial<T> results instead of hanging
-// or aborting: the value computed so far, how far the computation got, and
-// an explicit TruncationReason.
+// such a computation with a wall-clock deadline, a state budget (the states
+// the computation reached), a memory budget (read off the StateArena/
+// ViewArena accounting) and a cooperative cancellation token, and the
+// engine layers return Partial<T> results instead of hanging or aborting:
+// the value computed so far, how far the computation got, and an explicit
+// TruncationReason.
 //
 // Where the checks happen, and what is deterministic:
 //
@@ -16,15 +17,14 @@
 //    depth/level/phase boundaries — exactly the preemption points the
 //    paper's layering structure provides: a run tree truncated at a layer
 //    boundary is still a well-defined prefix of the model.
-//  * The parallel facades (runtime/parallel.hpp, *_guarded) probe
-//    Guard::tripped() at chunk and item boundaries, preserving the
-//    ordered-chunk determinism contract: the surviving region is always a
-//    contiguous prefix [0, completed) of the index space, so the *content*
-//    of a truncated result is canonical for every worker count.
-//  * The state budget is evaluated only at depth boundaries, where the
-//    arena population is itself deterministic across worker counts —
-//    a budget-truncated exploration therefore truncates at the same depth,
-//    with the same levels, under LACON_THREADS=1 and under 16 workers.
+//  * Per-item loops (frontier expansion, classification, fingerprinting,
+//    candidate confirmation, BFS sources) run through guarded_for() below:
+//    it probes Guard::tripped() before every item, so the processed region
+//    is always a contiguous prefix [0, completed) of the index space.
+//  * The state budget is evaluated only at depth boundaries, against the
+//    states the exploration itself reached — a budget-truncated
+//    exploration therefore truncates at the same depth, with the same
+//    levels, whatever other requests interned into a shared session before.
 //    Deadline and cancellation trips are inherently timing-dependent, but
 //    truncate at the same *granularity* (a level boundary yields a complete
 //    level or none of it), so any two runs agree on every level both
@@ -47,6 +47,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+
+#include "runtime/fault.hpp"
 
 namespace lacon::guard {
 
@@ -114,14 +116,15 @@ class Guard {
   Guard& with_token(CancelToken token);
 
   // Cheap cooperative probe: deadline, cancellation and injected budget
-  // faults. The parallel facades call this at chunk/item boundaries; hot
-  // loops may call it per item (one steady_clock read). Sticky.
+  // faults. guarded_for() calls it per item (one steady_clock read when a
+  // deadline is set). Sticky.
   bool tripped() const;
 
   // Full boundary check including the state/memory budget; engine layers
-  // call it at depth/level boundaries with the current arena population
-  // (LayeredModel::num_states() / memory_footprint()). Returns the sticky
-  // reason, kNone while still inside every budget.
+  // call it at depth/level boundaries with their state count (the states
+  // an exploration reached) and the arena footprint
+  // (LayeredModel::memory_footprint()). Returns the sticky reason, kNone
+  // while still inside every budget.
   TruncationReason check(std::size_t states_in_use,
                          std::size_t bytes_in_use = 0) const;
 
@@ -176,6 +179,31 @@ struct GuardSpec {
 };
 
 GuardSpec& process_guard_spec() noexcept;
+
+// Runs body(i) for i = 0, 1, ... n-1 in order and returns the length of the
+// processed prefix: every i below the returned bound ran exactly once, none
+// at or above it ran. A live guard is probed before every item; an injected
+// allocation failure (runtime/fault.hpp) thrown by body trips the state
+// budget, and the item that threw does not count. Returns n iff the guard
+// never tripped. Under Guard::none() the loop runs unprobed and injected
+// failures propagate, exactly like the unguarded call.
+template <typename Body>
+std::size_t guarded_for(const Guard& g, std::size_t n, Body&& body) {
+  if (g.never_trips()) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return n;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (g.tripped()) return i;
+    try {
+      body(i);
+    } catch (const fault::InjectedAllocError&) {
+      g.note_memory_exhausted();
+      return i;
+    }
+  }
+  return n;
+}
 
 // A Guard configured from `spec` (deadline measured from now). With an
 // empty spec the guard is limit-free but still live (fault probes apply).

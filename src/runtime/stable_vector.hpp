@@ -2,7 +2,7 @@
 //
 // The interning arenas (core/view.hpp, core/state.hpp) hand out dense ids
 // and are read on every hot-path operation — agree_modulo alone reads two
-// GlobalStates per evaluated ~s pair. Under the parallel runtime those
+// GlobalStates per evaluated ~s pair. When connections share a session those
 // reads race with appends from concurrent layer computations, and a
 // std::vector would both invalidate references on growth and trip TSan on
 // its internal bookkeeping. StableVector fixes the storage into 1024-element
@@ -110,8 +110,8 @@ class StableVector {
 //
 // There is no size(): index validity is the caller's contract. A reader must
 // have received the index through a happens-before edge with the slot's
-// write (the arenas publish ids through their shard mutex, a pool join, or a
-// program-order return value); operator[] then reads lock-free. try_get()
+// write (the arenas publish ids through their shard mutex, a thread join, or
+// a program-order return value); operator[] then reads lock-free. try_get()
 // additionally tolerates indices whose chunk was never created (returns
 // nullptr) — used only by destructors and debug sweeps.
 template <typename T>

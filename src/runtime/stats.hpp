@@ -1,9 +1,9 @@
 // Runtime instrumentation: named counters, wall-clock timers and
 // log2-bucketed histograms.
 //
-// Every subsystem that was ported onto the parallel runtime (frontier
-// expansion, the ~s/~v pair sweeps, valence classification) reports into the
-// process-wide `Stats::global()` registry. Counters, timers and histograms
+// The analysis hot paths (frontier expansion, the ~s/~v pair sweeps,
+// valence classification) report into the process-wide `Stats::global()`
+// registry. Counters, timers and histograms
 // are cheap (relaxed atomics on the hot path; the registry lock is only
 // taken on first lookup of a name), so they stay enabled in release builds;
 // a snapshot can be rendered at any point — the bench harnesses print one
@@ -86,7 +86,7 @@ class ScopedTimer {
 // bucket b >= 1 counts values v with 2^(b-1) <= v < 2^b, so the 65 buckets
 // cover the full uint64 range and a recorded latency lands in the bucket of
 // its bit width. Like Counter/Timer, record() is relaxed-atomic and safe to
-// call from any worker; a concurrent snapshot sees each recorded value in
+// call from any thread; a concurrent snapshot sees each recorded value in
 // at most one bucket (sum/count and the buckets are not read atomically as
 // a group, so totals read mid-record may transiently disagree by one).
 class Histogram {

@@ -10,7 +10,6 @@
 #include <mutex>
 
 #include "runtime/guard.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace lacon::trace {
 
@@ -43,7 +42,7 @@ std::atomic<std::uint64_t> g_dropped{0};
 // Readers (collect/export, possibly on another thread) take the chunk-list
 // mutex, read the published size with acquire, and only touch slots below
 // it — so emission stays lock-free except on the cold chunk roll, and
-// concurrent collection is race-free even while workers are still writing.
+// concurrent collection is race-free even while other threads are writing.
 class SpanBuffer {
  public:
   static constexpr std::size_t kChunkEvents = 4096;
@@ -102,8 +101,8 @@ struct ThreadState {
   std::uint32_t depth = 0;  // owner-thread-only nesting counter
 };
 
-// Live buffers plus buffers of exited threads (a worker pool rebuild via
-// set_worker_count must not lose its spans). Leaked so thread_local
+// Live buffers plus buffers of exited threads (a finished connection thread
+// must not lose its spans). Leaked so thread_local
 // destructors running at process exit still find it alive.
 struct Registry {
   std::mutex mu;
@@ -138,8 +137,6 @@ ThreadState& thread_state() {
   thread_local ThreadStateHolder holder;
   return *holder.state;
 }
-
-std::atomic<SpanSite*> g_phase{nullptr};
 
 void append_json_escaped(std::string& out, const char* text) {
   for (const char* p = text; *p != '\0'; ++p) {
@@ -263,22 +260,6 @@ void ScopedSpan::finish() noexcept {
   }
 }
 
-PhaseScope::PhaseScope(SpanSite& site, std::uint64_t arg) noexcept
-    : span_(site, arg) {
-  if (mode() != Mode::kOff) {
-    prev_ = g_phase.exchange(&site, std::memory_order_relaxed);
-    set_ = true;
-  }
-}
-
-PhaseScope::~PhaseScope() {
-  if (set_) g_phase.store(prev_, std::memory_order_relaxed);
-}
-
-SpanSite* current_phase() noexcept {
-  return g_phase.load(std::memory_order_relaxed);
-}
-
 void instant(SpanSite& site, std::uint64_t arg) noexcept {
   const Mode m = mode();
   if (m == Mode::kOff) return;
@@ -331,7 +312,7 @@ std::string chrome_trace_json() {
   const std::vector<CollectedSpan> spans = collect();
   std::string out = "{\"traceEvents\":[";
   bool first = true;
-  // Thread-name metadata so Perfetto labels the per-worker tracks.
+  // Thread-name metadata so Perfetto labels the per-thread tracks.
   std::vector<std::uint32_t> tids;
   for (const CollectedSpan& s : spans) tids.push_back(s.tid);
   std::sort(tids.begin(), tids.end());
@@ -389,7 +370,6 @@ bool write_chrome_trace(const std::string& path) {
 
 MetricsSnapshot MetricsSnapshot::capture() {
   MetricsSnapshot snap;
-  snap.workers = runtime::worker_count();
   snap.trace_mode = mode();
   const guard::GuardSpec& spec = guard::process_guard_spec();
   snap.guard_budget_ms = spec.budget_ms;
@@ -405,8 +385,6 @@ MetricsSnapshot MetricsSnapshot::capture() {
 std::string MetricsSnapshot::to_json() const {
   std::string out = "{\"schema\":\"lacon.metrics.v1\",";
   char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"workers\":%u,", workers);
-  out += buf;
   out += "\"trace_mode\":\"";
   out += trace::to_string(trace_mode);
   out += "\",";

@@ -2,21 +2,19 @@
 //
 // The Stats registry (runtime/stats.hpp) answers *what happened* — how many
 // layers expanded, how many candidate pairs the similarity index confirmed —
-// but not *when or on which worker*. This layer adds that dimension:
+// but not *when or on which thread*. This layer adds that dimension:
 //
 //  * Spans. A LACON_TRACE_SPAN(category, name) statement times the enclosing
 //    scope. In `counters` mode the duration feeds a log2-bucketed Histogram
 //    named "span.<category>.<name>"; in `spans` mode a begin/end event with
 //    thread attribution and nesting depth is additionally appended to the
-//    emitting thread's own buffer. LACON_TRACE_PHASE additionally publishes
-//    the site as the *current phase*, which the parallel runtime's chunk
-//    dispatcher inherits — so the worker-side chunks of an explore / ~s-sweep
-//    / valence section show up under that phase's name, per worker.
+//    emitting thread's own buffer. Every phase of a request runs on the
+//    thread that serves it, so a request's spans nest on one track.
 //
 //  * Exporters. chrome_trace_json() renders the collected spans as Chrome
 //    trace-event JSON (load it in Perfetto or chrome://tracing);
-//    MetricsSnapshot::capture() merges the configured worker count, the
-//    guard spec and its trip counters, every Stats counter/timer, every
+//    MetricsSnapshot::capture() merges the trace mode, the guard spec and
+//    its trip counters, every Stats counter/timer, every
 //    histogram and the span-buffer totals into one JSON document
 //    ("lacon.metrics.v1") that the bench harnesses emit next to each
 //    BENCH_*.json.
@@ -37,8 +35,8 @@
 //
 // Thread model: emission is safe from any thread at any time. collect() and
 // the exporters may run concurrently with emission (they read each buffer's
-// published prefix), but clear()/set_mode() must only run while no parallel
-// section is in flight. Buffers of exited threads are retired, not lost:
+// published prefix), but clear()/set_mode() must only run while no other
+// thread is emitting. Buffers of exited threads are retired, not lost:
 // their events stay exportable for the life of the process.
 #pragma once
 
@@ -75,8 +73,8 @@ inline Mode mode() noexcept {
   return static_cast<Mode>(m - 1);
 }
 
-// Overrides the mode (tests, harnesses). Call only while no parallel
-// section is in flight; spans already buffered are kept until clear().
+// Overrides the mode (tests, harnesses). Call only while no other thread is
+// emitting; spans already buffered are kept until clear().
 void set_mode(Mode mode) noexcept;
 
 // Sentinel for "no numeric payload attached to this span".
@@ -105,11 +103,6 @@ class ScopedSpan {
   explicit ScopedSpan(SpanSite& site, std::uint64_t arg = kNoArg) noexcept {
     if (mode() != Mode::kOff) begin(&site, arg);
   }
-  // Pointer form for dynamically-selected sites (the pool's chunk dispatcher
-  // tracing under the current phase); null site records nothing.
-  ScopedSpan(SpanSite* site, std::uint64_t arg) noexcept {
-    if (site != nullptr && mode() != Mode::kOff) begin(site, arg);
-  }
   ~ScopedSpan() {
     if (site_ != nullptr) finish();
   }
@@ -126,28 +119,6 @@ class ScopedSpan {
   std::uint64_t arg_ = kNoArg;
   std::uint32_t depth_ = 0;
 };
-
-// A span that also publishes its site as the process-wide *current phase*
-// for its lifetime. The parallel runtime's chunk dispatcher attributes
-// worker-side chunk spans to the current phase, giving per-worker
-// explore/similarity/valence spans without instrumenting every chunk body.
-// Phases follow the engine's call structure: one top-level analysis at a
-// time, nested parallel sections inherit the innermost phase.
-class PhaseScope {
- public:
-  explicit PhaseScope(SpanSite& site, std::uint64_t arg = kNoArg) noexcept;
-  ~PhaseScope();
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  ScopedSpan span_;
-  SpanSite* prev_ = nullptr;
-  bool set_ = false;
-};
-
-// The innermost live PhaseScope's site, or null outside any phase.
-SpanSite* current_phase() noexcept;
 
 // Records a zero-duration instant event (e.g. a work-steal) in spans mode;
 // in counters mode it only bumps the site histogram with a zero value.
@@ -171,7 +142,7 @@ struct CollectedSpan {
 std::vector<CollectedSpan> collect();
 
 // Drops all buffered spans (live and retired) and the dropped-span count.
-// Only call while no parallel section is in flight.
+// Only call while no other thread is emitting.
 void clear();
 
 // Totals across all buffers: events currently held / events dropped by the
@@ -190,7 +161,6 @@ bool write_chrome_trace(const std::string& path);
 // field-by-field contract. Deterministic for deterministic inputs: keys are
 // sorted, so two runs that record the same stats serialize identically.
 struct MetricsSnapshot {
-  unsigned workers = 0;
   Mode trace_mode = Mode::kOff;
   std::int64_t guard_budget_ms = 0;
   std::uint64_t guard_max_states = 0;
@@ -225,7 +195,6 @@ void write_env_artifacts();
 #if defined(LACON_TRACE_COMPILED_OUT)
 #define LACON_TRACE_SPAN(category, name) static_assert(true)
 #define LACON_TRACE_SPAN_ARG(category, name, arg_value) static_assert(true)
-#define LACON_TRACE_PHASE(category, name, arg_value) static_assert(true)
 #else
 #define LACON_TRACE_SPAN(category, name)                                   \
   static constinit ::lacon::trace::SpanSite LACON_TRACE_CAT(               \
@@ -238,13 +207,6 @@ void write_env_artifacts();
       lacon_trace_site_, __LINE__){category, name};                        \
   const ::lacon::trace::ScopedSpan LACON_TRACE_CAT(                        \
       lacon_trace_span_, __LINE__){                                        \
-      LACON_TRACE_CAT(lacon_trace_site_, __LINE__),                        \
-      static_cast<std::uint64_t>(arg_value)}
-#define LACON_TRACE_PHASE(category, name, arg_value)                       \
-  static constinit ::lacon::trace::SpanSite LACON_TRACE_CAT(               \
-      lacon_trace_site_, __LINE__){category, name};                        \
-  const ::lacon::trace::PhaseScope LACON_TRACE_CAT(                        \
-      lacon_trace_phase_, __LINE__){                                       \
       LACON_TRACE_CAT(lacon_trace_site_, __LINE__),                        \
       static_cast<std::uint64_t>(arg_value)}
 #endif

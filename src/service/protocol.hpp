@@ -29,7 +29,7 @@
 // their own budgets — exactly the Partial<T> contract the engine layers
 // already honor. Handling is thread-safe: the arenas, layer cache and
 // valence memo are concurrent by construction, so requests against the same
-// session run in parallel.
+// session run concurrently, one connection thread each.
 #pragma once
 
 #include <condition_variable>

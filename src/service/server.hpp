@@ -2,12 +2,12 @@
 //
 // One listening AF_UNIX stream socket, one thread per accepted connection,
 // newline-delimited requests in / responses out (service/protocol.hpp).
-// Thread-per-connection is the right weight class here: each request fans
-// out over the work-stealing pool internally, and concurrent parallel
-// sections from multiple threads are an explicitly supported mode of the
-// runtime (runtime/parallel.hpp) — so two clients analyzing the same
+// Thread-per-connection is the whole concurrency model: every request runs
+// start to finish on the thread that serves its connection, and the
+// analysis spawns no threads of its own. Two clients analyzing the same
 // session genuinely share the interned space, the layer cache and the
-// valence memo while each keeps its own per-request guard.
+// valence memo, which are concurrent by construction, while each keeps its
+// own per-request guard.
 //
 // Fault posture: connection threads never block indefinitely — reads go
 // through poll with a short tick, so stop() always returns promptly even

@@ -6,8 +6,8 @@
 //
 // `load` warm-starts a model from an existing snapshot before analysis,
 // `save` writes one after analysis, `loadsave` does both (load if present,
-// save what the run added). Parsing follows the LACON_THREADS contract
-// (runtime/thread_pool.hpp): a malformed value earns one stderr warning per
+// save what the run added). Parsing follows the LACON_TRACE contract
+// (runtime/trace.hpp): a malformed value earns one stderr warning per
 // process and falls back to the default — it never aborts and never
 // silently changes meaning. The parse_* functions are pure (testable
 // without touching the environment); mode()/dir() read the environment on

@@ -373,7 +373,7 @@ Result Wal::replay(LayeredModel& model, ValenceEngine* engine,
                    LemmaStore* lemmas, WalReplayStats* stats_out) {
   auto& stats = runtime::Stats::global();
   runtime::ScopedTimer timer(stats.timer("wal.replay_time"));
-  LACON_TRACE_PHASE("store", "wal_replay", log_end_ - header_end_);
+  LACON_TRACE_SPAN_ARG("store", "wal_replay", log_end_ - header_end_);
 
   WalReplayStats rs;
   if (fd_ < 0) return fail(Status::kIoError, "wal not open");

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/hash_index.hpp"
 #include "core/state.hpp"
 #include "core/view.hpp"
 #include "runtime/fault.hpp"
@@ -71,6 +72,27 @@ TEST(WordPoolTest, RegionsNeverSpanChunks) {
   }
 }
 
+// Distinct content can share a 64-bit hash: the index must keep every id
+// stored under it, let the caller's equality pick among them, and keep
+// them all through growth and wrap-around probing.
+TEST(HashIndexTest, CollidingHashesKeepEveryId) {
+  HashIndex<std::uint32_t> index;
+  EXPECT_FALSE(index.find(7, [](std::uint32_t) { return true; }));
+  constexpr std::uint32_t kIds = 1000;
+  for (std::uint32_t id = 0; id < kIds; ++id) {
+    index.insert(id % 3 == 0 ? 42 : mix64(id), id);  // a third collide
+  }
+  for (std::uint32_t id = 0; id < kIds; ++id) {
+    const std::uint64_t h = id % 3 == 0 ? 42 : mix64(id);
+    const auto found =
+        index.find(h, [id](std::uint32_t candidate) { return candidate == id; });
+    ASSERT_TRUE(found.has_value()) << id;
+    EXPECT_EQ(*found, id);
+  }
+  EXPECT_FALSE(index.find(42, [](std::uint32_t id) { return id % 3 != 0; }));
+  EXPECT_FALSE(index.find(mix64(kIds), [](std::uint32_t) { return true; }));
+}
+
 TEST(StateArenaTest, FlatStorageRoundTrips) {
   StateArena arena;
   for (std::uint64_t i = 0; i < 64; ++i) {
@@ -106,8 +128,8 @@ TEST(StateArenaTest, ApproxBytesIsMonotoneAndContentDeterministic) {
     last = a1.approx_bytes();
   }
   // Same content set in a different order: identical accounting. This is
-  // the invariant the guard's memory budget rests on (truncation depth is
-  // identical for every worker count).
+  // the invariant the guard's memory budget rests on (it reads the same
+  // total however concurrent interns interleave).
   for (std::uint64_t i = 200; i-- > 0;) a2.intern(make_state(i));
   EXPECT_EQ(a1.approx_bytes(), a2.approx_bytes());
   // Re-interning existing content adds nothing.

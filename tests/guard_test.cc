@@ -1,11 +1,10 @@
 // lacon::guard — budgets, cooperative cancellation, graceful partial
 // results, deterministic fault injection.
 //
-// The load-bearing assertions are the determinism-of-truncation ones: a
-// budget-truncated exploration returns the *same* Partial (same depth, same
-// level contents) under LACON_THREADS=1 and under 4 workers, and a
-// deadline-truncated oversized exploration truncates at the same level
-// boundary in both configurations.
+// The load-bearing assertions are the truncation-shape ones: a
+// budget-truncated exploration returns complete levels only, at the depth
+// where its own reached set first exceeds the budget, and a
+// deadline-truncated oversized exploration stops at a level boundary.
 
 #include <gtest/gtest.h>
 
@@ -25,8 +24,6 @@
 #include "relation/similarity.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/guard.hpp"
-#include "runtime/parallel.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace lacon {
 namespace {
@@ -36,8 +33,8 @@ using guard::Guard;
 using guard::Partial;
 using guard::TruncationReason;
 
-// Content-determined rendering of a state (raw ids race across worker
-// counts; the rendered terms do not) — mirrors runtime_test.cc.
+// Content-determined rendering of a state (raw ids depend on intern order;
+// the rendered terms do not).
 std::string state_fingerprint(LayeredModel& model, StateId x) {
   const StateRef s = model.state(x);
   std::string out = "env[" + model.env_to_string(x);
@@ -157,26 +154,27 @@ TEST(FaultPlanTest, FiringScheduleIsAFunctionOfSeedSiteAndProbeIndex) {
   fault::FaultPlan b(20260805, 0.5);
   std::vector<bool> fires_a, fires_b;
   for (int k = 0; k < 64; ++k) {
-    fires_a.push_back(a.fire(fault::Site::kTaskBody));
-    fires_b.push_back(b.fire(fault::Site::kTaskBody));
+    fires_a.push_back(a.fire(fault::Site::kArenaAlloc));
+    fires_b.push_back(b.fire(fault::Site::kArenaAlloc));
   }
   EXPECT_EQ(fires_a, fires_b);
-  EXPECT_GT(a.fired(fault::Site::kTaskBody), 0u);  // rate 0.5 over 64 draws
-  EXPECT_LT(a.fired(fault::Site::kTaskBody), 64u);
-  EXPECT_EQ(64u, a.probes(fault::Site::kTaskBody));
+  EXPECT_GT(a.fired(fault::Site::kArenaAlloc), 0u);  // rate 0.5 over 64 draws
+  EXPECT_LT(a.fired(fault::Site::kArenaAlloc), 64u);
+  EXPECT_EQ(64u, a.probes(fault::Site::kArenaAlloc));
   // Different seed, different schedule (overwhelmingly likely over 64 draws).
   fault::FaultPlan c(777, 0.5);
   std::vector<bool> fires_c;
-  for (int k = 0; k < 64; ++k) fires_c.push_back(c.fire(fault::Site::kTaskBody));
+  for (int k = 0; k < 64; ++k) {
+    fires_c.push_back(c.fire(fault::Site::kArenaAlloc));
+  }
   EXPECT_NE(fires_a, fires_c);
 }
 
 TEST(FaultPlanTest, SiteMaskRestrictsFiring) {
-  fault::FaultPlan plan(1, 1.0,
-                        1u << static_cast<unsigned>(fault::Site::kTaskBody));
-  EXPECT_TRUE(plan.fire(fault::Site::kTaskBody));
+  fault::FaultPlan plan(
+      1, 1.0, 1u << static_cast<unsigned>(fault::Site::kGuardBudget));
+  EXPECT_TRUE(plan.fire(fault::Site::kGuardBudget));
   EXPECT_FALSE(plan.fire(fault::Site::kArenaAlloc));
-  EXPECT_FALSE(plan.fire(fault::Site::kGuardBudget));
 }
 
 TEST(FaultPlanTest, RateZeroNeverFiresRateOneAlwaysFires) {
@@ -212,10 +210,10 @@ TEST(FaultScopeTest, InstallsAndRemovesPlan) {
   {
     fault::FaultScope scope(42, 1.0);
     EXPECT_EQ(&scope.plan(), fault::active_plan());
-    EXPECT_TRUE(fault::fire(fault::Site::kTaskBody));
+    EXPECT_TRUE(fault::fire(fault::Site::kGuardBudget));
   }
   EXPECT_EQ(nullptr, fault::active_plan());
-  EXPECT_FALSE(fault::fire(fault::Site::kTaskBody));  // off when no plan
+  EXPECT_FALSE(fault::fire(fault::Site::kGuardBudget));  // off when no plan
 }
 
 // ---------------------------------------------------------------------------
@@ -224,63 +222,49 @@ TEST(FaultScopeTest, InstallsAndRemovesPlan) {
 // Oversized on purpose: the asynchronous message-passing layering at n = 8
 // has |Con_0| = 256 and hundreds of thousands of actions per layer, far
 // beyond a 100 ms budget. The exploration must return a Partial that holds
-// exactly the complete levels — identically under 1 and 4 workers.
+// exactly the complete levels — here only Con_0.
 TEST(GuardedExploreTest, OversizedDeadlineTruncatesIdenticallyAcrossWorkers) {
-  struct Run {
-    std::vector<std::vector<std::string>> levels;
-    std::size_t completed;
-    TruncationReason reason;
-  };
-  const auto run_with_workers = [](unsigned workers) {
-    runtime::WorkerCountOverride scoped_workers(workers);
-    auto rule = min_after_round(2);
-    auto model = make_model(ModelKind::kMsgPass, 8, 1, *rule);
-    Guard g;
-    g.with_deadline(std::chrono::milliseconds(100));
-    const auto partial = reachable_by_depth(*model, 6, g);
-    return Run{level_fingerprints(*model, partial.value), partial.completed,
-               partial.truncation};
-  };
-  const Run serial = run_with_workers(1);
-  const Run parallel = run_with_workers(4);
-  EXPECT_EQ(TruncationReason::kDeadline, serial.reason);
-  EXPECT_EQ(TruncationReason::kDeadline, parallel.reason);
-  EXPECT_EQ(serial.completed, parallel.completed);
-  EXPECT_EQ(serial.levels, parallel.levels);
+  auto rule = min_after_round(2);
+  auto model = make_model(ModelKind::kMsgPass, 8, 1, *rule);
+  Guard g;
+  g.with_deadline(std::chrono::milliseconds(100));
+  const auto partial = reachable_by_depth(*model, 6, g);
+  EXPECT_EQ(TruncationReason::kDeadline, partial.truncation);
   // 100 ms cannot finish even one n=8 message-passing layer.
-  EXPECT_EQ(0u, serial.completed);
-  ASSERT_EQ(1u, serial.levels.size());
+  EXPECT_EQ(0u, partial.completed);
+  ASSERT_EQ(1u, partial.value.size());
   // {0,1}^8 inputs: 256 initial states, folding to the 9 Hamming-weight
   // orbits when the quotient is on (msgpass declares full symmetry).
-  EXPECT_EQ(sym::enabled() ? 9u : 256u, serial.levels[0].size());
+  EXPECT_EQ(sym::enabled() ? 9u : 256u, partial.value[0].size());
 }
 
-// The state budget is evaluated only at depth boundaries, where the arena
-// population is scheduling-independent: the truncation depth and every
-// returned level must match exactly across worker counts.
+// The state budget is evaluated only at depth boundaries, against the
+// states this exploration reached: the truncation depth and every returned
+// level are a function of the request alone. mobile n=4 has 16 initial
+// states and 208 more at depth 1, so a budget of 50 admits the depth-1
+// expansion (16 <= 50) and stops at the next boundary (224 > 50).
 TEST(GuardedExploreTest, StateBudgetTruncatesDeterministicallyAcrossWorkers) {
-  struct Run {
-    std::vector<std::vector<std::string>> levels;
-    std::size_t completed;
-    TruncationReason reason;
-  };
-  const auto run_with_workers = [](unsigned workers) {
-    runtime::WorkerCountOverride scoped_workers(workers);
-    auto rule = min_after_round(2);
-    auto model = make_model(ModelKind::kMobile, 4, 1, *rule);
+  auto rule = min_after_round(2);
+  const auto run = [&rule](LayeredModel& model) {
     Guard g;
     g.with_state_budget(50);
-    const auto partial = reachable_by_depth(*model, 5, g);
-    return Run{level_fingerprints(*model, partial.value), partial.completed,
-               partial.truncation};
+    return reachable_by_depth(model, 5, g);
   };
-  const Run serial = run_with_workers(1);
-  const Run parallel = run_with_workers(4);
-  EXPECT_EQ(TruncationReason::kStateBudget, serial.reason);
-  EXPECT_EQ(serial.reason, parallel.reason);
-  EXPECT_EQ(serial.completed, parallel.completed);
-  EXPECT_EQ(serial.levels, parallel.levels);
-  EXPECT_GE(serial.completed, 1u);  // |Con_0| = 16 <= 50: depth 1 happens
+  auto model = make_model(ModelKind::kMobile, 4, 1, *rule);
+  const auto partial = run(*model);
+  EXPECT_EQ(TruncationReason::kStateBudget, partial.truncation);
+  EXPECT_EQ(1u, partial.completed);  // |Con_0| = 16 <= 50: depth 1 happens
+  ASSERT_EQ(2u, partial.value.size());
+  EXPECT_EQ(16u, partial.value[0].size());
+  EXPECT_EQ(208u, partial.value[1].size());
+  // A model that earlier calls already populated truncates identically.
+  auto warm = make_model(ModelKind::kMobile, 4, 1, *rule);
+  reachable_by_depth(*warm, 3);
+  const auto again = run(*warm);
+  EXPECT_EQ(partial.truncation, again.truncation);
+  EXPECT_EQ(partial.completed, again.completed);
+  EXPECT_EQ(level_fingerprints(*model, partial.value),
+            level_fingerprints(*warm, again.value));
 }
 
 TEST(GuardedExploreTest, GenerousGuardMatchesUnguardedResult) {
@@ -333,7 +317,6 @@ TEST(GuardedExploreTest, MidRunCancellationStopsAnOversizedExploration) {
 }
 
 TEST(GuardedClassifyTest, TruncatedClassificationIsAValidPrefix) {
-  runtime::WorkerCountOverride scoped_workers(1);  // deterministic probes
   auto rule = min_after_round(2);
   auto model = make_model(ModelKind::kMobile, 3, 1, *rule);
   const auto& con0 = model->initial_states();
@@ -495,23 +478,6 @@ TEST(FaultSiteTest, ArenaAllocFaultPropagatesWithoutGuard) {
   EXPECT_THROW(model->initial_states(), fault::InjectedAllocError);
 }
 
-TEST(FaultSiteTest, TaskBodyFaultPropagatesAndPoolStaysUsable) {
-  runtime::WorkerCountOverride scoped_workers(4);
-  {
-    fault::FaultScope scope(
-        7, 1.0, 1u << static_cast<unsigned>(fault::Site::kTaskBody));
-    EXPECT_THROW(
-        runtime::parallel_for(1000, [](std::size_t) {}),
-        fault::InjectedFault);
-  }
-  // The pool survives the injected failure and runs the next section.
-  std::atomic<std::size_t> count{0};
-  runtime::parallel_for(1000, [&](std::size_t) {
-    count.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(1000u, count.load());
-}
-
 // Soak: a seeded plan over all sites at a moderate rate, driving a full
 // analysis pipeline. Asserts crash-freedom and well-formed partials, not
 // specific values — ci.sh re-runs this under TSan/ASan with
@@ -519,9 +485,8 @@ TEST(FaultSiteTest, TaskBodyFaultPropagatesAndPoolStaysUsable) {
 TEST(FaultSoak, GuardedPipelineSurvivesSeededInjection) {
   fault::FaultConfig config{20260805, 0.02};
   if (const auto env = fault::config_from_env()) config = *env;
-  for (unsigned workers : {1u, 4u}) {
-    runtime::WorkerCountOverride scoped_workers(workers);
-    fault::FaultScope scope(config.seed + workers, config.rate);
+  for (std::uint64_t seed_offset : {1u, 4u}) {
+    fault::FaultScope scope(config.seed + seed_offset, config.rate);
     auto rule = min_after_round(2);
     auto model = make_model(ModelKind::kMobile, 3, 1, *rule);
     Guard g;

@@ -257,6 +257,35 @@ TEST(HandleLineTest, StateBudgetTruncates) {
   EXPECT_LT(sizes.size(), 4u);
 }
 
+// max_states counts the states this request's exploration reaches, not the
+// shared session arena: a request that needs nothing new answers the same
+// after another client filled the session with a deeper exploration.
+TEST(HandleLineTest, StateBudgetIgnoresEarlierRequests) {
+  const std::string budgeted =
+      "{\"id\":1,\"model\":\"mobile\",\"n\":4,\"depth\":1,"
+      "\"max_states\":1000}";
+  SessionManager sessions;
+  const auto fresh = Json::parse(handle_line(sessions, budgeted));
+  const auto deep = Json::parse(handle_line(
+      sessions,
+      "{\"id\":2,\"model\":\"mobile\",\"n\":4,\"depth\":3,"
+      "\"query\":\"layers\"}"));
+  const auto warm = Json::parse(handle_line(sessions, budgeted));
+  ASSERT_TRUE(fresh.has_value() && deep.has_value() && warm.has_value());
+  EXPECT_EQ(find_path(*deep, {"status"})->as_string(), "ok");
+  EXPECT_GT(find_path(*deep, {"metrics", "states"})->as_number(), 1000.0);
+  EXPECT_EQ(find_path(*fresh, {"status"})->as_string(), "ok");
+  EXPECT_EQ(find_path(*warm, {"status"})->as_string(),
+            find_path(*fresh, {"status"})->as_string());
+  EXPECT_EQ(find_path(*warm, {"result"})->dump(),
+            find_path(*fresh, {"result"})->dump());
+  const Json::Array& sizes =
+      find_path(*warm, {"result", "level_sizes"})->as_array();
+  ASSERT_EQ(sizes.size(), 2u);
+  EXPECT_EQ(sizes[0].as_number(), 16.0);
+  EXPECT_EQ(sizes[1].as_number(), 208.0);
+}
+
 TEST(HandleLineTest, MetricsSnapshotEmbedsWhenAsked) {
   SessionManager sessions;
   const std::string response = handle_line(
@@ -405,29 +434,45 @@ TEST_F(ServerTest, ConcurrentBudgetedAndUnbudgetedClients) {
   EXPECT_EQ(server_->sessions().session_count(), 1u);
 }
 
+// The daemon's only concurrency: eight connections write one cold session
+// at once with all four query kinds, so the arenas, the layer cache, the
+// valence memo and the fingerprint-row memo take concurrent inserts. Every
+// answer must equal the same request answered alone by a fresh session.
 TEST_F(ServerTest, ManyConcurrentClientsShareOneSession) {
   constexpr int kClients = 8;
+  const char* const kQueries[] = {"layers", "valence", "diameter",
+                                  "similarity"};
+  const auto request = [&kQueries](int i) {
+    return "{\"id\":" + std::to_string(i) +
+           ",\"model\":\"mobile\",\"depth\":2,\"query\":\"" +
+           kQueries[i % 4] + "\"}";
+  };
   std::vector<std::thread> clients;
   std::vector<std::string> responses(kClients);
   for (int i = 0; i < kClients; ++i) {
-    clients.emplace_back([this, i, &responses] {
+    clients.emplace_back([this, i, &request, &responses] {
       std::string error;
-      ASSERT_TRUE(Server::request(
-          socket_path_,
-          "{\"id\":" + std::to_string(i) +
-              ",\"model\":\"mobile\",\"depth\":2,\"query\":\"valence\"}",
-          &responses[static_cast<std::size_t>(i)], &error))
+      ASSERT_TRUE(Server::request(socket_path_, request(i),
+                                  &responses[static_cast<std::size_t>(i)],
+                                  &error))
           << error;
     });
   }
   for (std::thread& t : clients) t.join();
   for (int i = 0; i < kClients; ++i) {
     const auto doc = Json::parse(responses[static_cast<std::size_t>(i)]);
-    ASSERT_TRUE(doc.has_value());
+    ASSERT_TRUE(doc.has_value()) << responses[static_cast<std::size_t>(i)];
     EXPECT_EQ(find_path(*doc, {"status"})->as_string(), "ok");
     EXPECT_EQ(find_path(*doc, {"id"})->as_number(), static_cast<double>(i));
-    // Identical query → identical classified count on every connection.
-    EXPECT_EQ(find_path(*doc, {"result", "classified"})->as_number(), 392.0);
+    SessionManager alone;
+    const auto reference = Json::parse(handle_line(alone, request(i)));
+    ASSERT_TRUE(reference.has_value());
+    EXPECT_EQ(find_path(*doc, {"result"})->dump(),
+              find_path(*reference, {"result"})->dump())
+        << kQueries[i % 4];
+    if (i % 4 == 1) {  // valence: every depth-2 state of mobile n=3
+      EXPECT_EQ(find_path(*doc, {"result", "classified"})->as_number(), 392.0);
+    }
   }
   EXPECT_EQ(server_->sessions().session_count(), 1u);
 }

@@ -945,7 +945,7 @@ TEST_F(StoreTest, LemmaFactsSurviveWalReplay) {
   expect_same_facts(warm.export_facts(), written);
 }
 
-// --- env knob parsing (the LACON_THREADS warn-once contract) --------------
+// --- env knob parsing (the warn-once contract) ----------------------------
 
 TEST(StoreEnvTest, ParseModeKeywords) {
   using store::Mode;

@@ -1,10 +1,10 @@
 // Tests for lacon::trace (src/runtime/trace.{hpp,cc}) and the span
 // Histogram (src/runtime/stats.hpp): bucket boundaries, the off-mode
 // emits-nothing contract, span nesting and thread attribution as seen
-// through the Chrome trace-event export, MetricsSnapshot determinism
-// across worker counts, and a kTaskBody fault soak with tracing on (ci.sh
-// re-runs this binary under TSan and ASan with LACON_TRACE=spans, which is
-// what proves the span-buffer publish protocol race-free).
+// through the Chrome trace-event export, MetricsSnapshot determinism, and
+// an injected-allocation-failure soak with tracing on (ci.sh re-runs this
+// binary under TSan and ASan with LACON_TRACE=spans, which is what proves
+// the span-buffer publish protocol race-free).
 //
 // Mode is process-global state, so every test that flips it restores
 // Mode::kOff and clears the buffers on exit; tests in this binary are safe
@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -24,16 +23,13 @@
 #include "analysis/reports.hpp"
 #include "engine/explore.hpp"
 #include "runtime/fault.hpp"
-#include "runtime/parallel.hpp"
 #include "runtime/stats.hpp"
-#include "runtime/thread_pool.hpp"
 #include "runtime/trace.hpp"
 
 namespace lacon {
 namespace {
 
 using runtime::Histogram;
-using runtime::WorkerCountOverride;
 
 // RAII mode override: set, and on exit drop buffered spans and restore off.
 class ModeGuard {
@@ -194,48 +190,29 @@ TEST(TraceSpans, DistinctThreadsGetDistinctTids) {
   EXPECT_EQ(tids.size(), 3u);
 }
 
-TEST(TraceSpans, PhaseScopeNamesWorkerChunks) {
-  ModeGuard mode(trace::Mode::kSpans);
-  WorkerCountOverride workers(4);
-  trace::clear();
-  {
-    LACON_TRACE_PHASE("test", "phased", 64);
-    std::atomic<std::size_t> count{0};
-    runtime::parallel_for(64, [&](std::size_t) {
-      count.fetch_add(1, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(count.load(), 64u);
-  }
-  const std::vector<trace::CollectedSpan> spans = trace::collect();
-  // The phase span itself plus one chunk span per executed chunk, all
-  // attributed to the phase's site name.
-  std::size_t phased = 0;
-  for (const auto& s : spans) {
-    if (std::string_view(s.name) == "phased") ++phased;
-  }
-  EXPECT_GE(phased, 2u) << "chunk spans did not inherit the phase name";
-  EXPECT_EQ(trace::current_phase(), nullptr);
-}
-
-// Serial attribution: at one worker the layer computations still run in
-// explore's expand phase, so their time is charged to explore.expand and
-// the merge only walks the cached layers.
+// Explore runs one pass per level, so computing the layers and keeping
+// their new states are both charged to explore.expand, one span per level.
 TEST(TraceSpans, SerialExploreChargesLayerWorkToExpand) {
   ModeGuard mode(trace::Mode::kSpans);
-  WorkerCountOverride workers(1);
   trace::clear();
   auto rule = min_after_round(2);
   auto model = make_model(ModelKind::kMobile, 4, 1, *rule);
   reachable_by_depth(*model, 3);
   std::uint64_t expand_ns = 0;
-  std::uint64_t merge_ns = 0;
+  std::size_t expand_spans = 0;
+  std::size_t other_explore_spans = 0;
   for (const trace::CollectedSpan& s : trace::collect()) {
     if (s.is_instant || std::string_view(s.category) != "explore") continue;
-    if (std::string_view(s.name) == "expand") expand_ns += s.dur_ns;
-    if (std::string_view(s.name) == "merge") merge_ns += s.dur_ns;
+    if (std::string_view(s.name) == "expand") {
+      expand_ns += s.dur_ns;
+      ++expand_spans;
+    } else {
+      ++other_explore_spans;
+    }
   }
-  EXPECT_GT(merge_ns, 0u);
-  EXPECT_GT(expand_ns, merge_ns);
+  EXPECT_EQ(expand_spans, 3u);  // one per level
+  EXPECT_EQ(other_explore_spans, 0u);
+  EXPECT_GT(expand_ns, 0u);
 }
 
 TEST(TraceSpans, ChromeExportCarriesEventsAndThreadNames) {
@@ -269,72 +246,44 @@ TEST(MetricsSnapshot, JsonIsDeterministicForFixedStats) {
   EXPECT_NE(a.find("\"span.test.outer\""), std::string::npos);
 }
 
-// The analysis counters in the snapshot must not depend on the worker
-// count: the engine's determinism contract extends to its observability.
-TEST(MetricsSnapshot, EngineCountersMatchAcrossWorkerCounts) {
-  auto run_and_grab = [](unsigned workers) {
-    WorkerCountOverride scoped(workers);
-    runtime::Stats::global().reset();
-    static const auto rule = min_when_all_known(1);  // outlives the model
-    auto model = make_model(ModelKind::kMobile, 3, 1, *rule);
-    reachable_by_depth(*model, 2);
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
-    for (const runtime::StatSample& s :
-         runtime::Stats::global().snapshot()) {
-      // Pool scheduling counters vary with the worker count by design, and
-      // so do the arena contention counters (shard_waits counts try-lock
-      // failures; racing idempotent layer computations add extra
-      // hit-interns). Everything the *engine* counts must not.
-      if (s.is_timer || s.name.rfind("pool.", 0) == 0 ||
-          s.name.rfind("arena.", 0) == 0) {
-        continue;
-      }
-      counters.emplace_back(s.name, s.value);
-    }
-    return counters;
-  };
-  const auto serial = run_and_grab(1);
-  const auto parallel = run_and_grab(4);
-  EXPECT_EQ(serial, parallel);
-  runtime::Stats::global().reset();
-}
-
 // --- Fault soak with tracing on ----------------------------------------
 
-// A task-body fault mid-section must not corrupt the span buffers: the
-// throwing chunk's span unwinds, the section rethrows, and both tracing
-// and the pool stay usable. Under TSan/ASan (ci.sh soak) this doubles as
-// the race/leak check for the unwind path.
+// An injected allocation failure mid-exploration must not corrupt the span
+// buffers: the failing intern unwinds through the live expand span (the
+// unguarded call propagates it), and tracing stays usable afterwards. Under
+// TSan/ASan (ci.sh soak) this doubles as the race/leak check for the unwind
+// path.
 TEST(TraceFaultSoak, TaskBodyFaultsWithTracingOn) {
   ModeGuard mode(trace::Mode::kSpans);
   std::uint64_t seed = 20260805;
   if (const auto env = fault::config_from_env()) seed = env->seed;
-  for (unsigned workers : {1u, 4u}) {
-    WorkerCountOverride scoped(workers);
-    trace::clear();
-    {
-      fault::FaultScope scope(
-          seed, 1.0, 1u << static_cast<unsigned>(fault::Site::kTaskBody));
-      LACON_TRACE_PHASE("test", "soak", 400);
-      EXPECT_THROW(runtime::parallel_for(400, [](std::size_t) {}),
-                   fault::InjectedFault)
-          << "workers=" << workers;
-    }
-    // Tracing still works after the unwind...
-    {
-      trace::ScopedSpan span(g_outer_site);
-      std::atomic<std::size_t> count{0};
-      runtime::parallel_for(100, [&](std::size_t) {
-        count.fetch_add(1, std::memory_order_relaxed);
-      });
-      EXPECT_EQ(count.load(), 100u) << "workers=" << workers;
-    }
-    // ...and the collected events are well-formed (every span closed).
-    for (const trace::CollectedSpan& s : trace::collect()) {
-      EXPECT_NE(s.name, nullptr);
-      if (!s.is_instant) {
-        EXPECT_GE(s.dur_ns, 0u);
-      }
+  trace::clear();
+  auto rule = min_after_round(2);
+  auto model = make_model(ModelKind::kMobile, 3, 1, *rule);
+  model->initial_states();  // interned before the plan: Con_0 is cached
+  {
+    fault::FaultScope scope(
+        seed, 1.0, 1u << static_cast<unsigned>(fault::Site::kArenaAlloc));
+    trace::ScopedSpan outer(g_outer_site);
+    EXPECT_THROW(reachable_by_depth(*model, 2), fault::InjectedAllocError);
+  }
+  bool unwound_expand = false;
+  for (const trace::CollectedSpan& s : trace::collect()) {
+    if (std::string_view(s.name) == "expand") unwound_expand = true;
+  }
+  EXPECT_TRUE(unwound_expand) << "the failure did not cross a live span";
+  // Tracing still works after the unwind...
+  { trace::ScopedSpan span(g_inner_site); }
+  const std::vector<trace::CollectedSpan> spans = trace::collect();
+  EXPECT_TRUE(std::any_of(spans.begin(), spans.end(), [](const auto& s) {
+    return std::string_view(s.name) == "inner";
+  }));
+  // ...and the collected events are well-formed (every span closed, depths
+  // back to zero at top level).
+  for (const trace::CollectedSpan& s : spans) {
+    EXPECT_NE(s.name, nullptr);
+    if (std::string_view(s.name) == "inner") {
+      EXPECT_EQ(s.depth, 0u);
     }
   }
 }
