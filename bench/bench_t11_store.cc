@@ -26,6 +26,7 @@
 
 #include "analysis/reports.hpp"
 #include "engine/explore.hpp"
+#include "engine/lemma_store.hpp"
 #include "engine/valence.hpp"
 #include "relation/similarity.hpp"
 #include "runtime/stats.hpp"
@@ -156,10 +157,11 @@ void BM_Save(benchmark::State& state, const Workload& w) {
 }
 
 // One WAL commit of the entire workload delta (record encode + write +
-// fsync): the per-request durability tax laconrd pays with LACON_WAL=on,
-// measured at its worst case (a cold session's first commit; steady-state
-// records are far smaller). reset_to() rewinds the watermarks each
-// iteration so the same content re-appends as a fresh record.
+// fsync): a cold session's first commit under LACON_WAL=on, the largest
+// record a request writes (steady-state records are far smaller). Each
+// iteration's reset_to(0, 0, ...) declares that nothing is on disk, which
+// queues every cache entry again, so the same content re-appends as a
+// fresh record.
 void BM_WalAppend(benchmark::State& state, const Workload& w) {
   Instance inst = make_instance(w);
   run_analysis(inst, w);
@@ -241,6 +243,37 @@ void BM_WalSerialCommit(benchmark::State& state, const Workload& w) {
   }
   state.counters["fsyncs_per_round"] = static_cast<double>(kCommitClients);
   state.counters["round_bytes"] = static_cast<double>(wal.log_bytes());
+}
+
+// A commit that finds nothing new, as after every warm read under
+// LACON_WAL=on: one pass over the empty queues, no write, no fsync. The
+// session is durable_mix's p50 class (mobile n=4, depth 3, horizon 4, with
+// a lemma store), analyzed and committed once before the loop.
+void BM_WalNoopCommit(benchmark::State& state) {
+  const Workload w{"mobile_n4_d3", 4, 3, 4, true};
+  auto rule = min_after_round(2);
+  auto model = make_model(ModelKind::kMobile, w.n, 1, *rule);
+  LemmaStore lemmas;
+  ValenceEngine engine(*model, w.horizon, default_exactness(ModelKind::kMobile),
+                       &lemmas);
+  const std::string path = snapshot_file(kAnalyze) + ".noop.wal";
+  store::Wal wal;
+  store::Result r = wal.open(*model, path);
+  if (r.ok()) r = wal.replay(*model, &engine, &lemmas);
+  if (!r.ok()) state.SkipWithError(r.detail.c_str());
+  const auto levels = reachable_by_depth(*model, w.depth);
+  engine.classify_all(levels.back());
+  r = wal.append(*model, &engine, &lemmas);
+  if (!r.ok()) state.SkipWithError(r.detail.c_str());
+  const std::uint64_t records = wal.records_appended();
+  for (auto _ : state) {
+    r = wal.append(*model, &engine, &lemmas);
+    if (!r.ok()) state.SkipWithError(r.detail.c_str());
+  }
+  if (wal.records_appended() != records) {
+    state.SkipWithError("a no-op commit appended a record");
+  }
+  state.counters["states"] = static_cast<double>(model->num_states());
 }
 
 // Crash recovery itself: replaying that record into an empty model —
@@ -352,6 +385,9 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark(
       (std::string("BM_WalSerialCommit/") + lacon::kAnalyze.tag).c_str(),
       [](benchmark::State& s) { lacon::BM_WalSerialCommit(s, lacon::kAnalyze); })
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("BM_WalNoopCommit/mobile_n4_d3",
+                               lacon::BM_WalNoopCommit)
       ->Unit(benchmark::kMillisecond);
   lacon::register_workloads("BM_WalReplay", lacon::BM_WalReplay);
   lacon::benchflags::add_json_context();

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Bench regression gate: compare a google-benchmark JSON against a committed
-baseline and fail on real_time regressions beyond a threshold.
+baseline and fail on real_time regressions beyond a threshold, or on any
+change in a content-size counter.
 
 Usage:
     bench/compare_baseline.py BASELINE.json CURRENT.json \
@@ -23,6 +24,11 @@ under --floor-ms are skipped too: at smoke budgets the sub-floor rows are
 dominated by scheduler noise, not code, and a 25%% swing there is
 meaningless. The floor is deliberately small next to the arena benches
 (~5-40 ms) it guards.
+
+Counters named `*_bytes` (snapshot file size, WAL record bytes) measure
+content, not time, so they are compared exactly, floor or not: a row in
+both files whose `*_bytes` counter differs fails the gate. A counter that
+only one of the two rows carries is ignored.
 """
 
 import argparse
@@ -32,16 +38,24 @@ import sys
 _UNIT_TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 
 
-def load_times_ms(path):
+def load_rows(path):
+    """Benchmark name -> row, aggregate rows skipped."""
     with open(path) as f:
         doc = json.load(f)
-    times = {}
-    for row in doc.get("benchmarks", []):
-        if row.get("run_type") == "aggregate":
-            continue
-        name = row["name"]
-        times[name] = row["real_time"] * _UNIT_TO_MS[row.get("time_unit", "ns")]
-    return times
+    return {row["name"]: row for row in doc.get("benchmarks", [])
+            if row.get("run_type") != "aggregate"}
+
+
+def time_ms(row):
+    return row["real_time"] * _UNIT_TO_MS[row.get("time_unit", "ns")]
+
+
+def byte_mismatches(base_row, cur_row):
+    """(counter, baseline, current) for each shared *_bytes counter that
+    differs between the two rows."""
+    return [(key, base_row[key], cur_row[key])
+            for key in sorted(set(base_row) & set(cur_row))
+            if key.endswith("_bytes") and base_row[key] != cur_row[key]]
 
 
 def load_phase_timers_ms(path):
@@ -83,15 +97,21 @@ def main():
                     help="current MetricsSnapshot for the phase diff")
     args = ap.parse_args()
 
-    base = load_times_ms(args.baseline)
-    cur = load_times_ms(args.current)
-    shared = sorted(set(base) & set(cur))
+    base_rows = load_rows(args.baseline)
+    cur_rows = load_rows(args.current)
+    shared = sorted(set(base_rows) & set(cur_rows))
     if not shared:
         print(f"error: no shared benchmark names between {args.baseline} "
               f"and {args.current} — regenerate the baseline", file=sys.stderr)
         return 2
 
     failures = []
+    for name in shared:
+        for key, b, c in byte_mismatches(base_rows[name], cur_rows[name]):
+            print(f"{'BYTES':>10}  {name}: {key} {b:.0f} -> {c:.0f}")
+            failures.append(name)
+    base = {name: time_ms(row) for name, row in base_rows.items()}
+    cur = {name: time_ms(row) for name, row in cur_rows.items()}
     for name in shared:
         b, c = base[name], cur[name]
         if b < args.floor_ms and c < args.floor_ms:
@@ -116,9 +136,9 @@ def main():
             print(f"note: phase diff unavailable ({e})", file=sys.stderr)
 
     if failures:
-        print(f"FAIL: {len(failures)}/{len(shared)} benchmark(s) regressed "
-              f">{args.max_regression * 100:.0f}% vs {args.baseline}",
-              file=sys.stderr)
+        print(f"FAIL: {len(set(failures))}/{len(shared)} benchmark(s) "
+              f"regressed >{args.max_regression * 100:.0f}% or changed a "
+              f"byte counter vs {args.baseline}", file=sys.stderr)
         return 1
     print(f"OK: {len(shared)} benchmark(s) within "
           f"{args.max_regression * 100:.0f}% of {args.baseline}")

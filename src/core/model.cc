@@ -74,6 +74,11 @@ const std::uint64_t* LayeredModel::fingerprint_row(StateId x) {
   const std::uint64_t* expected = nullptr;
   if (slot.compare_exchange_strong(expected, mine, std::memory_order_acq_rel,
                                    std::memory_order_acquire)) {
+    if (records_unpersisted()) {
+      LayerShard& shard = layer_shard(x);
+      std::lock_guard<std::mutex> lock(shard.mu);
+      shard.unpersisted_rows.push_back(x);
+    }
     return mine;
   }
   delete[] mine;
@@ -114,10 +119,87 @@ LayeredModel::export_layer_cache() {
 void LayeredModel::import_layer_cache(
     std::vector<std::pair<StateId, std::vector<StateId>>> entries) {
   for (auto& [x, succ] : entries) {
-    LayerShard& shard =
-        layer_shards_[static_cast<std::size_t>(x) % kLayerShards];
+    LayerShard& shard = layer_shard(x);
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.map.emplace(x, std::move(succ));
+  }
+}
+
+void LayeredModel::begin_log_epoch(std::uint64_t num_states) {
+  log_epoch_.fetch_add(1);
+  // Every cached entry refers to interned states only, so when the disk
+  // holds all of them there is nothing to walk.
+  const std::uint64_t live = arena_.size();
+  if (num_states >= live) return;
+  for (LayerShard& shard : layer_shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    for (const auto& [x, succ] : shard.map) {
+      // The snapshot's filter: it holds an entry only if the entry and all
+      // its successors lie below its state count.
+      bool held = x < num_states;
+      for (StateId y : succ) held = held && y < num_states;
+      if (!held) shard.unpersisted_layers.push_back(x);
+    }
+  }
+  for (std::uint64_t id = num_states; id < live; ++id) {
+    const auto x = static_cast<StateId>(id);
+    if (cached_fingerprint_row(x) == nullptr) continue;
+    LayerShard& shard = layer_shard(x);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard.unpersisted_rows.push_back(x);
+  }
+}
+
+LayeredModel::UnpersistedCaches LayeredModel::drain_unpersisted(
+    std::uint64_t bound) {
+  UnpersistedCaches out;
+  for (LayerShard& shard : layer_shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    std::vector<StateId>& layers = shard.unpersisted_layers;
+    std::sort(layers.begin(), layers.end());
+    layers.erase(std::unique(layers.begin(), layers.end()), layers.end());
+    std::size_t kept = 0;
+    for (StateId x : layers) {
+      const std::vector<StateId>& succ = shard.map.at(x);
+      bool in_range = x < bound;
+      for (StateId y : succ) in_range = in_range && y < bound;
+      if (in_range) {
+        out.layers.emplace_back(x, succ);
+      } else {
+        layers[kept++] = x;
+      }
+    }
+    layers.resize(kept);
+
+    std::vector<StateId>& rows = shard.unpersisted_rows;
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    kept = 0;
+    for (StateId x : rows) {
+      if (x < bound) {
+        out.fingerprint_rows.push_back(x);
+      } else {
+        rows[kept++] = x;
+      }
+    }
+    rows.resize(kept);
+  }
+  std::sort(out.layers.begin(), out.layers.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::sort(out.fingerprint_rows.begin(), out.fingerprint_rows.end());
+  return out;
+}
+
+void LayeredModel::requeue(const UnpersistedCaches& drained) {
+  for (const auto& [x, succ] : drained.layers) {
+    LayerShard& shard = layer_shard(x);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard.unpersisted_layers.push_back(x);
+  }
+  for (StateId x : drained.fingerprint_rows) {
+    LayerShard& shard = layer_shard(x);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard.unpersisted_rows.push_back(x);
   }
 }
 
@@ -147,8 +229,7 @@ const std::vector<StateId>& LayeredModel::initial_states() {
 }
 
 const std::vector<StateId>& LayeredModel::layer(StateId x) {
-  LayerShard& shard =
-      layer_shards_[static_cast<std::size_t>(x) % kLayerShards];
+  LayerShard& shard = layer_shard(x);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(x);
@@ -162,7 +243,9 @@ const std::vector<StateId>& LayeredModel::layer(StateId x) {
   succ.erase(std::unique(succ.begin(), succ.end()), succ.end());
   assert(!succ.empty() && "a successor function never returns an empty set");
   std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.map.emplace(x, std::move(succ)).first->second;
+  const auto [it, inserted] = shard.map.emplace(x, std::move(succ));
+  if (inserted && records_unpersisted()) shard.unpersisted_layers.push_back(x);
+  return it->second;
 }
 
 ProcessSet LayeredModel::failed_at(StateId) const { return {}; }

@@ -76,6 +76,15 @@ class LayeredModel {
   std::size_t num_states() const noexcept { return arena_.size(); }
   std::size_t num_views() const noexcept { return views_.size(); }
 
+  // {states, views} for a reader that walks the arenas while other threads
+  // intern (snapshot save, log append): every id below each count can be
+  // read, and states are counted first, so every view a counted state
+  // references is counted too.
+  std::pair<std::size_t, std::size_t> settled_counts() const {
+    const std::size_t states = arena_.settled_size();
+    return {states, views_.settled_size()};
+  }
+
   // Approximate bytes held by the state arena and the view DAG combined;
   // what a Guard's memory budget is measured against.
   std::size_t memory_footprint() const noexcept {
@@ -152,6 +161,45 @@ class LayeredModel {
   // cached keep the existing vector (they are equal by construction).
   void import_layer_cache(
       std::vector<std::pair<StateId, std::vector<StateId>>> entries);
+  // ------------------------------------------------------------------------
+
+  // --- Unpersisted-entry queues (store/wal.hpp) ---------------------------
+  //
+  // A write-ahead log persists what the caches gained since its last round.
+  // Once the log has fixed what is on disk (Wal::replay or Wal::reset_to
+  // call begin_log_epoch), every layer-cache insert and fingerprint-row
+  // publish also queues its state id under the layer shard's lock, and
+  // every engine over this model queues its memo inserts. Imports
+  // (import_layer_cache, restore_fingerprint_row) queue nothing. A model no
+  // log drains (lacon_check, a WAL-off daemon) never records and pays one
+  // branch per insert.
+
+  // 0 until the first begin_log_epoch; bumped by every later one.
+  std::uint64_t log_epoch() const noexcept { return log_epoch_.load(); }
+  bool records_unpersisted() const noexcept { return log_epoch() != 0; }
+
+  // Starts a new log epoch: what is on disk now holds the first `num_states`
+  // states and the cache entries a snapshot of them holds. Queues every
+  // cached layer entry and fingerprint row that such a snapshot lacks (an
+  // entry at or past `num_states`, or a layer reaching past it); entries
+  // already queued stay queued.
+  void begin_log_epoch(std::uint64_t num_states);
+
+  struct UnpersistedCaches {
+    std::vector<std::pair<StateId, std::vector<StateId>>> layers;
+    std::vector<StateId> fingerprint_rows;
+    bool empty() const noexcept {
+      return layers.empty() && fingerprint_rows.empty();
+    }
+  };
+
+  // Removes and returns the queued entries that lie wholly below `bound`,
+  // each once with its current content, sorted by state id. Entries that
+  // reference a state at or past `bound` stay queued.
+  UnpersistedCaches drain_unpersisted(std::uint64_t bound);
+
+  // Queues drained entries again: a log write that failed keeps its delta.
+  void requeue(const UnpersistedCaches& drained);
   // ------------------------------------------------------------------------
 
   // --- Symmetry hooks (core/sym.hpp, DESIGN.md §15) -----------------------
@@ -253,10 +301,17 @@ class LayeredModel {
 
  private:
   static constexpr std::size_t kLayerShards = 64;
+  // Also guards the queues of unpersisted layer entries and fingerprint rows
+  // for the ids that hash to this shard.
   struct LayerShard {
     std::mutex mu;
     std::unordered_map<StateId, std::vector<StateId>> map;
+    std::vector<StateId> unpersisted_layers;
+    std::vector<StateId> unpersisted_rows;
   };
+  LayerShard& layer_shard(StateId x) noexcept {
+    return layer_shards_[static_cast<std::size_t>(x) % kLayerShards];
+  }
 
   // True when every initial input assignment stays an initial input under
   // any permutation of the processes (checked via adjacent transpositions,
@@ -273,6 +328,7 @@ class LayeredModel {
   std::array<LayerShard, kLayerShards> layer_shards_;
   // Per-state fingerprint rows (n hashes each); nullptr until published.
   runtime::ConcurrentSlotVector<std::atomic<const std::uint64_t*>> fp_memo_;
+  std::atomic<std::uint64_t> log_epoch_{0};
   // --- symmetry quotient (DESIGN.md §15) ---
   std::unique_ptr<sym::Canonicalizer> canon_;
   std::once_flag sym_once_;

@@ -60,6 +60,14 @@ StateArena::StateArena()
       shard_waits_(
           &runtime::Stats::global().counter("arena.state_shard_waits")) {}
 
+std::size_t StateArena::settled_size() const {
+  const std::size_t count = size();
+  for (std::size_t i = 0; i < kArenaShards; ++i) {
+    const std::lock_guard<std::mutex> lock(shards_[i].mu);
+  }
+  return count;
+}
+
 StateId StateArena::intern(GlobalState s) {
   const StateRef candidate(s);
   return intern_impl(candidate, content_hash(candidate), misses_);

@@ -185,12 +185,12 @@ std::pair<std::uint64_t, std::uint64_t> Canonicalizer::rewrite_key(
     ViewId v, const Permutation& inv) {
   bool ident = false;
   const std::uint64_t packed = packed_masked(v, inv, &ident);
-  const std::pair<std::uint64_t, std::uint64_t> memo_key{
+  const std::pair<std::uint64_t, std::uint64_t> lookup_key{
       static_cast<std::uint64_t>(v), packed};
   MemoShard& sh = memo_shard(v);
   {
     std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = sh.keys.find(memo_key);
+    auto it = sh.keys.find(lookup_key);
     if (it != sh.keys.end()) return it->second;
   }
   const ViewNode& node = views_->node(v);
@@ -231,7 +231,7 @@ std::pair<std::uint64_t, std::uint64_t> Canonicalizer::rewrite_key(
   }
   const std::pair<std::uint64_t, std::uint64_t> result{a, b};
   std::lock_guard<std::mutex> lock(sh.mu);
-  sh.keys.emplace(memo_key, result);
+  sh.keys.emplace(lookup_key, result);
   return result;
 }
 
@@ -239,12 +239,12 @@ ViewId Canonicalizer::rewrite(ViewId v, const Permutation& inv) {
   bool ident = false;
   const std::uint64_t packed = packed_masked(v, inv, &ident);
   if (ident) return v;
-  const std::pair<std::uint64_t, std::uint64_t> memo_key{
+  const std::pair<std::uint64_t, std::uint64_t> lookup_key{
       static_cast<std::uint64_t>(v), packed};
   MemoShard& sh = memo_shard(v);
   {
     std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = sh.views.find(memo_key);
+    auto it = sh.views.find(lookup_key);
     if (it != sh.views.end()) return it->second;
   }
   const ViewNode& node = views_->node(v);
@@ -274,7 +274,7 @@ ViewId Canonicalizer::rewrite(ViewId v, const Permutation& inv) {
   }
   rewrites_->increment();
   std::lock_guard<std::mutex> lock(sh.mu);
-  sh.views.emplace(memo_key, out);
+  sh.views.emplace(lookup_key, out);
   return out;
 }
 

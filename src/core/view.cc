@@ -29,6 +29,14 @@ ViewArena::~ViewArena() {
   }
 }
 
+std::size_t ViewArena::settled_size() const {
+  const std::size_t count = size();
+  for (std::size_t i = 0; i < kArenaShards; ++i) {
+    const std::lock_guard<std::mutex> lock(shards_[i].mu);
+  }
+  return count;
+}
+
 ViewId ViewArena::initial(ProcessId owner, Value input) {
   assert(owner >= 0 && owner < n_);
   assert(input >= 0);

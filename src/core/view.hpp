@@ -92,6 +92,13 @@ class ViewArena {
     return next_id_.load(std::memory_order_acquire);
   }
 
+  // size() counts an id as soon as an intern claims it, a moment before the
+  // intern writes its content; both happen under the intern's shard lock.
+  // Passing through every shard lock after reading size() waits those
+  // interns out, so every id below the returned count can be read while
+  // other threads keep interning.
+  std::size_t settled_size() const;
+
   // Approximate heap footprint of the interned view DAG (see
   // StateArena::approx_bytes — likewise a deterministic function of the
   // interned content only). Monotone, relaxed reads.

@@ -31,6 +31,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -83,9 +84,24 @@ class LemmaStore {
 
   // Replays facts exported from a store over the same model identity.
   // Merges under the publish() rule, so importing into a warm store is safe.
+  // Queues nothing.
   void import_facts(const std::vector<Fact>& facts);
 
   std::size_t size() const noexcept;
+
+  // --- Unpersisted-fact queue (store/wal.hpp) ----------------------------
+  //
+  // Once a write-ahead log has fixed what is on disk (Wal::replay or
+  // Wal::reset_to), every publish() that inserts a fact or lowers its
+  // lookahead queues the signature under the shard lock.
+  void record_unpersisted() noexcept { recording_.store(true); }
+
+  // Removes and returns the queued facts, each once with its current value,
+  // sorted by (sig_hi, sig_lo).
+  std::vector<Fact> drain_unpersisted();
+
+  // Queues drained facts again: a log write that failed keeps its delta.
+  void requeue(const std::vector<Fact>& facts);
 
  private:
   struct Entry {
@@ -103,13 +119,19 @@ class LemmaStore {
   struct alignas(64) Shard {
     mutable std::mutex mu;
     std::unordered_map<Signature, Entry, SigHash> map;
+    std::vector<Signature> unpersisted;
   };
 
   Shard& shard_for(const Signature& sig) const noexcept {
     return shards_[static_cast<std::size_t>(sig.first) % kShards];
   }
 
+  // publish()'s merge under a held shard lock; true when the store changed.
+  bool merge_locked(Shard& shard, Signature sig, int lookahead,
+                    const ValenceInfo& info);
+
   mutable std::array<Shard, kShards> shards_;
+  std::atomic<bool> recording_{false};
   runtime::Counter* hits_;
   runtime::Counter* misses_;
   runtime::Counter* published_;

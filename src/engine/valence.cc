@@ -35,7 +35,11 @@ ValenceInfo decided_valences(LayeredModel& model, StateId x) {
 
 ValenceEngine::ValenceEngine(LayeredModel& model, int horizon, Exactness mode,
                              LemmaStore* lemmas)
-    : model_(model), horizon_(horizon), mode_(mode), lemmas_(lemmas) {
+    : model_(model),
+      horizon_(horizon),
+      mode_(mode),
+      lemmas_(lemmas),
+      log_epoch_(model.log_epoch()) {
   assert(horizon >= 0);
 }
 
@@ -49,7 +53,7 @@ ValenceInfo ValenceEngine::valence(StateId x) {
 }
 
 ValenceInfo ValenceEngine::compute(Memo& memo, StateId x, int budget) {
-  MemoShard& shard = memo.shards[static_cast<std::size_t>(x) % kMemoShards];
+  MemoShard& shard = shard_of(memo, x);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(x);
@@ -106,11 +110,22 @@ ValenceInfo ValenceEngine::compute(Memo& memo, StateId x, int budget) {
 
 void ValenceEngine::memoize(Memo& memo, StateId x, int budget,
                             const ValenceInfo& info) {
-  MemoShard& shard = memo.shards[static_cast<std::size_t>(x) % kMemoShards];
+  MemoShard& shard = shard_of(memo, x);
   std::lock_guard<std::mutex> lock(shard.mu);
+  if (merge_locked(shard, x, budget, info) && model_.records_unpersisted()) {
+    shard.unpersisted.push_back(x);
+  }
+}
+
+bool ValenceEngine::merge_locked(MemoShard& shard, StateId x, int budget,
+                                 const ValenceInfo& info) {
   Entry& e = shard.map[x];  // default horizon -1: always overwritten
-  if (e.info.bivalent() && !info.bivalent()) return;
-  if (budget >= e.horizon || info.bivalent()) e = Entry{budget, info};
+  if (e.info.bivalent() && !info.bivalent()) return false;
+  if (budget < e.horizon && !info.bivalent()) return false;
+  const bool changed = e.horizon != budget || e.info.v0 != info.v0 ||
+                       e.info.v1 != info.v1 || e.info.exact != info.exact;
+  e = Entry{budget, info};
+  return changed;
 }
 
 guard::Partial<std::vector<ValenceInfo>> ValenceEngine::classify_all(
@@ -166,7 +181,69 @@ void ValenceEngine::import_memo(const std::vector<MemoEntry>& entries) {
     info.v0 = e.v0;
     info.v1 = e.v1;
     info.exact = e.exact;
-    memoize(e.deep ? memo_deep_ : memo_, e.x, e.lookahead, info);
+    MemoShard& shard = shard_of(e.deep ? memo_deep_ : memo_, e.x);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    merge_locked(shard, e.x, e.lookahead, info);
+  }
+}
+
+std::vector<ValenceEngine::MemoEntry> ValenceEngine::drain_memo(
+    std::uint64_t bound) {
+  if (log_epoch_ != model_.log_epoch()) {
+    queue_from(0);
+    log_epoch_ = model_.log_epoch();
+  }
+  std::vector<MemoEntry> out;
+  const auto drain = [&out, bound](Memo& memo, bool deep) {
+    const std::size_t first = out.size();
+    for (MemoShard& shard : memo.shards) {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      std::vector<StateId>& queue = shard.unpersisted;
+      std::sort(queue.begin(), queue.end());
+      queue.erase(std::unique(queue.begin(), queue.end()), queue.end());
+      std::size_t kept = 0;
+      for (StateId x : queue) {
+        if (x >= bound) {
+          queue[kept++] = x;
+          continue;
+        }
+        const Entry& e = shard.map.at(x);
+        out.push_back(MemoEntry{x, e.horizon, e.info.v0, e.info.v1,
+                                e.info.exact, deep});
+      }
+      queue.resize(kept);
+    }
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
+              [](const MemoEntry& a, const MemoEntry& b) { return a.x < b.x; });
+  };
+  drain(memo_, false);
+  if (mode_ == Exactness::kConvergence) drain(memo_deep_, true);
+  return out;
+}
+
+void ValenceEngine::requeue_memo(const std::vector<MemoEntry>& entries) {
+  for (const MemoEntry& e : entries) {
+    MemoShard& shard = shard_of(e.deep ? memo_deep_ : memo_, e.x);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard.unpersisted.push_back(e.x);
+  }
+}
+
+void ValenceEngine::sync_memo(std::uint64_t num_states) {
+  log_epoch_ = model_.log_epoch();
+  // Memo entries are keyed by interned states, so none can lie at or past a
+  // count that covers the whole arena.
+  if (num_states < model_.num_states()) queue_from(num_states);
+}
+
+void ValenceEngine::queue_from(std::uint64_t bound) {
+  for (Memo* memo : {&memo_, &memo_deep_}) {
+    for (MemoShard& shard : memo->shards) {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      for (const auto& [x, e] : shard.map) {
+        if (x >= bound) shard.unpersisted.push_back(x);
+      }
+    }
   }
 }
 

@@ -134,8 +134,28 @@ class ValenceEngine {
 
   // Replays entries exported from an engine with the same model content,
   // horizon and mode. Entries merge under the usual strongest-wins rule
-  // (memoize()), so importing into a warm engine is safe.
+  // (memoize()), so importing into a warm engine is safe. Queues nothing.
   void import_memo(const std::vector<MemoEntry>& entries);
+
+  // --- Unpersisted-entry queue (store/wal.hpp) ---------------------------
+  //
+  // While the model records (LayeredModel::begin_log_epoch), every memo
+  // insert and every strengthening by memoize()'s strongest-wins rule
+  // queues the state under the shard lock.
+
+  // Removes and returns the queued entries whose state lies below `bound`,
+  // each once with its current value, sorted by (deep, x); the rest stay
+  // queued. An engine the log has not seen since the model's last log epoch
+  // began first queues its whole memo: the log that held it was reset.
+  std::vector<MemoEntry> drain_memo(std::uint64_t bound);
+
+  // Queues drained entries again: a log write that failed keeps its delta.
+  void requeue_memo(const std::vector<MemoEntry>& entries);
+
+  // Joins the model's current log epoch after a snapshot of this memo
+  // covering `num_states` states was saved (or the log was replayed into
+  // it): queues every entry at or past `num_states`.
+  void sync_memo(std::uint64_t num_states);
 
  private:
   struct Entry {
@@ -148,15 +168,25 @@ class ValenceEngine {
   struct MemoShard {
     std::mutex mu;
     std::unordered_map<StateId, Entry> map;
+    std::vector<StateId> unpersisted;
   };
   struct Memo {
     std::array<MemoShard, kMemoShards> shards;
   };
+  static MemoShard& shard_of(Memo& memo, StateId x) noexcept {
+    return memo.shards[static_cast<std::size_t>(x) % kMemoShards];
+  }
 
   ValenceInfo compute(Memo& memo, StateId x, int budget);
   // Stores (budget, info) for x unless the memo already holds a stronger
-  // entry (deeper lookahead, or bivalent which is maximal).
+  // entry (deeper lookahead, or bivalent which is maximal), and queues x
+  // when the model records and the stored entry changed.
   void memoize(Memo& memo, StateId x, int budget, const ValenceInfo& info);
+  // memoize()'s merge under a held shard lock; true when the entry changed.
+  static bool merge_locked(MemoShard& shard, StateId x, int budget,
+                           const ValenceInfo& info);
+  // Queues every entry at or past `bound`, in both memos.
+  void queue_from(std::uint64_t bound);
 
   LayeredModel& model_;
   int horizon_;
@@ -165,6 +195,9 @@ class ValenceEngine {
   Memo memo_;       // lookahead = horizon_
   Memo memo_deep_;  // lookahead = horizon_ + 1 (kConvergence only)
   std::atomic<std::size_t> evaluations_{0};
+  // The model's log epoch this memo's queue is current with; touched only
+  // by the log's (externally serialized) calls after construction.
+  std::uint64_t log_epoch_;
 };
 
 // True when every process that is non-failed at x has decided (the run tree

@@ -112,11 +112,13 @@ class Session {
   // engines and exactly one leader performs a single coalesced
   // append+fsync for the whole round (Wal::append batch overload); every
   // caller waits for a round that started no earlier than its own arrival,
-  // which — appends cover everything past the durability watermark — is
-  // what makes its finished work durable. Compacts the log into a fresh
-  // snapshot once it outgrows store::kWalCompactRatio times the snapshot. The
-  // vector overload stages several engines in one round (a pipelined batch
-  // of requests shares one fsync).
+  // which — a round drains every cache entry queued before it started, plus
+  // the states and views past the durability watermarks — is what makes
+  // its finished work durable. A round with nothing queued writes nothing
+  // and costs one pass over the queues' shard locks. Compacts the log into
+  // a fresh snapshot once it outgrows store::kWalCompactRatio times the
+  // snapshot. The vector overload stages several engines in one round (a
+  // pipelined batch of requests shares one fsync).
   void commit_wal(ValenceEngine* eng);
   void commit_wal(const std::vector<ValenceEngine*>& engines);
 

@@ -413,10 +413,12 @@ Result save(LayeredModel& model, const std::string& path,
 
   // Capture the id horizons ONCE, states before views: with S read first,
   // every view a state < S references exists (< V) even if interning races
-  // this save. All sections are filtered against the captured horizons so
+  // this save, and settled counts wait out interns still writing an id
+  // below them. All sections are filtered against the captured horizons so
   // the file is internally consistent regardless of concurrent growth.
-  const std::uint64_t num_states = model.num_states();
-  const std::uint64_t num_views = model.num_views();
+  const auto [settled_states, settled_views] = model.settled_counts();
+  const std::uint64_t num_states = settled_states;
+  const std::uint64_t num_views = settled_views;
 
   Header h;
   h.n = static_cast<std::uint32_t>(model.n());

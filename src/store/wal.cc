@@ -36,26 +36,6 @@ Result fail(Status status, std::string detail) {
   return Result{status, std::move(detail)};
 }
 
-// (x, lookahead, flags) packed for the persisted-memo set. A strengthened
-// entry (deeper lookahead or new flags) gets a new key and re-appends;
-// import_memo's strongest-wins merge makes the duplicate harmless.
-std::uint64_t memo_key(const ValenceEngine::MemoEntry& e) noexcept {
-  std::uint32_t flags = 0;
-  if (e.v0) flags |= codec::kMemoV0;
-  if (e.v1) flags |= codec::kMemoV1;
-  if (e.exact) flags |= codec::kMemoExact;
-  if (e.deep) flags |= codec::kMemoDeep;
-  return (static_cast<std::uint64_t>(e.x) << 32) |
-         (static_cast<std::uint64_t>(e.lookahead & 0xFFFFFF) << 8) | flags;
-}
-
-// (sig, lookahead) key for the persisted-lemma set: a fact min-merged to a
-// cheaper proof re-appends, and the store's publish keeps the minimum.
-std::tuple<std::uint64_t, std::uint64_t, std::int32_t> lemma_key(
-    const LemmaStore::Fact& f) noexcept {
-  return {f.sig_hi, f.sig_lo, f.lookahead};
-}
-
 Result fsync_parent_dir(const std::string& path) {
   const auto parent = std::filesystem::path(path).parent_path();
   const std::string dir = parent.empty() ? "." : parent.string();
@@ -493,9 +473,9 @@ Result Wal::replay(LayeredModel& model, ValenceEngine* engine,
     offset += kWalFrameBytes + static_cast<std::size_t>(body_bytes);
   }
 
-  // Everything the model now holds came from durable storage.
-  mark_persisted_from(model, model.num_views(), model.num_states(), engine,
-                      lemmas);
+  // Everything the model now holds came from durable storage, and the
+  // imports above queued nothing: the queues start empty from here.
+  begin_epoch(model, model.num_views(), model.num_states(), engine, lemmas);
 
   stats.counter("wal.records_replayed").add(rs.records_applied);
   stats.counter("wal.records_skipped").add(rs.records_skipped);
@@ -524,29 +504,19 @@ Result Wal::append(LayeredModel& model,
 
   // States first, then views: with S captured before V, every view a state
   // < S references exists (< V) — same ordering rule the snapshot relies
-  // on.
-  const std::uint64_t S = model.num_states();
-  const std::uint64_t V = model.num_views();
+  // on. Both are settled counts: interning may race this round.
+  const auto [settled_states, settled_views] = model.settled_counts();
+  const std::uint64_t S = settled_states;
+  const std::uint64_t V = settled_views;
 
-  // Collect the not-yet-persisted cache entries. Bounds-filter against S:
-  // an entry referencing a state interned after the capture waits for the
+  // Drain the queued cache entries. Bounds-filter against S: an entry
+  // referencing a state interned after the capture stays queued for the
   // next commit.
-  if (persisted_layers_.size() < S) persisted_layers_.resize(S, false);
-  if (persisted_fingerprints_.size() < S) {
-    persisted_fingerprints_.resize(S, false);
-  }
+  LayeredModel::UnpersistedCaches caches = model.drain_unpersisted(S);
+  const auto& layers = caches.layers;
+  const auto& fp_ids = caches.fingerprint_rows;
 
-  std::vector<std::pair<StateId, std::vector<StateId>>> layers;
-  for (auto& [x, succ] : model.export_layer_cache()) {
-    if (static_cast<std::uint64_t>(x) >= S || persisted_layers_[x]) continue;
-    bool in_range = true;
-    for (StateId y : succ) {
-      in_range = in_range && static_cast<std::uint64_t>(y) < S;
-    }
-    if (in_range) layers.emplace_back(x, std::move(succ));
-  }
-
-  // One new-memo batch per distinct engine; a record carries one memo block
+  // One memo batch per distinct engine; a record carries one memo block
   // (with its engine's horizon/mode), so a round touching k engines emits k
   // records — all fsync'd together below.
   std::vector<std::pair<ValenceEngine*, std::vector<ValenceEngine::MemoEntry>>>
@@ -556,37 +526,19 @@ Result Wal::append(LayeredModel& model,
     bool seen = false;
     for (const auto& [prev, unused] : memos) seen = seen || prev == eng;
     if (seen) continue;
-    std::vector<ValenceEngine::MemoEntry> memo;
-    for (const auto& e : eng->export_memo()) {
-      if (static_cast<std::uint64_t>(e.x) >= S) continue;
-      if (persisted_memo_.count({eng->horizon(), memo_key(e)}) != 0) continue;
-      memo.push_back(e);
-    }
+    std::vector<ValenceEngine::MemoEntry> memo = eng->drain_memo(S);
     if (!memo.empty()) memos.emplace_back(eng, std::move(memo));
   }
 
-  std::vector<StateId> fp_ids;
-  for (std::uint64_t id = 0; id < S; ++id) {
-    const auto x = static_cast<StateId>(id);
-    if (!persisted_fingerprints_[x] &&
-        model.cached_fingerprint_row(x) != nullptr) {
-      fp_ids.push_back(x);
-    }
-  }
-
+  // Signature-keyed, so no S-horizon filter applies: a fact is valid for
+  // any state of equal canonical content, interned or not.
   std::vector<LemmaStore::Fact> facts;
-  if (lemmas != nullptr) {
-    // Signature-keyed, so no S-horizon filter applies: a fact is valid for
-    // any state of equal canonical content, interned or not.
-    for (const LemmaStore::Fact& f : lemmas->export_facts()) {
-      if (persisted_lemmas_.count(lemma_key(f)) == 0) facts.push_back(f);
-    }
-  }
+  if (lemmas != nullptr) facts = lemmas->drain_unpersisted();
 
   const std::uint64_t new_views = V - persisted_views_;
   const std::uint64_t new_states = S - persisted_states_;
-  if (new_views == 0 && new_states == 0 && layers.empty() && memos.empty() &&
-      fp_ids.empty() && facts.empty()) {
+  if (new_views == 0 && new_states == 0 && caches.empty() && memos.empty() &&
+      facts.empty()) {
     return {};  // nothing interned since the last commit
   }
 
@@ -663,9 +615,13 @@ Result Wal::append(LayeredModel& model,
     frame(body);
   }
 
-  // One write, one fsync, for the whole round.
+  // One write, one fsync, for the whole round. The watermarks advance only
+  // once it is durable; a failed round hands its whole delta back.
   if (Result r = write_and_sync(batch.data(), batch.size(), log_end_);
       !r.ok()) {
+    model.requeue(caches);
+    for (const auto& [eng, memo] : memos) eng->requeue_memo(memo);
+    if (lemmas != nullptr) lemmas->requeue(facts);
     return r;
   }
 
@@ -673,14 +629,6 @@ Result Wal::append(LayeredModel& model,
   seq_ += records;
   persisted_views_ = V;
   persisted_states_ = S;
-  for (const auto& [x, succ] : layers) persisted_layers_[x] = true;
-  for (const auto& [eng, memo] : memos) {
-    for (const auto& e : memo) {
-      persisted_memo_.insert({eng->horizon(), memo_key(e)});
-    }
-  }
-  for (StateId x : fp_ids) persisted_fingerprints_[x] = true;
-  for (const LemmaStore::Fact& f : facts) persisted_lemmas_.insert(lemma_key(f));
 
   stats.counter("wal.records_appended").add(records);
   stats.counter("wal.bytes_appended").add(batch.size());
@@ -707,57 +655,26 @@ Result Wal::reset_to(LayeredModel& model, std::uint64_t num_views,
   }
   log_end_ = header_end_;
   seq_ = 0;
-  mark_persisted_from(model, num_views, num_states, engine, lemmas);
+  begin_epoch(model, num_views, num_states, engine, lemmas);
   runtime::Stats::global().counter("wal.compactions").increment();
   return {};
 }
 
-void Wal::mark_persisted_from(LayeredModel& model, std::uint64_t num_views,
-                              std::uint64_t num_states, ValenceEngine* engine,
-                              LemmaStore* lemmas) {
+void Wal::begin_epoch(LayeredModel& model, std::uint64_t num_views,
+                      std::uint64_t num_states, ValenceEngine* engine,
+                      LemmaStore* lemmas) {
   persisted_views_ = num_views;
   persisted_states_ = num_states;
-
   // The durable horizon may trail the live model (a snapshot races
-  // interning); only content strictly below it counts as persisted. The
-  // snapshot save side applies the same < num_states filter to the cache
-  // sections, so these sets mirror the file exactly.
-  const std::uint64_t live = model.num_states();
-  persisted_layers_.assign(static_cast<std::size_t>(live), false);
-  persisted_fingerprints_.assign(static_cast<std::size_t>(live), false);
-  persisted_memo_.clear();
-
-  for (const auto& [x, succ] : model.export_layer_cache()) {
-    if (static_cast<std::uint64_t>(x) >= num_states) continue;
-    bool in_range = true;
-    for (StateId y : succ) {
-      in_range = in_range && static_cast<std::uint64_t>(y) < num_states;
-    }
-    if (in_range) persisted_layers_[x] = true;
-  }
-  for (std::uint64_t id = 0; id < num_states && id < live; ++id) {
-    const auto x = static_cast<StateId>(id);
-    if (model.cached_fingerprint_row(x) != nullptr) {
-      persisted_fingerprints_[x] = true;
-    }
-  }
-  if (engine != nullptr) {
-    memo_horizon_ = engine->horizon();
-    memo_mode_ = engine->mode() == Exactness::kConvergence ? 1 : 0;
-    for (const auto& e : engine->export_memo()) {
-      if (static_cast<std::uint64_t>(e.x) < num_states) {
-        persisted_memo_.insert({engine->horizon(), memo_key(e)});
-      }
-    }
-  }
-  persisted_lemmas_.clear();
-  if (lemmas != nullptr) {
-    // Everything the store currently holds came off durable storage (the
-    // snapshot that was just saved, or the log that was just replayed).
-    for (const LemmaStore::Fact& f : lemmas->export_facts()) {
-      persisted_lemmas_.insert(lemma_key(f));
-    }
-  }
+  // interning): whatever lies at or past it is queued again. Entries still
+  // queued stay queued, so nothing inserted after the snapshot's export is
+  // lost. Every other engine's memo lived only in the log just reset; it
+  // queues in full on that engine's next drain.
+  model.begin_log_epoch(num_states);
+  if (engine != nullptr) engine->sync_memo(num_states);
+  // The snapshot holds every fact published before its export, and the
+  // queue every fact published since.
+  if (lemmas != nullptr) lemmas->record_unpersisted();
 }
 
 }  // namespace lacon::store

@@ -51,10 +51,20 @@
 // WalReplayStats; a torn tail is an expected crash artifact, never an
 // error. Only damage to the prelude/header earns a typed failure.
 //
+// What a record carries: views and states past two count watermarks, plus
+// the cache entries the model, its engines and its lemma store queued as
+// unpersisted when they inserted or strengthened them (core/model.hpp,
+// engine/valence.hpp, engine/lemma_store.hpp). append() drains those
+// queues, so a round costs what it writes, and a round with nothing queued
+// costs one pass over the shard locks. Recording starts at replay() or
+// reset_to(), the two calls that fix what is on disk, and covers that
+// model, its lemma store and every engine over the model, later ones too.
+//
 // Compaction: once the log dwarfs the snapshot (should_compact), the owner
 // saves a fresh snapshot and calls reset_to(), which truncates the log back
-// to its header and re-derives the persisted-watermarks from what that
-// snapshot actually covers.
+// to its header, sets the count watermarks to what that snapshot covers and
+// queues again what it does not hold. Entries queued while the snapshot was
+// being written stay queued, so they reach the new log.
 //
 // A Wal instance is not internally synchronized: callers serialize open/
 // replay/append/reset_to. laconrd does this with a per-session store mutex
@@ -65,10 +75,7 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <string>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include "store/snapshot.hpp"  // Status / Result
@@ -117,26 +124,29 @@ class Wal {
   Result open(LayeredModel& model, const std::string& path);
 
   // Replays the log over `model` (already snapshot-warm or empty) per the
-  // recovery contract above, then derives the persisted watermarks from the
-  // model: everything it now holds is durable. Call exactly once, after
-  // open() and before the first append(). `engine` receives matching memo
-  // entries; `lemmas` (may be null) receives every record's lemma facts —
-  // signature-keyed, so they need no horizon match; `stats_out` may be
-  // null.
+  // recovery contract above. Everything the model then holds is durable:
+  // the watermarks take its counts and recording starts with empty queues
+  // (imports queue nothing). Call exactly once, after open() and before the
+  // first append(). `engine` receives matching memo entries; `lemmas` (may
+  // be null) receives every record's lemma facts — signature-keyed, so they
+  // need no horizon match; `stats_out` may be null.
   Result replay(LayeredModel& model, ValenceEngine* engine,
                 LemmaStore* lemmas = nullptr,
                 WalReplayStats* stats_out = nullptr);
 
-  // Appends one delta record covering everything interned/cached past the
-  // watermarks, fsyncs it, and advances the watermarks. A no-op (kOk)
-  // when nothing new exists. On a short write the file is truncated back to
-  // the previous record boundary so a failed append never leaves a torn
-  // middle. Requires a quiescent model (same rule as snapshot save).
+  // Appends one delta record covering everything interned past the
+  // watermarks plus every queued cache entry, fsyncs it, and advances the
+  // watermarks. A no-op (kOk) when nothing new exists. Entries that
+  // reference a state interned after the round captured its state count
+  // stay queued for the next round. On a failed write or fsync the file is
+  // truncated back to the previous record boundary, so a failed append
+  // never leaves a torn middle, and the whole drained delta is queued
+  // again. Requires replay() or reset_to() first: they start the queues.
   Result append(LayeredModel& model, ValenceEngine* engine,
                 LemmaStore* lemmas = nullptr);
 
   // Group-commit append: one delta record carrying everything past the
-  // watermarks plus the first engine's new memo entries, then one
+  // watermarks plus the first engine's queued memo entries, then one
   // memo-only record (zero new views/states) per additional engine that
   // memoized anything new — the whole batch written and fsync'd as a
   // SINGLE write, so N concurrent requests share one durability round.
@@ -153,11 +163,14 @@ class Wal {
   // compaction on every record).
   bool should_compact(std::uint64_t snapshot_bytes) const noexcept;
 
-  // After a fresh snapshot of `model` was durably saved covering
-  // `num_views`/`num_states` (read them off store::probe, not the live
-  // model — interning may have raced the save): truncates the log back to
-  // its header, fsyncs, and recomputes the watermarks to exactly what that
-  // snapshot holds.
+  // After a fresh snapshot of `model` (with `engine`'s memo) was durably
+  // saved covering `num_views`/`num_states` (read them off the save's
+  // SnapshotMeta, not the live model — interning may have raced the save):
+  // truncates the log back to its header, fsyncs, sets the watermarks to
+  // those counts and queues what the snapshot does not hold — layer
+  // entries and fingerprint rows at or past `num_states`, `engine`'s memo
+  // entries at or past it, and (on its next drain) every other engine's
+  // whole memo.
   Result reset_to(LayeredModel& model, std::uint64_t num_views,
                   std::uint64_t num_states, ValenceEngine* engine,
                   LemmaStore* lemmas = nullptr);
@@ -176,11 +189,12 @@ class Wal {
  private:
   Result write_and_sync(const std::uint8_t* data, std::size_t bytes,
                         std::uint64_t at_offset);
-  // Rebuilds the persisted cache-entry sets from the model, counting only
-  // content below the given id horizons.
-  void mark_persisted_from(LayeredModel& model, std::uint64_t num_views,
-                           std::uint64_t num_states, ValenceEngine* engine,
-                           LemmaStore* lemmas);
+  // Disk now holds `num_views`/`num_states` and the caches a snapshot of
+  // them (with `engine`'s memo) holds: set the watermarks and start a new
+  // log epoch of the queues.
+  void begin_epoch(LayeredModel& model, std::uint64_t num_views,
+                   std::uint64_t num_states, ValenceEngine* engine,
+                   LemmaStore* lemmas);
 
   int fd_ = -1;
   std::string path_;
@@ -188,25 +202,12 @@ class Wal {
   std::uint64_t log_end_ = 0;     // file offset past the last valid record
   std::uint64_t seq_ = 0;         // next record sequence number
 
-  // Durability watermarks: everything below is on disk (snapshot or log).
+  // Durability watermarks: views and states below them are on disk
+  // (snapshot or log). Cache entries are tracked by the caches' own queues
+  // of unpersisted entries; a strengthened memo entry or a min-merged lemma
+  // fact queues again, and replay merges the duplicate strongest-wins.
   std::uint64_t persisted_views_ = 0;
   std::uint64_t persisted_states_ = 0;
-  std::vector<bool> persisted_layers_;       // by StateId key
-  std::vector<bool> persisted_fingerprints_; // by StateId
-  // Memo entries are keyed (horizon, x, lookahead, flags): the horizon
-  // disambiguates equal (x, lookahead) entries memoized by engines at
-  // different lookahead depths (each record carries its engine's horizon,
-  // and replay imports only into a matching engine), and a later
-  // *stronger* entry for the same state re-appends (import_memo merges
-  // strongest-wins).
-  std::set<std::pair<std::int32_t, std::uint64_t>> persisted_memo_;
-  // Lemma facts are keyed (sig_hi, sig_lo, lookahead): a fact whose
-  // lookahead was min-merged down re-appends under the new key (the
-  // store's publish keeps the cheaper proof).
-  std::set<std::tuple<std::uint64_t, std::uint64_t, std::int32_t>>
-      persisted_lemmas_;
-  std::int32_t memo_horizon_ = -1;
-  std::uint32_t memo_mode_ = 0;
 };
 
 }  // namespace lacon::store

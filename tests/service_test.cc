@@ -21,9 +21,13 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "core/model.hpp"
 #include "core/sym.hpp"
+#include "engine/lemma_store.hpp"
 #include "runtime/stats.hpp"
 #include "service/json.hpp"
 #include "service/protocol.hpp"
@@ -736,6 +740,119 @@ TEST(ProtocolWalTest, PipelinedBatchSharesOneCommitAndIsDurable) {
         << "request " << i;
     EXPECT_EQ(find_path(*doc2, {"metrics", "new_states"})->as_number(), 0.0);
     EXPECT_EQ(find_path(*doc2, {"metrics", "new_views"})->as_number(), 0.0);
+  }
+
+  ::unsetenv("LACON_WAL");
+  ::unsetenv("LACON_STORE_DIR");
+  ::unsetenv("LACON_STORE");
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+// What a session's caches hold that a recovery must bring back: the layer
+// cache, every published fingerprint row and every lemma fact.
+struct CacheExports {
+  std::vector<std::pair<StateId, std::vector<StateId>>> layers;
+  std::vector<std::vector<std::uint64_t>> rows;  // by state id
+  std::vector<std::tuple<std::uint64_t, std::uint64_t, std::int32_t, bool,
+                         bool>>
+      facts;
+};
+
+CacheExports export_caches(Session& session) {
+  CacheExports out;
+  LayeredModel& model = session.model();
+  out.layers = model.export_layer_cache();
+  out.rows.resize(model.num_states());
+  for (std::size_t id = 0; id < out.rows.size(); ++id) {
+    if (const std::uint64_t* row =
+            model.cached_fingerprint_row(static_cast<StateId>(id))) {
+      out.rows[id].assign(row, row + model.n());
+    }
+  }
+  for (const LemmaStore::Fact& f : session.lemmas().export_facts()) {
+    out.facts.emplace_back(f.sig_hi, f.sig_lo, f.lookahead, f.v0, f.v1);
+  }
+  return out;
+}
+
+// Four clients write one WAL-on session at once through handle_batch:
+// `layers` at increasing depths plus warm valence and similarity reads, so
+// commit rounds coalesce and carry memo, fingerprint-row and lemma deltas.
+// The manager then dies without save_all, which leaves on disk what a
+// SIGKILL would (every response followed its fsync). A recovered manager
+// must hold the same caches and answer every request alike, interning
+// nothing.
+TEST(ProtocolWalTest, ConcurrentClientsLoseNothingOnRecovery) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("lacon_service_concurrent_wal_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  ::setenv("LACON_WAL", "on", 1);
+  ::setenv("LACON_STORE_DIR", dir.c_str(), 1);
+  ::setenv("LACON_STORE", "off", 1);
+
+  constexpr int kClients = 4;
+  const auto request = [](const char* query, int depth, int horizon) {
+    return std::string("{\"id\":0,\"model\":\"mobile\",\"n\":3,\"query\":\"") +
+           query + "\",\"depth\":" + std::to_string(depth) +
+           ",\"horizon\":" + std::to_string(horizon) + "}";
+  };
+  std::vector<std::vector<std::string>> sent(kClients);
+  std::vector<std::vector<std::string>> answers(kClients);
+  CacheExports live;
+  {
+    SessionManager sessions;
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        const int horizon = 2 + c % 2;  // two engines share the rounds
+        for (int depth = 1; depth <= 4; ++depth) {
+          const std::vector<std::string> batch = {
+              request("layers", depth, horizon),
+              request("valence", depth - 1, horizon),
+              request("similarity", depth - 1, horizon)};
+          for (std::string& r : handle_batch(sessions, batch)) {
+            answers[static_cast<std::size_t>(c)].push_back(std::move(r));
+          }
+          sent[static_cast<std::size_t>(c)].insert(
+              sent[static_cast<std::size_t>(c)].end(), batch.begin(),
+              batch.end());
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    live = export_caches(sessions.session(ModelKind::kMobile, 3, 1));
+    ASSERT_FALSE(live.facts.empty());
+    // No save_all: the manager dies as a kill -9 would leave it.
+  }
+
+  SessionManager recovered;
+  // A depth-0 request recovers the session and computes no cache entry.
+  handle_line(recovered, request("layers", 0, 1));
+  const CacheExports back =
+      export_caches(recovered.session(ModelKind::kMobile, 3, 1));
+  EXPECT_TRUE(back.layers == live.layers);
+  EXPECT_TRUE(back.rows == live.rows);
+  EXPECT_TRUE(back.facts == live.facts);
+
+  for (int c = 0; c < kClients; ++c) {
+    for (std::size_t i = 0; i < sent[static_cast<std::size_t>(c)].size();
+         ++i) {
+      const std::string& line = sent[static_cast<std::size_t>(c)][i];
+      const auto before =
+          Json::parse(answers[static_cast<std::size_t>(c)][i]);
+      const auto after = Json::parse(handle_line(recovered, line));
+      ASSERT_TRUE(before.has_value() && after.has_value()) << line;
+      EXPECT_EQ(find_path(*before, {"status"})->as_string(), "ok") << line;
+      EXPECT_EQ(find_path(*after, {"result"})->dump(),
+                find_path(*before, {"result"})->dump())
+          << line;
+      EXPECT_EQ(find_path(*after, {"metrics", "new_states"})->as_number(),
+                0.0)
+          << line;
+    }
   }
 
   ::unsetenv("LACON_WAL");

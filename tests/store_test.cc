@@ -10,13 +10,18 @@
 // non-empty target — each with its typed Status, never a crash (these run
 // under ASan in ci.sh like every other test).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <csignal>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/reports.hpp"
@@ -798,6 +803,207 @@ TEST_F(StoreTest, WalResetToAfterSnapshotLogsOnlyNewWork) {
   EXPECT_FALSE(w.should_compact(/*snapshot_bytes=*/1));
 }
 
+// Every published fingerprint row, by state id.
+std::vector<std::vector<std::uint64_t>> fingerprint_rows(
+    const LayeredModel& model) {
+  std::vector<std::vector<std::uint64_t>> out(model.num_states());
+  for (std::size_t id = 0; id < out.size(); ++id) {
+    if (const std::uint64_t* row =
+            model.cached_fingerprint_row(static_cast<StateId>(id))) {
+      out[id].assign(row, row + model.n());
+    }
+  }
+  return out;
+}
+
+// Memo entries as comparable tuples.
+std::vector<std::tuple<StateId, std::int32_t, bool, bool, bool, bool>>
+memo_tuples(const std::vector<ValenceEngine::MemoEntry>& memo) {
+  std::vector<std::tuple<StateId, std::int32_t, bool, bool, bool, bool>> out;
+  for (const auto& e : memo) {
+    out.emplace_back(e.x, e.lookahead, e.v0, e.v1, e.exact, e.deep);
+  }
+  return out;
+}
+
+void expect_same_facts(const std::vector<LemmaStore::Fact>& a,
+                       const std::vector<LemmaStore::Fact>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].sig_hi, b[i].sig_hi);
+    EXPECT_EQ(a[i].sig_lo, b[i].sig_lo);
+    EXPECT_EQ(a[i].lookahead, b[i].lookahead);
+    EXPECT_EQ(a[i].v0, b[i].v0);
+    EXPECT_EQ(a[i].v1, b[i].v1);
+  }
+}
+
+// A model no log drains records nothing, and a replay's imports queue
+// nothing: both leave every queue empty.
+TEST_F(StoreTest, CachesQueueOnlyWhatALogWillDrain) {
+  const auto expect_nothing_queued = [](Instance& inst, LemmaStore& lemmas) {
+    EXPECT_TRUE(inst.model->drain_unpersisted(UINT64_MAX).empty());
+    EXPECT_TRUE(inst.engine->drain_memo(UINT64_MAX).empty());
+    EXPECT_TRUE(lemmas.drain_unpersisted().empty());
+  };
+  // Analysis that also publishes lemma facts: the undecided initial states
+  // are what yields exact facts.
+  const auto analyze_with_facts = [](Instance& inst, ValenceEngine& facts) {
+    analyze(inst, 2);
+    facts.classify_all(inst.model->initial_states());
+  };
+
+  auto plain = make_instance(ModelKind::kMobile, 3, 1, 3);
+  LemmaStore plain_lemmas;
+  ValenceEngine plain_facts(*plain.model, 3, Exactness::kQuiescence,
+                            &plain_lemmas);
+  analyze_with_facts(plain, plain_facts);
+  ASSERT_GT(plain_lemmas.size(), 0u);
+  expect_nothing_queued(plain, plain_lemmas);
+
+  const std::string file = path("imports.wal");
+  auto cold = make_instance(ModelKind::kMobile, 3, 1, 3);
+  LemmaStore cold_lemmas;
+  ValenceEngine cold_facts(*cold.model, 3, Exactness::kQuiescence,
+                           &cold_lemmas);
+  {
+    store::Wal wal;
+    ASSERT_TRUE(wal.open(*cold.model, file).ok());
+    ASSERT_TRUE(
+        wal.replay(*cold.model, cold.engine.get(), &cold_lemmas).ok());
+    analyze_with_facts(cold, cold_facts);
+    ASSERT_TRUE(wal.append(*cold.model, {cold.engine.get(), &cold_facts},
+                           &cold_lemmas)
+                    .ok());
+  }
+  auto warm = make_instance(ModelKind::kMobile, 3, 1, 3);
+  LemmaStore warm_lemmas;
+  store::Wal wal;
+  ASSERT_TRUE(wal.open(*warm.model, file).ok());
+  ASSERT_TRUE(
+      wal.replay(*warm.model, warm.engine.get(), &warm_lemmas).ok());
+  EXPECT_EQ(warm.model->num_states(), cold.model->num_states());
+  EXPECT_EQ(warm_lemmas.size(), cold_lemmas.size());
+  expect_nothing_queued(warm, warm_lemmas);
+}
+
+// Compaction saves a snapshot, then resets the log to it, and nothing fences
+// other connections' analysis in between. An entry inserted in that window
+// is on neither file unless it stays queued through the reset.
+TEST_F(StoreTest, WalResetKeepsEntriesInsertedAfterTheSnapshot) {
+  const std::string snap = path("window.store");
+  const std::string file = path("window.wal");
+  auto rule = min_after_round(2);
+  auto model = make_model(ModelKind::kMobile, 3, 1, *rule);
+  LemmaStore lemmas;
+  // Horizon 0 under kQuiescence: valence() memoizes without expanding a
+  // layer, so it interns nothing.
+  ValenceEngine engine(*model, 0, Exactness::kQuiescence, &lemmas);
+  store::Wal wal;
+  ASSERT_TRUE(wal.open(*model, file).ok());
+  ASSERT_TRUE(wal.replay(*model, &engine, &lemmas).ok());
+  const std::vector<StateId> frontier = reachable_by_depth(*model, 2).back();
+  ASSERT_GE(frontier.size(), 2u);
+  engine.valence(frontier[0]);
+  ASSERT_TRUE(wal.append(*model, &engine, &lemmas).ok());
+
+  store::SnapshotMeta meta;
+  ASSERT_TRUE(store::save(*model, snap, &engine, &lemmas, &meta).ok());
+  // The window: a fingerprint row for a state the snapshot holds, a memo
+  // entry of the engine it carries, and a lemma fact.
+  const StateId x = frontier[1];
+  ASSERT_LT(x, meta.num_states);
+  ASSERT_EQ(model->cached_fingerprint_row(x), nullptr);
+  model->fingerprint_row(x);
+  engine.valence(x);
+  ValenceInfo fact;
+  fact.v0 = true;
+  fact.exact = true;
+  lemmas.publish({0x5eed, 0xfac7}, 1, fact);
+  ASSERT_EQ(model->num_states(), meta.num_states);
+  ASSERT_TRUE(wal.reset_to(*model, meta.num_views, meta.num_states, &engine,
+                           &lemmas)
+                  .ok());
+  ASSERT_TRUE(wal.append(*model, &engine, &lemmas).ok());
+  wal.close();
+
+  auto rule2 = min_after_round(2);
+  auto fresh = make_model(ModelKind::kMobile, 3, 1, *rule2);
+  LemmaStore fresh_lemmas;
+  ValenceEngine fresh_engine(*fresh, 0, Exactness::kQuiescence, &fresh_lemmas);
+  ASSERT_TRUE(store::load(*fresh, snap, &fresh_engine, &fresh_lemmas).ok());
+  store::Wal w;
+  ASSERT_TRUE(w.open(*fresh, file).ok());
+  ASSERT_TRUE(w.replay(*fresh, &fresh_engine, &fresh_lemmas).ok());
+  EXPECT_NE(fresh->cached_fingerprint_row(x), nullptr);
+  EXPECT_EQ(fingerprint_rows(*fresh), fingerprint_rows(*model));
+  EXPECT_EQ(memo_tuples(fresh_engine.export_memo()),
+            memo_tuples(engine.export_memo()));
+  expect_same_facts(fresh_lemmas.export_facts(), lemmas.export_facts());
+}
+
+// Body of WalFailedWriteKeepsDelta, run in a death-test child so the file
+// size limit stays there. Returns 0 when every check holds.
+int failed_write_child(const std::string& file) {
+  const auto check = [](bool ok, const char* what) {
+    if (!ok) std::fprintf(stderr, "failed_write_child: %s\n", what);
+    return ok;
+  };
+  std::signal(SIGXFSZ, SIG_IGN);
+  auto cold = make_instance(ModelKind::kMobile, 3, 1, 3);
+  store::Wal wal;
+  if (!check(wal.open(*cold.model, file).ok(), "open")) return 1;
+  if (!check(wal.replay(*cold.model, cold.engine.get()).ok(), "replay")) {
+    return 1;
+  }
+  const auto header_bytes = fs::file_size(file);
+  rlimit old_limit{};
+  if (!check(::getrlimit(RLIMIT_FSIZE, &old_limit) == 0, "getrlimit")) {
+    return 1;
+  }
+  rlimit tight = old_limit;
+  tight.rlim_cur = static_cast<rlim_t>(header_bytes);
+  if (!check(::setrlimit(RLIMIT_FSIZE, &tight) == 0, "setrlimit")) return 1;
+
+  analyze(cold, 2);
+  const store::Result failed = wal.append(*cold.model, cold.engine.get());
+  if (!check(failed.status == store::Status::kIoError, "append must fail") ||
+      !check(fs::file_size(file) == header_bytes, "file kept its length")) {
+    return 1;
+  }
+  if (!check(::setrlimit(RLIMIT_FSIZE, &old_limit) == 0, "restore limit") ||
+      !check(wal.append(*cold.model, cold.engine.get()).ok(), "append")) {
+    return 1;
+  }
+  wal.close();
+
+  auto warm = make_instance(ModelKind::kMobile, 3, 1, 3);
+  store::Wal w;
+  if (!check(w.open(*warm.model, file).ok(), "reopen") ||
+      !check(w.replay(*warm.model, warm.engine.get()).ok(), "replay log")) {
+    return 1;
+  }
+  const bool same =
+      check(state_hashes(*warm.model) == state_hashes(*cold.model),
+            "states") &&
+      check(warm.model->export_layer_cache() ==
+                cold.model->export_layer_cache(),
+            "layer cache") &&
+      check(memo_tuples(warm.engine->export_memo()) ==
+                memo_tuples(cold.engine->export_memo()),
+            "memo");
+  return same ? 0 : 1;
+}
+
+// A write that fails (here: past the file-size limit) must hand its whole
+// drained delta back, so the next append still logs all of it.
+TEST_F(StoreTest, WalFailedWriteKeepsDelta) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string file = path("failed.wal");
+  EXPECT_EXIT(std::exit(failed_write_child(file)),
+              ::testing::ExitedWithCode(0), "");
+}
+
 // --- symmetry mode recording and lemma-fact persistence ---------------------
 
 // A snapshot saved over the full space must never replay into an
@@ -864,18 +1070,6 @@ TEST_F(StoreTest, SymmetryMismatchedWalRefusedOnOpen) {
   const store::Result r = wal.open(*warm.model, file);
   EXPECT_EQ(r.status, store::Status::kSymmetryMismatch);
   EXPECT_FALSE(wal.is_open());
-}
-
-void expect_same_facts(const std::vector<LemmaStore::Fact>& a,
-                       const std::vector<LemmaStore::Fact>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].sig_hi, b[i].sig_hi);
-    EXPECT_EQ(a[i].sig_lo, b[i].sig_lo);
-    EXPECT_EQ(a[i].lookahead, b[i].lookahead);
-    EXPECT_EQ(a[i].v0, b[i].v0);
-    EXPECT_EQ(a[i].v1, b[i].v1);
-  }
 }
 
 // Classify every state reachable within `depth` so the engine publishes a
