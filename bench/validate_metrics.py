@@ -10,7 +10,7 @@ DESIGN.md §11): every top-level key present, counters/timers/histograms
 well-formed, histogram bucket lists sparse and sorted by lower bound.
 
 --kind trace checks a Chrome trace-event file: traceEvents is a list, every
-event carries ph/ts/pid/tid, "X" events carry dur, and at least one complete
+event carries ph/pid/tid, "X" events carry ts and dur, and at least one complete
 span is present (a trace emitted under LACON_TRACE=spans that contains no
 spans means the instrumentation went missing).
 
@@ -26,8 +26,8 @@ METRICS_KEYS = {
     "schema", "trace_mode", "guard", "counters", "timers", "histograms",
     "spans",
 }
-GUARD_KEYS = {"budget_ms", "max_states", "max_bytes", "trips"}
-TRIP_KEYS = {"deadline", "state_budget", "cancelled"}
+GUARD_KEYS = {"budget_ms", "max_states", "trips"}
+TRIP_KEYS = {"deadline", "state_budget"}
 
 
 def fail(path, reason):
@@ -82,11 +82,10 @@ def check_trace(path, doc):
         for key in ("ph", "pid", "tid"):
             if key not in ev:
                 return fail(path, f"event {i} missing {key!r}")
-        if ev["ph"] in ("X", "i") and "ts" not in ev:
-            return fail(path, f"event {i} ({ev['ph']}) missing ts")
         if ev["ph"] == "X":
-            if "dur" not in ev:
-                return fail(path, f"event {i} (X) missing dur")
+            for key in ("ts", "dur"):
+                if key not in ev:
+                    return fail(path, f"event {i} (X) missing {key!r}")
             complete += 1
     if complete == 0:
         return fail(path, "no complete ('X') span events")

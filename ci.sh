@@ -7,6 +7,7 @@
 #
 #   ./ci.sh            # all three configurations
 #   ./ci.sh tsan       # just one: plain | tsan | asan
+#   ./ci.sh coverage   # gcov line coverage of src/ (a report, no gate)
 set -euo pipefail
 
 cd "$(dirname "$0")"
@@ -232,7 +233,7 @@ run_config() {
     )
     for sym_mode in off on; do
       ssock="/tmp/laconrd_sym_${sym_mode}_$$.sock"
-      LACON_SYMMETRY="$sym_mode" LACON_STORE=off LACON_WAL=off \
+      LACON_SYMMETRY="$sym_mode" LACON_WAL=off \
         "$dir/examples/laconrd" --socket "$ssock" &
       sym_pid=$!
       wait_listening "$ssock"
@@ -266,7 +267,7 @@ run_config() {
       '{"id":4,"model":"mobile","n":3,"query":"similarity","depth":2}'
     )
     wsock="/tmp/laconrd_wal1_$$.sock"
-    LACON_WAL=on LACON_STORE=off LACON_STORE_DIR="$wal_dir" \
+    LACON_WAL=on LACON_STORE_DIR="$wal_dir" \
       "$dir/examples/laconrd" --socket "$wsock" &
     wal_pid=$!
     wait_listening "$wsock"
@@ -300,7 +301,7 @@ run_config() {
     # Restart over the same store dir on a fresh socket (the killed
     # daemon's socket file survives it, with nothing listening behind it).
     wsock2="/tmp/laconrd_wal2_$$.sock"
-    LACON_WAL=on LACON_STORE=off LACON_STORE_DIR="$wal_dir" \
+    LACON_WAL=on LACON_STORE_DIR="$wal_dir" \
       "$dir/examples/laconrd" --socket "$wsock2" &
     wal_pid=$!
     wait_listening "$wsock2"
@@ -320,6 +321,26 @@ run_config() {
   fi
 }
 
+# Line coverage of src/ by the tier-1 tests: an -O1 gcov build runs ctest
+# without the smoke_bench_* runs (those time the benches, they test
+# nothing), then bench/coverage.py merges the counts across translation
+# units and prints the total and every file's unexecuted lines. A report,
+# not a gate: every unexecuted line should get a test or be deleted.
+run_coverage() {
+  local dir="build-ci-coverage"
+  echo "=== [coverage] configure (-O1 -g --coverage -DNDEBUG)"
+  cmake -B "$dir" -S . -DLACON_SANITIZE= -DCMAKE_BUILD_TYPE=None \
+        -DCMAKE_CXX_FLAGS="-O1 -g --coverage -DNDEBUG" > /dev/null
+  echo "=== [coverage] build"
+  cmake --build "$dir" -j "$JOBS" > /dev/null
+  # Counts accumulate across runs; start from zero.
+  find "$dir" -name '*.gcda' -delete
+  echo "=== [coverage] ctest (without smoke_bench_*)"
+  ctest --test-dir "$dir" -j "$JOBS" --output-on-failure --timeout 900 \
+        -E '^smoke_bench_'
+  python3 bench/coverage.py "$dir"
+}
+
 configs=("${1:-all}")
 if [[ "${configs[0]}" == "all" ]]; then configs=(plain tsan asan); fi
 
@@ -328,7 +349,9 @@ for c in "${configs[@]}"; do
     plain) run_config plain "" ;;
     tsan)  run_config tsan thread ;;
     asan)  run_config asan address ;;
-    *) echo "unknown config '$c' (plain|tsan|asan|all)" >&2; exit 2 ;;
+    coverage) run_coverage ;;
+    *) echo "unknown config '$c' (plain|tsan|asan|coverage|all)" >&2
+       exit 2 ;;
   esac
 done
 echo "=== CI matrix OK: ${configs[*]}"

@@ -92,10 +92,8 @@ const std::vector<std::string>& inflight_requests() {
   if (wal) {
     setenv("LACON_WAL", "on", 1);
     setenv("LACON_STORE_DIR", store_dir.c_str(), 1);
-    setenv("LACON_STORE", "off", 1);  // recovery must not lean on save_all
   } else {
     unsetenv("LACON_WAL");
-    unsetenv("LACON_STORE");
   }
   static volatile sig_atomic_t stop = 0;
   struct sigaction sa;

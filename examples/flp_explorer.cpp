@@ -96,8 +96,7 @@ int main(int argc, char** argv) {
   // Arena accounting for the run-construction model. approx_bytes is a
   // content-derived estimate (per-state/per-view formulas, DESIGN.md §9) —
   // deliberately NOT allocator or pool occupancy, so it is identical however
-  // interns interleave. It is the same quantity the guard's memory budget
-  // evaluates and the metrics snapshot reports as guard.max_bytes headroom.
+  // interns interleave.
   std::printf("\ninterned: %zu states, approx_bytes %zu "
               "(content-derived, scheduling-independent)\n",
               model2->num_states(), model2->memory_footprint());

@@ -3,14 +3,12 @@
 // Serves newline-delimited JSON analysis requests (service/protocol.hpp)
 // against shared interned state spaces: every request for the same
 // (model, n, t) hits one hash-consing arena, layer cache and valence memo,
-// so repeated queries warm-start on each other's work. With
-// LACON_STORE=load|loadsave the daemon warm-starts sessions from
-// lacon.store.v1 snapshots in LACON_STORE_DIR; with save|loadsave it
-// persists every session on clean shutdown (SIGINT/SIGTERM). With
-// LACON_WAL=on every served request is additionally committed to a
-// crash-durable write-ahead log before its response is written, so even a
-// kill -9 recovers the sessions to their exact pre-crash content
-// (DESIGN.md §14).
+// so repeated queries warm-start on each other's work. With LACON_WAL=on
+// every served request is committed to a crash-durable write-ahead log in
+// LACON_STORE_DIR before its response is written, so a restart — after a
+// clean shutdown or a kill -9 alike — recovers the sessions to their exact
+// earlier content (DESIGN.md §14). Shutdown (SIGINT/SIGTERM) saves
+// nothing: every response already waited for its commit.
 //
 // Usage:
 //   laconrd [--socket PATH]              serve until SIGINT/SIGTERM
@@ -87,9 +85,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "laconrd: %s\n", error.c_str());
     return 1;
   }
-  std::fprintf(stderr, "laconrd: listening on %s (store mode: %s, wal: %s)\n",
+  std::fprintf(stderr, "laconrd: listening on %s (wal: %s)\n",
                socket_path.c_str(),
-               lacon::store::to_string(lacon::store::mode()),
                lacon::store::wal_enabled() ? "on" : "off");
 
   struct sigaction sa;
@@ -105,7 +102,6 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr, "laconrd: shutting down (%zu session(s))\n",
                server.sessions().session_count());
-  server.sessions().save_all();  // honors LACON_STORE=save|loadsave
   server.stop();
   lacon::trace::write_env_artifacts();
   return 0;

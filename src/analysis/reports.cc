@@ -139,10 +139,6 @@ std::string runtime_report() {
       table.add_row({"guard.max_states", "config",
                      cell(static_cast<long long>(spec.max_states)), "-"});
     }
-    if (spec.max_bytes > 0) {
-      table.add_row({"guard.max_bytes", "config",
-                     cell(static_cast<long long>(spec.max_bytes)), "-"});
-    }
   }
   for (const runtime::StatSample& s : runtime::Stats::global().snapshot()) {
     if (s.is_timer) {

@@ -85,8 +85,8 @@ class LayeredModel {
     return {states, views_.settled_size()};
   }
 
-  // Approximate bytes held by the state arena and the view DAG combined;
-  // what a Guard's memory budget is measured against.
+  // Approximate bytes held by the state arena and the view DAG combined,
+  // a deterministic function of the interned content.
   std::size_t memory_footprint() const noexcept {
     return arena_.approx_bytes() + views_.approx_bytes();
   }
@@ -291,10 +291,6 @@ class LayeredModel {
   // symmetry quotient applies transparently to every model's compute_layer.
   StateId intern(GlobalState s) { return intern_canonical(std::move(s)); }
 
-  // Raw arena interning, no canonicalization: orbit unfolding and tests
-  // that need non-canonical members in the arena.
-  StateId intern_raw(GlobalState s) { return arena_.intern(std::move(s)); }
-
   // Applies the decision rule to process i after it obtained `new_view`.
   // Respects the write-once semantics of d_i.
   Value updated_decision(ProcessId i, Value current, ViewId new_view);
@@ -302,8 +298,9 @@ class LayeredModel {
  private:
   static constexpr std::size_t kLayerShards = 64;
   // Also guards the queues of unpersisted layer entries and fingerprint rows
-  // for the ids that hash to this shard.
-  struct LayerShard {
+  // for the ids that hash to this shard. Cache-line aligned like the memo's
+  // shards (engine/valence.hpp).
+  struct alignas(64) LayerShard {
     std::mutex mu;
     std::unordered_map<StateId, std::vector<StateId>> map;
     std::vector<StateId> unpersisted_layers;

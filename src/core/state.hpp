@@ -25,7 +25,7 @@
 
 #include "core/hash_index.hpp"
 #include "core/types.hpp"
-#include "runtime/stable_vector.hpp"
+#include "runtime/slot_vector.hpp"
 #include "runtime/word_pool.hpp"
 #include "util/hash.hpp"
 #include "util/simd.hpp"
@@ -127,9 +127,9 @@ class StateArena {
   // Approximate heap footprint of the interned states. Deliberately a
   // deterministic function of the interned *content* (header + payload words
   // + a flat index allowance per unique state), not of pool occupancy:
-  // chunk-tail waste depends on scheduling, and the guard's memory budget
-  // must read the same value for the same content however interns
-  // interleave. Monotone, relaxed reads.
+  // chunk-tail waste depends on scheduling, and a memory bound must read
+  // the same value for the same content however interns interleave.
+  // Monotone, relaxed reads.
   std::size_t approx_bytes() const noexcept {
     return approx_bytes_.load(std::memory_order_relaxed);
   }

@@ -52,7 +52,7 @@
 #include "core/state.hpp"
 #include "core/types.hpp"
 #include "core/view.hpp"
-#include "runtime/stable_vector.hpp"
+#include "runtime/slot_vector.hpp"
 #include "util/permutations.hpp"
 
 namespace lacon {

@@ -20,7 +20,7 @@
 
 #include "core/hash_index.hpp"
 #include "core/types.hpp"
-#include "runtime/stable_vector.hpp"
+#include "runtime/slot_vector.hpp"
 #include "util/hash.hpp"
 
 namespace lacon::runtime {

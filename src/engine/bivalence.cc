@@ -17,8 +17,7 @@ BivalentRunResult extend_bivalent_run_from(ValenceEngine& engine,
     result.run.push_back(start);
     StateId cur = start;
     for (int d = 0; d < depth; ++d) {
-      if (g.check(model.num_states(), model.memory_footprint()) !=
-          guard::TruncationReason::kNone) {
+      if (g.check(model.num_states()) != guard::TruncationReason::kNone) {
         result.truncation = g.reason();
         result.stuck_reason = std::string("truncated: ") +
                               guard::to_string(result.truncation);

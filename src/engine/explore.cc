@@ -26,11 +26,10 @@ guard::Partial<std::vector<std::vector<StateId>>> reachable_by_depth(
   DenseBitset seen(model.num_states());
   for (StateId x : out.value[0]) seen.insert(x);
   for (int d = 0; d < depth; ++d) {
-    // Depth boundary: the one place the state/memory budget is evaluated.
-    // The state count is this exploration's own reached set, so states a
-    // shared session interned for earlier requests never count against it.
-    if (g.check(seen.size(), model.memory_footprint()) !=
-        guard::TruncationReason::kNone) {
+    // Depth boundary: the one place the state budget is evaluated. The
+    // state count is this exploration's own reached set, so states a shared
+    // session interned for earlier requests never count against it.
+    if (g.check(seen.size()) != guard::TruncationReason::kNone) {
       break;
     }
     const std::vector<StateId>& frontier = out.value.back();

@@ -163,9 +163,11 @@ class ValenceEngine {
     ValenceInfo info;
   };
   // The memo is sharded with striped mutexes so classify_all's concurrent
-  // explorations share results without contending on one lock.
+  // explorations share results without contending on one lock. A shard
+  // fills whole cache lines, so neighbouring shards never share one
+  // whatever address the heap gives the engine.
   static constexpr std::size_t kMemoShards = 16;
-  struct MemoShard {
+  struct alignas(64) MemoShard {
     std::mutex mu;
     std::unordered_map<StateId, Entry> map;
     std::vector<StateId> unpersisted;

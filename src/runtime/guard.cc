@@ -13,8 +13,6 @@ const char* to_string(TruncationReason reason) noexcept {
       return "deadline";
     case TruncationReason::kStateBudget:
       return "state_budget";
-    case TruncationReason::kCancelled:
-      return "cancelled";
   }
   return "?";
 }
@@ -25,28 +23,13 @@ const Guard& Guard::none() noexcept {
 }
 
 Guard& Guard::with_deadline(std::chrono::milliseconds budget) {
-  return with_deadline_at(std::chrono::steady_clock::now() + budget);
-}
-
-Guard& Guard::with_deadline_at(std::chrono::steady_clock::time_point deadline) {
-  deadline_ = deadline;
+  deadline_ = std::chrono::steady_clock::now() + budget;
   has_deadline_ = true;
   return *this;
 }
 
 Guard& Guard::with_state_budget(std::size_t max_states) {
   max_states_ = max_states;
-  return *this;
-}
-
-Guard& Guard::with_memory_budget(std::size_t max_bytes) {
-  max_bytes_ = max_bytes;
-  return *this;
-}
-
-Guard& Guard::with_token(CancelToken token) {
-  token_ = std::move(token);
-  has_token_ = true;
   return *this;
 }
 
@@ -71,10 +54,6 @@ bool Guard::tripped() const {
     trip(TruncationReason::kStateBudget);
     return true;
   }
-  if (has_token_ && token_.cancelled()) {
-    trip(TruncationReason::kCancelled);
-    return true;
-  }
   if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_) {
     trip(TruncationReason::kDeadline);
     return true;
@@ -82,16 +61,14 @@ bool Guard::tripped() const {
   return false;
 }
 
-TruncationReason Guard::check(std::size_t states_in_use,
-                              std::size_t bytes_in_use) const {
+TruncationReason Guard::check(std::size_t states_in_use) const {
   if (inert_) return TruncationReason::kNone;
   // Boundary checks are rare (depth/level granularity), so one always-on
   // counter shows how often the engine offered a preemption point.
   static runtime::Counter& checks =
       runtime::Stats::global().counter("guard.checks");
   checks.increment();
-  if ((max_states_ != 0 && states_in_use > max_states_) ||
-      (max_bytes_ != 0 && bytes_in_use > max_bytes_)) {
+  if (max_states_ != 0 && states_in_use > max_states_) {
     trip(TruncationReason::kStateBudget);
     return reason();
   }
@@ -109,7 +86,6 @@ ScopedGuard::ScopedGuard(const GuardSpec& spec) : spec_(spec) {
     guard_.with_deadline(std::chrono::milliseconds(spec_.budget_ms));
   }
   if (spec_.max_states > 0) guard_.with_state_budget(spec_.max_states);
-  if (spec_.max_bytes > 0) guard_.with_memory_budget(spec_.max_bytes);
 }
 
 }  // namespace lacon::guard

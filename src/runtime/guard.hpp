@@ -1,14 +1,12 @@
-// Resource governance and cooperative cancellation (lacon::guard).
+// Resource governance (lacon::guard).
 //
 // Every analysis this repository runs — reachable_by_depth over the layered
 // run tree, the similarity index, all-sources diameter, valence
 // classification — is exponential in process count and depth. A Guard bounds
-// such a computation with a wall-clock deadline, a state budget (the states
-// the computation reached), a memory budget (read off the StateArena/
-// ViewArena accounting) and a cooperative cancellation token, and the
-// engine layers return Partial<T> results instead of hanging or aborting:
-// the value computed so far, how far the computation got, and an explicit
-// TruncationReason.
+// such a computation with a wall-clock deadline and a state budget (the
+// states the computation reached), and the engine layers return Partial<T>
+// results instead of hanging or aborting: the value computed so far, how far
+// the computation got, and an explicit TruncationReason.
 //
 // Where the checks happen, and what is deterministic:
 //
@@ -25,15 +23,14 @@
 //    states the exploration itself reached — a budget-truncated
 //    exploration therefore truncates at the same depth, with the same
 //    levels, whatever other requests interned into a shared session before.
-//    Deadline and cancellation trips are inherently timing-dependent, but
-//    truncate at the same *granularity* (a level boundary yields a complete
-//    level or none of it), so any two runs agree on every level both
-//    completed.
+//    Deadline trips are inherently timing-dependent, but truncate at the
+//    same *granularity* (a level boundary yields a complete level or none of
+//    it), so any two runs agree on every level both completed.
 //
 // A Guard is sticky: the first trip records its reason and every later
 // probe reports tripped, so one guard governs a whole pipeline of calls
 // ("stop everything downstream too"). Guards are intentionally
-// non-copyable; share one by reference, or share a CancelToken.
+// non-copyable; share one by reference.
 //
 // Observability: every boundary probe bumps the "guard.checks" counter and
 // the first trip per guard bumps "guard.trips_<reason>" (runtime/stats.hpp),
@@ -46,7 +43,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "runtime/fault.hpp"
 
@@ -55,9 +51,8 @@ namespace lacon::guard {
 enum class TruncationReason : std::uint8_t {
   kNone = 0,      // ran to completion
   kDeadline,      // wall-clock budget exhausted
-  kStateBudget,   // state/memory budget exhausted (incl. injected
-                  // allocation failure, see runtime/fault.hpp)
-  kCancelled,     // the CancelToken was cancelled
+  kStateBudget,   // state budget exhausted (incl. injected allocation
+                  // failure, see runtime/fault.hpp)
 };
 
 const char* to_string(TruncationReason reason) noexcept;
@@ -79,23 +74,6 @@ struct Partial {
   }
 };
 
-// A shared cancellation flag. Copies observe the same flag, so a controller
-// thread can keep one copy and hand another to a Guard.
-class CancelToken {
- public:
-  CancelToken() : flag_(std::make_shared<std::atomic<bool>>(false)) {}
-
-  void cancel() const noexcept {
-    flag_->store(true, std::memory_order_release);
-  }
-  bool cancelled() const noexcept {
-    return flag_->load(std::memory_order_acquire);
-  }
-
- private:
-  std::shared_ptr<std::atomic<bool>> flag_;
-};
-
 class Guard {
  public:
   Guard() = default;
@@ -110,23 +88,18 @@ class Guard {
 
   // Budget configuration (call before handing the guard to the engine).
   Guard& with_deadline(std::chrono::milliseconds budget);
-  Guard& with_deadline_at(std::chrono::steady_clock::time_point deadline);
   Guard& with_state_budget(std::size_t max_states);
-  Guard& with_memory_budget(std::size_t max_bytes);
-  Guard& with_token(CancelToken token);
 
-  // Cheap cooperative probe: deadline, cancellation and injected budget
-  // faults. guarded_for() calls it per item (one steady_clock read when a
-  // deadline is set). Sticky.
+  // Cheap cooperative probe: deadline and injected budget faults.
+  // guarded_for() calls it per item (one steady_clock read when a deadline
+  // is set). Sticky.
   bool tripped() const;
 
-  // Full boundary check including the state/memory budget; engine layers
-  // call it at depth/level boundaries with their state count (the states
-  // an exploration reached) and the arena footprint
-  // (LayeredModel::memory_footprint()). Returns the sticky reason, kNone
-  // while still inside every budget.
-  TruncationReason check(std::size_t states_in_use,
-                         std::size_t bytes_in_use = 0) const;
+  // Full boundary check including the state budget; engine layers call it
+  // at depth/level boundaries with their state count (the states an
+  // exploration reached). Returns the sticky reason, kNone while still
+  // inside every budget.
+  TruncationReason check(std::size_t states_in_use) const;
 
   // The first recorded trip, kNone if none.
   TruncationReason reason() const noexcept {
@@ -144,9 +117,6 @@ class Guard {
   // ever fire, so callers may take the unguarded fast path.
   bool never_trips() const noexcept { return inert_; }
 
-  std::size_t max_states() const noexcept { return max_states_; }
-  std::size_t max_bytes() const noexcept { return max_bytes_; }
-
  private:
   struct InertTag {};
   explicit Guard(InertTag) : inert_(true) {}
@@ -155,11 +125,8 @@ class Guard {
 
   bool inert_ = false;
   bool has_deadline_ = false;
-  bool has_token_ = false;
   std::chrono::steady_clock::time_point deadline_{};
   std::size_t max_states_ = 0;  // 0 = unlimited
-  std::size_t max_bytes_ = 0;   // 0 = unlimited
-  CancelToken token_{};
   mutable std::atomic<std::uint8_t> reason_{0};
 };
 
@@ -171,11 +138,8 @@ class Guard {
 struct GuardSpec {
   std::int64_t budget_ms = 0;   // 0 = no deadline
   std::size_t max_states = 0;   // 0 = unlimited
-  std::size_t max_bytes = 0;    // 0 = unlimited
 
-  bool limited() const noexcept {
-    return budget_ms > 0 || max_states > 0 || max_bytes > 0;
-  }
+  bool limited() const noexcept { return budget_ms > 0 || max_states > 0; }
 };
 
 GuardSpec& process_guard_spec() noexcept;

@@ -32,7 +32,6 @@ struct Event {
   std::uint64_t dur_ns = 0;
   std::uint64_t arg = kNoArg;
   std::uint32_t depth = 0;
-  bool is_instant = false;
 };
 
 std::atomic<std::uint64_t> g_dropped{0};
@@ -71,8 +70,7 @@ class SpanBuffer {
     for (std::size_t i = 0; i < n; ++i) {
       const Event& e = chunks_[i / kChunkEvents]->events[i % kChunkEvents];
       out.push_back(CollectedSpan{e.site->category, e.site->name, tid,
-                                  e.depth, e.is_instant, e.start_ns, e.dur_ns,
-                                  e.arg});
+                                  e.depth, e.start_ns, e.dur_ns, e.arg});
     }
   }
 
@@ -256,17 +254,8 @@ void ScopedSpan::finish() noexcept {
   if (thread_state_ != nullptr) {
     auto& ts = *static_cast<ThreadState*>(thread_state_);
     --ts.depth;
-    ts.buffer.push(Event{site_, start_ns_, dur, arg_, ts.depth, false});
+    ts.buffer.push(Event{site_, start_ns_, dur, arg_, ts.depth});
   }
-}
-
-void instant(SpanSite& site, std::uint64_t arg) noexcept {
-  const Mode m = mode();
-  if (m == Mode::kOff) return;
-  site.histogram().record(0);
-  if (m != Mode::kSpans) return;
-  ThreadState& ts = thread_state();
-  ts.buffer.push(Event{&site, now_ns(), 0, arg, ts.depth, true});
 }
 
 std::vector<CollectedSpan> collect() {
@@ -338,18 +327,11 @@ std::string chrome_trace_json() {
     out += "\",";
     // Timestamps are microseconds in the trace-event format; keep ns
     // precision as fractional digits.
-    if (s.is_instant) {
-      std::snprintf(buf, sizeof(buf),
-                    "\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%u,"
-                    "\"ts\":%.3f",
-                    s.tid, static_cast<double>(s.start_ns) / 1000.0);
-    } else {
-      std::snprintf(buf, sizeof(buf),
-                    "\"ph\":\"X\",\"pid\":1,\"tid\":%u,\"ts\":%.3f,"
-                    "\"dur\":%.3f",
-                    s.tid, static_cast<double>(s.start_ns) / 1000.0,
-                    static_cast<double>(s.dur_ns) / 1000.0);
-    }
+    std::snprintf(buf, sizeof(buf),
+                  "\"ph\":\"X\",\"pid\":1,\"tid\":%u,\"ts\":%.3f,"
+                  "\"dur\":%.3f",
+                  s.tid, static_cast<double>(s.start_ns) / 1000.0,
+                  static_cast<double>(s.dur_ns) / 1000.0);
     out += buf;
     std::snprintf(buf, sizeof(buf), ",\"args\":{\"depth\":%u", s.depth);
     out += buf;
@@ -374,7 +356,6 @@ MetricsSnapshot MetricsSnapshot::capture() {
   const guard::GuardSpec& spec = guard::process_guard_spec();
   snap.guard_budget_ms = spec.budget_ms;
   snap.guard_max_states = spec.max_states;
-  snap.guard_max_bytes = spec.max_bytes;
   snap.stats = runtime::Stats::global().snapshot();
   snap.histograms = runtime::Stats::global().histogram_snapshot();
   snap.spans_recorded = ::lacon::trace::spans_recorded();
@@ -392,12 +373,11 @@ std::string MetricsSnapshot::to_json() const {
   // Guard block: configured budgets plus the sticky trip counters (also
   // present in "counters" as guard.trips_*; surfaced here so a consumer can
   // tell "truncated run" apart without string-prefix matching).
-  std::uint64_t trips_deadline = 0, trips_state = 0, trips_cancelled = 0;
+  std::uint64_t trips_deadline = 0, trips_state = 0;
   for (const runtime::StatSample& s : stats) {
     if (s.is_timer) continue;
     if (s.name == "guard.trips_deadline") trips_deadline = s.value;
     if (s.name == "guard.trips_state_budget") trips_state = s.value;
-    if (s.name == "guard.trips_cancelled") trips_cancelled = s.value;
   }
   std::snprintf(buf, sizeof(buf),
                 "\"guard\":{\"budget_ms\":%lld,\"max_states\":%llu,",
@@ -405,14 +385,9 @@ std::string MetricsSnapshot::to_json() const {
                 static_cast<unsigned long long>(guard_max_states));
   out += buf;
   std::snprintf(buf, sizeof(buf),
-                "\"max_bytes\":%llu,\"trips\":{\"deadline\":%llu,",
-                static_cast<unsigned long long>(guard_max_bytes),
-                static_cast<unsigned long long>(trips_deadline));
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "\"state_budget\":%llu,\"cancelled\":%llu}},",
-                static_cast<unsigned long long>(trips_state),
-                static_cast<unsigned long long>(trips_cancelled));
+                "\"trips\":{\"deadline\":%llu,\"state_budget\":%llu}},",
+                static_cast<unsigned long long>(trips_deadline),
+                static_cast<unsigned long long>(trips_state));
   out += buf;
 
   out += "\"counters\":{";

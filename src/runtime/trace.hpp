@@ -25,8 +25,6 @@
 //    relaxed atomic load and a predictable branch — no clock read, no
 //    allocation, no stats lookup. The t9/t10 bench regression gate runs in
 //    this configuration, so span placement in hot paths is free when off.
-//    Defining LACON_TRACE_COMPILED_OUT removes the macros entirely
-//    (compile-to-nothing) for builds that must prove the zero-cost claim.
 //  * LACON_TRACE=counters: durations are histogrammed; no events buffered.
 //  * LACON_TRACE=spans: durations are histogrammed AND events are recorded
 //    into per-thread lock-free buffers (chunked arrays; the emit path is one
@@ -120,10 +118,6 @@ class ScopedSpan {
   std::uint32_t depth_ = 0;
 };
 
-// Records a zero-duration instant event (e.g. a work-steal) in spans mode;
-// in counters mode it only bumps the site histogram with a zero value.
-void instant(SpanSite& site, std::uint64_t arg = kNoArg) noexcept;
-
 // One collected span event, ready for export. Times are nanoseconds since
 // the process trace epoch (first clock use).
 struct CollectedSpan {
@@ -131,7 +125,6 @@ struct CollectedSpan {
   const char* name = nullptr;
   std::uint32_t tid = 0;    // dense per-process trace thread id
   std::uint32_t depth = 0;  // nesting level on the emitting thread
-  bool is_instant = false;
   std::uint64_t start_ns = 0;
   std::uint64_t dur_ns = 0;
   std::uint64_t arg = kNoArg;
@@ -150,7 +143,7 @@ void clear();
 std::size_t spans_recorded();
 std::size_t spans_dropped() noexcept;
 
-// Chrome trace-event JSON ("traceEvents" array of "X"/"i" events plus
+// Chrome trace-event JSON ("traceEvents" array of "X" events plus
 // thread-name metadata). Loadable in Perfetto / chrome://tracing.
 std::string chrome_trace_json();
 bool write_chrome_trace(const std::string& path);
@@ -164,7 +157,6 @@ struct MetricsSnapshot {
   Mode trace_mode = Mode::kOff;
   std::int64_t guard_budget_ms = 0;
   std::uint64_t guard_max_states = 0;
-  std::uint64_t guard_max_bytes = 0;
   std::vector<runtime::StatSample> stats;            // sorted by name
   std::vector<runtime::HistogramSample> histograms;  // sorted by name
   std::uint64_t spans_recorded = 0;
@@ -187,15 +179,9 @@ void write_env_artifacts();
 
 // Span macros. Each expands to a constant-initialized static site (no
 // thread-safe-static guard) plus an RAII span over the enclosing scope.
-// With LACON_TRACE_COMPILED_OUT defined they expand to nothing, proving the
-// off-path zero-cost contract at the strongest possible level.
 #define LACON_TRACE_CAT_(a, b) a##b
 #define LACON_TRACE_CAT(a, b) LACON_TRACE_CAT_(a, b)
 
-#if defined(LACON_TRACE_COMPILED_OUT)
-#define LACON_TRACE_SPAN(category, name) static_assert(true)
-#define LACON_TRACE_SPAN_ARG(category, name, arg_value) static_assert(true)
-#else
 #define LACON_TRACE_SPAN(category, name)                                   \
   static constinit ::lacon::trace::SpanSite LACON_TRACE_CAT(               \
       lacon_trace_site_, __LINE__){category, name};                        \
@@ -209,4 +195,3 @@ void write_env_artifacts();
       lacon_trace_span_, __LINE__){                                        \
       LACON_TRACE_CAT(lacon_trace_site_, __LINE__),                        \
       static_cast<std::uint64_t>(arg_value)}
-#endif

@@ -172,7 +172,6 @@ ValenceEngine& Session::engine(int horizon) {
                           lemmas_.get()))
              .first;
   }
-  last_engine_ = it->second.get();
   return *it->second;
 }
 
@@ -180,12 +179,10 @@ void Session::ensure_store_loaded(ValenceEngine* eng) {
   std::lock_guard<std::mutex> lock(store_mu_);
   if (store_attempted_) return;
   store_attempted_ = true;
-  const bool wal_on = store::wal_enabled();
-  if (!store::loads(store::mode()) && !wal_on) return;
+  if (!store::wal_enabled()) return;
 
-  // Snapshot first: with the WAL on it is the base the log replays over
-  // (and the compaction target), so it loads even when LACON_STORE itself
-  // is off.
+  // Snapshot first: it is the base the log replays over (and the
+  // compaction target).
   const std::string path = store::snapshot_path(*model_);
   store::SnapshotMeta meta;
   const store::Result r =
@@ -199,7 +196,6 @@ void Session::ensure_store_loaded(ValenceEngine* eng) {
                  store::to_string(r.status), r.detail.c_str());
   }
 
-  if (!wal_on) return;
   wal_ = std::make_unique<store::Wal>();
   const std::string wpath = store::wal_path(*model_);
   store::Result w = wal_->open(*model_, wpath);
@@ -247,10 +243,6 @@ void Session::ensure_store_loaded(ValenceEngine* eng) {
       wal_.reset();
     }
   }
-}
-
-void Session::commit_wal(ValenceEngine* eng) {
-  commit_wal(std::vector<ValenceEngine*>{eng});
 }
 
 void Session::commit_wal(const std::vector<ValenceEngine*>& engines) {
@@ -332,37 +324,6 @@ std::string Session::take_notice() {
   return out;
 }
 
-bool Session::store_save() {
-  if (!store::saves(store::mode())) return true;
-  ValenceEngine* eng;
-  {
-    std::lock_guard<std::mutex> lock(engines_mu_);
-    eng = last_engine_;
-  }
-  const std::string path = store::snapshot_path(*model_);
-  // Held across the save so no compaction rewrites the file between it and
-  // the log reset below: the reset watermarks are the counts this save
-  // wrote.
-  std::lock_guard<std::mutex> lock(store_mu_);
-  store::SnapshotMeta meta;
-  const store::Result r =
-      store::save(*model_, path, eng, lemmas_.get(), &meta);
-  if (!r.ok()) {
-    std::fprintf(stderr, "laconrd: snapshot save failed (%s): %s\n",
-                 store::to_string(r.status), r.detail.c_str());
-    return false;
-  }
-  // The fresh snapshot supersedes every logged record; restart the log so
-  // the next run replays nothing it already has. Skipping this is safe
-  // (replay skips covered records) but leaves the log to grow stale bytes.
-  if (wal_ != nullptr) {
-    snapshot_bytes_ = meta.file_bytes;
-    wal_->reset_to(*model_, meta.num_views, meta.num_states, eng,
-                   lemmas_.get());
-  }
-  return true;
-}
-
 Session& SessionManager::session(ModelKind kind, int n, int t) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto key = std::make_tuple(static_cast<int>(kind), n, t);
@@ -373,11 +334,6 @@ Session& SessionManager::session(ModelKind kind, int n, int t) {
   return *it->second;
 }
 
-void SessionManager::save_all() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [key, session] : sessions_) session->store_save();
-}
-
 std::size_t SessionManager::session_count() {
   std::lock_guard<std::mutex> lock(mu_);
   return sessions_.size();
@@ -386,9 +342,8 @@ std::size_t SessionManager::session_count() {
 namespace {
 
 // One executed-but-not-yet-committed request: the response document plus
-// the session/engine whose delta still needs a WAL commit. handle_request
-// commits immediately; handle_batch defers and commits each touched
-// session once for the whole batch.
+// the session/engine whose delta still needs a WAL commit. handle_batch
+// commits each touched session once for the whole batch.
 struct Executed {
   Json response;
   Session* session = nullptr;
@@ -536,23 +491,6 @@ bool parse_line(std::string_view line, Request* req, Json* error_resp) {
 
 }  // namespace
 
-Json handle_request(SessionManager& sessions, const Request& req) {
-  Executed ex = execute_request(sessions, req);
-  // Durability commit BEFORE the response exists: once the client reads a
-  // response line, every state/view/cache entry it depended on is fsync'd
-  // in the WAL (LACON_WAL=on; no-op otherwise), so kill -9 after a
-  // response never loses that response's work.
-  ex.session->commit_wal(ex.engine);
-  return std::move(ex.response);
-}
-
-std::string handle_line(SessionManager& sessions, std::string_view line) {
-  Request req;
-  Json error_resp;
-  if (!parse_line(line, &req, &error_resp)) return error_resp.dump();
-  return handle_request(sessions, req).dump();
-}
-
 std::vector<std::string> handle_batch(SessionManager& sessions,
                                       const std::vector<std::string>& lines) {
   std::vector<std::string> out;
@@ -580,11 +518,16 @@ std::vector<std::string> handle_batch(SessionManager& sessions,
   }
   // One group commit per touched session: the whole batch's work shares one
   // fsync (Wal's batch append), and the commit still precedes every
-  // response byte on the wire — the caller only sends after we return.
+  // response byte on the wire — the caller only sends after we return, so
+  // kill -9 after a response never loses that response's work.
   for (auto& [session, engines] : touched) {
     session->commit_wal(engines);
   }
   return out;
+}
+
+std::string handle_line(SessionManager& sessions, std::string_view line) {
+  return handle_batch(sessions, {std::string(line)}).front();
 }
 
 }  // namespace lacon::service

@@ -94,44 +94,36 @@ class Session {
   // WAL records alongside the memo.
   LemmaStore& lemmas() noexcept { return *lemmas_; }
 
-  // First-request hook: when LACON_STORE asks for a load (or LACON_WAL is
-  // on) and a snapshot for this instance exists, replays it into the (still
-  // empty) model — with `eng`'s memo imported when the stored horizon/mode
-  // match — then, with LACON_WAL on, opens the session's WAL and replays
-  // its records over the snapshot (kill -9 recovery). An unreadable WAL is
-  // quarantined to `<path>.bad` and restarted fresh rather than ever
-  // crashing the daemon. Runs at most once per session; failures fall back
-  // to a cold start (one stderr line).
+  // First-request hook, a no-op unless LACON_WAL is on: replays the
+  // instance's snapshot, if one exists, into the (still empty) model as the
+  // log's base — with `eng`'s memo imported when the stored horizon/mode
+  // match — then opens the session's WAL and replays its records over it
+  // (kill -9 recovery). An unreadable WAL is quarantined to `<path>.bad`
+  // and restarted fresh rather than ever crashing the daemon. Runs at most
+  // once per session; failures fall back to a cold start (one stderr line).
   void ensure_store_loaded(ValenceEngine* eng);
 
   // Durability commit point (LACON_WAL=on; no-op otherwise): returns only
-  // once everything this request interned/cached is fsync'd in the WAL.
-  // handle_request calls this after analysis and BEFORE the response is
-  // serialized, so a response on the wire implies its work survives
-  // kill -9. Commits are GROUP-COMMITTED: concurrent callers stage their
-  // engines and exactly one leader performs a single coalesced
-  // append+fsync for the whole round (Wal::append batch overload); every
-  // caller waits for a round that started no earlier than its own arrival,
-  // which — a round drains every cache entry queued before it started, plus
-  // the states and views past the durability watermarks — is what makes
-  // its finished work durable. A round with nothing queued writes nothing
-  // and costs one pass over the queues' shard locks. Compacts the log into
-  // a fresh snapshot once it outgrows store::kWalCompactRatio times the
-  // snapshot. The vector overload stages several engines in one round (a
-  // pipelined batch of requests shares one fsync).
-  void commit_wal(ValenceEngine* eng);
+  // once everything the requests that ran against `engines` interned or
+  // cached is fsync'd in the WAL. handle_batch calls this after a batch's
+  // analysis and BEFORE any of its responses is sent, so a response on the
+  // wire implies its work survives kill -9. Commits are GROUP-COMMITTED:
+  // concurrent callers stage their engines and exactly one leader performs
+  // a single coalesced append+fsync for the whole round (Wal::append batch
+  // overload); every caller waits for a round that started no earlier than
+  // its own arrival, which — a round drains every cache entry queued
+  // before it started, plus the states and views past the durability
+  // watermarks — is what makes its finished work durable. A round with
+  // nothing queued writes nothing and costs one pass over the queues'
+  // shard locks. Compacts the log into a fresh snapshot once it outgrows
+  // store::kWalCompactRatio times the snapshot.
   void commit_wal(const std::vector<ValenceEngine*>& engines);
 
   // Drains the pending operator notice (empty if none): set when store
-  // recovery quarantined an unreadable WAL to `<path>.bad`, and attached by
-  // handle_request to the next response as a "notice" field so operators
-  // learn the quarantined file's path from the wire, not just stderr.
+  // recovery quarantined an unreadable WAL to `<path>.bad`, and attached to
+  // the session's next response as a "notice" field so operators learn the
+  // quarantined file's path from the wire, not just stderr.
   std::string take_notice();
-
-  // Saves the session per LACON_STORE; uses the most recently used engine's
-  // memo. Returns false (with a stderr line) if the save failed. With the
-  // WAL on, a successful save also resets the log to the new snapshot.
-  bool store_save();
 
  private:
   ModelKind kind_;
@@ -142,7 +134,6 @@ class Session {
   std::unique_ptr<LemmaStore> lemmas_;
   std::mutex engines_mu_;
   std::map<int, std::unique_ptr<ValenceEngine>> engines_;
-  ValenceEngine* last_engine_ = nullptr;
   // The leader's append/compact body; caller holds store_mu_ via the
   // group-commit protocol in commit_wal.
   void leader_commit_locked(const std::vector<ValenceEngine*>& engines);
@@ -172,9 +163,6 @@ class SessionManager {
  public:
   Session& session(ModelKind kind, int n, int t);
 
-  // Saves every session per LACON_STORE (daemon shutdown path).
-  void save_all();
-
   std::size_t session_count();
 
  private:
@@ -182,22 +170,18 @@ class SessionManager {
   std::map<std::tuple<int, int, int>, std::unique_ptr<Session>> sessions_;
 };
 
-// Executes one parsed request and assembles the response document.
-Json handle_request(SessionManager& sessions, const Request& req);
-
-// Full line-level entry point: parse, validate, execute, serialize. Always
-// returns a one-line JSON response (parse failures become status "error"
-// with a null id), never throws. Equivalent to a pipelined batch of one.
-std::string handle_line(SessionManager& sessions, std::string_view line);
-
-// Pipelined execution of several NDJSON request lines read off one
-// connection: requests execute IN ORDER, every session a batch touched is
-// group-committed ONCE (all the batch's work shares one WAL fsync), and
-// only then are the responses returned — in request order, one response
-// string per line. The durability contract is unchanged: the commit
-// precedes every response byte, so any response on the wire implies the
-// whole batch's work survives kill -9. See PROTOCOL.md "Pipelining".
+// The one request path: executes the NDJSON request lines one connection
+// read — parse, validate, execute, serialize. Requests execute IN ORDER,
+// every session the batch touched is group-committed ONCE (all the batch's
+// work shares one WAL fsync), and only then are the responses returned —
+// in request order, one one-line JSON response per line (parse failures
+// become status "error" with a null id). Never throws. The commit precedes
+// every response byte, so any response on the wire implies the whole
+// batch's work survives kill -9. See PROTOCOL.md "Pipelining".
 std::vector<std::string> handle_batch(SessionManager& sessions,
                                       const std::vector<std::string>& lines);
+
+// handle_batch over a batch of one line.
+std::string handle_line(SessionManager& sessions, std::string_view line);
 
 }  // namespace lacon::service

@@ -61,8 +61,8 @@ class Server {
   // Stops accepting, closes the listener, shuts down and joins every
   // connection and unlinks the socket file. Returns promptly (worst case a
   // poll tick plus whatever request is mid-flight) even when clients sit
-  // idle on open connections. Idempotent. Does NOT save sessions — shutdown
-  // policy (store::env knobs) belongs to the caller (examples/laconrd.cc).
+  // idle on open connections. Idempotent. Saves nothing: with LACON_WAL=on
+  // every response was committed to its session's log before it was sent.
   void stop();
 
   bool running() const noexcept {

@@ -11,15 +11,6 @@ namespace lacon::store {
 
 namespace {
 
-void warn_mode_once(const char* text, Mode used) {
-  static std::atomic<bool> warned{false};
-  if (warned.exchange(true)) return;
-  std::fprintf(stderr,
-               "lacon: ignoring malformed LACON_STORE='%s' "
-               "(want off|load|save|loadsave); using '%s'\n",
-               text, to_string(used));
-}
-
 void warn_dir_once(std::size_t length, const std::string& used) {
   static std::atomic<bool> warned{false};
   if (warned.exchange(true)) return;
@@ -40,30 +31,6 @@ void warn_wal_once(const char* text, bool used) {
 
 }  // namespace
 
-const char* to_string(Mode mode) noexcept {
-  switch (mode) {
-    case Mode::kOff:
-      return "off";
-    case Mode::kLoad:
-      return "load";
-    case Mode::kSave:
-      return "save";
-    case Mode::kLoadSave:
-      return "loadsave";
-  }
-  return "?";
-}
-
-Mode parse_mode(const char* text, Mode fallback) noexcept {
-  if (text == nullptr || *text == '\0') return fallback;
-  if (std::strcmp(text, "off") == 0) return Mode::kOff;
-  if (std::strcmp(text, "load") == 0) return Mode::kLoad;
-  if (std::strcmp(text, "save") == 0) return Mode::kSave;
-  if (std::strcmp(text, "loadsave") == 0) return Mode::kLoadSave;
-  warn_mode_once(text, fallback);
-  return fallback;
-}
-
 std::string parse_dir(const char* text, const std::string& fallback) {
   if (text == nullptr || *text == '\0') return fallback;
   const std::size_t length = std::strlen(text);
@@ -81,8 +48,6 @@ bool parse_wal(const char* text, bool fallback) noexcept {
   warn_wal_once(text, fallback);
   return fallback;
 }
-
-Mode mode() { return parse_mode(std::getenv("LACON_STORE"), Mode::kOff); }
 
 std::string dir() {
   return parse_dir(std::getenv("LACON_STORE_DIR"), "lacon_store");

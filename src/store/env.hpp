@@ -1,20 +1,21 @@
-// Environment knobs for the persistent snapshot store (lacon::store).
+// Environment knobs for the persistent store (lacon::store).
 //
-//   LACON_STORE        off | load | save | loadsave   (default: off)
-//   LACON_STORE_DIR    directory snapshots live in    (default: lacon_store)
 //   LACON_WAL          off | on                       (default: off)
+//   LACON_STORE_DIR    directory the files live in    (default: lacon_store)
 //
-// `load` warm-starts a model from an existing snapshot before analysis,
-// `save` writes one after analysis, `loadsave` does both (load if present,
-// save what the run added). Parsing follows the LACON_TRACE contract
-// (runtime/trace.hpp): a malformed value earns one stderr warning per
-// process and falls back to the default — it never aborts and never
-// silently changes meaning. The parse_* functions are pure (testable
-// without touching the environment); mode()/dir() read the environment on
-// every call so harnesses can retarget the store between phases.
+// With LACON_WAL=on, laconrd loads a session's snapshot as the base of its
+// write-ahead log, replays the log over it and commits every request to
+// the log before responding; the log compacts into a fresh snapshot
+// (DESIGN.md §14). Off, nothing is loaded or written. Parsing follows the
+// LACON_TRACE contract (runtime/trace.hpp): a malformed value earns one
+// stderr warning per process and falls back to the default — it never
+// aborts and never silently changes meaning. The parse_* functions are
+// pure (testable without touching the environment); dir()/wal_enabled()
+// read the environment on every call so harnesses can retarget the store
+// between phases.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 
 namespace lacon {
@@ -22,23 +23,6 @@ class LayeredModel;
 }  // namespace lacon
 
 namespace lacon::store {
-
-enum class Mode : std::uint8_t { kOff = 0, kLoad, kSave, kLoadSave };
-
-const char* to_string(Mode mode) noexcept;
-
-// True when the mode asks for a load / save half, respectively.
-inline bool loads(Mode m) noexcept {
-  return m == Mode::kLoad || m == Mode::kLoadSave;
-}
-inline bool saves(Mode m) noexcept {
-  return m == Mode::kSave || m == Mode::kLoadSave;
-}
-
-// Parses a LACON_STORE-style value. Empty/null yields the fallback
-// silently; anything other than the four keywords warns once per process
-// and yields the fallback.
-Mode parse_mode(const char* text, Mode fallback) noexcept;
 
 // Parses a LACON_STORE_DIR-style value. Empty/null yields the fallback
 // silently; a value longer than kMaxDirLength (the ERANGE analogue for a
@@ -53,7 +37,6 @@ std::string parse_dir(const char* text, const std::string& fallback);
 bool parse_wal(const char* text, bool fallback) noexcept;
 
 // The knobs as configured by the environment right now.
-Mode mode();
 std::string dir();
 bool wal_enabled();
 

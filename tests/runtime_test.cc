@@ -1,12 +1,10 @@
-// Tests for the runtime support code (src/runtime/): StableVector, the
-// Stats registry and runtime_report, plus two analysis entry points that
-// must match their plain definitions — Graph::from_relation on tiny sizes
-// and classify_all against per-state valence calls.
+// Tests for the runtime support code (src/runtime/): the Stats registry
+// and runtime_report, plus two analysis entry points that must match their
+// plain definitions — Graph::from_relation on tiny sizes and classify_all
+// against per-state valence calls.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,52 +12,10 @@
 #include "analysis/reports.hpp"
 #include "engine/valence.hpp"
 #include "relation/graph.hpp"
-#include "runtime/stable_vector.hpp"
 #include "runtime/stats.hpp"
 
 namespace lacon {
 namespace {
-
-TEST(StableVector, ReferencesSurviveGrowth) {
-  runtime::StableVector<std::string> v;
-  v.push_back("first");
-  const std::string& first = v[0];
-  for (int i = 0; i < 5000; ++i) v.push_back(std::to_string(i));
-  EXPECT_EQ(first, "first");  // still valid after many chunk allocations
-  EXPECT_EQ(v.size(), 5001u);
-  EXPECT_EQ(v[4321], std::to_string(4320));
-}
-
-TEST(StableVector, ConcurrentReadersSeePublishedElements) {
-  runtime::StableVector<int> v;
-  std::mutex write_mu;
-  std::atomic<std::size_t> published{0};
-  std::atomic<bool> failed{false};
-  std::thread writer([&] {
-    for (int i = 0; i < 20000; ++i) {
-      {
-        std::lock_guard<std::mutex> lock(write_mu);
-        v.push_back(i);
-      }
-      published.store(static_cast<std::size_t>(i) + 1,
-                      std::memory_order_release);
-    }
-  });
-  std::thread reader([&] {
-    while (published.load(std::memory_order_acquire) < 20000) {
-      const std::size_t n = published.load(std::memory_order_acquire);
-      for (std::size_t i = 0; i < n; i += 997) {
-        if (v[i] != static_cast<int>(i)) {
-          failed.store(true);
-          return;
-        }
-      }
-    }
-  });
-  writer.join();
-  reader.join();
-  EXPECT_FALSE(failed.load());
-}
 
 TEST(Stats, CountersAndTimersAccumulate) {
   auto& stats = runtime::Stats::global();

@@ -13,6 +13,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -32,6 +33,7 @@
 #include "service/json.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
+#include "store/env.hpp"
 
 namespace lacon::service {
 namespace {
@@ -481,16 +483,6 @@ TEST_F(ServerTest, ManyConcurrentClientsShareOneSession) {
   EXPECT_EQ(server_->sessions().session_count(), 1u);
 }
 
-TEST_F(ServerTest, PipelinedRequestsOnOneConnection) {
-  // Two newline-delimited requests in one write; Server::request reads only
-  // the first response, so issue them as two sequential round trips plus a
-  // CRLF-terminated line to cover the '\r' strip.
-  const std::string r1 = roundtrip("{\"id\":1,\"model\":\"mobile\",\"depth\":1}\r");
-  const auto doc = Json::parse(r1);
-  ASSERT_TRUE(doc.has_value()) << r1;
-  EXPECT_EQ(find_path(*doc, {"status"})->as_string(), "ok");
-}
-
 // --- fault posture (robustness PR): shutdown, shedding, timeouts -----------
 
 // A raw connected client socket with no protocol behavior: the pathological
@@ -540,6 +532,78 @@ TEST_F(ServerTest, StopReturnsPromptlyWithIdleClient) {
                 .count(),
             1000);
   ::close(fd);
+}
+
+// Untrusted wire input: a line that outgrows max_line_bytes before its
+// newline is answered with a typed error and its connection closed, while
+// other connections are still served.
+TEST_F(ServerTest, OverlongLineIsRefusedAndItsConnectionClosed) {
+  server_->stop();
+  server_ = std::make_unique<Server>(
+      ServerOptions{.socket_path = socket_path_, .max_line_bytes = 256});
+  std::string error;
+  ASSERT_TRUE(server_->start(&error)) << error;
+  const int fd = raw_connect(socket_path_);
+  ASSERT_GE(fd, 0);
+  const std::string line(1024, 'x');  // no newline
+  ASSERT_EQ(::send(fd, line.data(), line.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(line.size()));
+  EXPECT_EQ(read_until_closed(fd),
+            "{\"id\":null,\"status\":\"error\",\"error\":\"request line "
+            "too long\"}\n");
+  // Closed by the daemon, not timed out: end of stream (or a reset, should
+  // the daemon have closed with bytes of ours unread) without waiting.
+  char byte;
+  const ssize_t tail = ::recv(fd, &byte, 1, MSG_DONTWAIT);
+  EXPECT_TRUE(tail == 0 || (tail < 0 && errno == ECONNRESET))
+      << "tail " << tail << " errno " << errno;
+  ::close(fd);
+
+  const auto doc =
+      Json::parse(roundtrip("{\"id\":2,\"model\":\"mobile\",\"depth\":1}"));
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(find_path(*doc, {"status"})->as_string(), "ok");
+}
+
+// Three request lines in one write arrive in one read, so the server runs
+// them as one batch: three responses, in request order, on the connection.
+// The first line is CRLF-terminated, which covers the '\r' strip.
+TEST_F(ServerTest, PipelinedRequestsOnOneConnection) {
+  auto& pipelined = runtime::Stats::global().counter("service.pipelined_lines");
+  const std::uint64_t before = pipelined.value();
+  const int fd = raw_connect(socket_path_);
+  ASSERT_GE(fd, 0);
+  const std::string batch =
+      "{\"id\":1,\"model\":\"mobile\",\"depth\":1}\r\n"
+      "{\"id\":2,\"model\":\"sync\",\"n\":3,\"t\":1,\"depth\":1}\n"
+      "{\"id\":3,\"model\":\"mobile\",\"depth\":2,\"query\":\"valence\"}\n";
+  ASSERT_EQ(::send(fd, batch.data(), batch.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(batch.size()));
+  std::string out;
+  char buf[4096];
+  while (std::count(out.begin(), out.end(), '\n') < 3) {
+    pollfd pfd{fd, POLLIN, 0};
+    ASSERT_GT(::poll(&pfd, 1, 30'000), 0) << out;
+    const ssize_t got = ::read(fd, buf, sizeof buf);
+    ASSERT_GT(got, 0) << out;
+    out.append(buf, static_cast<std::size_t>(got));
+  }
+  ::close(fd);
+  EXPECT_EQ(pipelined.value(), before + 3);
+
+  std::vector<std::string> lines;
+  for (std::size_t start = 0, nl; (nl = out.find('\n', start)) !=
+                                  std::string::npos;
+       start = nl + 1) {
+    lines.push_back(out.substr(start, nl - start));
+  }
+  ASSERT_EQ(lines.size(), 3u) << out;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const auto doc = Json::parse(lines[i]);
+    ASSERT_TRUE(doc.has_value()) << lines[i];
+    EXPECT_EQ(find_path(*doc, {"id"})->as_number(), static_cast<double>(i + 1));
+    EXPECT_EQ(find_path(*doc, {"status"})->as_string(), "ok");
+  }
 }
 
 TEST(ServerFaultTest, IdleConnectionIsToldAndDropped) {
@@ -628,7 +692,6 @@ TEST(ProtocolWalTest, HandledRequestsAreDurableWithoutSnapshotSave) {
   fs::create_directories(dir);
   ::setenv("LACON_WAL", "on", 1);
   ::setenv("LACON_STORE_DIR", dir.c_str(), 1);
-  ::setenv("LACON_STORE", "off", 1);
 
   const std::string query =
       "{\"id\":1,\"model\":\"mobile\",\"n\":3,\"depth\":2,"
@@ -637,7 +700,7 @@ TEST(ProtocolWalTest, HandledRequestsAreDurableWithoutSnapshotSave) {
   {
     SessionManager sessions;
     first = handle_line(sessions, query);
-    // No save_all: the manager dies as a kill -9 would leave it.
+    // The manager dies as a kill -9 would leave it: nothing is saved.
   }
   SessionManager recovered;
   const std::string second = handle_line(recovered, query);
@@ -653,9 +716,76 @@ TEST(ProtocolWalTest, HandledRequestsAreDurableWithoutSnapshotSave) {
 
   ::unsetenv("LACON_WAL");
   ::unsetenv("LACON_STORE_DIR");
-  ::unsetenv("LACON_STORE");
   std::error_code ec;
   fs::remove_all(dir, ec);
+}
+
+// A session log that fails at open — a foreign magic, or a format version
+// this build does not know — is quarantined to <wal>.bad. The request is
+// still answered, as a cold session answers it, with a notice naming the
+// quarantined file, and the session starts a fresh log: a restarted
+// manager answers the same request without interning anything.
+TEST(ProtocolWalTest, UnreadableWalIsQuarantinedAndReplaced) {
+  namespace fs = std::filesystem;
+  const std::string query =
+      "{\"id\":1,\"model\":\"mobile\",\"n\":3,\"depth\":2,"
+      "\"query\":\"valence\"}";
+  SessionManager cold;
+  const auto reference = Json::parse(handle_line(cold, query));
+  ASSERT_TRUE(reference.has_value());
+
+  const std::pair<const char*, std::size_t> corruptions[] = {
+      {"bad_magic", 0},    // the magic's first byte
+      {"bad_version", 8},  // the u32 version right after the magic
+  };
+  for (const auto& [label, offset] : corruptions) {
+    SCOPED_TRACE(label);
+    const fs::path dir = fs::temp_directory_path() /
+                         ("lacon_service_quarantine_" +
+                          std::to_string(::getpid()) + "_" + label);
+    fs::create_directories(dir);
+    ::setenv("LACON_WAL", "on", 1);
+    ::setenv("LACON_STORE_DIR", dir.c_str(), 1);
+    std::string wal;
+    {
+      SessionManager writer;
+      handle_line(writer, query);
+      wal = store::wal_path(writer.session(ModelKind::kMobile, 3, 1).model());
+    }
+    ASSERT_TRUE(fs::exists(wal));
+    {
+      std::FILE* f = std::fopen(wal.c_str(), "r+b");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+      ASSERT_EQ(std::fputc(0x7f, f), 0x7f);
+      std::fclose(f);
+    }
+
+    SessionManager sessions;
+    const auto doc = Json::parse(handle_line(sessions, query));
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(find_path(*doc, {"status"})->as_string(), "ok");
+    EXPECT_EQ(find_path(*doc, {"result"})->dump(),
+              find_path(*reference, {"result"})->dump());
+    const Json* notice = doc->find("notice");
+    ASSERT_NE(notice, nullptr);
+    EXPECT_NE(notice->as_string().find(wal + ".bad"), std::string::npos)
+        << notice->as_string();
+    EXPECT_TRUE(fs::exists(wal + ".bad"));
+
+    SessionManager restarted;
+    const auto again = Json::parse(handle_line(restarted, query));
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(find_path(*again, {"result"})->dump(),
+              find_path(*reference, {"result"})->dump());
+    EXPECT_EQ(find_path(*again, {"metrics", "new_states"})->as_number(), 0.0);
+    EXPECT_EQ(again->find("notice"), nullptr);
+
+    ::unsetenv("LACON_WAL");
+    ::unsetenv("LACON_STORE_DIR");
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+  }
 }
 
 // --- pipelining (handle_batch, PROTOCOL.md "Pipelining") -------------------
@@ -705,7 +835,6 @@ TEST(ProtocolWalTest, PipelinedBatchSharesOneCommitAndIsDurable) {
   fs::create_directories(dir);
   ::setenv("LACON_WAL", "on", 1);
   ::setenv("LACON_STORE_DIR", dir.c_str(), 1);
-  ::setenv("LACON_STORE", "off", 1);
 
   const std::vector<std::string> lines = {
       "{\"id\":1,\"model\":\"mobile\",\"n\":3,\"depth\":1}",
@@ -720,7 +849,7 @@ TEST(ProtocolWalTest, PipelinedBatchSharesOneCommitAndIsDurable) {
   {
     SessionManager sessions;
     first = handle_batch(sessions, lines);
-    // No save_all: the manager dies as a kill -9 would leave it.
+    // The manager dies as a kill -9 would leave it: nothing is saved.
   }
   // One touched session => one group-committed append for all three
   // requests (two distinct engine horizons riding the same round).
@@ -744,7 +873,6 @@ TEST(ProtocolWalTest, PipelinedBatchSharesOneCommitAndIsDurable) {
 
   ::unsetenv("LACON_WAL");
   ::unsetenv("LACON_STORE_DIR");
-  ::unsetenv("LACON_STORE");
   std::error_code ec;
   fs::remove_all(dir, ec);
 }
@@ -779,7 +907,7 @@ CacheExports export_caches(Session& session) {
 // Four clients write one WAL-on session at once through handle_batch:
 // `layers` at increasing depths plus warm valence and similarity reads, so
 // commit rounds coalesce and carry memo, fingerprint-row and lemma deltas.
-// The manager then dies without save_all, which leaves on disk what a
+// The manager then dies without saving, which leaves on disk what a
 // SIGKILL would (every response followed its fsync). A recovered manager
 // must hold the same caches and answer every request alike, interning
 // nothing.
@@ -791,7 +919,6 @@ TEST(ProtocolWalTest, ConcurrentClientsLoseNothingOnRecovery) {
   fs::create_directories(dir);
   ::setenv("LACON_WAL", "on", 1);
   ::setenv("LACON_STORE_DIR", dir.c_str(), 1);
-  ::setenv("LACON_STORE", "off", 1);
 
   constexpr int kClients = 4;
   const auto request = [](const char* query, int depth, int horizon) {
@@ -825,7 +952,7 @@ TEST(ProtocolWalTest, ConcurrentClientsLoseNothingOnRecovery) {
     for (std::thread& t : clients) t.join();
     live = export_caches(sessions.session(ModelKind::kMobile, 3, 1));
     ASSERT_FALSE(live.facts.empty());
-    // No save_all: the manager dies as a kill -9 would leave it.
+    // The manager dies as a kill -9 would leave it: nothing is saved.
   }
 
   SessionManager recovered;
@@ -857,7 +984,6 @@ TEST(ProtocolWalTest, ConcurrentClientsLoseNothingOnRecovery) {
 
   ::unsetenv("LACON_WAL");
   ::unsetenv("LACON_STORE_DIR");
-  ::unsetenv("LACON_STORE");
   std::error_code ec;
   fs::remove_all(dir, ec);
 }

@@ -13,6 +13,7 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -68,12 +69,13 @@ struct Instance {
   std::unique_ptr<ValenceEngine> engine;
 };
 
-Instance make_instance(ModelKind kind, int n, int t, int horizon) {
+Instance make_instance(ModelKind kind, int n, int t, int horizon,
+                       LemmaStore* lemmas = nullptr) {
   Instance inst;
   inst.rule = min_after_round(kind == ModelKind::kSync ? t + 1 : 2);
   inst.model = make_model(kind, n, t, *inst.rule);
-  inst.engine = std::make_unique<ValenceEngine>(*inst.model, horizon,
-                                                default_exactness(kind));
+  inst.engine = std::make_unique<ValenceEngine>(
+      *inst.model, horizon, default_exactness(kind), lemmas);
   return inst;
 }
 
@@ -942,6 +944,18 @@ TEST_F(StoreTest, WalResetKeepsEntriesInsertedAfterTheSnapshot) {
   expect_same_facts(fresh_lemmas.export_facts(), lemmas.export_facts());
 }
 
+// Lemma facts as comparable tuples.
+std::vector<std::tuple<std::uint64_t, std::uint64_t, std::int32_t, bool, bool>>
+fact_tuples(const std::vector<LemmaStore::Fact>& facts) {
+  std::vector<std::tuple<std::uint64_t, std::uint64_t, std::int32_t, bool,
+                         bool>>
+      out;
+  for (const LemmaStore::Fact& f : facts) {
+    out.emplace_back(f.sig_hi, f.sig_lo, f.lookahead, f.v0, f.v1);
+  }
+  return out;
+}
+
 // Body of WalFailedWriteKeepsDelta, run in a death-test child so the file
 // size limit stays there. Returns 0 when every check holds.
 int failed_write_child(const std::string& file) {
@@ -950,10 +964,12 @@ int failed_write_child(const std::string& file) {
     return ok;
   };
   std::signal(SIGXFSZ, SIG_IGN);
-  auto cold = make_instance(ModelKind::kMobile, 3, 1, 3);
+  LemmaStore cold_lemmas;
+  auto cold = make_instance(ModelKind::kMobile, 3, 1, 3, &cold_lemmas);
   store::Wal wal;
   if (!check(wal.open(*cold.model, file).ok(), "open")) return 1;
-  if (!check(wal.replay(*cold.model, cold.engine.get()).ok(), "replay")) {
+  if (!check(wal.replay(*cold.model, cold.engine.get(), &cold_lemmas).ok(),
+             "replay")) {
     return 1;
   }
   const auto header_bytes = fs::file_size(file);
@@ -965,22 +981,37 @@ int failed_write_child(const std::string& file) {
   tight.rlim_cur = static_cast<rlim_t>(header_bytes);
   if (!check(::setrlimit(RLIMIT_FSIZE, &tight) == 0, "setrlimit")) return 1;
 
+  // Every cache queues something: the layer cache, the memo, fingerprint
+  // rows (the similarity sweep) and lemma facts (the undecided initial
+  // states yield exact ones).
   analyze(cold, 2);
-  const store::Result failed = wal.append(*cold.model, cold.engine.get());
+  cold.engine->classify_all(cold.model->initial_states());
+  const auto rows = fingerprint_rows(*cold.model);
+  if (!check(!cold_lemmas.export_facts().empty(), "facts to log") ||
+      !check(std::any_of(rows.begin(), rows.end(),
+                         [](const auto& row) { return !row.empty(); }),
+             "rows to log")) {
+    return 1;
+  }
+  const store::Result failed =
+      wal.append(*cold.model, cold.engine.get(), &cold_lemmas);
   if (!check(failed.status == store::Status::kIoError, "append must fail") ||
       !check(fs::file_size(file) == header_bytes, "file kept its length")) {
     return 1;
   }
   if (!check(::setrlimit(RLIMIT_FSIZE, &old_limit) == 0, "restore limit") ||
-      !check(wal.append(*cold.model, cold.engine.get()).ok(), "append")) {
+      !check(wal.append(*cold.model, cold.engine.get(), &cold_lemmas).ok(),
+             "append")) {
     return 1;
   }
   wal.close();
 
-  auto warm = make_instance(ModelKind::kMobile, 3, 1, 3);
+  LemmaStore warm_lemmas;
+  auto warm = make_instance(ModelKind::kMobile, 3, 1, 3, &warm_lemmas);
   store::Wal w;
   if (!check(w.open(*warm.model, file).ok(), "reopen") ||
-      !check(w.replay(*warm.model, warm.engine.get()).ok(), "replay log")) {
+      !check(w.replay(*warm.model, warm.engine.get(), &warm_lemmas).ok(),
+             "replay log")) {
     return 1;
   }
   const bool same =
@@ -991,12 +1022,18 @@ int failed_write_child(const std::string& file) {
             "layer cache") &&
       check(memo_tuples(warm.engine->export_memo()) ==
                 memo_tuples(cold.engine->export_memo()),
-            "memo");
+            "memo") &&
+      check(fingerprint_rows(*warm.model) == fingerprint_rows(*cold.model),
+            "fingerprint rows") &&
+      check(fact_tuples(warm_lemmas.export_facts()) ==
+                fact_tuples(cold_lemmas.export_facts()),
+            "lemma facts");
   return same ? 0 : 1;
 }
 
 // A write that fails (here: past the file-size limit) must hand its whole
-// drained delta back, so the next append still logs all of it.
+// drained delta back — layer entries, memo entries, fingerprint rows and
+// lemma facts — so the next append still logs all of it.
 TEST_F(StoreTest, WalFailedWriteKeepsDelta) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const std::string file = path("failed.wal");
@@ -1141,21 +1178,6 @@ TEST_F(StoreTest, LemmaFactsSurviveWalReplay) {
 
 // --- env knob parsing (the warn-once contract) ----------------------------
 
-TEST(StoreEnvTest, ParseModeKeywords) {
-  using store::Mode;
-  EXPECT_EQ(store::parse_mode("off", Mode::kLoadSave), Mode::kOff);
-  EXPECT_EQ(store::parse_mode("load", Mode::kOff), Mode::kLoad);
-  EXPECT_EQ(store::parse_mode("save", Mode::kOff), Mode::kSave);
-  EXPECT_EQ(store::parse_mode("loadsave", Mode::kOff), Mode::kLoadSave);
-  // Null/empty fall back silently.
-  EXPECT_EQ(store::parse_mode(nullptr, Mode::kSave), Mode::kSave);
-  EXPECT_EQ(store::parse_mode("", Mode::kLoad), Mode::kLoad);
-  // Malformed values fall back (and warn once, not per call).
-  EXPECT_EQ(store::parse_mode("LOAD", Mode::kOff), Mode::kOff);
-  EXPECT_EQ(store::parse_mode("load,save", Mode::kOff), Mode::kOff);
-  EXPECT_EQ(store::parse_mode("1", Mode::kOff), Mode::kOff);
-}
-
 TEST(StoreEnvTest, ParseDirLengthGuard) {
   EXPECT_EQ(store::parse_dir(nullptr, "fallback"), "fallback");
   EXPECT_EQ(store::parse_dir("", "fallback"), "fallback");
@@ -1165,18 +1187,6 @@ TEST(StoreEnvTest, ParseDirLengthGuard) {
   EXPECT_EQ(store::parse_dir(absurd.c_str(), "fallback"), "fallback");
   const std::string exactly_max(store::kMaxDirLength, 'x');
   EXPECT_EQ(store::parse_dir(exactly_max.c_str(), "fallback"), exactly_max);
-}
-
-TEST(StoreEnvTest, LoadsSavesHalves) {
-  using store::Mode;
-  EXPECT_FALSE(store::loads(Mode::kOff));
-  EXPECT_FALSE(store::saves(Mode::kOff));
-  EXPECT_TRUE(store::loads(Mode::kLoad));
-  EXPECT_FALSE(store::saves(Mode::kLoad));
-  EXPECT_FALSE(store::loads(Mode::kSave));
-  EXPECT_TRUE(store::saves(Mode::kSave));
-  EXPECT_TRUE(store::loads(Mode::kLoadSave));
-  EXPECT_TRUE(store::saves(Mode::kLoadSave));
 }
 
 TEST(StoreEnvTest, SnapshotFilenameSanitizes) {

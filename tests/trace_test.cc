@@ -43,7 +43,6 @@ class ModeGuard {
 
 constinit trace::SpanSite g_outer_site{"test", "outer"};
 constinit trace::SpanSite g_inner_site{"test", "inner"};
-constinit trace::SpanSite g_instant_site{"test", "tick"};
 
 // --- Histogram bucket boundaries --------------------------------------
 
@@ -121,14 +120,13 @@ TEST(TraceMode, ParseAcceptsKnownValuesAndFallsBack) {
 
 // --- Off mode: emits nothing -------------------------------------------
 
-TEST(TraceOff, SpansAndInstantsEmitNothing) {
+TEST(TraceOff, SpansEmitNothing) {
   trace::set_mode(trace::Mode::kOff);
   trace::clear();
   const std::uint64_t before = g_outer_site.histogram().count();
   {
     trace::ScopedSpan outer(g_outer_site, 7);
     trace::ScopedSpan inner(g_inner_site);
-    trace::instant(g_instant_site);
     LACON_TRACE_SPAN("test", "macro_site");
   }
   EXPECT_TRUE(trace::collect().empty());
@@ -144,35 +142,30 @@ TEST(TraceCounters, HistogramsPopulateButNoEvents) {
   EXPECT_TRUE(trace::collect().empty());
 }
 
-// --- Spans mode: nesting, instants, thread attribution -----------------
+// --- Spans mode: nesting, thread attribution ----------------------------
 
 TEST(TraceSpans, RecordsNestingDepthAndArgs) {
   ModeGuard mode(trace::Mode::kSpans);
   trace::clear();
   {
     trace::ScopedSpan outer(g_outer_site, 42);
-    trace::ScopedSpan inner(g_inner_site);
-    trace::instant(g_instant_site, 3);
+    trace::ScopedSpan inner(g_inner_site, 3);
   }
   const std::vector<trace::CollectedSpan> spans = trace::collect();
-  ASSERT_EQ(spans.size(), 3u);
+  ASSERT_EQ(spans.size(), 2u);
   // Sorted by start time: outer opened first.
   EXPECT_STREQ(spans[0].name, "outer");
   EXPECT_EQ(spans[0].depth, 0u);
   EXPECT_EQ(spans[0].arg, 42u);
-  EXPECT_FALSE(spans[0].is_instant);
   EXPECT_STREQ(spans[1].name, "inner");
   EXPECT_EQ(spans[1].depth, 1u);
-  EXPECT_STREQ(spans[2].name, "tick");
-  EXPECT_TRUE(spans[2].is_instant);
-  EXPECT_EQ(spans[2].arg, 3u);
+  EXPECT_EQ(spans[1].arg, 3u);
   // Containment: inner starts after outer and ends no later.
   EXPECT_GE(spans[1].start_ns, spans[0].start_ns);
   EXPECT_LE(spans[1].start_ns + spans[1].dur_ns,
             spans[0].start_ns + spans[0].dur_ns);
   // All on the calling thread.
   EXPECT_EQ(spans[0].tid, spans[1].tid);
-  EXPECT_EQ(spans[0].tid, spans[2].tid);
 }
 
 TEST(TraceSpans, DistinctThreadsGetDistinctTids) {
@@ -202,7 +195,7 @@ TEST(TraceSpans, SerialExploreChargesLayerWorkToExpand) {
   std::size_t expand_spans = 0;
   std::size_t other_explore_spans = 0;
   for (const trace::CollectedSpan& s : trace::collect()) {
-    if (s.is_instant || std::string_view(s.category) != "explore") continue;
+    if (std::string_view(s.category) != "explore") continue;
     if (std::string_view(s.name) == "expand") {
       expand_ns += s.dur_ns;
       ++expand_spans;
@@ -221,14 +214,12 @@ TEST(TraceSpans, ChromeExportCarriesEventsAndThreadNames) {
   {
     trace::ScopedSpan outer(g_outer_site, 9);
     trace::ScopedSpan inner(g_inner_site);
-    trace::instant(g_instant_site);
   }
   const std::string json = trace::chrome_trace_json();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"test.outer\""), std::string::npos);
   EXPECT_NE(json.find("\"test.inner\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
   EXPECT_NE(json.find("\"arg\":9"), std::string::npos);
 }
@@ -243,6 +234,9 @@ TEST(MetricsSnapshot, JsonIsDeterministicForFixedStats) {
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("\"schema\":\"lacon.metrics.v1\""), std::string::npos);
   EXPECT_NE(a.find("\"trace_mode\":\"counters\""), std::string::npos);
+  EXPECT_NE(a.find("\"guard\":{\"budget_ms\":0,\"max_states\":0,"
+                   "\"trips\":{\"deadline\":"),
+            std::string::npos);
   EXPECT_NE(a.find("\"span.test.outer\""), std::string::npos);
 }
 
