@@ -67,14 +67,18 @@ run_config() {
     # service_test is the concurrency soak: eight socket clients writing one
     # cold session's arenas, layer cache, valence memo and fingerprint-row
     # memo at once, every answer checked against a lone session's.
+    # valence_test and runtime_test pin the lock-free per-state slots: the
+    # valence memo's packed words (merged by CAS) and the layer cache's
+    # published vectors, the latter raced by four classify_all callers on
+    # one engine (ClassifyAll.ConcurrentCallersMatchSerial).
     # simd_test rides along so the flat-encoding kernels run their
     # randomized reference-definition sweeps under both sanitizers.
     # LACON_SYMMETRY=on puts the orbit-canonicalization memos (core/sym.hpp,
     # shared mutable state under concurrent interning) on the sanitized paths;
     # the symmetry contract says results cannot change, so the suites must
     # stay green with the quotient folding wherever a model permits it.
-    for soak_bin in guard_test runtime_test fuzz_test trace_test \
-                    store_test service_test simd_test sym_test; do
+    for soak_bin in guard_test runtime_test valence_test fuzz_test \
+                    trace_test store_test service_test simd_test sym_test; do
       LACON_FAULT_SEED="${LACON_FAULT_SEED:-20260805}" \
       LACON_FAULT_RATE="${LACON_FAULT_RATE:-0.05}" \
       LACON_TRACE=spans \

@@ -42,13 +42,12 @@ LayeredModel::LayeredModel(int n, const DecisionRule& rule,
 }
 
 LayeredModel::~LayeredModel() {
-  // Fingerprint rows are plain heap arrays hung off atomic slots; analysis
-  // has quiesced by destruction time, so a relaxed sweep suffices.
+  // Fingerprint rows and layers are plain heap objects hung off atomic
+  // slots; analysis has quiesced by destruction time.
   const std::size_t count = arena_.size();
   for (std::size_t i = 0; i < count; ++i) {
-    const auto* slot = fp_memo_.try_get(i);
-    if (slot == nullptr) continue;
-    delete[] slot->load(std::memory_order_acquire);
+    delete[] cached_fingerprint_row(static_cast<StateId>(i));
+    delete cached_layer(static_cast<StateId>(i));
   }
 }
 
@@ -104,49 +103,58 @@ void LayeredModel::restore_fingerprint_row(StateId x,
   }
 }
 
+const std::vector<StateId>* LayeredModel::cached_layer(StateId x) const {
+  const auto* slot = layer_memo_.try_get(static_cast<std::size_t>(x));
+  if (slot == nullptr) return nullptr;
+  return slot->load(std::memory_order_acquire);
+}
+
 std::vector<std::pair<StateId, std::vector<StateId>>>
 LayeredModel::export_layer_cache() {
   std::vector<std::pair<StateId, std::vector<StateId>>> out;
-  for (LayerShard& shard : layer_shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [x, succ] : shard.map) out.emplace_back(x, succ);
+  const std::size_t live = arena_.size();
+  for (std::size_t id = 0; id < live; ++id) {
+    const auto x = static_cast<StateId>(id);
+    if (const std::vector<StateId>* succ = cached_layer(x)) {
+      out.emplace_back(x, *succ);
+    }
   }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
 }
 
 void LayeredModel::import_layer_cache(
     std::vector<std::pair<StateId, std::vector<StateId>>> entries) {
   for (auto& [x, succ] : entries) {
-    LayerShard& shard = layer_shard(x);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.emplace(x, std::move(succ));
+    auto* mine = new std::vector<StateId>(std::move(succ));
+    const std::vector<StateId>* expected = nullptr;
+    if (!layer_memo_.slot(static_cast<std::size_t>(x))
+             .compare_exchange_strong(expected, mine)) {
+      delete mine;  // already published; equal by construction
+    }
   }
 }
 
 void LayeredModel::begin_log_epoch(std::uint64_t num_states) {
   log_epoch_.fetch_add(1);
-  // Every cached entry refers to interned states only, so when the disk
-  // holds all of them there is nothing to walk.
+  // Queues what a snapshot of the first `num_states` states lacks: a layer
+  // entry at or past the count or reaching past it, and a fingerprint row
+  // at or past it. Every cached entry refers to interned states only, so
+  // when the disk holds all of them there is nothing to walk.
   const std::uint64_t live = arena_.size();
   if (num_states >= live) return;
-  for (LayerShard& shard : layer_shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [x, succ] : shard.map) {
-      // The snapshot's filter: it holds an entry only if the entry and all
-      // its successors lie below its state count.
-      bool held = x < num_states;
-      for (StateId y : succ) held = held && y < num_states;
-      if (!held) shard.unpersisted_layers.push_back(x);
-    }
-  }
-  for (std::uint64_t id = num_states; id < live; ++id) {
+  const auto held = [num_states](std::uint64_t id) { return id < num_states; };
+  for (std::uint64_t id = 0; id < live; ++id) {
     const auto x = static_cast<StateId>(id);
-    if (cached_fingerprint_row(x) == nullptr) continue;
+    const std::vector<StateId>* succ = cached_layer(x);
+    const bool layer_held =
+        succ == nullptr ||
+        (held(id) && std::all_of(succ->begin(), succ->end(), held));
+    const bool row_held = held(id) || cached_fingerprint_row(x) == nullptr;
+    if (layer_held && row_held) continue;
     LayerShard& shard = layer_shard(x);
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.unpersisted_rows.push_back(x);
+    if (!layer_held) shard.unpersisted_layers.push_back(x);
+    if (!row_held) shard.unpersisted_rows.push_back(x);
   }
 }
 
@@ -160,7 +168,8 @@ LayeredModel::UnpersistedCaches LayeredModel::drain_unpersisted(
     layers.erase(std::unique(layers.begin(), layers.end()), layers.end());
     std::size_t kept = 0;
     for (StateId x : layers) {
-      const std::vector<StateId>& succ = shard.map.at(x);
+      // Queued only after its layer was published.
+      const std::vector<StateId>& succ = *cached_layer(x);
       bool in_range = x < bound;
       for (StateId y : succ) in_range = in_range && y < bound;
       if (in_range) {
@@ -229,23 +238,26 @@ const std::vector<StateId>& LayeredModel::initial_states() {
 }
 
 const std::vector<StateId>& LayeredModel::layer(StateId x) {
-  LayerShard& shard = layer_shard(x);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(x);
-    if (it != shard.map.end()) return it->second;
+  auto& slot = layer_memo_.slot(static_cast<std::size_t>(x));
+  if (const auto* cached = slot.load(std::memory_order_acquire)) return *cached;
+  // A racing computation of the same layer produces the same vector
+  // (interning is content-addressed); the first published copy wins.
+  auto* mine = new std::vector<StateId>(compute_layer(x));
+  std::sort(mine->begin(), mine->end());
+  mine->erase(std::unique(mine->begin(), mine->end()), mine->end());
+  assert(!mine->empty() && "a successor function never returns an empty set");
+  const std::vector<StateId>* expected = nullptr;
+  if (!slot.compare_exchange_strong(expected, mine, std::memory_order_acq_rel,
+                                    std::memory_order_acquire)) {
+    delete mine;
+    return *expected;
   }
-  // Compute outside the lock so distinct states in one shard expand
-  // concurrently. A racing computation of the same layer produces the same
-  // vector (interning is content-addressed); emplace keeps the first copy.
-  std::vector<StateId> succ = compute_layer(x);
-  std::sort(succ.begin(), succ.end());
-  succ.erase(std::unique(succ.begin(), succ.end()), succ.end());
-  assert(!succ.empty() && "a successor function never returns an empty set");
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto [it, inserted] = shard.map.emplace(x, std::move(succ));
-  if (inserted && records_unpersisted()) shard.unpersisted_layers.push_back(x);
-  return it->second;
+  if (records_unpersisted()) {
+    LayerShard& shard = layer_shard(x);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard.unpersisted_layers.push_back(x);
+  }
+  return *mine;
 }
 
 ProcessSet LayeredModel::failed_at(StateId) const { return {}; }

@@ -16,7 +16,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -55,10 +54,10 @@ class LayeredModel {
   const std::vector<StateId>& initial_states();
 
   // S(x): the layer of x, deduplicated, in a deterministic order. Cached in
-  // a sharded, striped-mutex map, so concurrent layer computations from
-  // connections sharing a session are safe; racing computations of the same
-  // layer are
-  // idempotent because interning is content-addressed. The returned
+  // a per-state atomic slot: a hit is one lock-free load, and a computed
+  // layer is published by CAS. Racing computations of the same layer (from
+  // connections sharing a session) are idempotent because interning is
+  // content-addressed; the first published vector wins. The returned
   // reference stays valid for the model's lifetime.
   const std::vector<StateId>& layer(StateId x);
 
@@ -167,8 +166,8 @@ class LayeredModel {
   //
   // A write-ahead log persists what the caches gained since its last round.
   // Once the log has fixed what is on disk (Wal::replay or Wal::reset_to
-  // call begin_log_epoch), every layer-cache insert and fingerprint-row
-  // publish also queues its state id under the layer shard's lock, and
+  // call begin_log_epoch), every layer-cache and fingerprint-row publish
+  // also queues its state id under its queue shard's lock, and
   // every engine over this model queues its memo inserts. Imports
   // (import_layer_cache, restore_fingerprint_row) queue nothing. A model no
   // log drains (lacon_check, a WAL-off daemon) never records and pays one
@@ -297,18 +296,19 @@ class LayeredModel {
 
  private:
   static constexpr std::size_t kLayerShards = 64;
-  // Also guards the queues of unpersisted layer entries and fingerprint rows
-  // for the ids that hash to this shard. Cache-line aligned like the memo's
+  // The queues of unpersisted layer entries and fingerprint rows for the
+  // ids that hash to this shard. Cache-line aligned like the memo's queue
   // shards (engine/valence.hpp).
   struct alignas(64) LayerShard {
     std::mutex mu;
-    std::unordered_map<StateId, std::vector<StateId>> map;
     std::vector<StateId> unpersisted_layers;
     std::vector<StateId> unpersisted_rows;
   };
   LayerShard& layer_shard(StateId x) noexcept {
     return layer_shards_[static_cast<std::size_t>(x) % kLayerShards];
   }
+  // The published layer of x, nullptr until layer() or an import sets it.
+  const std::vector<StateId>* cached_layer(StateId x) const;
 
   // True when every initial input assignment stays an initial input under
   // any permutation of the processes (checked via adjacent transpositions,
@@ -323,6 +323,9 @@ class LayeredModel {
   std::vector<StateId> initial_states_;
   std::once_flag initial_once_;
   std::array<LayerShard, kLayerShards> layer_shards_;
+  // Per-state layers; nullptr until published.
+  runtime::ConcurrentSlotVector<std::atomic<const std::vector<StateId>*>>
+      layer_memo_;
   // Per-state fingerprint rows (n hashes each); nullptr until published.
   runtime::ConcurrentSlotVector<std::atomic<const std::uint64_t*>> fp_memo_;
   std::atomic<std::uint64_t> log_epoch_{0};

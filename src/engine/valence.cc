@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <tuple>
+#include <stdexcept>
 
 #include "engine/lemma_store.hpp"
 #include "runtime/stats.hpp"
@@ -33,6 +33,32 @@ ValenceInfo decided_valences(LayeredModel& model, StateId x) {
   return info;
 }
 
+namespace {
+
+// A memo word: bit 0 present, bit 1 exact, bit 2 v0, bit 3 v1, the
+// lookahead from bit 8 up (kMaxHorizon + 1 fits). 0 is "no entry".
+constexpr std::uint32_t kPresent = 1, kExact = 2, kV0 = 4, kV1 = 8;
+constexpr int kShift = 8;
+
+std::uint32_t pack(int lookahead, const ValenceInfo& info) {
+  assert(lookahead >= 0 && lookahead <= ValenceEngine::kMaxHorizon + 1);
+  return kPresent | (info.exact ? kExact : 0) | (info.v0 ? kV0 : 0) |
+         (info.v1 ? kV1 : 0) | static_cast<std::uint32_t>(lookahead) << kShift;
+}
+
+int lookahead_of(std::uint32_t w) { return static_cast<int>(w >> kShift); }
+
+ValenceInfo info_of(std::uint32_t w) {
+  return {(w & kV0) != 0, (w & kV1) != 0, (w & kExact) != 0};
+}
+
+ValenceEngine::MemoEntry entry_of(StateId x, std::uint32_t w, bool deep) {
+  const ValenceInfo info = info_of(w);
+  return {x, lookahead_of(w), info.v0, info.v1, info.exact, deep};
+}
+
+}  // namespace
+
 ValenceEngine::ValenceEngine(LayeredModel& model, int horizon, Exactness mode,
                              LemmaStore* lemmas)
     : model_(model),
@@ -40,7 +66,9 @@ ValenceEngine::ValenceEngine(LayeredModel& model, int horizon, Exactness mode,
       mode_(mode),
       lemmas_(lemmas),
       log_epoch_(model.log_epoch()) {
-  assert(horizon >= 0);
+  if (horizon < 0 || horizon > kMaxHorizon) {
+    throw std::invalid_argument("valence horizon outside [0, kMaxHorizon]");
+  }
 }
 
 ValenceInfo ValenceEngine::valence(StateId x) {
@@ -53,16 +81,12 @@ ValenceInfo ValenceEngine::valence(StateId x) {
 }
 
 ValenceInfo ValenceEngine::compute(Memo& memo, StateId x, int budget) {
-  MemoShard& shard = shard_of(memo, x);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(x);
-    if (it != shard.map.end()) {
-      // A bivalent result is maximal; otherwise only reuse results computed
-      // with at least the currently requested lookahead.
-      if (it->second.info.bivalent() || it->second.horizon >= budget) {
-        return it->second.info;
-      }
+  if (const auto* word = memo.words.try_get(static_cast<std::size_t>(x))) {
+    // A bivalent result is maximal; otherwise only reuse results computed
+    // with at least the currently requested lookahead.
+    const std::uint32_t w = word->load(std::memory_order_acquire);
+    if (w != 0 && (info_of(w).bivalent() || lookahead_of(w) >= budget)) {
+      return info_of(w);
     }
   }
   evaluations_.fetch_add(1, std::memory_order_relaxed);
@@ -110,22 +134,31 @@ ValenceInfo ValenceEngine::compute(Memo& memo, StateId x, int budget) {
 
 void ValenceEngine::memoize(Memo& memo, StateId x, int budget,
                             const ValenceInfo& info) {
-  MemoShard& shard = shard_of(memo, x);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (merge_locked(shard, x, budget, info) && model_.records_unpersisted()) {
-    shard.unpersisted.push_back(x);
+  if (merge(memo.words.slot(static_cast<std::size_t>(x)), budget, info) &&
+      model_.records_unpersisted()) {
+    queue(memo, x);
   }
 }
 
-bool ValenceEngine::merge_locked(MemoShard& shard, StateId x, int budget,
-                                 const ValenceInfo& info) {
-  Entry& e = shard.map[x];  // default horizon -1: always overwritten
-  if (e.info.bivalent() && !info.bivalent()) return false;
-  if (budget < e.horizon && !info.bivalent()) return false;
-  const bool changed = e.horizon != budget || e.info.v0 != info.v0 ||
-                       e.info.v1 != info.v1 || e.info.exact != info.exact;
-  e = Entry{budget, info};
-  return changed;
+void ValenceEngine::queue(Memo& memo, StateId x) {
+  QueueShard& shard = memo.queues[static_cast<std::size_t>(x) % kQueueShards];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  shard.unpersisted.push_back(x);
+}
+
+bool ValenceEngine::merge(std::atomic<std::uint32_t>& word, int budget,
+                          const ValenceInfo& info) {
+  const std::uint32_t want = pack(budget, info);
+  std::uint32_t cur = word.load(std::memory_order_acquire);
+  do {
+    if (cur != 0 && !info.bivalent() &&
+        (info_of(cur).bivalent() || budget < lookahead_of(cur))) {
+      return false;
+    }
+    if (cur == want) return false;
+  } while (!word.compare_exchange_weak(cur, want, std::memory_order_acq_rel,
+                                       std::memory_order_acquire));
+  return true;
 }
 
 guard::Partial<std::vector<ValenceInfo>> ValenceEngine::classify_all(
@@ -155,35 +188,31 @@ std::vector<ValenceInfo> ValenceEngine::classify_all(
   return std::move(partial.value);
 }
 
+void ValenceEngine::scan(const Memo& memo, bool deep, std::uint64_t from,
+                         std::vector<MemoEntry>* out) const {
+  // Memo entries are keyed by interned states, so a scan of the arena's ids
+  // finds them all, in id order.
+  for (std::uint64_t id = from; id < model_.num_states(); ++id) {
+    const auto* word = memo.words.try_get(static_cast<std::size_t>(id));
+    const std::uint32_t w =
+        word == nullptr ? 0 : word->load(std::memory_order_acquire);
+    if (w != 0) out->push_back(entry_of(static_cast<StateId>(id), w, deep));
+  }
+}
+
 std::vector<ValenceEngine::MemoEntry> ValenceEngine::export_memo() {
   std::vector<MemoEntry> out;
-  const auto drain = [&out](Memo& memo, bool deep) {
-    for (MemoShard& shard : memo.shards) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      for (const auto& [x, e] : shard.map) {
-        out.push_back(MemoEntry{x, e.horizon, e.info.v0, e.info.v1,
-                                e.info.exact, deep});
-      }
-    }
-  };
-  drain(memo_, false);
-  if (mode_ == Exactness::kConvergence) drain(memo_deep_, true);
-  std::sort(out.begin(), out.end(), [](const MemoEntry& a, const MemoEntry& b) {
-    return std::tie(a.deep, a.x) < std::tie(b.deep, b.x);
-  });
+  scan(memo_, false, 0, &out);
+  if (mode_ == Exactness::kConvergence) scan(memo_deep_, true, 0, &out);
   return out;
 }
 
 void ValenceEngine::import_memo(const std::vector<MemoEntry>& entries) {
   for (const MemoEntry& e : entries) {
     if (e.deep && mode_ != Exactness::kConvergence) continue;
-    ValenceInfo info;
-    info.v0 = e.v0;
-    info.v1 = e.v1;
-    info.exact = e.exact;
-    MemoShard& shard = shard_of(e.deep ? memo_deep_ : memo_, e.x);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    merge_locked(shard, e.x, e.lookahead, info);
+    Memo& memo = e.deep ? memo_deep_ : memo_;
+    merge(memo.words.slot(static_cast<std::size_t>(e.x)), e.lookahead,
+          ValenceInfo{e.v0, e.v1, e.exact});
   }
 }
 
@@ -196,7 +225,7 @@ std::vector<ValenceEngine::MemoEntry> ValenceEngine::drain_memo(
   std::vector<MemoEntry> out;
   const auto drain = [&out, bound](Memo& memo, bool deep) {
     const std::size_t first = out.size();
-    for (MemoShard& shard : memo.shards) {
+    for (QueueShard& shard : memo.queues) {
       std::lock_guard<std::mutex> lock(shard.mu);
       std::vector<StateId>& queue = shard.unpersisted;
       std::sort(queue.begin(), queue.end());
@@ -207,9 +236,9 @@ std::vector<ValenceEngine::MemoEntry> ValenceEngine::drain_memo(
           queue[kept++] = x;
           continue;
         }
-        const Entry& e = shard.map.at(x);
-        out.push_back(MemoEntry{x, e.horizon, e.info.v0, e.info.v1,
-                                e.info.exact, deep});
+        // Queued only after a CAS made the word present.
+        out.push_back(entry_of(
+            x, memo.words[x].load(std::memory_order_acquire), deep));
       }
       queue.resize(kept);
     }
@@ -222,11 +251,7 @@ std::vector<ValenceEngine::MemoEntry> ValenceEngine::drain_memo(
 }
 
 void ValenceEngine::requeue_memo(const std::vector<MemoEntry>& entries) {
-  for (const MemoEntry& e : entries) {
-    MemoShard& shard = shard_of(e.deep ? memo_deep_ : memo_, e.x);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.unpersisted.push_back(e.x);
-  }
+  for (const MemoEntry& e : entries) queue(e.deep ? memo_deep_ : memo_, e.x);
 }
 
 void ValenceEngine::sync_memo(std::uint64_t num_states) {
@@ -237,14 +262,10 @@ void ValenceEngine::sync_memo(std::uint64_t num_states) {
 }
 
 void ValenceEngine::queue_from(std::uint64_t bound) {
-  for (Memo* memo : {&memo_, &memo_deep_}) {
-    for (MemoShard& shard : memo->shards) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      for (const auto& [x, e] : shard.map) {
-        if (x >= bound) shard.unpersisted.push_back(x);
-      }
-    }
-  }
+  std::vector<MemoEntry> present;
+  scan(memo_, false, bound, &present);
+  scan(memo_deep_, true, bound, &present);
+  requeue_memo(present);
 }
 
 bool ValenceEngine::shared_valence(StateId x, StateId y) {

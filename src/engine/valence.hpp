@@ -32,12 +32,12 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/model.hpp"
 #include "relation/graph.hpp"
 #include "runtime/guard.hpp"
+#include "runtime/slot_vector.hpp"
 
 namespace lacon {
 
@@ -62,10 +62,13 @@ enum class Exactness { kQuiescence, kConvergence };
 
 class ValenceEngine {
  public:
+  // A memo word's lookahead field holds kMaxHorizon + 1 (the deep memo).
+  static constexpr int kMaxHorizon = 32;
+
   // `horizon`: number of layers explored below a state when computing its
-  // valence. For a protocol whose decisions complete within r rounds, any
-  // horizon >= r yields exact valences under kQuiescence in the synchronous
-  // models.
+  // valence, in [0, kMaxHorizon] (std::invalid_argument otherwise). For a
+  // protocol whose decisions complete within r rounds, any horizon >= r
+  // yields exact valences under kQuiescence in the synchronous models.
   //
   // `lemmas` (optional, not owned, must outlive the engine) attaches a
   // cross-level lemma store (engine/lemma_store.hpp): exact results are
@@ -128,20 +131,22 @@ class ValenceEngine {
     bool deep = false;
   };
 
-  // Every memo entry, sorted by (deep, x). Takes the shard locks; call only
-  // while no classification is in flight.
+  // Every memo entry, in (deep, x) order. A scan of the memo's words:
+  // entries memoized concurrently may or may not appear.
   std::vector<MemoEntry> export_memo();
 
   // Replays entries exported from an engine with the same model content,
-  // horizon and mode. Entries merge under the usual strongest-wins rule
-  // (memoize()), so importing into a warm engine is safe. Queues nothing.
+  // horizon and mode; each lookahead lies in [0, horizon + deep]. Entries
+  // merge under the usual strongest-wins rule (memoize()), so importing
+  // into a warm engine is safe. Queues nothing.
   void import_memo(const std::vector<MemoEntry>& entries);
 
   // --- Unpersisted-entry queue (store/wal.hpp) ---------------------------
   //
   // While the model records (LayeredModel::begin_log_epoch), every memo
   // insert and every strengthening by memoize()'s strongest-wins rule
-  // queues the state under the shard lock.
+  // queues the state under its queue shard's lock, after the CAS that
+  // changed the word.
 
   // Removes and returns the queued entries whose state lies below `bound`,
   // each once with its current value, sorted by (deep, x); the rest stay
@@ -158,35 +163,35 @@ class ValenceEngine {
   void sync_memo(std::uint64_t num_states);
 
  private:
-  struct Entry {
-    int horizon = -1;
-    ValenceInfo info;
-  };
-  // The memo is sharded with striped mutexes so classify_all's concurrent
-  // explorations share results without contending on one lock. A shard
-  // fills whole cache lines, so neighbouring shards never share one
+  // The memo is one 32-bit word per StateId (state ids are dense): present,
+  // exact, v0, v1 and the lookahead, packed so a lookup is one lock-free
+  // load and a merge one CAS loop. Only the unpersisted-entry queue takes a
+  // lock, and only when a word changed while the model records. A queue
+  // shard fills whole cache lines, so neighbouring shards never share one
   // whatever address the heap gives the engine.
-  static constexpr std::size_t kMemoShards = 16;
-  struct alignas(64) MemoShard {
+  static constexpr std::size_t kQueueShards = 16;
+  struct alignas(64) QueueShard {
     std::mutex mu;
-    std::unordered_map<StateId, Entry> map;
     std::vector<StateId> unpersisted;
   };
   struct Memo {
-    std::array<MemoShard, kMemoShards> shards;
+    runtime::ConcurrentSlotVector<std::atomic<std::uint32_t>> words;
+    std::array<QueueShard, kQueueShards> queues;
   };
-  static MemoShard& shard_of(Memo& memo, StateId x) noexcept {
-    return memo.shards[static_cast<std::size_t>(x) % kMemoShards];
-  }
+  // Queues x as unpersisted in `memo`.
+  static void queue(Memo& memo, StateId x);
 
   ValenceInfo compute(Memo& memo, StateId x, int budget);
   // Stores (budget, info) for x unless the memo already holds a stronger
   // entry (deeper lookahead, or bivalent which is maximal), and queues x
-  // when the model records and the stored entry changed.
+  // when the model records and the stored word changed.
   void memoize(Memo& memo, StateId x, int budget, const ValenceInfo& info);
-  // memoize()'s merge under a held shard lock; true when the entry changed.
-  static bool merge_locked(MemoShard& shard, StateId x, int budget,
-                           const ValenceInfo& info);
+  // memoize()'s strongest-wins merge into one word; true when it changed.
+  static bool merge(std::atomic<std::uint32_t>& word, int budget,
+                    const ValenceInfo& info);
+  // Appends the entries of `memo` at ids from `from` on to `out`.
+  void scan(const Memo& memo, bool deep, std::uint64_t from,
+            std::vector<MemoEntry>* out) const;
   // Queues every entry at or past `bound`, in both memos.
   void queue_from(std::uint64_t bound);
 

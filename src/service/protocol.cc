@@ -26,10 +26,11 @@ namespace {
 // Request bounds. The daemon shares one process with every connected
 // client, so per-request shape limits are part of the protocol: n is capped
 // where exhaustive exploration (and the snapshot lossless-round-trip
-// contract) lives, depth/horizon where the run tree stays enumerable.
+// contract) lives, depth where the run tree stays enumerable, horizon at
+// the engine's own bound.
 constexpr int kMinN = 2, kMaxN = 8;
 constexpr int kMaxDepth = 12;
-constexpr int kMaxHorizon = 32;
+constexpr int kMaxHorizon = ValenceEngine::kMaxHorizon;
 
 bool parse_kind(const std::string& text, ModelKind* out) {
   if (text == "mobile") {

@@ -27,9 +27,10 @@
 // tiny budget truncates that request to a valid partial result (with its
 // TruncationReason) while concurrent requests on other connections keep
 // their own budgets — exactly the Partial<T> contract the engine layers
-// already honor. Handling is thread-safe: the arenas, layer cache and
-// valence memo are concurrent by construction, so requests against the same
-// session run concurrently, one connection thread each.
+// already honor. Handling is thread-safe: the arenas intern under
+// striped-mutex shards, and the layer cache and valence memo publish
+// per-state atomic slots that reads take without a lock, so requests
+// against the same session run concurrently, one connection thread each.
 #pragma once
 
 #include <condition_variable>

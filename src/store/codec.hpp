@@ -205,12 +205,20 @@ inline bool decode_layer_entry(Reader& r, StateId* x,
   return true;
 }
 
-// --- Valence-memo entry -----------------------------------------------------
+// --- Valence-memo block: i32 horizon, u32 mode, u64 count, 12-byte entries.
+// Decoding enforces what a packed memo word holds (FORMATS.md §1.7).
 
 inline constexpr std::uint32_t kMemoV0 = 1u << 0;
 inline constexpr std::uint32_t kMemoV1 = 1u << 1;
 inline constexpr std::uint32_t kMemoExact = 1u << 2;
 inline constexpr std::uint32_t kMemoDeep = 1u << 3;
+inline constexpr std::size_t kMemoEntryBytes = 12;
+
+inline bool decode_memo_header(Reader& r, std::int32_t* horizon,
+                               std::uint32_t* mode, std::uint64_t* count) {
+  return r.i32(horizon) && r.u32(mode) && r.u64(count) && *horizon >= 0 &&
+         *mode <= 1 && *count <= r.remaining() / kMemoEntryBytes;
+}
 
 inline void encode_memo_entry(Writer& w, const ValenceEngine::MemoEntry& e) {
   w.u32(e.x);
@@ -223,14 +231,20 @@ inline void encode_memo_entry(Writer& w, const ValenceEngine::MemoEntry& e) {
   w.u32(flags);
 }
 
-inline bool decode_memo_entry(Reader& r, ValenceEngine::MemoEntry* e) {
+// `horizon` and `mode` are the block header's.
+inline bool decode_memo_entry(Reader& r, std::int32_t horizon,
+                              std::uint32_t mode, ValenceEngine::MemoEntry* e) {
   std::uint32_t flags = 0;
-  if (!r.u32(&e->x) || !r.i32(&e->lookahead) || !r.u32(&flags)) return false;
+  if (!r.u32(&e->x) || !r.i32(&e->lookahead) || !r.u32(&flags) ||
+      (flags & ~(kMemoV0 | kMemoV1 | kMemoExact | kMemoDeep))) {
+    return false;
+  }
   e->v0 = (flags & kMemoV0) != 0;
   e->v1 = (flags & kMemoV1) != 0;
   e->exact = (flags & kMemoExact) != 0;
   e->deep = (flags & kMemoDeep) != 0;
-  return true;
+  return (!e->deep || mode == 1) && e->lookahead >= 0 &&
+         e->lookahead <= std::int64_t{horizon} + (e->deep ? 1 : 0);
 }
 
 // --- Lemma fact (24 bytes: 128-bit canonical signature + proof metadata) ----

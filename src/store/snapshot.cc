@@ -582,6 +582,34 @@ Result load(LayeredModel& model, const std::string& path,
                 path + ": layer-cache count exceeds its section");
   }
 
+  // The memo is decoded before anything is restored, so a bad entry leaves
+  // the target untouched; it is imported after the states it references.
+  const std::uint64_t num_states = states_sec->count;
+  const SectionEntry* memo_sec = find_section(h, SectionKind::kValenceMemo);
+  bool memo_matches = false;
+  std::vector<ValenceEngine::MemoEntry> memo;
+  if (memo_sec != nullptr) {
+    Reader r(bytes.data + memo_sec->offset, memo_sec->bytes);
+    std::int32_t horizon = 0;
+    std::uint32_t mode = 0;
+    std::uint64_t count = 0;
+    if (!codec::decode_memo_header(r, &horizon, &mode, &count) ||
+        count != memo_sec->count) {
+      return fail(Status::kCorrupt, path + ": valence memo header malformed");
+    }
+    memo_matches = engine != nullptr && engine->horizon() == horizon &&
+                   (engine->mode() == Exactness::kConvergence) == (mode == 1);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      ValenceEngine::MemoEntry m;
+      if (!codec::decode_memo_entry(r, horizon, mode, &m) ||
+          m.x >= num_states) {
+        return fail(Status::kCorrupt,
+                    path + ": memo entry " + std::to_string(i) + " malformed");
+      }
+      if (memo_matches) memo.push_back(m);
+    }
+  }
+
   const int n = model.n();
   try {
     // --- Views, in stored-id order. ---------------------------------------
@@ -676,8 +704,6 @@ Result load(LayeredModel& model, const std::string& path,
       }
     }
 
-    const std::uint64_t num_states = states_sec->count;
-
     // --- Layer cache. ------------------------------------------------------
     if (const SectionEntry* e = layers_sec) {
       Reader r(bytes.data + e->offset, e->bytes);
@@ -704,41 +730,12 @@ Result load(LayeredModel& model, const std::string& path,
       stats.counter("store.layers_loaded").add(e->count);
     }
 
-    // --- Valence memo (only into a matching engine). -----------------------
-    if (const SectionEntry* e = find_section(h, SectionKind::kValenceMemo)) {
-      Reader r(bytes.data + e->offset, e->bytes);
-      std::int32_t horizon = 0;
-      std::uint32_t mode = 0;
-      std::uint64_t count = 0;
-      if (!r.i32(&horizon) || !r.u32(&mode) || !r.u64(&count) ||
-          count != e->count || count > r.remaining() / 12) {
-        return fail(Status::kCorrupt, path + ": valence memo header malformed");
-      }
-      const bool matches =
-          engine != nullptr && engine->horizon() == horizon &&
-          (engine->mode() == Exactness::kConvergence) == (mode == 1);
-      std::vector<ValenceEngine::MemoEntry> entries;
-      if (matches) entries.reserve(static_cast<std::size_t>(count));
-      for (std::uint64_t i = 0; i < count; ++i) {
-        ValenceEngine::MemoEntry m;
-        if (!codec::decode_memo_entry(r, &m)) {
-          return fail(Status::kCorrupt,
-                      path + ": memo entry " + std::to_string(i) +
-                          " malformed");
-        }
-        if (m.x >= num_states) {
-          return fail(Status::kCorrupt,
-                      path + ": memo entry " + std::to_string(i) +
-                          " references an unknown state");
-        }
-        if (matches) entries.push_back(m);
-      }
-      if (matches) {
-        engine->import_memo(entries);
-        stats.counter("store.memo_loaded").add(count);
-      } else {
-        stats.counter("store.memo_skipped").add(count);
-      }
+    // --- Valence memo (only into a matching engine; decoded above). --------
+    if (memo_matches) {
+      engine->import_memo(memo);
+      stats.counter("store.memo_loaded").add(memo_sec->count);
+    } else if (memo_sec != nullptr) {
+      stats.counter("store.memo_skipped").add(memo_sec->count);
     }
 
     // --- Fingerprint rows. --------------------------------------------------

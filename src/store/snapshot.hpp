@@ -106,9 +106,9 @@ struct SnapshotMeta {
 // Serializes the model's interned space (and `engine`'s memo, when given) to
 // `path`. Writes `path + ".tmp"` and renames, so readers never observe a
 // half-written snapshot. The model must be quiescent (no analysis in
-// flight); the save side only takes the same shard locks export_layer_cache
-// and export_memo do. On success fills `meta` (may be null) with what the
-// file holds.
+// flight); the save side reads the caches through export_layer_cache and
+// export_memo, which take no locks. On success fills `meta` (may be null)
+// with what the file holds.
 Result save(LayeredModel& model, const std::string& path,
             ValenceEngine* engine = nullptr, LemmaStore* lemmas = nullptr,
             SnapshotMeta* meta = nullptr);

@@ -139,14 +139,17 @@ bool decode_record(const std::uint8_t* body, std::size_t bytes, int n,
   rec->memo_present = memo_present != 0;
   if (rec->memo_present) {
     std::uint64_t memo_count = 0;
-    if (!r.i32(&rec->memo_horizon) || !r.u32(&rec->memo_mode) ||
-        rec->memo_mode > 1 || !r.u64(&memo_count) ||
-        memo_count > r.remaining() / 12) {
+    if (!codec::decode_memo_header(r, &rec->memo_horizon, &rec->memo_mode,
+                                   &memo_count)) {
       return false;
     }
     rec->memo.resize(static_cast<std::size_t>(memo_count));
     for (ValenceEngine::MemoEntry& e : rec->memo) {
-      if (!codec::decode_memo_entry(r, &e) || e.x >= states_end) return false;
+      if (!codec::decode_memo_entry(r, rec->memo_horizon, rec->memo_mode,
+                                    &e) ||
+          e.x >= states_end) {
+        return false;
+      }
     }
   }
 

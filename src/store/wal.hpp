@@ -56,7 +56,7 @@
 // unpersisted when they inserted or strengthened them (core/model.hpp,
 // engine/valence.hpp, engine/lemma_store.hpp). append() drains those
 // queues, so a round costs what it writes, and a round with nothing queued
-// costs one pass over the shard locks. Recording starts at replay() or
+// costs one pass over the queue shards' locks. Recording starts at replay() or
 // reset_to(), the two calls that fix what is on disk, and covers that
 // model, its lemma store and every engine over the model, later ones too.
 //

@@ -1,7 +1,7 @@
 // Tests for the runtime support code (src/runtime/): the Stats registry
 // and runtime_report, plus two analysis entry points that must match their
 // plain definitions — Graph::from_relation on tiny sizes and classify_all
-// against per-state valence calls.
+// against per-state valence calls, alone and from concurrent callers.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "analysis/reports.hpp"
+#include "engine/explore.hpp"
 #include "engine/valence.hpp"
 #include "relation/graph.hpp"
 #include "runtime/stats.hpp"
@@ -87,6 +88,59 @@ TEST(ClassifyAll, MatchesSerialValenceCalls) {
     EXPECT_EQ(got[i].v0, expected[i].v0) << i;
     EXPECT_EQ(got[i].v1, expected[i].v1) << i;
     EXPECT_EQ(got[i].exact, expected[i].exact) << i;
+  }
+}
+
+
+TEST(ClassifyAll, ConcurrentCallersMatchSerial) {
+  // Four threads classify overlapping windows of one frontier through one
+  // engine, so their lock-free memo merges and layer publishes race. Each
+  // result must equal a serial engine's on a fresh model. Results are
+  // compared, not exports: a bivalent word's lookahead depends on the order
+  // in which paths reached it.
+  constexpr int kDepth = 2, kHorizon = 3;
+  constexpr std::size_t kThreads = 4;
+  auto serial_rule = min_after_round(2);
+  auto serial_model = make_model(ModelKind::kMsgPass, 3, 1, *serial_rule);
+  const std::vector<StateId> serial_frontier =
+      reachable_by_depth(*serial_model, kDepth).back();
+  ValenceEngine serial(*serial_model, kHorizon, Exactness::kConvergence);
+  const std::vector<ValenceInfo> expected =
+      serial.classify_all(serial_frontier);
+
+  auto rule = min_after_round(2);
+  auto model = make_model(ModelKind::kMsgPass, 3, 1, *rule);
+  const std::vector<StateId> frontier =
+      reachable_by_depth(*model, kDepth).back();
+  ASSERT_EQ(frontier.size(), expected.size());
+  ValenceEngine shared(*model, kHorizon, Exactness::kConvergence);
+
+  // Thread k takes eighths [k, k + 4) of the frontier (the last thread runs
+  // to its end), so neighbouring windows overlap by three eighths.
+  const std::size_t eighth = frontier.size() / 8;
+  std::vector<std::size_t> begin(kThreads), end(kThreads);
+  std::vector<std::vector<ValenceInfo>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    begin[k] = k * eighth;
+    end[k] = k + 1 == kThreads ? frontier.size() : (k + 4) * eighth;
+    threads.emplace_back([&, k] {
+      got[k] = shared.classify_all(
+          {frontier.begin() + static_cast<std::ptrdiff_t>(begin[k]),
+           frontier.begin() + static_cast<std::ptrdiff_t>(end[k])});
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    ASSERT_EQ(got[k].size(), end[k] - begin[k]) << "thread " << k;
+    for (std::size_t i = 0; i < got[k].size(); ++i) {
+      const ValenceInfo& want = expected[begin[k] + i];
+      EXPECT_EQ(got[k][i].v0, want.v0) << "thread " << k << " state " << i;
+      EXPECT_EQ(got[k][i].v1, want.v1) << "thread " << k << " state " << i;
+      EXPECT_EQ(got[k][i].exact, want.exact)
+          << "thread " << k << " state " << i;
+    }
   }
 }
 

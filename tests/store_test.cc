@@ -503,8 +503,6 @@ TEST_F(StoreTest, SaveWithoutEngineOmitsMemo) {
   EXPECT_TRUE(store::load(*warm.model, file, warm.engine.get()).ok());
 }
 
-// --- WAL (lacon.wal.v1): crash-durable deltas over snapshots --------------
-
 std::vector<char> read_file(const std::string& file) {
   std::ifstream in(file, std::ios::binary);
   return std::vector<char>((std::istreambuf_iterator<char>(in)),
@@ -514,6 +512,10 @@ std::vector<char> read_file(const std::string& file) {
 void write_file(const std::string& file, const char* data, std::size_t len) {
   std::ofstream out(file, std::ios::binary | std::ios::trunc);
   out.write(data, static_cast<std::streamsize>(len));
+}
+
+const std::uint8_t* as_bytes(const std::vector<char>& bytes, std::size_t at) {
+  return reinterpret_cast<const std::uint8_t*>(bytes.data() + at);
 }
 
 // Interns one novel state (a copy of state 0 with a perturbed decision),
@@ -528,6 +530,82 @@ void intern_one_extra_state(LayeredModel& model) {
   const std::size_t before = model.num_states();
   ASSERT_EQ(model.restore_state(copy, StateArena::content_hash(copy)), before);
 }
+
+// Memo bytes a packed memo word cannot hold (FORMATS.md §1.7): each edit
+// re-seals the memo section's checksum and the header's, so only the
+// bounds refuse it, with kCorrupt and before anything reaches the target.
+TEST_F(StoreTest, CraftedMemoBytesAreRejected) {
+  auto cold = make_instance(ModelKind::kMobile, 3, 1, 3);
+  analyze(cold, 2);
+  const std::string file = path("memo.store");
+  ASSERT_TRUE(store::save(*cold.model, file, cold.engine.get()).ok());
+  const std::vector<char> saved = read_file(file);
+
+  constexpr std::size_t kPrelude = 24;
+  auto get32 = [&](std::size_t at) {
+    std::uint32_t v = 0;
+    std::memcpy(&v, saved.data() + at, sizeof v);
+    return v;
+  };
+  auto get64 = [&](std::size_t at) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, saved.data() + at, sizeof v);
+    return v;
+  };
+  const std::uint32_t header_bytes = get32(12);
+  const std::size_t table_at = kPrelude + 48 + (get32(kPrelude + 20) + 7) / 8 * 8;
+  std::size_t entry = 0;
+  for (std::uint32_t i = 0; i < get32(kPrelude + 24); ++i) {
+    if (get32(table_at + 40 * i) ==
+        static_cast<std::uint32_t>(store::SectionKind::kValenceMemo)) {
+      entry = table_at + 40 * i;
+    }
+  }
+  ASSERT_NE(entry, 0u);
+  const std::size_t memo_at = get64(entry + 8);
+  const std::size_t memo_bytes = get64(entry + 16);
+  ASSERT_EQ(get32(memo_at), 3u);      // horizon
+  ASSERT_EQ(get32(memo_at + 4), 0u);  // mode 0: kQuiescence
+  ASSERT_GT(get64(memo_at + 8), 0u);  // entries
+  const std::size_t lookahead_at = memo_at + 16 + 4;
+  const std::size_t flags_at = memo_at + 16 + 8;
+
+  struct Edit {
+    const char* what;
+    std::size_t at;
+    std::uint32_t value;
+  };
+  const std::vector<Edit> cases = {
+      {"memo mode 2", memo_at + 4, 2},
+      {"memo horizon -1", memo_at, 0xffffffffu},
+      {"unknown flag bit", flags_at, get32(flags_at) | 16u},
+      {"deep entry in a mode-0 block", flags_at, get32(flags_at) | 8u},
+      {"lookahead horizon + 1", lookahead_at, 4},
+      {"lookahead -1", lookahead_at, 0xffffffffu},
+  };
+  for (const Edit& e : cases) {
+    std::vector<char> bytes = saved;
+    std::memcpy(bytes.data() + e.at, &e.value, sizeof e.value);
+    const std::uint64_t section_sum =
+        store::codec::fnv1a(as_bytes(bytes, memo_at), memo_bytes);
+    std::memcpy(bytes.data() + entry + 32, &section_sum, sizeof section_sum);
+    const std::uint64_t header_sum =
+        store::codec::fnv1a(as_bytes(bytes, kPrelude), header_bytes);
+    std::memcpy(bytes.data() + 16, &header_sum, sizeof header_sum);
+    const std::string edited = path("edited.store");
+    write_file(edited, bytes.data(), bytes.size());
+
+    auto target = make_instance(ModelKind::kMobile, 3, 1, 3);
+    const store::Result r =
+        store::load(*target.model, edited, target.engine.get());
+    EXPECT_EQ(r.status, store::Status::kCorrupt) << e.what << ": " << r.detail;
+    EXPECT_EQ(target.model->num_states(), 0u) << e.what;
+    EXPECT_EQ(target.model->num_views(), 0u) << e.what;
+    EXPECT_TRUE(target.engine->export_memo().empty()) << e.what;
+  }
+}
+
+// --- WAL (lacon.wal.v1): crash-durable deltas over snapshots --------------
 
 TEST_F(StoreTest, WalAppendReplayRoundTrip) {
   const std::string file = path("roundtrip.wal");
@@ -710,6 +788,87 @@ TEST_F(StoreTest, WalBitFlippedTailIsTruncatedNotFatal) {
   EXPECT_EQ(rs.truncated_bytes, bytes.size() - boundary);
   EXPECT_EQ(target.model->num_states(), record1_states);
   EXPECT_EQ(fs::file_size(file), boundary);
+}
+
+// The WAL half of FORMATS.md §1.7's memo bounds: a record whose memo block
+// a packed memo word cannot hold counts as damaged even with a valid
+// checksum, and the torn-tail rule truncates the log from it.
+TEST_F(StoreTest, WalRecordWithUnboundedMemoIsTruncated) {
+  const std::string file = path("memo.wal");
+  auto cold = make_instance(ModelKind::kMobile, 3, 1, 3);
+  ValenceEngine second(*cold.model, 2, Exactness::kQuiescence);
+  store::Wal wal;
+  ASSERT_TRUE(wal.open(*cold.model, file).ok());
+  ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get(), nullptr).ok());
+  const auto header_end = static_cast<std::size_t>(fs::file_size(file));
+  second.classify_all(analyze(cold, 1));
+  // Two engines, one round: a full delta record, then a memo-only record.
+  ASSERT_TRUE(wal.append(*cold.model, {cold.engine.get(), &second}).ok());
+  const std::size_t record1_states = cold.model->num_states();
+  wal.close();
+  const std::vector<char> saved = read_file(file);
+
+  auto get32 = [&](std::size_t at) {
+    std::uint32_t v = 0;
+    std::memcpy(&v, saved.data() + at, sizeof v);
+    return v;
+  };
+  auto get64 = [&](std::size_t at) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, saved.data() + at, sizeof v);
+    return v;
+  };
+  // Frame: u32 magic, u32 reserved, u64 body bytes, u64 body checksum.
+  const std::size_t boundary = header_end + 24 + get64(header_end + 8);
+  ASSERT_LT(boundary, saved.size());
+  const std::size_t body_at = boundary + 24;
+  const std::size_t body_bytes = get64(boundary + 8);
+  // A memo-only body: seq, four id counts and an empty layer count, then
+  // the memo block (u32 present, u32 reserved, i32 horizon, u32 mode,
+  // u64 count, entries).
+  const std::size_t memo_at = body_at + 48;
+  ASSERT_EQ(get32(memo_at), 1u);
+  ASSERT_EQ(get32(memo_at + 8), 2u);   // horizon
+  ASSERT_EQ(get32(memo_at + 12), 0u);  // mode 0: kQuiescence
+  ASSERT_GT(get64(memo_at + 16), 0u);
+  const std::size_t lookahead_at = memo_at + 24 + 4;
+  const std::size_t flags_at = memo_at + 24 + 8;
+
+  struct Edit {
+    const char* what;
+    std::size_t at;
+    std::uint32_t value;
+  };
+  const std::vector<Edit> cases = {
+      {"memo horizon -1", memo_at + 8, 0xffffffffu},
+      {"unknown flag bit", flags_at, get32(flags_at) | 16u},
+      {"deep entry in a mode-0 block", flags_at, get32(flags_at) | 8u},
+      {"lookahead horizon + 1", lookahead_at, 3},
+      {"lookahead -1", lookahead_at, 0xffffffffu},
+  };
+  for (const Edit& e : cases) {
+    std::vector<char> bytes = saved;
+    std::memcpy(bytes.data() + e.at, &e.value, sizeof e.value);
+    const std::uint64_t sum =
+        store::codec::fnv1a(as_bytes(bytes, body_at), body_bytes);
+    std::memcpy(bytes.data() + boundary + 16, &sum, sizeof sum);
+    const std::string edited = path("edited.wal");
+    write_file(edited, bytes.data(), bytes.size());
+
+    auto target = make_instance(ModelKind::kMobile, 3, 1, 3);
+    ValenceEngine target_second(*target.model, 2, Exactness::kQuiescence);
+    store::Wal w;
+    ASSERT_TRUE(w.open(*target.model, edited).ok()) << e.what;
+    store::WalReplayStats rs;
+    const store::Result r =
+        w.replay(*target.model, &target_second, nullptr, &rs);
+    ASSERT_TRUE(r.ok()) << e.what << ": " << r.detail;
+    EXPECT_EQ(rs.records_applied, 1u) << e.what;
+    EXPECT_EQ(rs.truncated_bytes, bytes.size() - boundary) << e.what;
+    EXPECT_EQ(target.model->num_states(), record1_states) << e.what;
+    EXPECT_EQ(fs::file_size(edited), boundary) << e.what;
+    EXPECT_TRUE(target_second.export_memo().empty()) << e.what;
+  }
 }
 
 TEST_F(StoreTest, WalHeaderDamageIsTyped) {
