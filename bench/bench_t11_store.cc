@@ -26,7 +26,6 @@
 
 #include "analysis/reports.hpp"
 #include "engine/explore.hpp"
-#include "engine/lemma_store.hpp"
 #include "engine/valence.hpp"
 #include "relation/similarity.hpp"
 #include "runtime/stats.hpp"
@@ -247,27 +246,26 @@ void BM_WalSerialCommit(benchmark::State& state, const Workload& w) {
 
 // A commit that finds nothing new, as after every warm read under
 // LACON_WAL=on: one pass over the empty queues, no write, no fsync. The
-// session is durable_mix's p50 class (mobile n=4, depth 3, horizon 4, with
-// a lemma store), analyzed and committed once before the loop.
+// session is durable_mix's p50 class (mobile n=4, depth 3, horizon 4),
+// analyzed and committed once before the loop.
 void BM_WalNoopCommit(benchmark::State& state) {
   const Workload w{"mobile_n4_d3", 4, 3, 4, true};
   auto rule = min_after_round(2);
   auto model = make_model(ModelKind::kMobile, w.n, 1, *rule);
-  LemmaStore lemmas;
-  ValenceEngine engine(*model, w.horizon, default_exactness(ModelKind::kMobile),
-                       &lemmas);
+  ValenceEngine engine(*model, w.horizon,
+                       default_exactness(ModelKind::kMobile));
   const std::string path = snapshot_file(kAnalyze) + ".noop.wal";
   store::Wal wal;
   store::Result r = wal.open(*model, path);
-  if (r.ok()) r = wal.replay(*model, &engine, &lemmas);
+  if (r.ok()) r = wal.replay(*model, &engine);
   if (!r.ok()) state.SkipWithError(r.detail.c_str());
   const auto levels = reachable_by_depth(*model, w.depth);
   engine.classify_all(levels.back());
-  r = wal.append(*model, &engine, &lemmas);
+  r = wal.append(*model, &engine);
   if (!r.ok()) state.SkipWithError(r.detail.c_str());
   const std::uint64_t records = wal.records_appended();
   for (auto _ : state) {
-    r = wal.append(*model, &engine, &lemmas);
+    r = wal.append(*model, &engine);
     if (!r.ok()) state.SkipWithError(r.detail.c_str());
   }
   if (wal.records_appended() != records) {
@@ -285,7 +283,7 @@ void BM_WalReplay(benchmark::State& state, const Workload& w) {
     store::Wal wal;
     store::Result r = wal.open(*inst.model, path);
     if (!r.ok()) state.SkipWithError(r.detail.c_str());
-    wal.replay(*inst.model, inst.engine.get(), nullptr);
+    wal.replay(*inst.model, inst.engine.get());
     run_analysis(inst, w);
     r = wal.append(*inst.model, inst.engine.get());
     if (!r.ok()) state.SkipWithError(r.detail.c_str());
@@ -297,7 +295,7 @@ void BM_WalReplay(benchmark::State& state, const Workload& w) {
     store::Result r = wal.open(*inst.model, path);
     if (!r.ok()) state.SkipWithError(r.detail.c_str());
     store::WalReplayStats rs;
-    r = wal.replay(*inst.model, inst.engine.get(), nullptr, &rs);
+    r = wal.replay(*inst.model, inst.engine.get(), &rs);
     if (!r.ok()) state.SkipWithError(r.detail.c_str());
     states = rs.states_applied;
   }

@@ -30,7 +30,6 @@ LayeredModel::LayeredModel(int n, const DecisionRule& rule,
       rule_(&rule),
       initial_inputs_(std::move(initial_inputs)),
       views_(n),
-      canon_(std::make_unique<sym::Canonicalizer>(views_, n)),
       sym_folds_(&runtime::Stats::global().counter("arena.sym_folds")) {
   assert(n >= 2);
   if (initial_inputs_.empty()) initial_inputs_ = all_binary_inputs(n);
@@ -337,6 +336,7 @@ bool LayeredModel::sym_quotient_active() {
     sym_active_ = sym::enabled() &&
                   symmetry() == sym::SymmetryClass::kFull && n_ <= 15 &&
                   inputs_permutation_closed();
+    if (sym_active_) canon_ = std::make_unique<sym::Canonicalizer>(views_, n_);
   });
   return sym_active_;
 }
@@ -398,11 +398,6 @@ std::vector<StateId> LayeredModel::unfold_orbit(StateId x) {
   std::sort(members.begin(), members.end());
   assert(members.size() == orbit_weight(x));
   return members;
-}
-
-std::pair<std::uint64_t, std::uint64_t> LayeredModel::canonical_signature(
-    StateId x) {
-  return canon_->signature(*this, state(x));
 }
 
 }  // namespace lacon

@@ -222,9 +222,8 @@ class LayeredModel {
   // envs, failure counters, ...). A model whose environment is indexed by
   // process or embeds interned ViewIds MUST override this (and, if it also
   // declares kFull, sym_permute_env below): snapshot registers and
-  // in-transit messages both do. Also used with the identity relabeling to
-  // form the id-free canonical_signature() that keys the lemma store, so
-  // id-bearing envs need the override even on kTrivial models.
+  // in-transit messages both do. Only the quotient calls it, so a kTrivial
+  // model never needs the override.
   virtual void sym_env_key(const StateRef& s, sym::Relabeling& rel,
                            std::vector<std::uint64_t>* out) const;
 
@@ -239,7 +238,9 @@ class LayeredModel {
   // True when states intern through the symmetry quotient: LACON_SYMMETRY
   // resolves to on (or a sym::ScopedSymmetry forces it), symmetry() is
   // kFull, the initial inputs are permutation-closed and n <= 15. Latched
-  // on first use, so one model never mixes quotiented and raw interning.
+  // on first use, so one model never mixes quotiented and raw interning;
+  // the first call that finds the quotient active builds the model's
+  // Canonicalizer.
   bool sym_quotient_active();
 
   // |orbit(x)| — the number of distinct global states x stands for. 1
@@ -256,11 +257,6 @@ class LayeredModel {
   // Closure under adjacent transpositions, so the cost is
   // O(orbit · n · rewrite) rather than n!.
   std::vector<StateId> unfold_orbit(StateId x);
-
-  // Id-free 128-bit content signature of x: equal across runs, intern
-  // orders and warm restarts for equal content. Keys the cross-level lemma
-  // store (engine/lemma_store.hpp). Available for every symmetry class.
-  std::pair<std::uint64_t, std::uint64_t> canonical_signature(StateId x);
 
   // The intern path explore/compute_layer use: folds s onto its orbit
   // representative first whenever the quotient is active, and records the
@@ -330,6 +326,7 @@ class LayeredModel {
   runtime::ConcurrentSlotVector<std::atomic<const std::uint64_t*>> fp_memo_;
   std::atomic<std::uint64_t> log_epoch_{0};
   // --- symmetry quotient (DESIGN.md §15) ---
+  // Null unless the quotient is active; set inside sym_once_.
   std::unique_ptr<sym::Canonicalizer> canon_;
   std::once_flag sym_once_;
   bool sym_active_ = false;

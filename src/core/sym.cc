@@ -417,32 +417,4 @@ std::uint64_t Canonicalizer::canonicalize(const LayeredModel& model,
   return stab;
 }
 
-std::pair<std::uint64_t, std::uint64_t> Canonicalizer::signature(
-    const LayeredModel& model, const StateRef& s) {
-  const std::size_t n = s.locals.size();
-  Permutation identity(n);
-  std::iota(identity.begin(), identity.end(), 0);
-  Relabeling rel(this, std::move(identity));
-  std::uint64_t a = hash_combine(0x73796d736967ULL, n);  // "symsig"
-  std::uint64_t b = hash_combine(0x6c656d6d61ULL, n);    // "lemma"
-  for (std::size_t p = 0; p < n; ++p) {
-    const auto k = rel.rewrite_key(s.locals[p]);
-    a = hash_combine(a, k.first);
-    b = hash_combine(b, k.second);
-  }
-  std::vector<std::uint64_t> env_key;
-  model.sym_env_key(s, rel, &env_key);
-  for (const std::uint64_t w : env_key) {
-    a = hash_combine(a, w);
-    b = hash_combine(b, w ^ 0x5bd1e9955bd1e995ULL);
-  }
-  for (const Value d : s.decisions) {
-    const auto w =
-        static_cast<std::uint64_t>(static_cast<std::int64_t>(d));
-    a = hash_combine(a, w);
-    b = hash_combine(b, w + 0x9e3779b9ULL);
-  }
-  return {a, b};
-}
-
 }  // namespace lacon::sym

@@ -140,13 +140,13 @@ class Relabeling {
 // Orbit canonicalization over one model's view arena. Owns the shape /
 // relevant-set / rewrite memo tables (thread-safe: canonicalization runs
 // inside layer computations of concurrent connections). One instance per
-// LayeredModel.
+// LayeredModel whose quotient is active.
 class Canonicalizer {
  public:
   // `views` must outlive the canonicalizer. Relabelings require n <= 15
   // (4-bit permutation packing in the memo keys, 0xF = irrelevant);
-  // LayeredModel gates the quotient accordingly. signature() works for any
-  // n (the identity relabeling never packs).
+  // LayeredModel builds one only when its quotient is active, which it
+  // gates accordingly.
   Canonicalizer(ViewArena& views, int n);
 
   Canonicalizer(const Canonicalizer&) = delete;
@@ -162,12 +162,6 @@ class Canonicalizer {
   // perm[p]); used by orbit unfolding. Does not canonicalize.
   GlobalState permute(const LayeredModel& model, const StateRef& s,
                       const Permutation& perm);
-
-  // Id-free 128-bit content signature of `s` (identity relabeling keys):
-  // stable across runs, intern orders and restarts — the lemma-store key
-  // (engine/lemma_store.hpp). Works for every symmetry class.
-  std::pair<std::uint64_t, std::uint64_t> signature(const LayeredModel& model,
-                                                    const StateRef& s);
 
  private:
   friend class Relabeling;

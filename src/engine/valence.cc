@@ -4,7 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "engine/lemma_store.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/trace.hpp"
 
@@ -59,12 +58,10 @@ ValenceEngine::MemoEntry entry_of(StateId x, std::uint32_t w, bool deep) {
 
 }  // namespace
 
-ValenceEngine::ValenceEngine(LayeredModel& model, int horizon, Exactness mode,
-                             LemmaStore* lemmas)
+ValenceEngine::ValenceEngine(LayeredModel& model, int horizon, Exactness mode)
     : model_(model),
       horizon_(horizon),
       mode_(mode),
-      lemmas_(lemmas),
       log_epoch_(model.log_epoch()) {
   if (horizon < 0 || horizon > kMaxHorizon) {
     throw std::invalid_argument("valence horizon outside [0, kMaxHorizon]");
@@ -103,19 +100,6 @@ ValenceInfo ValenceEngine::compute(Memo& memo, StateId x, int budget) {
     return info;
   }
 
-  // Lemma-store consultation sits exactly here — after the cheap immediate
-  // checks, before the subtree walk it can save. A hit is always an exact
-  // fact proven with lookahead <= budget, i.e. byte-identical to what the
-  // walk below would return (engine/lemma_store.hpp soundness contract).
-  LemmaStore::Signature sig{};
-  if (lemmas_ != nullptr) {
-    sig = model_.canonical_signature(x);
-    if (std::optional<ValenceInfo> hit = lemmas_->lookup(sig, budget)) {
-      memoize(memo, x, budget, *hit);
-      return *hit;
-    }
-  }
-
   info.exact = true;
   for (StateId y : model_.layer(x)) {
     const ValenceInfo sub = compute(memo, y, budget - 1);
@@ -128,7 +112,6 @@ ValenceInfo ValenceEngine::compute(Memo& memo, StateId x, int budget) {
     }
   }
   memoize(memo, x, budget, info);
-  if (lemmas_ != nullptr && info.exact) lemmas_->publish(sig, budget, info);
   return info;
 }
 

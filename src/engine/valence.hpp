@@ -41,8 +41,6 @@
 
 namespace lacon {
 
-class LemmaStore;
-
 struct ValenceInfo {
   bool v0 = false;
   bool v1 = false;
@@ -69,16 +67,8 @@ class ValenceEngine {
   // valence, in [0, kMaxHorizon] (std::invalid_argument otherwise). For a
   // protocol whose decisions complete within r rounds, any horizon >= r
   // yields exact valences under kQuiescence in the synchronous models.
-  //
-  // `lemmas` (optional, not owned, must outlive the engine) attaches a
-  // cross-level lemma store (engine/lemma_store.hpp): exact results are
-  // published under the state's canonical signature, and signature hits
-  // with sufficient lookahead short-circuit the subtree evaluation. One
-  // store may be shared by engines of different horizons over the same
-  // model/rule — exact facts are horizon-independent.
   ValenceEngine(LayeredModel& model, int horizon,
-                Exactness mode = Exactness::kQuiescence,
-                LemmaStore* lemmas = nullptr);
+                Exactness mode = Exactness::kQuiescence);
 
   ValenceInfo valence(StateId x);
 
@@ -114,7 +104,6 @@ class ValenceEngine {
   LayeredModel& model() noexcept { return model_; }
   int horizon() const noexcept { return horizon_; }
   Exactness mode() const noexcept { return mode_; }
-  LemmaStore* lemmas() const noexcept { return lemmas_; }
   std::size_t evaluations() const noexcept {
     return evaluations_.load(std::memory_order_relaxed);
   }
@@ -163,7 +152,11 @@ class ValenceEngine {
   void sync_memo(std::uint64_t num_states);
 
  private:
-  // The memo is one 32-bit word per StateId (state ids are dense): present,
+  // The memo is the engine's one valence cache. Interning is
+  // content-addressed, so within one model a StateId already is a content
+  // key, and snapshot load and WAL replay restore the same ids: that is how
+  // a memo survives a restart. It is one 32-bit word per StateId (state
+  // ids are dense): present,
   // exact, v0, v1 and the lookahead, packed so a lookup is one lock-free
   // load and a merge one CAS loop. Only the unpersisted-entry queue takes a
   // lock, and only when a word changed while the model records. A queue
@@ -198,7 +191,6 @@ class ValenceEngine {
   LayeredModel& model_;
   int horizon_;
   Exactness mode_;
-  LemmaStore* lemmas_;
   Memo memo_;       // lookahead = horizon_
   Memo memo_deep_;  // lookahead = horizon_ + 1 (kConvergence only)
   std::atomic<std::size_t> evaluations_{0};

@@ -160,19 +160,6 @@ void MsgPassSyncModel::fingerprint_row_into(StateId x,
   }
 }
 
-void MsgPassSyncModel::sym_env_key(const StateRef& s, sym::Relabeling& rel,
-                                   std::vector<std::uint64_t>* out) const {
-  // kTrivial model, identity relabeling only (canonical signatures): key
-  // each in-transit message's payload view structurally (id-free).
-  for (const std::int64_t m : s.env) {
-    out->push_back(static_cast<std::uint64_t>(message_sender(m)));
-    out->push_back(static_cast<std::uint64_t>(message_receiver(m)));
-    const auto k = rel.rewrite_key(message_view(m));
-    out->push_back(k.first);
-    out->push_back(k.second);
-  }
-}
-
 std::string MsgPassSyncModel::env_to_string(StateId x) const {
   return transit_env_to_string(views(), state(x));
 }

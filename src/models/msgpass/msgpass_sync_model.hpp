@@ -40,11 +40,6 @@ class MsgPassSyncModel final : public LayeredModel {
     return sym::SymmetryClass::kTrivial;
   }
 
-  // In-transit messages embed interned ViewIds, so the id-free canonical
-  // signature (lemma-store key) keys them structurally.
-  void sym_env_key(const StateRef& s, sym::Relabeling& rel,
-                   std::vector<std::uint64_t>* out) const override;
-
   // x(j, k) and x(j, A), as above. Exposed for the structural tests.
   StateId apply_timed(StateId x, ProcessId j, int k);
   StateId apply_absent(StateId x, ProcessId j);

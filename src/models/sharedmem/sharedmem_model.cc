@@ -91,22 +91,6 @@ StateId SharedMemModel::apply_absent(StateId x, ProcessId j) {
   return intern(std::move(next));
 }
 
-void SharedMemModel::sym_env_key(const StateRef& s, sym::Relabeling& rel,
-                                 std::vector<std::uint64_t>* out) const {
-  // kTrivial model, identity relabeling only (canonical signatures): key
-  // each register's view structurally so the signature is id-free.
-  for (const std::int64_t w : s.env) {
-    if (w == kNoView) {
-      out->push_back(0x756e777269747465ULL);
-      out->push_back(0x6e6f76696577ULL);
-    } else {
-      const auto k = rel.rewrite_key(static_cast<ViewId>(w));
-      out->push_back(k.first);
-      out->push_back(k.second);
-    }
-  }
-}
-
 std::string SharedMemModel::env_to_string(StateId x) const {
   const StateRef s = state(x);
   std::string out;

@@ -41,11 +41,6 @@ class SharedMemModel final : public LayeredModel {
     return sym::SymmetryClass::kTrivial;
   }
 
-  // Registers hold interned ViewIds, so the id-free canonical signature
-  // (lemma-store key) must key them structurally even without a quotient.
-  void sym_env_key(const StateRef& s, sym::Relabeling& rel,
-                   std::vector<std::uint64_t>* out) const override;
-
   // x(j, k): see above. k in [0, n].
   StateId apply_timed(StateId x, ProcessId j, int k);
 

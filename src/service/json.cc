@@ -249,6 +249,13 @@ class Parser {
       set_error("malformed number");
       return std::nullopt;
     }
+    // strtod answers an overflowing token with ±HUGE_VAL, which no JSON
+    // text can carry back out.
+    if (!std::isfinite(d)) {
+      pos_ = start;
+      set_error("number out of range");
+      return std::nullopt;
+    }
     return Json(d);
   }
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "engine/explore.hpp"
-#include "engine/lemma_store.hpp"
 #include "engine/valence.hpp"
 #include "relation/similarity.hpp"
 #include "runtime/guard.hpp"
@@ -157,8 +156,7 @@ Session::Session(ModelKind kind, int n, int t)
       // about something: t+1 rounds solve consensus in Sync/S^t; round 2 is
       // the convention the bench harnesses use for the other three models.
       rule_(min_after_round(kind == ModelKind::kSync ? t + 1 : 2)),
-      model_(make_model(kind, n, t, *rule_)),
-      lemmas_(std::make_unique<LemmaStore>()) {}
+      model_(make_model(kind, n, t, *rule_)) {}
 
 Session::~Session() = default;
 
@@ -167,10 +165,8 @@ ValenceEngine& Session::engine(int horizon) {
   auto it = engines_.find(horizon);
   if (it == engines_.end()) {
     it = engines_
-             .emplace(horizon,
-                      std::make_unique<ValenceEngine>(
-                          *model_, horizon, default_exactness(kind_),
-                          lemmas_.get()))
+             .emplace(horizon, std::make_unique<ValenceEngine>(
+                                   *model_, horizon, default_exactness(kind_)))
              .first;
   }
   return *it->second;
@@ -186,8 +182,7 @@ void Session::ensure_store_loaded(ValenceEngine* eng) {
   // compaction target).
   const std::string path = store::snapshot_path(*model_);
   store::SnapshotMeta meta;
-  const store::Result r =
-      store::load(*model_, path, eng, lemmas_.get(), &meta);
+  const store::Result r = store::load(*model_, path, eng, &meta);
   if (r.ok()) {
     snapshot_bytes_ = meta.file_bytes;
   } else if (r.status != store::Status::kIoError) {
@@ -202,7 +197,7 @@ void Session::ensure_store_loaded(ValenceEngine* eng) {
   store::Result w = wal_->open(*model_, wpath);
   if (w.ok()) {
     store::WalReplayStats rs;
-    w = wal_->replay(*model_, eng, lemmas_.get(), &rs);
+    w = wal_->replay(*model_, eng, &rs);
     if (w.ok() && rs.truncated_bytes > 0) {
       std::fprintf(stderr,
                    "laconrd: wal %s: truncated %llu torn tail bytes, "
@@ -227,8 +222,7 @@ void Session::ensure_store_loaded(ValenceEngine* eng) {
     // "notice" naming the quarantined file.
     pending_notice_ = "wal quarantined to " + wpath + ".bad (" +
                       store::to_string(w.status) + ": " + w.detail + ")";
-    const store::Result s =
-        store::save(*model_, path, eng, lemmas_.get(), &meta);
+    const store::Result s = store::save(*model_, path, eng, &meta);
     if (s.ok()) {
       snapshot_bytes_ = meta.file_bytes;
     } else {
@@ -236,7 +230,7 @@ void Session::ensure_store_loaded(ValenceEngine* eng) {
                    store::to_string(s.status), s.detail.c_str());
     }
     store::Result reopened = wal_->open(*model_, wpath);
-    if (reopened.ok()) reopened = wal_->replay(*model_, eng, lemmas_.get());
+    if (reopened.ok()) reopened = wal_->replay(*model_, eng);
     if (!reopened.ok()) {
       std::fprintf(stderr, "laconrd: wal disabled for this session (%s): %s\n",
                    store::to_string(reopened.status),
@@ -288,7 +282,7 @@ void Session::commit_wal(const std::vector<ValenceEngine*>& engines) {
 
 void Session::leader_commit_locked(
     const std::vector<ValenceEngine*>& engines) {
-  const store::Result r = wal_->append(*model_, engines, lemmas_.get());
+  const store::Result r = wal_->append(*model_, engines);
   if (!r.ok()) {
     std::fprintf(stderr, "laconrd: wal append failed (%s): %s\n",
                  store::to_string(r.status), r.detail.c_str());
@@ -302,16 +296,15 @@ void Session::leader_commit_locked(
   ValenceEngine* eng = engines.empty() ? nullptr : engines.front();
   const std::string path = store::snapshot_path(*model_);
   store::SnapshotMeta meta;
-  const store::Result s =
-      store::save(*model_, path, eng, lemmas_.get(), &meta);
+  const store::Result s = store::save(*model_, path, eng, &meta);
   if (!s.ok()) {
     std::fprintf(stderr, "laconrd: compaction snapshot failed (%s): %s\n",
                  store::to_string(s.status), s.detail.c_str());
     return;
   }
   snapshot_bytes_ = meta.file_bytes;
-  const store::Result t = wal_->reset_to(*model_, meta.num_views,
-                                         meta.num_states, eng, lemmas_.get());
+  const store::Result t =
+      wal_->reset_to(*model_, meta.num_views, meta.num_states, eng);
   if (!t.ok()) {
     std::fprintf(stderr, "laconrd: wal reset failed (%s): %s\n",
                  store::to_string(t.status), t.detail.c_str());

@@ -46,10 +46,6 @@
 #include "analysis/reports.hpp"
 #include "service/json.hpp"
 
-namespace lacon {
-class LemmaStore;
-}  // namespace lacon
-
 namespace lacon::store {
 class Wal;
 }  // namespace lacon::store
@@ -84,22 +80,17 @@ class Session {
   int n() const noexcept { return n_; }
   int t() const noexcept { return t_; }
 
-  // The engine for a given lookahead (created on first use; the memo is
-  // shared by every request at that horizon). Every engine shares the
-  // session's lemma store, so an exact univalence fact proven at one
-  // horizon short-circuits the subtree walk at every other.
+  // The engine for a given lookahead (created on first use). Its memo is
+  // the session's valence cache for that horizon, shared by every request
+  // at it; engines of different horizons share nothing.
   ValenceEngine& engine(int horizon);
-
-  // The session-wide store of proven univalence facts, keyed by canonical
-  // state signature (engine/lemma_store.hpp). Persisted in snapshots and
-  // WAL records alongside the memo.
-  LemmaStore& lemmas() noexcept { return *lemmas_; }
 
   // First-request hook, a no-op unless LACON_WAL is on: replays the
   // instance's snapshot, if one exists, into the (still empty) model as the
   // log's base — with `eng`'s memo imported when the stored horizon/mode
   // match — then opens the session's WAL and replays its records over it
-  // (kill -9 recovery). An unreadable WAL is quarantined to `<path>.bad`
+  // (kill -9 recovery). Only `eng` gets memo entries back; an engine made
+  // later for another horizon starts with an empty memo. An unreadable WAL is quarantined to `<path>.bad`
   // and restarted fresh rather than ever crashing the daemon. Runs at most
   // once per session; failures fall back to a cold start (one stderr line).
   void ensure_store_loaded(ValenceEngine* eng);
@@ -132,7 +123,6 @@ class Session {
   int t_;
   std::unique_ptr<DecisionRule> rule_;
   std::unique_ptr<LayeredModel> model_;
-  std::unique_ptr<LemmaStore> lemmas_;
   std::mutex engines_mu_;
   std::map<int, std::unique_ptr<ValenceEngine>> engines_;
   // The leader's append/compact body; caller holds store_mu_ via the

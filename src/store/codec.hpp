@@ -4,7 +4,8 @@
 // (store/wal.hpp) serialize the same record shapes — ViewNode, flat
 // GlobalState, layer-cache entry, valence-memo entry, fingerprint row — so
 // the per-record encodings live here, used by both writers and both
-// loaders. A record decoded by the WAL replayer is byte-for-byte the record
+// loaders. Both loaders also read the lemma facts that files written by
+// earlier builds carry, and drop them (skip_lemma_entry). A record decoded by the WAL replayer is byte-for-byte the record
 // the snapshot loader views in place; only the framing (sectioned file vs
 // append-only log) differs.
 //
@@ -26,7 +27,6 @@
 
 #include "core/state.hpp"
 #include "core/view.hpp"
-#include "engine/lemma_store.hpp"
 #include "engine/valence.hpp"
 
 namespace lacon::store::codec {
@@ -247,31 +247,21 @@ inline bool decode_memo_entry(Reader& r, std::int32_t horizon,
          e->lookahead <= std::int64_t{horizon} + (e->deep ? 1 : 0);
 }
 
-// --- Lemma fact (24 bytes: 128-bit canonical signature + proof metadata) ----
+// --- Lemma fact (24 bytes: u64 sig_hi, u64 sig_lo, i32 lookahead, u32
+// flags). Files written by earlier builds carry them; no build writes them
+// now, and readers check and drop them (FORMATS.md §1.9).
 
 inline constexpr std::uint32_t kLemmaV0 = 1u << 0;
 inline constexpr std::uint32_t kLemmaV1 = 1u << 1;
 inline constexpr std::size_t kLemmaEntryBytes = 24;
 
-inline void encode_lemma_entry(Writer& w, const LemmaStore::Fact& f) {
-  w.u64(f.sig_hi);
-  w.u64(f.sig_lo);
-  w.i32(f.lookahead);
+// Reads one fact and checks what its writer guaranteed: a lookahead >= 0
+// and no flag bit outside kLemmaV0 | kLemmaV1.
+inline bool skip_lemma_entry(Reader& r) {
+  std::int32_t lookahead = 0;
   std::uint32_t flags = 0;
-  if (f.v0) flags |= kLemmaV0;
-  if (f.v1) flags |= kLemmaV1;
-  w.u32(flags);
-}
-
-inline bool decode_lemma_entry(Reader& r, LemmaStore::Fact* f) {
-  std::uint32_t flags = 0;
-  if (!r.u64(&f->sig_hi) || !r.u64(&f->sig_lo) || !r.i32(&f->lookahead) ||
-      !r.u32(&flags) || f->lookahead < 0 || (flags & ~(kLemmaV0 | kLemmaV1))) {
-    return false;
-  }
-  f->v0 = (flags & kLemmaV0) != 0;
-  f->v1 = (flags & kLemmaV1) != 0;
-  return true;
+  return r.skip(16) && r.i32(&lookahead) && r.u32(&flags) && lookahead >= 0 &&
+         (flags & ~(kLemmaV0 | kLemmaV1)) == 0;
 }
 
 // --- Fingerprint row (u32 id + u32 pad keeps the u64 hashes 8-aligned) ------

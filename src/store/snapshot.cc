@@ -140,12 +140,6 @@ Writer encode_memo(ValenceEngine& engine,
   return w;
 }
 
-Writer encode_lemmas(const std::vector<LemmaStore::Fact>& facts) {
-  Writer w;
-  for (const LemmaStore::Fact& f : facts) codec::encode_lemma_entry(w, f);
-  return w;
-}
-
 Writer encode_fingerprints(const LayeredModel& model, std::uint64_t count,
                            std::uint64_t* rows) {
   Writer w;
@@ -302,9 +296,6 @@ SnapshotMeta meta_of(const Header& h, std::uint64_t file_bytes) {
   if (const auto* e = find_section(h, SectionKind::kFingerprints)) {
     meta.fingerprint_rows = e->count;
   }
-  if (const auto* e = find_section(h, SectionKind::kLemmas)) {
-    meta.lemma_entries = e->count;
-  }
   meta.symmetry = h.symmetry == 1;
   return meta;
 }
@@ -403,7 +394,7 @@ const char* to_string(Status status) noexcept {
 }
 
 Result save(LayeredModel& model, const std::string& path,
-            ValenceEngine* engine, LemmaStore* lemmas, SnapshotMeta* meta) {
+            ValenceEngine* engine, SnapshotMeta* meta) {
   auto& stats = runtime::Stats::global();
   runtime::ScopedTimer timer(stats.timer("store.save_time"));
   LACON_TRACE_SPAN_ARG("store", "save", model.num_states());
@@ -482,14 +473,6 @@ Result save(LayeredModel& model, const std::string& path,
       encode_fingerprints(model, num_states, &fingerprint_rows);
   append_section(payload, table, SectionKind::kFingerprints, fingerprint_rows,
                  std::move(fingerprints));
-  if (lemmas != nullptr) {
-    // Lemma facts are keyed by id-free canonical signatures, so unlike the
-    // memo they need no horizon filtering: every fact is valid in any future
-    // session of the same model identity.
-    const std::vector<LemmaStore::Fact> facts = lemmas->export_facts();
-    append_section(payload, table, SectionKind::kLemmas, facts.size(),
-                   encode_lemmas(facts));
-  }
 
   // Two passes over the header: encode once with payload-relative offsets to
   // learn its size, then rebase the offsets to absolute and re-encode.
@@ -519,7 +502,7 @@ Result save(LayeredModel& model, const std::string& path,
 }
 
 Result load(LayeredModel& model, const std::string& path,
-            ValenceEngine* engine, LemmaStore* lemmas, SnapshotMeta* meta) {
+            ValenceEngine* engine, SnapshotMeta* meta) {
   auto& stats = runtime::Stats::global();
   runtime::ScopedTimer timer(stats.timer("store.load_time"));
 
@@ -580,6 +563,22 @@ Result load(LayeredModel& model, const std::string& path,
   if (layers_sec != nullptr && layers_sec->count > layers_sec->bytes / 8) {
     return fail(Status::kCorrupt,
                 path + ": layer-cache count exceeds its section");
+  }
+  // Lemma facts from an earlier build: checked, then dropped.
+  if (const SectionEntry* e = find_section(h, SectionKind::kLemmas)) {
+    if (e->bytes % codec::kLemmaEntryBytes != 0 ||
+        e->count != e->bytes / codec::kLemmaEntryBytes) {
+      return fail(Status::kCorrupt,
+                  path + ": lemma section size disagrees with its count");
+    }
+    Reader r(bytes.data + e->offset, e->bytes);
+    for (std::uint64_t i = 0; i < e->count; ++i) {
+      if (!codec::skip_lemma_entry(r)) {
+        return fail(Status::kCorrupt,
+                    path + ": lemma entry " + std::to_string(i) + " malformed");
+      }
+    }
+    stats.counter("store.lemmas_skipped").add(e->count);
   }
 
   // The memo is decoded before anything is restored, so a bad entry leaves
@@ -757,34 +756,6 @@ Result load(LayeredModel& model, const std::string& path,
         model.restore_fingerprint_row(x, row.data());
       }
       stats.counter("store.fingerprints_loaded").add(e->count);
-    }
-
-    // --- Lemma facts. -------------------------------------------------------
-    if (const SectionEntry* e = find_section(h, SectionKind::kLemmas)) {
-      Reader r(bytes.data + e->offset, e->bytes);
-      if (e->bytes != e->count * codec::kLemmaEntryBytes) {
-        return fail(Status::kCorrupt,
-                    path + ": lemma section size disagrees with its count");
-      }
-      std::vector<LemmaStore::Fact> facts;
-      if (lemmas != nullptr) {
-        facts.reserve(static_cast<std::size_t>(e->count));
-      }
-      for (std::uint64_t i = 0; i < e->count; ++i) {
-        LemmaStore::Fact f;
-        if (!codec::decode_lemma_entry(r, &f)) {
-          return fail(Status::kCorrupt,
-                      path + ": lemma entry " + std::to_string(i) +
-                          " malformed");
-        }
-        if (lemmas != nullptr) facts.push_back(f);
-      }
-      if (lemmas != nullptr) {
-        lemmas->import_facts(facts);
-        stats.counter("store.lemmas_loaded").add(e->count);
-      } else {
-        stats.counter("store.lemmas_skipped").add(e->count);
-      }
     }
   } catch (const std::bad_alloc&) {
     // Covers fault::InjectedAllocError (the arenas' restore path probes the

@@ -29,6 +29,10 @@
 // always-zero reserved field, so pre-symmetry snapshots load exactly when
 // the quotient is off — which is the mode they were saved under.
 //
+// Kind 8 (kLemmas) holds lemma facts, which earlier builds wrote and this
+// one does not: load() checks such a section's size and entries and drops
+// it, so those files load as if it were absent.
+//
 // Every section starts 8-aligned and every state record is a multiple of 8
 // bytes, so load() reads the file into one aligned buffer and views each
 // state record in place (codec::view_state) for every n, copying it into
@@ -45,7 +49,6 @@
 
 namespace lacon {
 class LayeredModel;
-class LemmaStore;
 class ValenceEngine;
 }  // namespace lacon
 
@@ -62,7 +65,7 @@ enum class SectionKind : std::uint32_t {
   kLayerCache = 5,        // (state, successor-list) entries
   kValenceMemo = 6,       // ValenceEngine memo entries (+ horizon, mode)
   kFingerprints = 7,      // published erase-one fingerprint rows
-  kLemmas = 8,            // LemmaStore facts (canonical-signature keyed)
+  kLemmas = 8,            // lemma facts: read, checked and dropped
 };
 
 enum class Status : std::uint8_t {
@@ -98,7 +101,6 @@ struct SnapshotMeta {
   std::uint64_t layer_entries = 0;
   std::uint64_t memo_entries = 0;
   std::uint64_t fingerprint_rows = 0;
-  std::uint64_t lemma_entries = 0;
   std::uint64_t file_bytes = 0;
   bool symmetry = false;  // saved under the orbit quotient
 };
@@ -110,8 +112,7 @@ struct SnapshotMeta {
 // export_memo, which take no locks. On success fills `meta` (may be null)
 // with what the file holds.
 Result save(LayeredModel& model, const std::string& path,
-            ValenceEngine* engine = nullptr, LemmaStore* lemmas = nullptr,
-            SnapshotMeta* meta = nullptr);
+            ValenceEngine* engine = nullptr, SnapshotMeta* meta = nullptr);
 
 // Replays `path` into `model`, which must be freshly constructed (same
 // name/n/max_faulty as at save time, nothing interned yet — call load
@@ -121,7 +122,6 @@ Result save(LayeredModel& model, const std::string& path,
 // null) with what the file held. On any non-kOk result the model may hold a
 // partial replay and should be discarded.
 Result load(LayeredModel& model, const std::string& path,
-            ValenceEngine* engine = nullptr, LemmaStore* lemmas = nullptr,
-            SnapshotMeta* meta = nullptr);
+            ValenceEngine* engine = nullptr, SnapshotMeta* meta = nullptr);
 
 }  // namespace lacon::store

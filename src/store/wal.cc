@@ -80,7 +80,6 @@ struct DecodedRecord {
   std::uint32_t memo_mode = 0;
   std::vector<ValenceEngine::MemoEntry> memo;
   std::vector<std::pair<StateId, std::vector<std::uint64_t>>> fingerprints;
-  std::vector<LemmaStore::Fact> lemmas;
 };
 
 // Decodes and semantically validates one record body. Returns false on any
@@ -167,17 +166,16 @@ bool decode_record(const std::uint8_t* body, std::size_t bytes, int n,
     }
   }
 
-  // Lemma block — absent in pre-lemma records, whose bodies end here with
-  // only zero padding (< 8 bytes) remaining.
+  // Lemma block: written by earlier builds, checked and dropped. Records
+  // without one end here, with only zero padding (< 8 bytes) remaining.
   if (r.remaining() >= 8) {
     std::uint64_t lemma_count = 0;
     if (!r.u64(&lemma_count) ||
         lemma_count > r.remaining() / codec::kLemmaEntryBytes) {
       return false;
     }
-    rec->lemmas.resize(static_cast<std::size_t>(lemma_count));
-    for (LemmaStore::Fact& f : rec->lemmas) {
-      if (!codec::decode_lemma_entry(r, &f)) return false;
+    for (std::uint64_t i = 0; i < lemma_count; ++i) {
+      if (!codec::skip_lemma_entry(r)) return false;
     }
   }
 
@@ -353,7 +351,7 @@ Result Wal::open(LayeredModel& model, const std::string& path) {
 }
 
 Result Wal::replay(LayeredModel& model, ValenceEngine* engine,
-                   LemmaStore* lemmas, WalReplayStats* stats_out) {
+                   WalReplayStats* stats_out) {
   auto& stats = runtime::Stats::global();
   runtime::ScopedTimer timer(stats.timer("wal.replay_time"));
   LACON_TRACE_SPAN_ARG("store", "wal_replay", log_end_ - header_end_);
@@ -459,9 +457,6 @@ Result Wal::replay(LayeredModel& model, ValenceEngine* engine,
         for (const auto& [x, row] : rec.fingerprints) {
           model.restore_fingerprint_row(x, row.data());
         }
-        if (lemmas != nullptr && !rec.lemmas.empty()) {
-          lemmas->import_facts(rec.lemmas);
-        }
       } catch (const std::bad_alloc&) {
         // Same contract as snapshot load: the model holds a partial replay
         // and the caller falls back to a cold start.
@@ -478,7 +473,7 @@ Result Wal::replay(LayeredModel& model, ValenceEngine* engine,
 
   // Everything the model now holds came from durable storage, and the
   // imports above queued nothing: the queues start empty from here.
-  begin_epoch(model, model.num_views(), model.num_states(), engine, lemmas);
+  begin_epoch(model, model.num_views(), model.num_states(), engine);
 
   stats.counter("wal.records_replayed").add(rs.records_applied);
   stats.counter("wal.records_skipped").add(rs.records_skipped);
@@ -491,16 +486,14 @@ Result Wal::replay(LayeredModel& model, ValenceEngine* engine,
   return {};
 }
 
-Result Wal::append(LayeredModel& model, ValenceEngine* engine,
-                   LemmaStore* lemmas) {
+Result Wal::append(LayeredModel& model, ValenceEngine* engine) {
   std::vector<ValenceEngine*> engines;
   if (engine != nullptr) engines.push_back(engine);
-  return append(model, engines, lemmas);
+  return append(model, engines);
 }
 
 Result Wal::append(LayeredModel& model,
-                   const std::vector<ValenceEngine*>& engines,
-                   LemmaStore* lemmas) {
+                   const std::vector<ValenceEngine*>& engines) {
   auto& stats = runtime::Stats::global();
   runtime::ScopedTimer timer(stats.timer("wal.append_time"));
   if (fd_ < 0) return fail(Status::kIoError, "wal not open");
@@ -533,15 +526,9 @@ Result Wal::append(LayeredModel& model,
     if (!memo.empty()) memos.emplace_back(eng, std::move(memo));
   }
 
-  // Signature-keyed, so no S-horizon filter applies: a fact is valid for
-  // any state of equal canonical content, interned or not.
-  std::vector<LemmaStore::Fact> facts;
-  if (lemmas != nullptr) facts = lemmas->drain_unpersisted();
-
   const std::uint64_t new_views = V - persisted_views_;
   const std::uint64_t new_states = S - persisted_states_;
-  if (new_views == 0 && new_states == 0 && caches.empty() && memos.empty() &&
-      facts.empty()) {
+  if (new_views == 0 && new_states == 0 && caches.empty() && memos.empty()) {
     return {};  // nothing interned since the last commit
   }
 
@@ -600,8 +587,6 @@ Result Wal::append(LayeredModel& model,
       codec::encode_fingerprint_row(body, x, model.cached_fingerprint_row(x),
                                     n);
     }
-    body.u64(facts.size());
-    for (const LemmaStore::Fact& f : facts) codec::encode_lemma_entry(body, f);
     frame(body);
   }
   for (std::size_t i = 1; i < memos.size(); ++i) {
@@ -614,7 +599,6 @@ Result Wal::append(LayeredModel& model,
     body.u64(0);  // no layer entries
     memo_block(body, memos[i].first, memos[i].second);
     body.u64(0);  // no fingerprint rows
-    body.u64(0);  // no lemma facts
     frame(body);
   }
 
@@ -624,7 +608,6 @@ Result Wal::append(LayeredModel& model,
       !r.ok()) {
     model.requeue(caches);
     for (const auto& [eng, memo] : memos) eng->requeue_memo(memo);
-    if (lemmas != nullptr) lemmas->requeue(facts);
     return r;
   }
 
@@ -649,8 +632,7 @@ bool Wal::should_compact(std::uint64_t snapshot_bytes) const noexcept {
 }
 
 Result Wal::reset_to(LayeredModel& model, std::uint64_t num_views,
-                     std::uint64_t num_states, ValenceEngine* engine,
-                     LemmaStore* lemmas) {
+                     std::uint64_t num_states, ValenceEngine* engine) {
   if (fd_ < 0) return fail(Status::kIoError, "wal not open");
   if (::ftruncate(fd_, static_cast<off_t>(header_end_)) != 0 ||
       ::fsync(fd_) != 0) {
@@ -658,14 +640,13 @@ Result Wal::reset_to(LayeredModel& model, std::uint64_t num_views,
   }
   log_end_ = header_end_;
   seq_ = 0;
-  begin_epoch(model, num_views, num_states, engine, lemmas);
+  begin_epoch(model, num_views, num_states, engine);
   runtime::Stats::global().counter("wal.compactions").increment();
   return {};
 }
 
 void Wal::begin_epoch(LayeredModel& model, std::uint64_t num_views,
-                      std::uint64_t num_states, ValenceEngine* engine,
-                      LemmaStore* lemmas) {
+                      std::uint64_t num_states, ValenceEngine* engine) {
   persisted_views_ = num_views;
   persisted_states_ = num_states;
   // The durable horizon may trail the live model (a snapshot races
@@ -675,9 +656,6 @@ void Wal::begin_epoch(LayeredModel& model, std::uint64_t num_views,
   // queues in full on that engine's next drain.
   model.begin_log_epoch(num_states);
   if (engine != nullptr) engine->sync_memo(num_states);
-  // The snapshot holds every fact published before its export, and the
-  // queue every fact published since.
-  if (lemmas != nullptr) lemmas->record_unpersisted();
 }
 
 }  // namespace lacon::store

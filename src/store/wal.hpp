@@ -27,7 +27,7 @@
 //                   | u32 memo_present, reserved
 //                     [i32 horizon, u32 mode, u64 memo_count, entries]
 //                   | u64 fingerprint_count | fingerprint rows
-//                   | u64 lemma_count | lemma facts
+//                   [| u64 lemma_count | lemma facts]
 //             (body zero-padded to 8; body_bytes is the padded length)
 //
 // The header's `symmetry` word mirrors the snapshot's (store/snapshot.hpp):
@@ -37,9 +37,9 @@
 // representatives and must never replay into a full-space model (or vice
 // versa). Pre-symmetry logs wrote the word as always-zero reserved padding,
 // so they open exactly when the quotient is off — the mode they were
-// written under. The lemma block at the end of each record is likewise
-// additive: pre-lemma records simply end after the fingerprints (only zero
-// padding remains), which decodes as zero lemma facts.
+// written under. The lemma block is optional: earlier builds ended every
+// record with one, this build ends records after the fingerprints (only
+// zero padding remains), and replay checks a block it finds and drops it.
 //
 // Recovery contract (replay): the log is read over a model already holding
 // the last full snapshot (or nothing). Records whose base counts match the
@@ -52,13 +52,13 @@
 // error. Only damage to the prelude/header earns a typed failure.
 //
 // What a record carries: views and states past two count watermarks, plus
-// the cache entries the model, its engines and its lemma store queued as
-// unpersisted when they inserted or strengthened them (core/model.hpp,
-// engine/valence.hpp, engine/lemma_store.hpp). append() drains those
-// queues, so a round costs what it writes, and a round with nothing queued
-// costs one pass over the queue shards' locks. Recording starts at replay() or
-// reset_to(), the two calls that fix what is on disk, and covers that
-// model, its lemma store and every engine over the model, later ones too.
+// the cache entries the model and its engines queued as unpersisted when
+// they inserted or strengthened them (core/model.hpp, engine/valence.hpp).
+// append() drains those queues, so a round costs what it writes, and a
+// round with nothing queued costs one pass over the queue shards' locks.
+// Recording starts at replay() or reset_to(), the two calls that fix what
+// is on disk, and covers that model and every engine over the model, later
+// ones too.
 //
 // Compaction: once the log dwarfs the snapshot (should_compact), the owner
 // saves a fresh snapshot and calls reset_to(), which truncates the log back
@@ -82,7 +82,6 @@
 
 namespace lacon {
 class LayeredModel;
-class LemmaStore;
 class ValenceEngine;
 }  // namespace lacon
 
@@ -127,11 +126,9 @@ class Wal {
   // recovery contract above. Everything the model then holds is durable:
   // the watermarks take its counts and recording starts with empty queues
   // (imports queue nothing). Call exactly once, after open() and before the
-  // first append(). `engine` receives matching memo entries; `lemmas` (may
-  // be null) receives every record's lemma facts — signature-keyed, so they
-  // need no horizon match; `stats_out` may be null.
+  // first append(). `engine` receives the memo blocks whose horizon and
+  // mode match its own; `stats_out` may be null.
   Result replay(LayeredModel& model, ValenceEngine* engine,
-                LemmaStore* lemmas = nullptr,
                 WalReplayStats* stats_out = nullptr);
 
   // Appends one delta record covering everything interned past the
@@ -142,8 +139,7 @@ class Wal {
   // truncated back to the previous record boundary, so a failed append
   // never leaves a torn middle, and the whole drained delta is queued
   // again. Requires replay() or reset_to() first: they start the queues.
-  Result append(LayeredModel& model, ValenceEngine* engine,
-                LemmaStore* lemmas = nullptr);
+  Result append(LayeredModel& model, ValenceEngine* engine);
 
   // Group-commit append: one delta record carrying everything past the
   // watermarks plus the first engine's queued memo entries, then one
@@ -155,8 +151,7 @@ class Wal {
   // tolerated. This is what laconrd's commit leader calls with the engines
   // of every request staged in its round.
   Result append(LayeredModel& model,
-                const std::vector<ValenceEngine*>& engines,
-                LemmaStore* lemmas = nullptr);
+                const std::vector<ValenceEngine*>& engines);
 
   // True once the live log payload outweighs `snapshot_bytes` by more than
   // kWalCompactRatio (with a 64 KiB floor so tiny snapshots don't force
@@ -172,8 +167,7 @@ class Wal {
   // entries at or past it, and (on its next drain) every other engine's
   // whole memo.
   Result reset_to(LayeredModel& model, std::uint64_t num_views,
-                  std::uint64_t num_states, ValenceEngine* engine,
-                  LemmaStore* lemmas = nullptr);
+                  std::uint64_t num_states, ValenceEngine* engine);
 
   bool is_open() const noexcept { return fd_ >= 0; }
   const std::string& path() const noexcept { return path_; }
@@ -193,8 +187,7 @@ class Wal {
   // them (with `engine`'s memo) holds: set the watermarks and start a new
   // log epoch of the queues.
   void begin_epoch(LayeredModel& model, std::uint64_t num_views,
-                   std::uint64_t num_states, ValenceEngine* engine,
-                   LemmaStore* lemmas);
+                   std::uint64_t num_states, ValenceEngine* engine);
 
   int fd_ = -1;
   std::string path_;
@@ -204,8 +197,8 @@ class Wal {
 
   // Durability watermarks: views and states below them are on disk
   // (snapshot or log). Cache entries are tracked by the caches' own queues
-  // of unpersisted entries; a strengthened memo entry or a min-merged lemma
-  // fact queues again, and replay merges the duplicate strongest-wins.
+  // of unpersisted entries; a strengthened memo entry queues again, and
+  // replay merges the duplicate strongest-wins.
   std::uint64_t persisted_views_ = 0;
   std::uint64_t persisted_states_ = 0;
 };

@@ -28,12 +28,15 @@
 
 #include "core/model.hpp"
 #include "core/sym.hpp"
-#include "engine/lemma_store.hpp"
+#include "engine/explore.hpp"
+#include "engine/valence.hpp"
 #include "runtime/stats.hpp"
 #include "service/json.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "store/env.hpp"
+#include "store/snapshot.hpp"
+#include "store_bytes.hpp"
 
 namespace lacon::service {
 namespace {
@@ -82,6 +85,15 @@ TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(Json::parse("nulll", &error).has_value());
   EXPECT_FALSE(Json::parse("1 2", &error).has_value());  // trailing garbage
   EXPECT_FALSE(error.empty());
+  // A number strtod can only answer with ±HUGE_VAL has no JSON rendering.
+  for (const char* text :
+       {"1e999", "-1e999", "[1e999]", "{\"a\":[0,-1e400]}"}) {
+    EXPECT_FALSE(Json::parse(text, &error).has_value()) << text;
+    EXPECT_NE(error.find("number out of range at byte"), std::string::npos)
+        << text << ": " << error;
+  }
+  EXPECT_EQ(error, "number out of range at byte 8");  // the token's offset
+  EXPECT_TRUE(Json::parse("[1e308,1e-999]").has_value());
 }
 
 TEST(JsonTest, DepthCapStopsAdversarialNesting) {
@@ -237,10 +249,16 @@ TEST(HandleLineTest, MalformedLinesBecomeErrorResponses) {
   SessionManager sessions;
   for (const char* line :
        {"this is not json", "{\"model\":\"carrier-pigeon\"}", "[1,2,3]",
-        "{\"n\":99}"}) {
+        "{\"n\":99}",
+        "{\"id\":1e999,\"model\":\"mobile\",\"n\":2,\"query\":\"layers\","
+        "\"depth\":0}",
+        "{\"id\":-1e999,\"model\":\"mobile\",\"n\":2}",
+        "{\"id\":[1e999],\"model\":\"mobile\",\"n\":2}"}) {
     const std::string response = handle_line(sessions, line);
+    // The response itself must parse, so no non-finite number leaks out.
     const auto doc = Json::parse(response);
     ASSERT_TRUE(doc.has_value()) << response;
+    EXPECT_TRUE(find_path(*doc, {"id"})->is_null()) << line;
     EXPECT_EQ(find_path(*doc, {"status"})->as_string(), "error") << line;
     EXPECT_FALSE(find_path(*doc, {"error"})->as_string().empty());
   }
@@ -878,16 +896,15 @@ TEST(ProtocolWalTest, PipelinedBatchSharesOneCommitAndIsDurable) {
 }
 
 // What a session's caches hold that a recovery must bring back: the layer
-// cache, every published fingerprint row and every lemma fact.
+// cache, every published fingerprint row and the memo of the engine at
+// `horizon`.
 struct CacheExports {
   std::vector<std::pair<StateId, std::vector<StateId>>> layers;
   std::vector<std::vector<std::uint64_t>> rows;  // by state id
-  std::vector<std::tuple<std::uint64_t, std::uint64_t, std::int32_t, bool,
-                         bool>>
-      facts;
+  std::vector<std::tuple<StateId, std::int32_t, bool, bool, bool, bool>> memo;
 };
 
-CacheExports export_caches(Session& session) {
+CacheExports export_caches(Session& session, int horizon) {
   CacheExports out;
   LayeredModel& model = session.model();
   out.layers = model.export_layer_cache();
@@ -898,18 +915,21 @@ CacheExports export_caches(Session& session) {
       out.rows[id].assign(row, row + model.n());
     }
   }
-  for (const LemmaStore::Fact& f : session.lemmas().export_facts()) {
-    out.facts.emplace_back(f.sig_hi, f.sig_lo, f.lookahead, f.v0, f.v1);
+  for (const ValenceEngine::MemoEntry& e :
+       session.engine(horizon).export_memo()) {
+    out.memo.emplace_back(e.x, e.lookahead, e.v0, e.v1, e.exact, e.deep);
   }
   return out;
 }
 
 // Four clients write one WAL-on session at once through handle_batch:
-// `layers` at increasing depths plus warm valence and similarity reads, so
-// commit rounds coalesce and carry memo, fingerprint-row and lemma deltas.
-// The manager then dies without saving, which leaves on disk what a
-// SIGKILL would (every response followed its fsync). A recovered manager
-// must hold the same caches and answer every request alike, interning
+// `layers` at increasing depths plus warm valence and similarity reads at
+// horizons 2 and 3, so commit rounds coalesce and carry layer, memo and
+// fingerprint-row deltas of two engines. The manager then dies without
+// saving, which leaves on disk what a SIGKILL would (every response
+// followed its fsync). Recovery opens at horizon 2, whose engine takes the
+// horizon-2 memo blocks back: the recovered session must hold the same
+// caches and that same memo, and answer every request alike, interning
 // nothing.
 TEST(ProtocolWalTest, ConcurrentClientsLoseNothingOnRecovery) {
   namespace fs = std::filesystem;
@@ -950,19 +970,20 @@ TEST(ProtocolWalTest, ConcurrentClientsLoseNothingOnRecovery) {
       });
     }
     for (std::thread& t : clients) t.join();
-    live = export_caches(sessions.session(ModelKind::kMobile, 3, 1));
-    ASSERT_FALSE(live.facts.empty());
+    live = export_caches(sessions.session(ModelKind::kMobile, 3, 1), 2);
+    ASSERT_FALSE(live.memo.empty());
     // The manager dies as a kill -9 would leave it: nothing is saved.
   }
 
   SessionManager recovered;
-  // A depth-0 request recovers the session and computes no cache entry.
-  handle_line(recovered, request("layers", 0, 1));
+  // A depth-0 request recovers the session, importing the horizon-2 memo,
+  // and computes no cache entry.
+  handle_line(recovered, request("layers", 0, 2));
   const CacheExports back =
-      export_caches(recovered.session(ModelKind::kMobile, 3, 1));
+      export_caches(recovered.session(ModelKind::kMobile, 3, 1), 2);
   EXPECT_TRUE(back.layers == live.layers);
   EXPECT_TRUE(back.rows == live.rows);
-  EXPECT_TRUE(back.facts == live.facts);
+  EXPECT_TRUE(back.memo == live.memo);
 
   for (int c = 0; c < kClients; ++c) {
     for (std::size_t i = 0; i < sent[static_cast<std::size_t>(c)].size();
@@ -981,6 +1002,49 @@ TEST(ProtocolWalTest, ConcurrentClientsLoseNothingOnRecovery) {
           << line;
     }
   }
+
+  ::unsetenv("LACON_WAL");
+  ::unsetenv("LACON_STORE_DIR");
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+// A snapshot whose kLemmas count was raised by 2^61, the header checksum
+// re-sealed, passes a size check of the form bytes == count * 24 because
+// the product wraps. Recovery must refuse the file and start the session
+// cold, not throw out of the first request to it.
+TEST(ProtocolWalTest, WrappedLemmaCountFallsBackToColdStart) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("lacon_service_lemma_count_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  ::setenv("LACON_WAL", "on", 1);
+  ::setenv("LACON_STORE_DIR", dir.c_str(), 1);
+  {
+    auto rule = min_after_round(2);
+    auto model = make_model(ModelKind::kMobile, 3, 1, *rule);
+    reachable_by_depth(*model, 1);
+    const std::string file = store::snapshot_path(*model);
+    ASSERT_TRUE(store::save(*model, file).ok());
+    const std::vector<char> bytes = store_bytes::with_lemma_section(
+        store_bytes::read_file(file), store_bytes::lemma_facts(3),
+        3 + (std::uint64_t{1} << 61));
+    store_bytes::write_file(file, bytes.data(), bytes.size());
+  }
+  const std::string line =
+      "{\"id\":1,\"model\":\"mobile\",\"n\":3,\"query\":\"layers\","
+      "\"depth\":1}";
+  SessionManager sessions;
+  std::string response;
+  ASSERT_NO_THROW(response = handle_line(sessions, line));
+  const auto doc = Json::parse(response);
+  ASSERT_TRUE(doc.has_value()) << response;
+  EXPECT_EQ(find_path(*doc, {"status"})->as_string(), "ok");
+  // Cold: the refused snapshot contributed no state.
+  EXPECT_EQ(find_path(*doc, {"metrics", "new_states"})->as_number(),
+            find_path(*doc, {"metrics", "states"})->as_number());
+  EXPECT_GT(find_path(*doc, {"metrics", "new_states"})->as_number(), 0.0);
 
   ::unsetenv("LACON_WAL");
   ::unsetenv("LACON_STORE_DIR");

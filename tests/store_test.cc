@@ -28,20 +28,25 @@
 #include "analysis/reports.hpp"
 #include "core/sym.hpp"
 #include "engine/explore.hpp"
-#include "engine/lemma_store.hpp"
 #include "engine/valence.hpp"
-#include "models/iis/iis_model.hpp"
 #include "relation/similarity.hpp"
 #include "runtime/stats.hpp"
 #include "store/codec.hpp"
 #include "store/env.hpp"
 #include "store/snapshot.hpp"
 #include "store/wal.hpp"
+#include "store_bytes.hpp"
 
 namespace lacon {
 namespace {
 
 namespace fs = std::filesystem;
+using store_bytes::as_bytes;
+using store_bytes::get;
+using store_bytes::lemma_facts;
+using store_bytes::put;
+using store_bytes::read_file;
+using store_bytes::write_file;
 
 class StoreTest : public ::testing::Test {
  protected:
@@ -69,13 +74,12 @@ struct Instance {
   std::unique_ptr<ValenceEngine> engine;
 };
 
-Instance make_instance(ModelKind kind, int n, int t, int horizon,
-                       LemmaStore* lemmas = nullptr) {
+Instance make_instance(ModelKind kind, int n, int t, int horizon) {
   Instance inst;
   inst.rule = min_after_round(kind == ModelKind::kSync ? t + 1 : 2);
   inst.model = make_model(kind, n, t, *inst.rule);
-  inst.engine = std::make_unique<ValenceEngine>(
-      *inst.model, horizon, default_exactness(kind), lemmas);
+  inst.engine = std::make_unique<ValenceEngine>(*inst.model, horizon,
+                                                default_exactness(kind));
   return inst;
 }
 
@@ -267,8 +271,7 @@ TEST_F(StoreTest, SaveAndLoadReportIdentityAndInventory) {
   analyze(cold, 2);
   const std::string file = path("meta.store");
   store::SnapshotMeta saved;
-  ASSERT_TRUE(
-      store::save(*cold.model, file, cold.engine.get(), nullptr, &saved).ok());
+  ASSERT_TRUE(store::save(*cold.model, file, cold.engine.get(), &saved).ok());
   EXPECT_EQ(saved.model_name, cold.model->name());
   EXPECT_EQ(saved.n, 3);
   EXPECT_EQ(saved.max_faulty, 1);
@@ -283,8 +286,7 @@ TEST_F(StoreTest, SaveAndLoadReportIdentityAndInventory) {
   // The loader reports the same inventory off the same file.
   auto warm = make_instance(ModelKind::kMobile, 3, 1, 3);
   store::SnapshotMeta loaded;
-  ASSERT_TRUE(
-      store::load(*warm.model, file, warm.engine.get(), nullptr, &loaded).ok());
+  ASSERT_TRUE(store::load(*warm.model, file, warm.engine.get(), &loaded).ok());
   EXPECT_EQ(loaded.model_name, saved.model_name);
   EXPECT_EQ(loaded.n, saved.n);
   EXPECT_EQ(loaded.max_faulty, saved.max_faulty);
@@ -293,7 +295,6 @@ TEST_F(StoreTest, SaveAndLoadReportIdentityAndInventory) {
   EXPECT_EQ(loaded.layer_entries, saved.layer_entries);
   EXPECT_EQ(loaded.memo_entries, saved.memo_entries);
   EXPECT_EQ(loaded.fingerprint_rows, saved.fingerprint_rows);
-  EXPECT_EQ(loaded.lemma_entries, saved.lemma_entries);
   EXPECT_EQ(loaded.file_bytes, saved.file_bytes);
   EXPECT_EQ(loaded.symmetry, saved.symmetry);
 }
@@ -496,26 +497,11 @@ TEST_F(StoreTest, SaveWithoutEngineOmitsMemo) {
   analyze(cold, 1);
   const std::string file = path("nomemo.store");
   store::SnapshotMeta meta;
-  ASSERT_TRUE(store::save(*cold.model, file, nullptr, nullptr, &meta).ok());
+  ASSERT_TRUE(store::save(*cold.model, file, nullptr, &meta).ok());
   EXPECT_EQ(meta.memo_entries, 0u);
 
   auto warm = make_instance(ModelKind::kMobile, 3, 1, 2);
   EXPECT_TRUE(store::load(*warm.model, file, warm.engine.get()).ok());
-}
-
-std::vector<char> read_file(const std::string& file) {
-  std::ifstream in(file, std::ios::binary);
-  return std::vector<char>((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-}
-
-void write_file(const std::string& file, const char* data, std::size_t len) {
-  std::ofstream out(file, std::ios::binary | std::ios::trunc);
-  out.write(data, static_cast<std::streamsize>(len));
-}
-
-const std::uint8_t* as_bytes(const std::vector<char>& bytes, std::size_t at) {
-  return reinterpret_cast<const std::uint8_t*>(bytes.data() + at);
 }
 
 // Interns one novel state (a copy of state 0 with a perturbed decision),
@@ -613,7 +599,7 @@ TEST_F(StoreTest, WalAppendReplayRoundTrip) {
   {
     store::Wal wal;
     ASSERT_TRUE(wal.open(*cold.model, file).ok());
-    ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get(), nullptr).ok());
+    ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get()).ok());
     analyze(cold, 2);
     ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
     EXPECT_EQ(wal.records_appended(), 1u);
@@ -627,7 +613,7 @@ TEST_F(StoreTest, WalAppendReplayRoundTrip) {
   store::Wal wal;
   ASSERT_TRUE(wal.open(*warm.model, file).ok());
   store::WalReplayStats rs;
-  const store::Result r = wal.replay(*warm.model, warm.engine.get(), nullptr, &rs);
+  const store::Result r = wal.replay(*warm.model, warm.engine.get(), &rs);
   ASSERT_TRUE(r.ok()) << r.detail;
   EXPECT_EQ(rs.records_applied, 1u);
   EXPECT_EQ(rs.truncated_bytes, 0u);
@@ -668,7 +654,7 @@ TEST_F(StoreTest, WalReplaysDeltaOverSnapshot) {
     // deeper analysis adds past it.
     store::Wal wal;
     ASSERT_TRUE(wal.open(*cold.model, file).ok());
-    ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get(), nullptr).ok());
+    ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get()).ok());
     analyze(cold, 2);
     ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
   }
@@ -679,7 +665,7 @@ TEST_F(StoreTest, WalReplaysDeltaOverSnapshot) {
   store::Wal wal;
   ASSERT_TRUE(wal.open(*warm.model, file).ok());
   store::WalReplayStats rs;
-  ASSERT_TRUE(wal.replay(*warm.model, warm.engine.get(), nullptr, &rs).ok());
+  ASSERT_TRUE(wal.replay(*warm.model, warm.engine.get(), &rs).ok());
   EXPECT_EQ(rs.records_applied, 1u);
   EXPECT_GT(warm.model->num_states(), from_snapshot);
   ASSERT_EQ(warm.model->num_states(), cold.model->num_states());
@@ -694,7 +680,7 @@ TEST_F(StoreTest, WalSkipsRecordsCoveredBySnapshot) {
   {
     store::Wal wal;
     ASSERT_TRUE(wal.open(*cold.model, file).ok());
-    ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get(), nullptr).ok());
+    ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get()).ok());
     analyze(cold, 1);
     ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
     intern_one_extra_state(*cold.model);
@@ -710,7 +696,7 @@ TEST_F(StoreTest, WalSkipsRecordsCoveredBySnapshot) {
   store::Wal wal;
   ASSERT_TRUE(wal.open(*warm.model, file).ok());
   store::WalReplayStats rs;
-  ASSERT_TRUE(wal.replay(*warm.model, warm.engine.get(), nullptr, &rs).ok());
+  ASSERT_TRUE(wal.replay(*warm.model, warm.engine.get(), &rs).ok());
   EXPECT_EQ(rs.records_applied, 0u);
   EXPECT_EQ(rs.records_skipped, 2u);
   EXPECT_EQ(warm.model->num_states(), from_snapshot);
@@ -726,7 +712,7 @@ TEST_F(StoreTest, WalTornTailRecoversAtEveryByteOffset) {
   auto cold = make_instance(ModelKind::kMobile, 3, 1, 3);
   store::Wal wal;
   ASSERT_TRUE(wal.open(*cold.model, file).ok());
-  ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get(), nullptr).ok());
+  ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get()).ok());
   analyze(cold, 1);
   ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
   const std::size_t record1_states = cold.model->num_states();
@@ -745,7 +731,7 @@ TEST_F(StoreTest, WalTornTailRecoversAtEveryByteOffset) {
     store::Wal w;
     ASSERT_TRUE(w.open(*target.model, cut).ok()) << "keep=" << keep;
     store::WalReplayStats rs;
-    const store::Result r = w.replay(*target.model, target.engine.get(), nullptr, &rs);
+    const store::Result r = w.replay(*target.model, target.engine.get(), &rs);
     ASSERT_TRUE(r.ok()) << "keep=" << keep << ": " << r.detail;
     EXPECT_EQ(rs.records_applied, 1u) << "keep=" << keep;
     EXPECT_EQ(rs.truncated_bytes, keep - boundary) << "keep=" << keep;
@@ -764,7 +750,7 @@ TEST_F(StoreTest, WalBitFlippedTailIsTruncatedNotFatal) {
   auto cold = make_instance(ModelKind::kMobile, 3, 1, 3);
   store::Wal wal;
   ASSERT_TRUE(wal.open(*cold.model, file).ok());
-  ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get(), nullptr).ok());
+  ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get()).ok());
   analyze(cold, 1);
   ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
   const std::size_t record1_states = cold.model->num_states();
@@ -783,7 +769,7 @@ TEST_F(StoreTest, WalBitFlippedTailIsTruncatedNotFatal) {
   store::Wal w;
   ASSERT_TRUE(w.open(*target.model, file).ok());
   store::WalReplayStats rs;
-  ASSERT_TRUE(w.replay(*target.model, target.engine.get(), nullptr, &rs).ok());
+  ASSERT_TRUE(w.replay(*target.model, target.engine.get(), &rs).ok());
   EXPECT_EQ(rs.records_applied, 1u);
   EXPECT_EQ(rs.truncated_bytes, bytes.size() - boundary);
   EXPECT_EQ(target.model->num_states(), record1_states);
@@ -799,7 +785,7 @@ TEST_F(StoreTest, WalRecordWithUnboundedMemoIsTruncated) {
   ValenceEngine second(*cold.model, 2, Exactness::kQuiescence);
   store::Wal wal;
   ASSERT_TRUE(wal.open(*cold.model, file).ok());
-  ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get(), nullptr).ok());
+  ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get()).ok());
   const auto header_end = static_cast<std::size_t>(fs::file_size(file));
   second.classify_all(analyze(cold, 1));
   // Two engines, one round: a full delta record, then a memo-only record.
@@ -861,7 +847,7 @@ TEST_F(StoreTest, WalRecordWithUnboundedMemoIsTruncated) {
     ASSERT_TRUE(w.open(*target.model, edited).ok()) << e.what;
     store::WalReplayStats rs;
     const store::Result r =
-        w.replay(*target.model, &target_second, nullptr, &rs);
+        w.replay(*target.model, &target_second, &rs);
     ASSERT_TRUE(r.ok()) << e.what << ": " << r.detail;
     EXPECT_EQ(rs.records_applied, 1u) << e.what;
     EXPECT_EQ(rs.truncated_bytes, bytes.size() - boundary) << e.what;
@@ -926,15 +912,14 @@ TEST_F(StoreTest, WalResetToAfterSnapshotLogsOnlyNewWork) {
   auto cold = make_instance(ModelKind::kMobile, 3, 1, 3);
   store::Wal wal;
   ASSERT_TRUE(wal.open(*cold.model, file).ok());
-  ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get(), nullptr).ok());
+  ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get()).ok());
   analyze(cold, 1);
   ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
   EXPECT_GT(wal.log_bytes(), 0u);
 
   // Compaction: fold the log into a snapshot, then reset the log to it.
   store::SnapshotMeta meta;
-  ASSERT_TRUE(
-      store::save(*cold.model, snap, cold.engine.get(), nullptr, &meta).ok());
+  ASSERT_TRUE(store::save(*cold.model, snap, cold.engine.get(), &meta).ok());
   ASSERT_TRUE(
       wal.reset_to(*cold.model, meta.num_views, meta.num_states,
                    cold.engine.get())
@@ -954,7 +939,7 @@ TEST_F(StoreTest, WalResetToAfterSnapshotLogsOnlyNewWork) {
   store::Wal w;
   ASSERT_TRUE(w.open(*warm.model, file).ok());
   store::WalReplayStats rs;
-  ASSERT_TRUE(w.replay(*warm.model, warm.engine.get(), nullptr, &rs).ok());
+  ASSERT_TRUE(w.replay(*warm.model, warm.engine.get(), &rs).ok());
   EXPECT_EQ(rs.records_applied, 1u);
   ASSERT_EQ(warm.model->num_states(), cold.model->num_states());
   EXPECT_EQ(state_hashes(*warm.model), state_hashes(*cold.model));
@@ -987,65 +972,44 @@ memo_tuples(const std::vector<ValenceEngine::MemoEntry>& memo) {
   return out;
 }
 
-void expect_same_facts(const std::vector<LemmaStore::Fact>& a,
-                       const std::vector<LemmaStore::Fact>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].sig_hi, b[i].sig_hi);
-    EXPECT_EQ(a[i].sig_lo, b[i].sig_lo);
-    EXPECT_EQ(a[i].lookahead, b[i].lookahead);
-    EXPECT_EQ(a[i].v0, b[i].v0);
-    EXPECT_EQ(a[i].v1, b[i].v1);
-  }
-}
-
 // A model no log drains records nothing, and a replay's imports queue
 // nothing: both leave every queue empty.
 TEST_F(StoreTest, CachesQueueOnlyWhatALogWillDrain) {
-  const auto expect_nothing_queued = [](Instance& inst, LemmaStore& lemmas) {
+  const auto expect_nothing_queued = [](Instance& inst, ValenceEngine& other) {
     EXPECT_TRUE(inst.model->drain_unpersisted(UINT64_MAX).empty());
     EXPECT_TRUE(inst.engine->drain_memo(UINT64_MAX).empty());
-    EXPECT_TRUE(lemmas.drain_unpersisted().empty());
+    EXPECT_TRUE(other.drain_memo(UINT64_MAX).empty());
   };
-  // Analysis that also publishes lemma facts: the undecided initial states
-  // are what yields exact facts.
-  const auto analyze_with_facts = [](Instance& inst, ValenceEngine& facts) {
+  // Analysis through two engines: the instance's and one at horizon 2.
+  const auto analyze_twice = [](Instance& inst, ValenceEngine& other) {
     analyze(inst, 2);
-    facts.classify_all(inst.model->initial_states());
+    other.classify_all(inst.model->initial_states());
   };
 
   auto plain = make_instance(ModelKind::kMobile, 3, 1, 3);
-  LemmaStore plain_lemmas;
-  ValenceEngine plain_facts(*plain.model, 3, Exactness::kQuiescence,
-                            &plain_lemmas);
-  analyze_with_facts(plain, plain_facts);
-  ASSERT_GT(plain_lemmas.size(), 0u);
-  expect_nothing_queued(plain, plain_lemmas);
+  ValenceEngine plain_other(*plain.model, 2, Exactness::kQuiescence);
+  analyze_twice(plain, plain_other);
+  ASSERT_FALSE(plain_other.export_memo().empty());
+  expect_nothing_queued(plain, plain_other);
 
   const std::string file = path("imports.wal");
   auto cold = make_instance(ModelKind::kMobile, 3, 1, 3);
-  LemmaStore cold_lemmas;
-  ValenceEngine cold_facts(*cold.model, 3, Exactness::kQuiescence,
-                           &cold_lemmas);
+  ValenceEngine cold_other(*cold.model, 2, Exactness::kQuiescence);
   {
     store::Wal wal;
     ASSERT_TRUE(wal.open(*cold.model, file).ok());
+    ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get()).ok());
+    analyze_twice(cold, cold_other);
     ASSERT_TRUE(
-        wal.replay(*cold.model, cold.engine.get(), &cold_lemmas).ok());
-    analyze_with_facts(cold, cold_facts);
-    ASSERT_TRUE(wal.append(*cold.model, {cold.engine.get(), &cold_facts},
-                           &cold_lemmas)
-                    .ok());
+        wal.append(*cold.model, {cold.engine.get(), &cold_other}).ok());
   }
   auto warm = make_instance(ModelKind::kMobile, 3, 1, 3);
-  LemmaStore warm_lemmas;
+  ValenceEngine warm_other(*warm.model, 2, Exactness::kQuiescence);
   store::Wal wal;
   ASSERT_TRUE(wal.open(*warm.model, file).ok());
-  ASSERT_TRUE(
-      wal.replay(*warm.model, warm.engine.get(), &warm_lemmas).ok());
+  ASSERT_TRUE(wal.replay(*warm.model, warm.engine.get()).ok());
   EXPECT_EQ(warm.model->num_states(), cold.model->num_states());
-  EXPECT_EQ(warm_lemmas.size(), cold_lemmas.size());
-  expect_nothing_queued(warm, warm_lemmas);
+  expect_nothing_queued(warm, warm_other);
 }
 
 // Compaction saves a snapshot, then resets the log to it, and nothing fences
@@ -1056,63 +1020,43 @@ TEST_F(StoreTest, WalResetKeepsEntriesInsertedAfterTheSnapshot) {
   const std::string file = path("window.wal");
   auto rule = min_after_round(2);
   auto model = make_model(ModelKind::kMobile, 3, 1, *rule);
-  LemmaStore lemmas;
   // Horizon 0 under kQuiescence: valence() memoizes without expanding a
   // layer, so it interns nothing.
-  ValenceEngine engine(*model, 0, Exactness::kQuiescence, &lemmas);
+  ValenceEngine engine(*model, 0, Exactness::kQuiescence);
   store::Wal wal;
   ASSERT_TRUE(wal.open(*model, file).ok());
-  ASSERT_TRUE(wal.replay(*model, &engine, &lemmas).ok());
+  ASSERT_TRUE(wal.replay(*model, &engine).ok());
   const std::vector<StateId> frontier = reachable_by_depth(*model, 2).back();
   ASSERT_GE(frontier.size(), 2u);
   engine.valence(frontier[0]);
-  ASSERT_TRUE(wal.append(*model, &engine, &lemmas).ok());
+  ASSERT_TRUE(wal.append(*model, &engine).ok());
 
   store::SnapshotMeta meta;
-  ASSERT_TRUE(store::save(*model, snap, &engine, &lemmas, &meta).ok());
-  // The window: a fingerprint row for a state the snapshot holds, a memo
-  // entry of the engine it carries, and a lemma fact.
+  ASSERT_TRUE(store::save(*model, snap, &engine, &meta).ok());
+  // The window: a fingerprint row for a state the snapshot holds and a memo
+  // entry of the engine it carries.
   const StateId x = frontier[1];
   ASSERT_LT(x, meta.num_states);
   ASSERT_EQ(model->cached_fingerprint_row(x), nullptr);
   model->fingerprint_row(x);
   engine.valence(x);
-  ValenceInfo fact;
-  fact.v0 = true;
-  fact.exact = true;
-  lemmas.publish({0x5eed, 0xfac7}, 1, fact);
   ASSERT_EQ(model->num_states(), meta.num_states);
-  ASSERT_TRUE(wal.reset_to(*model, meta.num_views, meta.num_states, &engine,
-                           &lemmas)
-                  .ok());
-  ASSERT_TRUE(wal.append(*model, &engine, &lemmas).ok());
+  ASSERT_TRUE(
+      wal.reset_to(*model, meta.num_views, meta.num_states, &engine).ok());
+  ASSERT_TRUE(wal.append(*model, &engine).ok());
   wal.close();
 
   auto rule2 = min_after_round(2);
   auto fresh = make_model(ModelKind::kMobile, 3, 1, *rule2);
-  LemmaStore fresh_lemmas;
-  ValenceEngine fresh_engine(*fresh, 0, Exactness::kQuiescence, &fresh_lemmas);
-  ASSERT_TRUE(store::load(*fresh, snap, &fresh_engine, &fresh_lemmas).ok());
+  ValenceEngine fresh_engine(*fresh, 0, Exactness::kQuiescence);
+  ASSERT_TRUE(store::load(*fresh, snap, &fresh_engine).ok());
   store::Wal w;
   ASSERT_TRUE(w.open(*fresh, file).ok());
-  ASSERT_TRUE(w.replay(*fresh, &fresh_engine, &fresh_lemmas).ok());
+  ASSERT_TRUE(w.replay(*fresh, &fresh_engine).ok());
   EXPECT_NE(fresh->cached_fingerprint_row(x), nullptr);
   EXPECT_EQ(fingerprint_rows(*fresh), fingerprint_rows(*model));
   EXPECT_EQ(memo_tuples(fresh_engine.export_memo()),
             memo_tuples(engine.export_memo()));
-  expect_same_facts(fresh_lemmas.export_facts(), lemmas.export_facts());
-}
-
-// Lemma facts as comparable tuples.
-std::vector<std::tuple<std::uint64_t, std::uint64_t, std::int32_t, bool, bool>>
-fact_tuples(const std::vector<LemmaStore::Fact>& facts) {
-  std::vector<std::tuple<std::uint64_t, std::uint64_t, std::int32_t, bool,
-                         bool>>
-      out;
-  for (const LemmaStore::Fact& f : facts) {
-    out.emplace_back(f.sig_hi, f.sig_lo, f.lookahead, f.v0, f.v1);
-  }
-  return out;
 }
 
 // Body of WalFailedWriteKeepsDelta, run in a death-test child so the file
@@ -1123,12 +1067,10 @@ int failed_write_child(const std::string& file) {
     return ok;
   };
   std::signal(SIGXFSZ, SIG_IGN);
-  LemmaStore cold_lemmas;
-  auto cold = make_instance(ModelKind::kMobile, 3, 1, 3, &cold_lemmas);
+  auto cold = make_instance(ModelKind::kMobile, 3, 1, 3);
   store::Wal wal;
-  if (!check(wal.open(*cold.model, file).ok(), "open")) return 1;
-  if (!check(wal.replay(*cold.model, cold.engine.get(), &cold_lemmas).ok(),
-             "replay")) {
+  if (!check(wal.open(*cold.model, file).ok(), "open") ||
+      !check(wal.replay(*cold.model, cold.engine.get()).ok(), "replay")) {
     return 1;
   }
   const auto header_bytes = fs::file_size(file);
@@ -1140,37 +1082,30 @@ int failed_write_child(const std::string& file) {
   tight.rlim_cur = static_cast<rlim_t>(header_bytes);
   if (!check(::setrlimit(RLIMIT_FSIZE, &tight) == 0, "setrlimit")) return 1;
 
-  // Every cache queues something: the layer cache, the memo, fingerprint
-  // rows (the similarity sweep) and lemma facts (the undecided initial
-  // states yield exact ones).
+  // Every cache queues something: the layer cache, the memo and
+  // fingerprint rows (the similarity sweep).
   analyze(cold, 2);
-  cold.engine->classify_all(cold.model->initial_states());
   const auto rows = fingerprint_rows(*cold.model);
-  if (!check(!cold_lemmas.export_facts().empty(), "facts to log") ||
-      !check(std::any_of(rows.begin(), rows.end(),
+  if (!check(std::any_of(rows.begin(), rows.end(),
                          [](const auto& row) { return !row.empty(); }),
              "rows to log")) {
     return 1;
   }
-  const store::Result failed =
-      wal.append(*cold.model, cold.engine.get(), &cold_lemmas);
+  const store::Result failed = wal.append(*cold.model, cold.engine.get());
   if (!check(failed.status == store::Status::kIoError, "append must fail") ||
       !check(fs::file_size(file) == header_bytes, "file kept its length")) {
     return 1;
   }
   if (!check(::setrlimit(RLIMIT_FSIZE, &old_limit) == 0, "restore limit") ||
-      !check(wal.append(*cold.model, cold.engine.get(), &cold_lemmas).ok(),
-             "append")) {
+      !check(wal.append(*cold.model, cold.engine.get()).ok(), "append")) {
     return 1;
   }
   wal.close();
 
-  LemmaStore warm_lemmas;
-  auto warm = make_instance(ModelKind::kMobile, 3, 1, 3, &warm_lemmas);
+  auto warm = make_instance(ModelKind::kMobile, 3, 1, 3);
   store::Wal w;
   if (!check(w.open(*warm.model, file).ok(), "reopen") ||
-      !check(w.replay(*warm.model, warm.engine.get(), &warm_lemmas).ok(),
-             "replay log")) {
+      !check(w.replay(*warm.model, warm.engine.get()).ok(), "replay log")) {
     return 1;
   }
   const bool same =
@@ -1183,16 +1118,13 @@ int failed_write_child(const std::string& file) {
                 memo_tuples(cold.engine->export_memo()),
             "memo") &&
       check(fingerprint_rows(*warm.model) == fingerprint_rows(*cold.model),
-            "fingerprint rows") &&
-      check(fact_tuples(warm_lemmas.export_facts()) ==
-                fact_tuples(cold_lemmas.export_facts()),
-            "lemma facts");
+            "fingerprint rows");
   return same ? 0 : 1;
 }
 
 // A write that fails (here: past the file-size limit) must hand its whole
-// drained delta back — layer entries, memo entries, fingerprint rows and
-// lemma facts — so the next append still logs all of it.
+// drained delta back — layer entries, memo entries and fingerprint rows —
+// so the next append still logs all of it.
 TEST_F(StoreTest, WalFailedWriteKeepsDelta) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const std::string file = path("failed.wal");
@@ -1200,7 +1132,7 @@ TEST_F(StoreTest, WalFailedWriteKeepsDelta) {
               ::testing::ExitedWithCode(0), "");
 }
 
-// --- symmetry mode recording and lemma-fact persistence ---------------------
+// --- symmetry mode recording ------------------------------------------------
 
 // A snapshot saved over the full space must never replay into an
 // orbit-quotiented model (or vice versa): the file records the mode and
@@ -1215,7 +1147,7 @@ TEST_F(StoreTest, SymmetryMismatchedSnapshotRejected) {
     ASSERT_FALSE(cold.model->sym_quotient_active());
     store::SnapshotMeta meta;
     ASSERT_TRUE(
-        store::save(*cold.model, file, cold.engine.get(), nullptr, &meta).ok());
+        store::save(*cold.model, file, cold.engine.get(), &meta).ok());
     EXPECT_FALSE(meta.symmetry);
   }
   sym::ScopedSymmetry on(true);
@@ -1236,7 +1168,7 @@ TEST_F(StoreTest, QuotientSnapshotRejectedByFullSpaceModel) {
     ASSERT_TRUE(cold.model->sym_quotient_active());
     store::SnapshotMeta meta;
     ASSERT_TRUE(
-        store::save(*cold.model, file, cold.engine.get(), nullptr, &meta).ok());
+        store::save(*cold.model, file, cold.engine.get(), &meta).ok());
     EXPECT_TRUE(meta.symmetry);
     // Same mode loads fine.
     auto same = make_instance(ModelKind::kMsgPass, 3, 1, 2);
@@ -1268,71 +1200,279 @@ TEST_F(StoreTest, SymmetryMismatchedWalRefusedOnOpen) {
   EXPECT_FALSE(wal.is_open());
 }
 
-// Classify every state reachable within `depth` so the engine publishes a
-// healthy batch of exact facts (the frontier alone can end all-inexact at
-// shallow horizons, which would make these tests vacuous).
-void classify_reachable(IisModel& model, ValenceEngine& eng, int depth) {
-  for (const auto& level : reachable_by_depth(model, depth)) {
-    for (StateId x : level) eng.valence(x);
-  }
+// --- files written by earlier builds: lemma facts are checked, then dropped
+
+// Expects `a` and `b` to hold the same views, states, layer entries, memo
+// entries and fingerprint rows.
+void expect_same_content(Instance& a, Instance& b) {
+  EXPECT_EQ(view_hashes(*a.model), view_hashes(*b.model));
+  EXPECT_EQ(state_hashes(*a.model), state_hashes(*b.model));
+  EXPECT_EQ(a.model->export_layer_cache(), b.model->export_layer_cache());
+  EXPECT_EQ(memo_tuples(a.engine->export_memo()),
+            memo_tuples(b.engine->export_memo()));
+  EXPECT_EQ(fingerprint_rows(*a.model), fingerprint_rows(*b.model));
 }
 
-TEST_F(StoreTest, LemmaFactsRoundTripThroughSnapshot) {
-  const std::string file = path("lemmas.store");
-  auto rule = min_after_round(2);
-  IisModel model(3, *rule);
-  LemmaStore lemmas;
-  ValenceEngine eng(model, 3, Exactness::kQuiescence, &lemmas);
-  classify_reachable(model, eng, 2);
-  ASSERT_GT(lemmas.size(), 0u);
+// A snapshot with a kLemmas section, laid out and sealed as earlier builds
+// wrote it, loads exactly like the same content without the section.
+TEST_F(StoreTest, SnapshotLemmaSectionIsCheckedAndDropped) {
+  auto cold = make_instance(ModelKind::kMobile, 3, 1, 3);
+  analyze(cold, 2);
+  const std::string plain = path("plain.store");
+  ASSERT_TRUE(store::save(*cold.model, plain, cold.engine.get()).ok());
+  const std::vector<char> crafted =
+      store_bytes::with_lemma_section(read_file(plain), lemma_facts(5), 5);
+  const std::string old = path("lemmas.store");
+  write_file(old, crafted.data(), crafted.size());
+
+  auto without = make_instance(ModelKind::kMobile, 3, 1, 3);
+  ASSERT_TRUE(store::load(*without.model, plain, without.engine.get()).ok());
+  ASSERT_FALSE(without.engine->export_memo().empty());
+  auto& skipped = runtime::Stats::global().counter("store.lemmas_skipped");
+  const std::uint64_t skipped_before = skipped.value();
+  auto with = make_instance(ModelKind::kMobile, 3, 1, 3);
   store::SnapshotMeta meta;
-  ASSERT_TRUE(store::save(model, file, &eng, &lemmas, &meta).ok());
-  EXPECT_EQ(meta.lemma_entries, lemmas.size());
-
-  auto rule2 = min_after_round(2);
-  IisModel model2(3, *rule2);
-  LemmaStore warm;
-  ValenceEngine eng2(model2, 3, Exactness::kQuiescence, &warm);
-  ASSERT_TRUE(store::load(model2, file, &eng2, &warm).ok());
-  expect_same_facts(warm.export_facts(), lemmas.export_facts());
-
-  // A loader without a store simply skips the section.
-  auto rule3 = min_after_round(2);
-  IisModel model3(3, *rule3);
-  ASSERT_TRUE(store::load(model3, file, nullptr, nullptr).ok());
+  const store::Result r = store::load(*with.model, old, with.engine.get(), &meta);
+  ASSERT_TRUE(r.ok()) << r.detail;
+  EXPECT_EQ(skipped.value(), skipped_before + 5);
+  EXPECT_EQ(meta.file_bytes, crafted.size());
+  expect_same_content(without, with);
 }
 
-TEST_F(StoreTest, LemmaFactsSurviveWalReplay) {
-  const std::string file = path("lemmas.wal");
-  std::vector<LemmaStore::Fact> written;
-  {
-    auto rule = min_after_round(2);
-    IisModel model(3, *rule);
-    LemmaStore lemmas;
-    ValenceEngine eng(model, 3, Exactness::kQuiescence, &lemmas);
-    store::Wal wal;
-    ASSERT_TRUE(wal.open(model, file).ok());
-    ASSERT_TRUE(wal.replay(model, &eng, &lemmas).ok());
-    classify_reachable(model, eng, 2);
-    ASSERT_GT(lemmas.size(), 0u);
-    ASSERT_TRUE(wal.append(model, &eng, &lemmas).ok());
-    // Already persisted: a second commit with no new work is a no-op.
-    const std::uint64_t appended = wal.records_appended();
-    ASSERT_TRUE(wal.append(model, &eng, &lemmas).ok());
-    EXPECT_EQ(wal.records_appended(), appended);
-    written = lemmas.export_facts();
-  }
+// Lemma sections no earlier build wrote: each is refused kCorrupt before
+// anything reaches the target. A count raised by 2^61 passes a size check
+// of the form bytes == count * 24, because the product wraps.
+TEST_F(StoreTest, CraftedLemmaSectionsAreRejected) {
+  auto cold = make_instance(ModelKind::kMobile, 3, 1, 3);
+  analyze(cold, 2);
+  const std::string file = path("plain.store");
+  ASSERT_TRUE(store::save(*cold.model, file, cold.engine.get()).ok());
+  const std::vector<char> saved = read_file(file);
 
-  auto rule = min_after_round(2);
-  IisModel model(3, *rule);
-  LemmaStore warm;
-  ValenceEngine eng(model, 3, Exactness::kQuiescence, &warm);
+  // Fact 1's lookahead sits at byte 24 + 16 of the payload, its flags at
+  // 24 + 20.
+  const std::vector<char> facts = lemma_facts(3);
+  std::vector<char> bad_flag = facts;
+  put<std::uint32_t>(bad_flag, 44, 4u | 1u);
+  std::vector<char> bad_lookahead = facts;
+  put<std::int32_t>(bad_lookahead, 40, -1);
+  std::vector<char> ragged = facts;
+  ragged.resize(facts.size() + 8, 0);
+  struct Case {
+    const char* what;
+    std::vector<char> facts;
+    std::uint64_t count;
+  };
+  const std::vector<Case> cases = {
+      {"unknown flag bit", bad_flag, 3},
+      {"lookahead -1", bad_lookahead, 3},
+      {"count past its section", facts, 4},
+      {"count wrapped by 2^61", facts, 3 + (std::uint64_t{1} << 61)},
+      {"size not a whole number of facts", ragged, 3},
+  };
+  for (const Case& c : cases) {
+    const std::vector<char> bytes =
+        store_bytes::with_lemma_section(saved, c.facts, c.count);
+    const std::string edited = path("edited.store");
+    write_file(edited, bytes.data(), bytes.size());
+
+    auto target = make_instance(ModelKind::kMobile, 3, 1, 3);
+    store::Result r;
+    EXPECT_NO_THROW(r = store::load(*target.model, edited,
+                                    target.engine.get()))
+        << c.what;
+    EXPECT_EQ(r.status, store::Status::kCorrupt) << c.what << ": " << r.detail;
+    EXPECT_EQ(target.model->num_states(), 0u) << c.what;
+    EXPECT_EQ(target.model->num_views(), 0u) << c.what;
+    EXPECT_TRUE(target.engine->export_memo().empty()) << c.what;
+  }
+}
+
+// Where a WAL record body's fingerprint rows end, walking it the way replay
+// decodes it: the offset at which earlier builds wrote the lemma block.
+std::size_t fingerprints_end(const std::vector<char>& body, int n) {
+  store::codec::Reader r(as_bytes(body, 0), body.size());
+  std::uint64_t seq = 0, base_views = 0, new_views = 0, base_states = 0,
+                new_states = 0;
+  r.u64(&seq);
+  r.u64(&base_views);
+  r.u64(&new_views);
+  r.u64(&base_states);
+  r.u64(&new_states);
+  for (std::uint64_t i = 0; i < new_views; ++i) {
+    ViewNode v;
+    store::codec::decode_view(r, &v);
+  }
+  for (std::uint64_t i = 0; i < new_states; ++i) {
+    GlobalState s;
+    store::codec::decode_state(r, n, &s);
+  }
+  std::uint64_t layers = 0;
+  r.u64(&layers);
+  for (std::uint64_t i = 0; i < layers; ++i) {
+    StateId x = 0;
+    std::vector<StateId> succ;
+    store::codec::decode_layer_entry(r, &x, &succ);
+  }
+  std::uint32_t memo_present = 0, reserved = 0;
+  r.u32(&memo_present);
+  r.u32(&reserved);
+  if (memo_present != 0) {
+    std::int32_t horizon = 0;
+    std::uint32_t mode = 0;
+    std::uint64_t count = 0;
+    store::codec::decode_memo_header(r, &horizon, &mode, &count);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      ValenceEngine::MemoEntry e;
+      store::codec::decode_memo_entry(r, horizon, mode, &e);
+    }
+  }
+  std::uint64_t rows = 0;
+  r.u64(&rows);
+  std::vector<std::uint64_t> row(static_cast<std::size_t>(n));
+  for (std::uint64_t i = 0; i < rows; ++i) {
+    StateId x = 0;
+    store::codec::decode_fingerprint_row(r, n, &x, row.data());
+  }
+  return body.size() - r.remaining();
+}
+
+// A lemma block as earlier builds ended every WAL record: u64 count, then
+// the facts.
+std::vector<char> lemma_block(std::uint64_t count,
+                              const std::vector<char>& facts) {
+  std::vector<char> out(8 + facts.size());
+  put<std::uint64_t>(out, 0, count);
+  std::copy(facts.begin(), facts.end(), out.begin() + 8);
+  return out;
+}
+
+// `wal`, whose records start at `header_end`, with record i ended by
+// `blocks[i]`: each block goes right after the fingerprint rows, the body
+// is padded to 8 again and its frame re-sealed.
+std::vector<char> with_lemma_blocks(const std::vector<char>& wal,
+                                    std::size_t header_end, int n,
+                                    const std::vector<std::vector<char>>& blocks) {
+  std::vector<char> out(wal.begin(), wal.begin() + header_end);
+  std::size_t at = header_end;
+  for (const std::vector<char>& block : blocks) {
+    const auto body_bytes = get<std::uint64_t>(wal, at + 8);
+    std::vector<char> frame(wal.begin() + at, wal.begin() + at + 24);
+    std::vector<char> body(wal.begin() + at + 24,
+                           wal.begin() + at + 24 + body_bytes);
+    body.resize(fingerprints_end(body, n));
+    body.insert(body.end(), block.begin(), block.end());
+    body.resize((body.size() + 7) / 8 * 8, 0);
+    put<std::uint64_t>(frame, 8, body.size());
+    put<std::uint64_t>(frame, 16,
+                       store::codec::fnv1a(as_bytes(body, 0), body.size()));
+    out.insert(out.end(), frame.begin(), frame.end());
+    out.insert(out.end(), body.begin(), body.end());
+    at += 24 + body_bytes;
+  }
+  EXPECT_EQ(at, wal.size()) << "a record without a block";
+  return out;
+}
+
+// A log of three records: a full delta and a memo-only record (one round
+// over the instance's engine and `second`, at horizon 2), then a second
+// delta. Returns where the records start.
+std::size_t write_three_records(Instance& cold, ValenceEngine& second,
+                                const std::string& file) {
   store::Wal wal;
-  ASSERT_TRUE(wal.open(model, file).ok());
-  store::WalReplayStats rs;
-  ASSERT_TRUE(wal.replay(model, &eng, &warm, &rs).ok());
-  EXPECT_GT(rs.records_applied, 0u);
-  expect_same_facts(warm.export_facts(), written);
+  EXPECT_TRUE(wal.open(*cold.model, file).ok());
+  EXPECT_TRUE(wal.replay(*cold.model, cold.engine.get()).ok());
+  const auto header_end = static_cast<std::size_t>(fs::file_size(file));
+  second.classify_all(analyze(cold, 1));
+  EXPECT_TRUE(wal.append(*cold.model, {cold.engine.get(), &second}).ok());
+  analyze(cold, 2);
+  EXPECT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
+  EXPECT_EQ(wal.records_appended(), 3u);
+  return header_end;
+}
+
+// A WAL whose records end in lemma blocks, as earlier builds ended every
+// record, replays exactly like the same records without them.
+TEST_F(StoreTest, WalLemmaBlocksAreCheckedAndDropped) {
+  const std::string file = path("plain.wal");
+  auto cold = make_instance(ModelKind::kMobile, 3, 1, 3);
+  ValenceEngine second(*cold.model, 2, Exactness::kQuiescence);
+  const std::size_t header_end = write_three_records(cold, second, file);
+  const std::vector<char> crafted = with_lemma_blocks(
+      read_file(file), header_end, 3,
+      {lemma_block(2, lemma_facts(2)), lemma_block(0, {}),
+       lemma_block(3, lemma_facts(3))});
+  const std::string old = path("lemmas.wal");
+  write_file(old, crafted.data(), crafted.size());
+
+  // Each horizon's engine takes its own memo blocks from the same records.
+  for (const int horizon : {3, 2}) {
+    auto without = make_instance(ModelKind::kMobile, 3, 1, horizon);
+    store::Wal plain_wal;
+    ASSERT_TRUE(plain_wal.open(*without.model, file).ok());
+    ASSERT_TRUE(plain_wal.replay(*without.model, without.engine.get()).ok());
+    ASSERT_FALSE(without.engine->export_memo().empty()) << horizon;
+
+    auto with = make_instance(ModelKind::kMobile, 3, 1, horizon);
+    store::Wal old_wal;
+    ASSERT_TRUE(old_wal.open(*with.model, old).ok());
+    store::WalReplayStats rs;
+    const store::Result r = old_wal.replay(*with.model, with.engine.get(), &rs);
+    ASSERT_TRUE(r.ok()) << r.detail;
+    EXPECT_EQ(rs.records_applied, 3u) << horizon;
+    EXPECT_EQ(rs.truncated_bytes, 0u) << horizon;
+    expect_same_content(without, with);
+  }
+}
+
+// Lemma blocks no earlier build wrote count as damage even with a valid
+// checksum: the torn-tail rule truncates the log from that record.
+TEST_F(StoreTest, WalRecordWithMalformedLemmaBlockIsTruncated) {
+  const std::string file = path("plain.wal");
+  auto cold = make_instance(ModelKind::kMobile, 3, 1, 3);
+  ValenceEngine second(*cold.model, 2, Exactness::kQuiescence);
+  const std::size_t header_end = write_three_records(cold, second, file);
+  const std::vector<char> saved = read_file(file);
+
+  const std::vector<char> facts = lemma_facts(3);
+  std::vector<char> bad_flag = facts;
+  put<std::uint32_t>(bad_flag, 44, 4u | 1u);
+  std::vector<char> bad_lookahead = facts;
+  put<std::int32_t>(bad_lookahead, 40, -1);
+  struct Case {
+    const char* what;
+    std::vector<char> block;
+  };
+  const std::vector<Case> cases = {
+      {"unknown flag bit", lemma_block(3, bad_flag)},
+      {"lookahead -1", lemma_block(3, bad_lookahead)},
+      {"count past its body", lemma_block(4, facts)},
+      {"count wrapped by 2^61",
+       lemma_block(3 + (std::uint64_t{1} << 61), facts)},
+  };
+  for (const Case& c : cases) {
+    // The second record, the memo-only one, carries the damage.
+    const std::vector<char> bytes =
+        with_lemma_blocks(saved, header_end, 3,
+                          {lemma_block(1, lemma_facts(1)), c.block,
+                           lemma_block(0, {})});
+    const std::size_t boundary =
+        header_end + 24 + get<std::uint64_t>(bytes, header_end + 8);
+    const std::string edited = path("edited.wal");
+    write_file(edited, bytes.data(), bytes.size());
+
+    auto target = make_instance(ModelKind::kMobile, 3, 1, 3);
+    ValenceEngine target_second(*target.model, 2, Exactness::kQuiescence);
+    store::Wal w;
+    ASSERT_TRUE(w.open(*target.model, edited).ok()) << c.what;
+    store::WalReplayStats rs;
+    const store::Result r = w.replay(*target.model, &target_second, &rs);
+    ASSERT_TRUE(r.ok()) << c.what << ": " << r.detail;
+    EXPECT_EQ(rs.records_applied, 1u) << c.what;
+    EXPECT_EQ(rs.truncated_bytes, bytes.size() - boundary) << c.what;
+    EXPECT_EQ(fs::file_size(edited), boundary) << c.what;
+    EXPECT_TRUE(target_second.export_memo().empty()) << c.what;
+  }
 }
 
 // --- env knob parsing (the warn-once contract) ----------------------------

@@ -2,7 +2,6 @@
 // DESIGN.md §15): knob parsing, orbit canonicalization invariants,
 // quotient-vs-full count identity, and the soundness gates that keep
 // asymmetric models and non-closed input sets out of the quotient.
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <numeric>
@@ -199,32 +198,6 @@ TEST(SymQuotient, NonClosedInputsDegrade) {
   // state (initial_states deduplicates).
   EXPECT_EQ(closed_model.initial_states().size(), 1u);
   EXPECT_EQ(closed_model.orbit_weight(closed_model.initial_states()[0]), 3u);
-}
-
-// Canonical signatures are id-free: two independently-built models assign
-// equal signatures to equal content, distinct signatures to distinct
-// content — with and without the quotient.
-TEST(SymQuotient, CanonicalSignatureContentBased) {
-  const auto rule = min_after_round(2);
-  sym::ScopedSymmetry off(false);
-  MsgPassModel a(3, *rule);
-  MsgPassModel b(3, *rule);
-  const auto& ia = a.initial_states();
-  const auto& ib = b.initial_states();
-  ASSERT_EQ(ia.size(), ib.size());
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> sigs;
-  for (std::size_t i = 0; i < ia.size(); ++i) {
-    const auto sa = a.canonical_signature(ia[i]);
-    EXPECT_EQ(sa, b.canonical_signature(ib[i]));
-    sigs.push_back(sa);
-  }
-  std::sort(sigs.begin(), sigs.end());
-  EXPECT_EQ(std::adjacent_find(sigs.begin(), sigs.end()), sigs.end())
-      << "distinct initial states must have distinct signatures";
-  // Signatures survive one layer of divergent interning order too.
-  const StateId xa = a.layer(ia[0]).front();
-  const StateId xb = b.layer(ib[0]).front();
-  EXPECT_EQ(a.canonical_signature(xa), b.canonical_signature(xb));
 }
 
 }  // namespace
