@@ -171,7 +171,7 @@ void BM_WalAppend(benchmark::State& state, const Workload& w) {
   for (auto _ : state) {
     r = wal.reset_to(*inst.model, 0, 0, inst.engine.get());
     if (!r.ok()) state.SkipWithError(r.detail.c_str());
-    r = wal.append(*inst.model, inst.engine.get());
+    r = wal.append(*inst.model, {inst.engine.get()});
     if (!r.ok()) state.SkipWithError(r.detail.c_str());
   }
   state.counters["record_bytes"] = static_cast<double>(wal.log_bytes());
@@ -236,7 +236,7 @@ void BM_WalSerialCommit(benchmark::State& state, const Workload& w) {
     r = wal.reset_to(*f.inst.model, 0, 0, nullptr);
     if (!r.ok()) state.SkipWithError(r.detail.c_str());
     for (ValenceEngine* eng : f.engines) {
-      r = wal.append(*f.inst.model, eng);
+      r = wal.append(*f.inst.model, {eng});
       if (!r.ok()) state.SkipWithError(r.detail.c_str());
     }
   }
@@ -261,11 +261,11 @@ void BM_WalNoopCommit(benchmark::State& state) {
   if (!r.ok()) state.SkipWithError(r.detail.c_str());
   const auto levels = reachable_by_depth(*model, w.depth);
   engine.classify_all(levels.back());
-  r = wal.append(*model, &engine);
+  r = wal.append(*model, {&engine});
   if (!r.ok()) state.SkipWithError(r.detail.c_str());
   const std::uint64_t records = wal.records_appended();
   for (auto _ : state) {
-    r = wal.append(*model, &engine);
+    r = wal.append(*model, {&engine});
     if (!r.ok()) state.SkipWithError(r.detail.c_str());
   }
   if (wal.records_appended() != records) {
@@ -285,7 +285,7 @@ void BM_WalReplay(benchmark::State& state, const Workload& w) {
     if (!r.ok()) state.SkipWithError(r.detail.c_str());
     wal.replay(*inst.model, inst.engine.get());
     run_analysis(inst, w);
-    r = wal.append(*inst.model, inst.engine.get());
+    r = wal.append(*inst.model, {inst.engine.get()});
     if (!r.ok()) state.SkipWithError(r.detail.c_str());
   }
   std::uint64_t states = 0;

@@ -14,17 +14,26 @@ and executed if any unit ran it (a header's inline code is compiled into
 many units).
 
 Prints the total, then every src/ file with unexecuted lines, most first.
---lines also lists each file's unexecuted line numbers. Report only: the
-exit status is 0 whatever the coverage is, and 1 only when no .gcda file
-was found or gcov failed.
+gcov charges a scope's unwind cleanup to its closing brace, so the end of a
+function every run executes can read as unexecuted; such lone closing
+braces are counted in a column of their own, and the "unexecuted" column
+counts the other lines, the statements. --lines also lists each file's
+unexecuted statement line numbers. Report only: the exit status is 0
+whatever the coverage is, and 1 only when no .gcda file was found or gcov
+failed.
 """
 
 import argparse
 import concurrent.futures
 import json
 import os
+import re
 import subprocess
 import sys
+
+# A line whose code is only closing braces (and parentheses or semicolons),
+# once a trailing // comment is dropped.
+LONE_BRACE = re.compile(r"^[)};]*\}[)};]*$")
 
 
 def gcda_files(build_dir):
@@ -100,21 +109,31 @@ def main():
 
     lines = merge(docs, src_root)
     total = sum(len(seen) for seen in lines.values())
-    missed = {path: sorted(n for n, ran in seen.items() if not ran)
-              for path, seen in lines.items()}
+    missed, braces = {}, {}
+    for path, seen in lines.items():
+        with open(os.path.join(os.path.dirname(src_root), path),
+                  encoding="utf-8") as f:
+            text = f.read().splitlines()
+        unrun = sorted(n for n, ran in seen.items() if not ran)
+        lone = {n for n in unrun if n <= len(text) and LONE_BRACE.match(
+            re.sub(r"\s+", "", text[n - 1].split("//")[0]))}
+        braces[path] = len(lone)
+        missed[path] = [n for n in unrun if n not in lone]
     unexecuted = sum(len(m) for m in missed.values())
-    executed = total - unexecuted
+    lone_braces = sum(braces.values())
+    executed = total - unexecuted - lone_braces
     percent = 100.0 * executed / total if total else 0.0
     print(f"coverage: src/ {executed}/{total} lines executed ({percent:.1f} %),"
-          f" {unexecuted} unexecuted, {len(lines)} files, "
-          f"{len(files)} .gcda files")
-    print(f"{'unexecuted':>10} {'lines':>6}  file")
+          f" {unexecuted} unexecuted statements + {lone_braces} unexecuted"
+          f" lone closing braces, {len(lines)} files, {len(files)} .gcda files")
+    print(f"{'unexecuted':>10} {'braces':>6} {'lines':>6}  file")
     for path in sorted(missed, key=lambda p: (-len(missed[p]), p)):
-        if not missed[path]:
+        if not missed[path] and not braces[path]:
             continue
-        print(f"{len(missed[path]):>10} {len(lines[path]):>6}  {path}")
-        if args.lines:
-            print(f"{'':>18}{ranges(missed[path])}")
+        print(f"{len(missed[path]):>10} {braces[path]:>6} "
+              f"{len(lines[path]):>6}  {path}")
+        if args.lines and missed[path]:
+            print(f"{'':>25}{ranges(missed[path])}")
     return 0
 
 

@@ -13,10 +13,10 @@ namespace {
 
 // Deterministic per-state byte estimate: header + flat payload + a flat
 // allowance for the shard-index entry. A pure function of the state's
-// content — never of pool occupancy or vector capacities — so the guard's
-// memory budget reads the same total for the same interned content however
-// interns interleave (chunk-tail waste in the pool varies with scheduling
-// and is deliberately not counted).
+// content — never of pool occupancy or vector capacities — so
+// LayeredModel::memory_footprint reads the same total for the same interned
+// content however interns interleave (chunk-tail waste in the pool varies
+// with scheduling and is deliberately not counted).
 std::size_t state_footprint(std::size_t env_len, std::size_t n) noexcept {
   const std::size_t words = env_len + 2 * ((n + 1) / 2);
   return 16 /* header */ + words * sizeof(std::int64_t) + 48 /* index */;

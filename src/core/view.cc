@@ -54,18 +54,20 @@ ViewId ViewArena::extend(ViewId prev, std::vector<Obs> obs) {
   return intern(ViewNode{p.owner, p.round + 1, p.input, prev, std::move(obs)});
 }
 
-ViewId ViewArena::restore(ViewNode node) {
+ViewId ViewArena::restore(ViewNode node, std::uint64_t hash) {
   assert(node.owner >= 0 && node.owner < n_);
-  return intern_impl(std::move(node), restored_);
+  assert(hash == content_hash(node) && "hash must be content_hash(node)");
+  return intern_impl(std::move(node), hash, restored_);
 }
 
 ViewId ViewArena::intern(ViewNode nd) {
-  return intern_impl(std::move(nd), misses_);
+  const std::uint64_t h = content_hash(nd);  // once, outside the lock
+  return intern_impl(std::move(nd), h, misses_);
 }
 
-ViewId ViewArena::intern_impl(ViewNode nd, runtime::Counter* miss_counter) {
+ViewId ViewArena::intern_impl(ViewNode nd, std::uint64_t h,
+                              runtime::Counter* miss_counter) {
   fault::maybe_throw_alloc_fault();
-  const std::uint64_t h = content_hash(nd);  // once, outside the lock
   Shard& sh = shard_for(h);
   std::unique_lock<std::mutex> lock(sh.mu, std::try_to_lock);
   if (!lock.owns_lock()) {

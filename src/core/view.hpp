@@ -78,12 +78,12 @@ class ViewArena {
   // order so that equal views intern to equal ids.
   ViewId extend(ViewId prev, std::vector<Obs> obs);
 
-  // Re-interns a node streamed out of a lacon.store.v1 snapshot
-  // (store/snapshot.hpp). Identical to the private intern path except that a
-  // fresh insertion bumps "arena.view_restored" instead of the miss counter;
-  // snapshot replay happens in stored-id order into an empty arena, so the
-  // returned id equals the stored one.
-  ViewId restore(ViewNode node);
+  // Re-interns a node read back by the store (store/codec.hpp). Identical
+  // to the private intern path except that a fresh insertion bumps
+  // "arena.view_restored" instead of the miss counter; replay happens in
+  // stored-id order, so the returned id equals the stored one. `hash` must
+  // be content_hash(node): the loaders compute it while decoding.
+  ViewId restore(ViewNode node, std::uint64_t hash);
 
   const ViewNode& node(ViewId id) const {
     return nodes_[static_cast<std::size_t>(id)];
@@ -137,7 +137,8 @@ class ViewArena {
   };
 
   ViewId intern(ViewNode node);
-  ViewId intern_impl(ViewNode node, runtime::Counter* miss_counter);
+  ViewId intern_impl(ViewNode node, std::uint64_t h,
+                     runtime::Counter* miss_counter);
 
   Shard& shard_for(std::uint64_t h) const noexcept {
     return shards_[(h >> 40) & (kArenaShards - 1)];

@@ -17,10 +17,10 @@ std::vector<std::vector<StateId>> reachable_by_depth(LayeredModel& model,
 
 // Guarded exploration. The guard is probed per frontier state during the
 // expansion, and at every depth boundary the state budget is evaluated
-// against the states this call reached so far (the memory budget against
-// the arena footprint); a trip truncates to *complete levels only* — the
-// returned value never contains a partially-discovered level. `completed`
-// is the depth reached (value.size() - 1). Budget truncation depends on the
+// against the states this call reached so far; a trip truncates to
+// *complete levels only* — the returned value never contains a
+// partially-discovered level. `completed` is the depth reached
+// (value.size() - 1). Budget truncation depends on the
 // request alone: a budget of k states truncates at the same depth with the
 // same levels on a fresh model and on one that earlier calls already
 // populated.

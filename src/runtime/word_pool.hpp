@@ -13,7 +13,7 @@
 // max-region-size per chunk) and starts at the next chunk. Because the
 // amount of waste depends on the interleaving of concurrent allocations, the
 // arenas deliberately do NOT account pool occupancy in approx_bytes() — the
-// guard's byte accounting must be a scheduling-independent function of the
+// byte accounting must be a scheduling-independent function of the
 // interned content (see DESIGN.md §9).
 #pragma once
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <new>
 #include <utility>
 #include <vector>
@@ -181,19 +182,39 @@ void Session::ensure_store_loaded(ValenceEngine* eng) {
   // Snapshot first: it is the base the log replays over (and the
   // compaction target).
   const std::string path = store::snapshot_path(*model_);
+  const std::string wpath = store::wal_path(*model_);
   store::SnapshotMeta meta;
+  std::error_code ec;
+  const bool snapshot_exists = std::filesystem::exists(path, ec);
   const store::Result r = store::load(*model_, path, eng, &meta);
   if (r.ok()) {
     snapshot_bytes_ = meta.file_bytes;
-  } else if (r.status != store::Status::kIoError) {
-    // kIoError is the common no-snapshot-yet case; anything else means a
-    // snapshot existed and was rejected — say why, then cold-start.
-    std::fprintf(stderr, "laconrd: snapshot load failed (%s): %s\n",
-                 store::to_string(r.status), r.detail.c_str());
+  } else if (snapshot_exists) {
+    // No file is the common no-snapshot-yet case. A file that could not be
+    // loaded (refused, unreadable, or an allocation failure while
+    // applying) is not the base its log replays over, so replaying would
+    // cut the log: both are quarantined and the session starts cold with a
+    // fresh log.
+    std::fprintf(stderr,
+                 "laconrd: snapshot load failed (%s): %s; quarantining to "
+                 "%s.bad and %s.bad\n",
+                 store::to_string(r.status), r.detail.c_str(), path.c_str(),
+                 wpath.c_str());
+    std::rename(path.c_str(), (path + ".bad").c_str());
+    std::rename(wpath.c_str(), (wpath + ".bad").c_str());
+    pending_notice_ = "snapshot quarantined to " + path +
+                      ".bad and its wal to " + wpath + ".bad (" +
+                      store::to_string(r.status) + ": " + r.detail + ")";
+    // A failure met while applying (a duplicate record, an allocation
+    // failure) leaves the records before it in the model: a fresh snapshot
+    // makes them the new log's base.
+    if (model_->num_views() != 0 &&
+        store::save(*model_, path, eng, &meta).ok()) {
+      snapshot_bytes_ = meta.file_bytes;
+    }
   }
 
   wal_ = std::make_unique<store::Wal>();
-  const std::string wpath = store::wal_path(*model_);
   store::Result w = wal_->open(*model_, wpath);
   if (w.ok()) {
     store::WalReplayStats rs;
@@ -220,8 +241,9 @@ void Session::ensure_store_loaded(ValenceEngine* eng) {
     // Surface the quarantine on the wire too (stderr alone is invisible to
     // remote operators): the next response for this session carries a
     // "notice" naming the quarantined file.
-    pending_notice_ = "wal quarantined to " + wpath + ".bad (" +
-                      store::to_string(w.status) + ": " + w.detail + ")";
+    if (!pending_notice_.empty()) pending_notice_ += "; ";
+    pending_notice_ += "wal quarantined to " + wpath + ".bad (" +
+                       store::to_string(w.status) + ": " + w.detail + ")";
     const store::Result s = store::save(*model_, path, eng, &meta);
     if (s.ok()) {
       snapshot_bytes_ = meta.file_bytes;

@@ -90,9 +90,13 @@ class Session {
   // log's base — with `eng`'s memo imported when the stored horizon/mode
   // match — then opens the session's WAL and replays its records over it
   // (kill -9 recovery). Only `eng` gets memo entries back; an engine made
-  // later for another horizon starts with an empty memo. An unreadable WAL is quarantined to `<path>.bad`
-  // and restarted fresh rather than ever crashing the daemon. Runs at most
-  // once per session; failures fall back to a cold start (one stderr line).
+  // later for another horizon starts with an empty memo. A snapshot that
+  // exists but cannot be loaded is quarantined to `<path>.bad` together
+  // with its log, and an unreadable WAL to `<wal path>.bad`; either way the
+  // session starts a fresh log rather than ever crashing the daemon, and
+  // the next response carries a notice naming the quarantined files. Runs
+  // at most once per session; failures fall back to a cold start (one
+  // stderr line).
   void ensure_store_loaded(ValenceEngine* eng);
 
   // Durability commit point (LACON_WAL=on; no-op otherwise): returns only
@@ -112,9 +116,10 @@ class Session {
   void commit_wal(const std::vector<ValenceEngine*>& engines);
 
   // Drains the pending operator notice (empty if none): set when store
-  // recovery quarantined an unreadable WAL to `<path>.bad`, and attached to
-  // the session's next response as a "notice" field so operators learn the
-  // quarantined file's path from the wire, not just stderr.
+  // recovery quarantined a refused snapshot or an unreadable WAL, and
+  // attached to the session's next response as a "notice" field so
+  // operators learn the quarantined files' paths from the wire, not just
+  // stderr.
   std::string take_notice();
 
  private:

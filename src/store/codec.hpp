@@ -1,22 +1,26 @@
-// Shared byte-level codecs for the persistent store formats.
+// The record path both persistent store formats share.
 //
 // lacon.store.v1 snapshots (store/snapshot.hpp) and lacon.wal.v1 delta logs
-// (store/wal.hpp) serialize the same record shapes — ViewNode, flat
-// GlobalState, layer-cache entry, valence-memo entry, fingerprint row — so
-// the per-record encodings live here, used by both writers and both
-// loaders. Both loaders also read the lemma facts that files written by
-// earlier builds carry, and drop them (skip_lemma_entry). A record decoded by the WAL replayer is byte-for-byte the record
-// the snapshot loader views in place; only the framing (sectioned file vs
-// append-only log) differs.
+// (store/wal.hpp) carry the same five record blocks — views, flat states,
+// layer-cache entries, a valence-memo block and fingerprint rows
+// (FORMATS.md §1.4–1.8, §2.3); only the framing differs (a sectioned file
+// vs an append-only log of record bodies). So both writers encode the
+// blocks through the encoders here, and both loaders decode them through
+// the block decoders here into one RecordBatch, then restore it with the
+// one apply(). Both loaders also read the lemma facts that files written
+// by earlier builds carry, and drop them (skip_lemmas).
 //
 // Everything is little-endian (the host the toolchain targets); a
 // big-endian port would swap inside Writer/Reader and nowhere else. The
 // Reader is bounds-checked: every getter reports truncation instead of
 // walking off the end, so a short or lying file can never make a loader
-// read wild memory. Decoders validate only what the byte stream itself can
-// show (length sanity against the remaining bytes); semantic validation
-// (id ranges, DAG invariants) stays with the callers, which know the
-// replay horizon.
+// read wild memory. The block decoders check every record rule (FORMATS.md
+// §1.3, one list for both formats): each count against the bytes left, each
+// view's owner, prev and observations, each state's locals against the
+// batch's view horizon, and each layer, memo and row key against its
+// state horizon. A batch that decoded is safe to apply; a loader applies
+// nothing before its whole batch (and, for a snapshot, the digests)
+// passed.
 #pragma once
 
 #include <cassert>
@@ -28,6 +32,11 @@
 #include "core/state.hpp"
 #include "core/view.hpp"
 #include "engine/valence.hpp"
+#include "store/snapshot.hpp"  // Result
+
+namespace lacon {
+class LayeredModel;
+}  // namespace lacon
 
 namespace lacon::store::codec {
 
@@ -92,26 +101,16 @@ class Reader {
   std::size_t remaining() const noexcept {
     return static_cast<std::size_t>(end_ - p_);
   }
+  const std::uint8_t* pos() const noexcept { return p_; }
 
  private:
   const std::uint8_t* p_;
   const std::uint8_t* end_;
 };
 
-// --- ViewNode ---------------------------------------------------------------
+// --- One record of each kind, for readers that walk a block unchecked ----
 
-inline void encode_view(Writer& w, const ViewNode& v) {
-  w.i32(static_cast<std::int32_t>(v.owner));
-  w.i32(v.round);
-  w.i32(static_cast<std::int32_t>(v.input));
-  w.i32(static_cast<std::int32_t>(v.prev));
-  w.u32(static_cast<std::uint32_t>(v.obs.size()));
-  for (const Obs& o : v.obs) {
-    w.i32(o.source);
-    w.i32(static_cast<std::int32_t>(o.view));
-  }
-}
-
+// Decodes one view record (FORMATS.md §1.5), checking only that it fits.
 inline bool decode_view(Reader& r, ViewNode* v) {
   std::int32_t owner = 0, input = 0, prev = 0;
   std::uint32_t obs_count = 0;
@@ -132,42 +131,10 @@ inline bool decode_view(Reader& r, ViewNode* v) {
   return true;
 }
 
-// --- GlobalState (env i64 words + 32-bit locals/decisions lanes) ------------
-
-inline void encode_state(Writer& w, const StateRef& s) {
-  w.u64(s.env.size());
-  for (std::int64_t word : s.env) w.i64(word);
-  for (ViewId v : s.locals) w.i32(static_cast<std::int32_t>(v));
-  for (Value d : s.decisions) w.i32(static_cast<std::int32_t>(d));
-}
-
-inline bool decode_state(Reader& r, int n, GlobalState* s) {
-  std::uint64_t env_len = 0;
-  if (!r.u64(&env_len) || env_len > r.remaining() / 8) return false;
-  s->env.resize(static_cast<std::size_t>(env_len));
-  for (std::int64_t& w : s->env) {
-    if (!r.i64(&w)) return false;
-  }
-  s->locals.resize(static_cast<std::size_t>(n));
-  s->decisions.resize(static_cast<std::size_t>(n));
-  for (ViewId& v : s->locals) {
-    std::int32_t raw = 0;
-    if (!r.i32(&raw)) return false;
-    v = static_cast<ViewId>(raw);
-  }
-  for (Value& d : s->decisions) {
-    std::int32_t raw = 0;
-    if (!r.i32(&raw)) return false;
-    d = static_cast<Value>(raw);
-  }
-  return true;
-}
-
-// Views a state record in place: the spans point into the reader's buffer,
-// which must outlive them. The snapshot loader's path — it copies each view
-// into the arena once. Requires the record to start 8-aligned in memory;
-// the env words are then 8-aligned and both lane arrays 4-aligned, for
-// every n (FORMATS.md §1.4).
+// Views a state record (FORMATS.md §1.4) in place, checking only that it
+// fits: the spans point into the reader's buffer, which must outlive them.
+// Requires the record to start 8-aligned in memory; the env words are then
+// 8-aligned and both lane arrays 4-aligned, for every n.
 inline bool view_state(Reader& r, int n, StateRef* s) {
   static_assert(sizeof(ViewId) == 4 && sizeof(Value) == 4);
   std::uint64_t env_len = 0;
@@ -185,102 +152,80 @@ inline bool view_state(Reader& r, int n, StateRef* s) {
   return true;
 }
 
-// --- Layer-cache entry ------------------------------------------------------
+// --- The decoded batch ------------------------------------------------------
 
-inline void encode_layer_entry(Writer& w, StateId x,
-                               const std::vector<StateId>& succ) {
-  w.u32(x);
-  w.u32(static_cast<std::uint32_t>(succ.size()));
-  for (StateId y : succ) w.u32(y);
-}
+// The records of one snapshot or one log record, decoded and checked. The
+// views receive ids base_views.., the states base_states..; ids below the
+// bases are already in the target model.
+struct RecordBatch {
+  std::uint64_t base_views = 0;
+  std::uint64_t base_states = 0;
+  std::vector<ViewNode> views;
+  std::vector<std::uint64_t> view_hashes;  // ViewArena::content_hash
+  std::vector<StateRef> states;            // viewed in the decoded bytes
+  std::vector<std::uint64_t> state_hashes;  // StateArena::content_hash
+  std::vector<std::pair<StateId, std::vector<StateId>>> layers;
+  bool memo_present = false;
+  std::int32_t memo_horizon = 0;
+  std::uint32_t memo_mode = 0;  // 1 = Exactness::kConvergence
+  std::vector<ValenceEngine::MemoEntry> memo;
+  std::vector<StateId> row_ids;
+  std::vector<std::uint64_t> rows;  // n hashes per entry of row_ids
+  // An 8-aligned copy of a state block that did not start 8-aligned (a log
+  // record with an odd number of views, FORMATS.md §2.3); `states` view it.
+  std::vector<std::uint64_t> aligned;
 
-inline bool decode_layer_entry(Reader& r, StateId* x,
-                               std::vector<StateId>* succ) {
-  std::uint32_t len = 0;
-  if (!r.u32(x) || !r.u32(&len) || len > r.remaining() / 4) return false;
-  succ->resize(len);
-  for (StateId& y : *succ) {
-    if (!r.u32(&y)) return false;
+  std::uint64_t views_end() const noexcept {
+    return base_views + views.size();
   }
-  return true;
-}
-
-// --- Valence-memo block: i32 horizon, u32 mode, u64 count, 12-byte entries.
-// Decoding enforces what a packed memo word holds (FORMATS.md §1.7).
-
-inline constexpr std::uint32_t kMemoV0 = 1u << 0;
-inline constexpr std::uint32_t kMemoV1 = 1u << 1;
-inline constexpr std::uint32_t kMemoExact = 1u << 2;
-inline constexpr std::uint32_t kMemoDeep = 1u << 3;
-inline constexpr std::size_t kMemoEntryBytes = 12;
-
-inline bool decode_memo_header(Reader& r, std::int32_t* horizon,
-                               std::uint32_t* mode, std::uint64_t* count) {
-  return r.i32(horizon) && r.u32(mode) && r.u64(count) && *horizon >= 0 &&
-         *mode <= 1 && *count <= r.remaining() / kMemoEntryBytes;
-}
-
-inline void encode_memo_entry(Writer& w, const ValenceEngine::MemoEntry& e) {
-  w.u32(e.x);
-  w.i32(e.lookahead);
-  std::uint32_t flags = 0;
-  if (e.v0) flags |= kMemoV0;
-  if (e.v1) flags |= kMemoV1;
-  if (e.exact) flags |= kMemoExact;
-  if (e.deep) flags |= kMemoDeep;
-  w.u32(flags);
-}
-
-// `horizon` and `mode` are the block header's.
-inline bool decode_memo_entry(Reader& r, std::int32_t horizon,
-                              std::uint32_t mode, ValenceEngine::MemoEntry* e) {
-  std::uint32_t flags = 0;
-  if (!r.u32(&e->x) || !r.i32(&e->lookahead) || !r.u32(&flags) ||
-      (flags & ~(kMemoV0 | kMemoV1 | kMemoExact | kMemoDeep))) {
-    return false;
+  std::uint64_t states_end() const noexcept {
+    return base_states + states.size();
   }
-  e->v0 = (flags & kMemoV0) != 0;
-  e->v1 = (flags & kMemoV1) != 0;
-  e->exact = (flags & kMemoExact) != 0;
-  e->deep = (flags & kMemoDeep) != 0;
-  return (!e->deep || mode == 1) && e->lookahead >= 0 &&
-         e->lookahead <= std::int64_t{horizon} + (e->deep ? 1 : 0);
-}
+};
 
-// --- Lemma fact (24 bytes: u64 sig_hi, u64 sig_lo, i32 lookahead, u32
-// flags). Files written by earlier builds carry them; no build writes them
-// now, and readers check and drop them (FORMATS.md §1.9).
+// --- Block decoders. Each reads `count` records of its kind from `r` into
+// `batch` and checks each one (see the top of this file); false at the
+// first record that is short or breaks a rule. Views go first, then
+// states, then the rest: each block checks its references against the
+// horizons the blocks before it set.
 
-inline constexpr std::uint32_t kLemmaV0 = 1u << 0;
-inline constexpr std::uint32_t kLemmaV1 = 1u << 1;
-inline constexpr std::size_t kLemmaEntryBytes = 24;
+bool decode_views(Reader& r, std::uint64_t count, int n, RecordBatch* batch);
+bool decode_states(Reader& r, std::uint64_t count, int n, RecordBatch* batch);
+bool decode_layers(Reader& r, std::uint64_t count, RecordBatch* batch);
+// A whole memo block (FORMATS.md §1.7): its header carries the count.
+bool decode_memo(Reader& r, RecordBatch* batch);
+bool decode_rows(Reader& r, std::uint64_t count, int n, RecordBatch* batch);
+// Lemma facts from earlier builds (FORMATS.md §1.9): checked, then dropped.
+bool skip_lemmas(Reader& r, std::uint64_t count);
 
-// Reads one fact and checks what its writer guaranteed: a lookahead >= 0
-// and no flag bit outside kLemmaV0 | kLemmaV1.
-inline bool skip_lemma_entry(Reader& r) {
-  std::int32_t lookahead = 0;
-  std::uint32_t flags = 0;
-  return r.skip(16) && r.i32(&lookahead) && r.u32(&flags) && lookahead >= 0 &&
-         (flags & ~(kLemmaV0 | kLemmaV1)) == 0;
-}
+// --- Block encoders: the model's views and states with ids in [from, to),
+// the given layer entries, `engine`'s header over `memo`, and the published
+// rows of `ids`.
 
-// --- Fingerprint row (u32 id + u32 pad keeps the u64 hashes 8-aligned) ------
+void encode_views(Writer& w, const ViewArena& views, std::uint64_t from,
+                  std::uint64_t to);
+void encode_states(Writer& w, const LayeredModel& model, std::uint64_t from,
+                   std::uint64_t to);
+void encode_layers(
+    Writer& w,
+    const std::vector<std::pair<StateId, std::vector<StateId>>>& layers);
+void encode_memo(Writer& w, const ValenceEngine& engine,
+                 const std::vector<ValenceEngine::MemoEntry>& memo);
+void encode_rows(Writer& w, const LayeredModel& model,
+                 const std::vector<StateId>& ids);
 
-inline void encode_fingerprint_row(Writer& w, StateId x,
-                                   const std::uint64_t* row, int n) {
-  w.u32(x);
-  w.u32(0);
-  for (int j = 0; j < n; ++j) w.u64(row[static_cast<std::size_t>(j)]);
-}
+// --- Apply ------------------------------------------------------------------
 
-inline bool decode_fingerprint_row(Reader& r, int n, StateId* x,
-                                   std::uint64_t* row) {
-  std::uint32_t pad = 0;
-  if (!r.u32(x) || !r.u32(&pad)) return false;
-  for (int j = 0; j < n; ++j) {
-    if (!r.u64(&row[static_cast<std::size_t>(j)])) return false;
-  }
-  return true;
-}
+// True when `batch` carries a memo block that `engine` takes: same horizon
+// and exactness mode.
+bool memo_matches(const ValenceEngine* engine, const RecordBatch& batch);
+
+// Restores a decoded batch into `model`, whose counts must equal the
+// batch's bases: views, then states, each by stored id, then the layer
+// cache, the memo (into `engine` when memo_matches) and the rows. A record
+// that does not intern back to its stored id (a duplicate of earlier
+// content) is kCorrupt, an allocation failure kIoError; either leaves the
+// records before it in the model.
+Result apply(LayeredModel& model, ValenceEngine* engine, RecordBatch& batch);
 
 }  // namespace lacon::store::codec

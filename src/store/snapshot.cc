@@ -12,7 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <new>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -65,94 +65,21 @@ Result fail(Status status, std::string detail) {
 }
 
 // The digest sections fold every record's content hash into
-// digest_shards accumulators keyed the way the live arenas shard their
-// indexes, (hash >> 40) & mask. A flipped payload bit therefore fails two
+// digest_shards sums keyed the way the live arenas shard their indexes,
+// (hash >> 40) & mask. A flipped payload bit therefore fails two
 // independent ways — the section FNV checksum and the digest of the shard
 // the record hashes into — and the digests double as a cheap cross-check
-// that replay reproduced the exact interned content.
-class DigestAccumulator {
- public:
-  explicit DigestAccumulator(std::uint32_t shards)
-      : mask_(shards - 1), sums_(shards, 0) {}
-
-  void add(std::uint64_t content_hash) noexcept {
-    sums_[(content_hash >> 40) & mask_] += content_hash;
+// that the decoded records are the content the saver hashed.
+// `hash_of(i)` is record i's content hash, for i below `count`.
+template <typename HashOf>
+std::vector<std::uint64_t> digests(std::uint32_t shards, std::uint64_t count,
+                                   HashOf hash_of) {
+  std::vector<std::uint64_t> sums(shards, 0);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t h = hash_of(i);
+    sums[(h >> 40) & (shards - 1)] += h;
   }
-  const std::vector<std::uint64_t>& sums() const noexcept { return sums_; }
-
- private:
-  std::uint64_t mask_;
-  std::vector<std::uint64_t> sums_;
-};
-
-// ---------------------------------------------------------------------------
-// Save side.
-
-void append_section(Writer& file, std::vector<SectionEntry>& table,
-                    SectionKind kind, std::uint64_t count, Writer&& body) {
-  file.pad_to_8();
-  SectionEntry e;
-  e.kind = static_cast<std::uint32_t>(kind);
-  e.offset = file.size();  // patched to absolute once the header size is known
-  e.bytes = body.size();
-  e.count = count;
-  e.checksum = fnv1a(body.data(), body.size());
-  table.push_back(e);
-  file.raw(body.data(), body.size());
-}
-
-Writer encode_views(const ViewArena& views, std::uint64_t count) {
-  Writer w;
-  for (std::uint64_t id = 0; id < count; ++id) {
-    codec::encode_view(w, views.node(static_cast<ViewId>(id)));
-  }
-  return w;
-}
-
-Writer encode_states(const LayeredModel& model, std::uint64_t count) {
-  Writer w;
-  for (std::uint64_t id = 0; id < count; ++id) {
-    codec::encode_state(w, model.state(static_cast<StateId>(id)));
-  }
-  return w;
-}
-
-Writer encode_digests(const std::vector<std::uint64_t>& sums) {
-  Writer w;
-  for (std::uint64_t s : sums) w.u64(s);
-  return w;
-}
-
-Writer encode_layer_cache(
-    const std::vector<std::pair<StateId, std::vector<StateId>>>& entries) {
-  Writer w;
-  for (const auto& [x, succ] : entries) codec::encode_layer_entry(w, x, succ);
-  return w;
-}
-
-Writer encode_memo(ValenceEngine& engine,
-                   const std::vector<ValenceEngine::MemoEntry>& entries) {
-  Writer w;
-  w.i32(engine.horizon());
-  w.u32(engine.mode() == Exactness::kConvergence ? 1 : 0);
-  w.u64(entries.size());
-  for (const auto& e : entries) codec::encode_memo_entry(w, e);
-  return w;
-}
-
-Writer encode_fingerprints(const LayeredModel& model, std::uint64_t count,
-                           std::uint64_t* rows) {
-  Writer w;
-  *rows = 0;
-  const int n = model.n();
-  for (std::uint64_t id = 0; id < count; ++id) {
-    const std::uint64_t* row =
-        model.cached_fingerprint_row(static_cast<StateId>(id));
-    if (row == nullptr) continue;
-    ++*rows;
-    codec::encode_fingerprint_row(w, static_cast<StateId>(id), row, n);
-  }
-  return w;
+  return sums;
 }
 
 // ---------------------------------------------------------------------------
@@ -258,10 +185,19 @@ Result parse_header(const Bytes& bytes, const std::string& path, Header* h) {
                 path + ": section table longer than the header");
   }
   h->sections.resize(h->section_count);
+  std::uint32_t kinds_seen = 0;
   for (SectionEntry& e : h->sections) {
     if (!r.raw(&e, sizeof e)) {
       return fail(Status::kCorrupt, path + ": section table too short");
     }
+    // v1 knows exactly kinds 1..8, each at most once (FORMATS.md §1.3).
+    const std::uint32_t bit = e.kind >= 1 && e.kind <= 8 ? 1u << e.kind : 0;
+    if (bit == 0 || (kinds_seen & bit) != 0) {
+      return fail(Status::kCorrupt,
+                  path + ": unknown or repeated section kind " +
+                      std::to_string(e.kind));
+    }
+    kinds_seen |= bit;
     if (e.offset % 8 != 0 || e.offset > bytes.size ||
         e.bytes > bytes.size - e.offset) {
       return fail(Status::kTruncated,
@@ -421,17 +357,6 @@ Result save(LayeredModel& model, const std::string& path,
   h.num_views = num_views;
   h.num_states = num_states;
 
-  DigestAccumulator view_digests(digest_shards);
-  for (std::uint64_t id = 0; id < num_views; ++id) {
-    view_digests.add(
-        ViewArena::content_hash(model.views().node(static_cast<ViewId>(id))));
-  }
-  DigestAccumulator state_digests(digest_shards);
-  for (std::uint64_t id = 0; id < num_states; ++id) {
-    state_digests.add(
-        StateArena::content_hash(model.state(static_cast<StateId>(id))));
-  }
-
   // Cache entries referencing states past the captured horizon wait for the
   // next save; they would otherwise dangle for a loader that only knows
   // num_states ids.
@@ -444,20 +369,52 @@ Result save(LayeredModel& model, const std::string& path,
     }
     if (in_range) layers.emplace_back(x, std::move(succ));
   }
-  std::uint64_t fingerprint_rows = 0;
+  std::vector<StateId> rows;
+  for (std::uint64_t id = 0; id < num_states; ++id) {
+    if (model.cached_fingerprint_row(static_cast<StateId>(id)) != nullptr) {
+      rows.push_back(static_cast<StateId>(id));
+    }
+  }
 
   Writer payload;
   std::vector<SectionEntry> table;
-  append_section(payload, table, SectionKind::kViews, num_views,
-                 encode_views(model.views(), num_views));
-  append_section(payload, table, SectionKind::kStates, num_states,
-                 encode_states(model, num_states));
-  append_section(payload, table, SectionKind::kStateDigests, digest_shards,
-                 encode_digests(state_digests.sums()));
-  append_section(payload, table, SectionKind::kViewDigests, digest_shards,
-                 encode_digests(view_digests.sums()));
-  append_section(payload, table, SectionKind::kLayerCache, layers.size(),
-                 encode_layer_cache(layers));
+  // Appends one section whose payload `encode` writes.
+  const auto add = [&](SectionKind kind, std::uint64_t count, auto encode) {
+    Writer body;
+    encode(body);
+    payload.pad_to_8();
+    SectionEntry e;
+    e.kind = static_cast<std::uint32_t>(kind);
+    e.offset = payload.size();  // made absolute once the header size is known
+    e.bytes = body.size();
+    e.count = count;
+    e.checksum = fnv1a(body.data(), body.size());
+    table.push_back(e);
+    payload.raw(body.data(), body.size());
+  };
+  add(SectionKind::kViews, num_views, [&](Writer& w) {
+    codec::encode_views(w, model.views(), 0, num_views);
+  });
+  add(SectionKind::kStates, num_states, [&](Writer& w) {
+    codec::encode_states(w, model, 0, num_states);
+  });
+  const std::vector<std::uint64_t> state_sums =
+      digests(digest_shards, num_states, [&](std::uint64_t id) {
+        return StateArena::content_hash(model.state(static_cast<StateId>(id)));
+      });
+  const std::vector<std::uint64_t> view_sums =
+      digests(digest_shards, num_views, [&](std::uint64_t id) {
+        return ViewArena::content_hash(
+            model.views().node(static_cast<ViewId>(id)));
+      });
+  for (const auto& [kind, sums] :
+       {std::pair{SectionKind::kStateDigests, &state_sums},
+        std::pair{SectionKind::kViewDigests, &view_sums}}) {
+    add(kind, digest_shards,
+        [&](Writer& w) { w.raw(sums->data(), 8 * sums->size()); });
+  }
+  add(SectionKind::kLayerCache, layers.size(),
+      [&](Writer& w) { codec::encode_layers(w, layers); });
   if (engine != nullptr) {
     auto memo = engine->export_memo();
     memo.erase(std::remove_if(memo.begin(), memo.end(),
@@ -466,13 +423,11 @@ Result save(LayeredModel& model, const std::string& path,
                                        num_states;
                               }),
                memo.end());
-    append_section(payload, table, SectionKind::kValenceMemo, memo.size(),
-                   encode_memo(*engine, memo));
+    add(SectionKind::kValenceMemo, memo.size(),
+        [&](Writer& w) { codec::encode_memo(w, *engine, memo); });
   }
-  Writer fingerprints =
-      encode_fingerprints(model, num_states, &fingerprint_rows);
-  append_section(payload, table, SectionKind::kFingerprints, fingerprint_rows,
-                 std::move(fingerprints));
+  add(SectionKind::kFingerprints, rows.size(),
+      [&](Writer& w) { codec::encode_rows(w, model, rows); });
 
   // Two passes over the header: encode once with payload-relative offsets to
   // learn its size, then rebase the offsets to absolute and re-encode.
@@ -537,11 +492,10 @@ Result load(LayeredModel& model, const std::string& path,
                 path + ": load target has already interned content");
   }
 
-  const SectionEntry* views_sec = find_section(h, SectionKind::kViews);
-  const SectionEntry* states_sec = find_section(h, SectionKind::kStates);
   const SectionEntry* sdig_sec = find_section(h, SectionKind::kStateDigests);
   const SectionEntry* vdig_sec = find_section(h, SectionKind::kViewDigests);
-  if (views_sec == nullptr || states_sec == nullptr || sdig_sec == nullptr ||
+  if (find_section(h, SectionKind::kViews) == nullptr ||
+      find_section(h, SectionKind::kStates) == nullptr || sdig_sec == nullptr ||
       vdig_sec == nullptr) {
     return fail(Status::kCorrupt, path + ": mandatory section missing");
   }
@@ -549,221 +503,73 @@ Result load(LayeredModel& model, const std::string& path,
     if (Result r = checksum_section(bytes, path, e); !r.ok()) return r;
   }
   if (sdig_sec->count != h.digest_shards ||
-      vdig_sec->count != h.digest_shards) {
-    return fail(Status::kCorrupt, path + ": digest section count mismatch");
-  }
-  // Counts that size an allocation are bounded by the bytes that carry
-  // them, and checked before anything is restored (FORMATS.md §1).
-  if (sdig_sec->bytes != 8ULL * h.digest_shards ||
+      vdig_sec->count != h.digest_shards ||
+      sdig_sec->bytes != 8ULL * h.digest_shards ||
       vdig_sec->bytes != 8ULL * h.digest_shards) {
     return fail(Status::kCorrupt,
                 path + ": digest section size disagrees with the shard count");
   }
-  const SectionEntry* layers_sec = find_section(h, SectionKind::kLayerCache);
-  if (layers_sec != nullptr && layers_sec->count > layers_sec->bytes / 8) {
-    return fail(Status::kCorrupt,
-                path + ": layer-cache count exceeds its section");
-  }
-  // Lemma facts from an earlier build: checked, then dropped.
-  if (const SectionEntry* e = find_section(h, SectionKind::kLemmas)) {
-    if (e->bytes % codec::kLemmaEntryBytes != 0 ||
-        e->count != e->bytes / codec::kLemmaEntryBytes) {
-      return fail(Status::kCorrupt,
-                  path + ": lemma section size disagrees with its count");
-    }
+
+  // Decode and check every section before anything is restored, so a
+  // refused file leaves the target empty. Each section holds exactly its
+  // `count` records.
+  const int n = model.n();
+  codec::RecordBatch batch;
+  const char* bad = nullptr;
+  const auto section = [&](SectionKind kind, const char* what, auto decode) {
+    const SectionEntry* e = find_section(h, kind);
+    if (bad != nullptr || e == nullptr) return;
     Reader r(bytes.data + e->offset, e->bytes);
-    for (std::uint64_t i = 0; i < e->count; ++i) {
-      if (!codec::skip_lemma_entry(r)) {
-        return fail(Status::kCorrupt,
-                    path + ": lemma entry " + std::to_string(i) + " malformed");
-      }
+    if (!decode(r, e->count) || r.remaining() != 0) bad = what;
+  };
+  section(SectionKind::kViews, "view", [&](Reader& r, std::uint64_t count) {
+    return codec::decode_views(r, count, n, &batch);
+  });
+  section(SectionKind::kStates, "state", [&](Reader& r, std::uint64_t count) {
+    return codec::decode_states(r, count, n, &batch);
+  });
+  section(SectionKind::kLayerCache, "layer-cache",
+          [&](Reader& r, std::uint64_t count) {
+            return codec::decode_layers(r, count, &batch);
+          });
+  section(SectionKind::kValenceMemo, "valence-memo",
+          [&](Reader& r, std::uint64_t count) {
+            return codec::decode_memo(r, &batch) && batch.memo.size() == count;
+          });
+  section(SectionKind::kFingerprints, "fingerprint",
+          [&](Reader& r, std::uint64_t count) {
+            return codec::decode_rows(r, count, n, &batch);
+          });
+  // Lemma facts from an earlier build: checked, then dropped.
+  section(SectionKind::kLemmas, "lemma", [&](Reader& r, std::uint64_t count) {
+    return codec::skip_lemmas(r, count);
+  });
+  if (bad != nullptr) {
+    return fail(Status::kCorrupt, path + ": " + bad + " section malformed");
+  }
+  for (const auto& [sec, hashes, what] :
+       {std::tuple{vdig_sec, &batch.view_hashes, "view"},
+        std::tuple{sdig_sec, &batch.state_hashes, "state"}}) {
+    const std::vector<std::uint64_t> sums =
+        digests(h.digest_shards, hashes->size(),
+                [hashes](std::uint64_t i) { return (*hashes)[i]; });
+    if (std::memcmp(bytes.data + sec->offset, sums.data(), sec->bytes) != 0) {
+      return fail(Status::kCorrupt, path + ": " + what + " digest mismatch");
     }
+  }
+
+  const bool memo_in = codec::memo_matches(engine, batch);
+  const std::size_t layers = batch.layers.size(), memo = batch.memo.size(),
+                    rows = batch.row_ids.size();
+  if (Result r = codec::apply(model, engine, batch); !r.ok()) {
+    return fail(r.status, path + ": " + r.detail);
+  }
+  stats.counter("store.layers_loaded").add(layers);
+  stats.counter(memo_in ? "store.memo_loaded" : "store.memo_skipped").add(memo);
+  stats.counter("store.fingerprints_loaded").add(rows);
+  if (const SectionEntry* e = find_section(h, SectionKind::kLemmas)) {
     stats.counter("store.lemmas_skipped").add(e->count);
   }
-
-  // The memo is decoded before anything is restored, so a bad entry leaves
-  // the target untouched; it is imported after the states it references.
-  const std::uint64_t num_states = states_sec->count;
-  const SectionEntry* memo_sec = find_section(h, SectionKind::kValenceMemo);
-  bool memo_matches = false;
-  std::vector<ValenceEngine::MemoEntry> memo;
-  if (memo_sec != nullptr) {
-    Reader r(bytes.data + memo_sec->offset, memo_sec->bytes);
-    std::int32_t horizon = 0;
-    std::uint32_t mode = 0;
-    std::uint64_t count = 0;
-    if (!codec::decode_memo_header(r, &horizon, &mode, &count) ||
-        count != memo_sec->count) {
-      return fail(Status::kCorrupt, path + ": valence memo header malformed");
-    }
-    memo_matches = engine != nullptr && engine->horizon() == horizon &&
-                   (engine->mode() == Exactness::kConvergence) == (mode == 1);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      ValenceEngine::MemoEntry m;
-      if (!codec::decode_memo_entry(r, horizon, mode, &m) ||
-          m.x >= num_states) {
-        return fail(Status::kCorrupt,
-                    path + ": memo entry " + std::to_string(i) + " malformed");
-      }
-      if (memo_matches) memo.push_back(m);
-    }
-  }
-
-  const int n = model.n();
-  try {
-    // --- Views, in stored-id order. ---------------------------------------
-    DigestAccumulator view_digests(h.digest_shards);
-    {
-      Reader r(bytes.data + views_sec->offset, views_sec->bytes);
-      for (std::uint64_t id = 0; id < views_sec->count; ++id) {
-        ViewNode v;
-        if (!codec::decode_view(r, &v)) {
-          return fail(Status::kTruncated,
-                      path + ": view record " + std::to_string(id) +
-                          " extends past its section");
-        }
-        if (v.owner < 0 || v.owner >= n ||
-            (v.prev != kNoView &&
-             static_cast<std::uint64_t>(v.prev) >= id)) {
-          return fail(Status::kCorrupt,
-                      path + ": view record " + std::to_string(id) +
-                          " references a later view or a bad owner");
-        }
-        view_digests.add(ViewArena::content_hash(v));
-        const ViewId got = model.views().restore(std::move(v));
-        if (static_cast<std::uint64_t>(got) != id) {
-          return fail(Status::kCorrupt,
-                      path + ": view replay diverged at id " +
-                          std::to_string(id));
-        }
-      }
-      if (r.remaining() != 0) {
-        return fail(Status::kCorrupt,
-                    path + ": trailing bytes in the view section");
-      }
-    }
-    {
-      Reader r(bytes.data + vdig_sec->offset, vdig_sec->bytes);
-      for (std::uint32_t s = 0; s < h.digest_shards; ++s) {
-        std::uint64_t stored = 0;
-        if (!r.u64(&stored) || stored != view_digests.sums()[s]) {
-          return fail(Status::kCorrupt,
-                      path + ": view digest mismatch in shard " +
-                          std::to_string(s));
-        }
-      }
-    }
-
-    // --- States, in stored-id order. --------------------------------------
-    //
-    // Each record is viewed in place inside the read buffer and copied into
-    // the arena pool once; the digest cross-check below reuses the hash
-    // restore_state needs.
-    DigestAccumulator state_digests(h.digest_shards);
-    {
-      Reader r(bytes.data + states_sec->offset, states_sec->bytes);
-      const std::uint64_t num_views = views_sec->count;
-      for (std::uint64_t id = 0; id < states_sec->count; ++id) {
-        StateRef s;
-        if (!codec::view_state(r, n, &s)) {
-          return fail(Status::kTruncated,
-                      path + ": state record " + std::to_string(id) +
-                          " extends past its section");
-        }
-        for (ViewId v : s.locals) {
-          if (v < 0 || static_cast<std::uint64_t>(v) >= num_views) {
-            return fail(Status::kCorrupt,
-                        path + ": state record " + std::to_string(id) +
-                            " references an unknown view");
-          }
-        }
-        const std::uint64_t hash = StateArena::content_hash(s);
-        state_digests.add(hash);
-        const StateId got = model.restore_state(s, hash);
-        if (static_cast<std::uint64_t>(got) != id) {
-          return fail(Status::kCorrupt,
-                      path + ": state replay diverged at id " +
-                          std::to_string(id));
-        }
-      }
-      if (r.remaining() != 0) {
-        return fail(Status::kCorrupt,
-                    path + ": trailing bytes in the state section");
-      }
-    }
-    {
-      Reader r(bytes.data + sdig_sec->offset, sdig_sec->bytes);
-      for (std::uint32_t s = 0; s < h.digest_shards; ++s) {
-        std::uint64_t stored = 0;
-        if (!r.u64(&stored) || stored != state_digests.sums()[s]) {
-          return fail(Status::kCorrupt,
-                      path + ": state digest mismatch in shard " +
-                          std::to_string(s));
-        }
-      }
-    }
-
-    // --- Layer cache. ------------------------------------------------------
-    if (const SectionEntry* e = layers_sec) {
-      Reader r(bytes.data + e->offset, e->bytes);
-      std::vector<std::pair<StateId, std::vector<StateId>>> entries;
-      entries.reserve(static_cast<std::size_t>(e->count));
-      for (std::uint64_t i = 0; i < e->count; ++i) {
-        StateId x = 0;
-        std::vector<StateId> succ;
-        if (!codec::decode_layer_entry(r, &x, &succ) || x >= num_states) {
-          return fail(Status::kCorrupt,
-                      path + ": layer-cache entry " + std::to_string(i) +
-                          " malformed");
-        }
-        for (StateId y : succ) {
-          if (y >= num_states) {
-            return fail(Status::kCorrupt,
-                        path + ": layer-cache entry " + std::to_string(i) +
-                            " references an unknown state");
-          }
-        }
-        entries.emplace_back(x, std::move(succ));
-      }
-      model.import_layer_cache(std::move(entries));
-      stats.counter("store.layers_loaded").add(e->count);
-    }
-
-    // --- Valence memo (only into a matching engine; decoded above). --------
-    if (memo_matches) {
-      engine->import_memo(memo);
-      stats.counter("store.memo_loaded").add(memo_sec->count);
-    } else if (memo_sec != nullptr) {
-      stats.counter("store.memo_skipped").add(memo_sec->count);
-    }
-
-    // --- Fingerprint rows. --------------------------------------------------
-    if (const SectionEntry* e = find_section(h, SectionKind::kFingerprints)) {
-      Reader r(bytes.data + e->offset, e->bytes);
-      std::vector<std::uint64_t> row(static_cast<std::size_t>(n));
-      for (std::uint64_t i = 0; i < e->count; ++i) {
-        StateId x = 0;
-        if (!codec::decode_fingerprint_row(r, n, &x, row.data())) {
-          return fail(Status::kTruncated,
-                      path + ": fingerprint row " + std::to_string(i) +
-                          " extends past its section");
-        }
-        if (x >= num_states) {
-          return fail(Status::kCorrupt,
-                      path + ": fingerprint row " + std::to_string(i) +
-                          " malformed");
-        }
-        model.restore_fingerprint_row(x, row.data());
-      }
-      stats.counter("store.fingerprints_loaded").add(e->count);
-    }
-  } catch (const std::bad_alloc&) {
-    // Covers fault::InjectedAllocError (the arenas' restore path probes the
-    // injector exactly like intern) and genuine exhaustion: the model holds
-    // a partial replay and the caller falls back to a cold start.
-    return fail(Status::kIoError, path + ": allocation failure during replay");
-  }
-
   stats.counter("store.bytes_read").add(bytes.size);
   stats.counter("store.snapshots_loaded").increment();
   if (meta != nullptr) *meta = meta_of(h, bytes.size);

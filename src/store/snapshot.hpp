@@ -36,12 +36,12 @@
 // Every section starts 8-aligned and every state record is a multiple of 8
 // bytes, so load() reads the file into one aligned buffer and views each
 // state record in place (codec::view_state) for every n, copying it into
-// the arena pool once. FORMATS.md is the normative byte-level spec.
-// Corrupt, short, or mismatched files are rejected with a typed Status and
-// leave the model untouched up to the failing section (a failed load should
-// be answered by constructing a fresh model). Files with version != 1 are
-// refused with kBadVersion: forward compatibility is explicitly out of
-// scope for v1.
+// the arena pool once. load() decodes and checks every section through the
+// record path the WAL shares (store/codec.hpp), checks the digests against
+// the decoded content, and only then restores anything. FORMATS.md is the
+// normative byte-level spec. Corrupt, short, or mismatched files are
+// rejected with a typed Status. Files with version != 1 are refused with
+// kBadVersion: forward compatibility is explicitly out of scope for v1.
 #pragma once
 
 #include <cstdint>
@@ -119,8 +119,10 @@ Result save(LayeredModel& model, const std::string& path,
 // *before* initial_states()). When `engine` is given and its horizon and
 // exactness mode match the stored memo's, the memo is imported too;
 // otherwise the memo section is skipped. On success fills `meta` (may be
-// null) with what the file held. On any non-kOk result the model may hold a
-// partial replay and should be discarded.
+// null) with what the file held. A refused file restores nothing, with two
+// exceptions met while restoring: an allocation failure (kIoError) and a
+// duplicate record whose content interns back to an earlier id (kCorrupt).
+// After either the model holds a partial replay and should be discarded.
 Result load(LayeredModel& model, const std::string& path,
             ValenceEngine* engine = nullptr, SnapshotMeta* meta = nullptr);
 

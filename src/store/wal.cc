@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,123 +62,31 @@ bool pread_all(int fd, std::uint8_t* out, std::size_t bytes,
   return true;
 }
 
-// One fully-decoded record, validated before anything is applied: a record
-// that fails half-way through decoding must not leave the model half-ahead
-// of the durability watermark.
-struct DecodedRecord {
-  std::uint64_t seq = 0;
-  std::uint64_t base_views = 0;
-  std::uint64_t new_views = 0;
-  std::uint64_t base_states = 0;
-  std::uint64_t new_states = 0;
-  std::vector<ViewNode> views;
-  std::vector<GlobalState> states;
-  std::vector<std::pair<StateId, std::vector<StateId>>> layers;
-  bool memo_present = false;
-  std::int32_t memo_horizon = 0;
-  std::uint32_t memo_mode = 0;
-  std::vector<ValenceEngine::MemoEntry> memo;
-  std::vector<std::pair<StateId, std::vector<std::uint64_t>>> fingerprints;
-};
-
-// Decodes and semantically validates one record body. Returns false on any
-// malformation — the caller treats that as a torn tail.
-bool decode_record(const std::uint8_t* body, std::size_t bytes, int n,
-                   DecodedRecord* rec) {
+// Decodes one record body (FORMATS.md §2.3) into `batch` through the
+// shared block decoders. False on any malformation, which the caller treats
+// as a torn tail: nothing of the record reaches the model.
+bool decode_body(const std::uint8_t* body, std::size_t bytes, int n,
+                 std::uint64_t* seq, codec::RecordBatch* batch) {
   Reader r(body, bytes);
-  if (!r.u64(&rec->seq) || !r.u64(&rec->base_views) ||
-      !r.u64(&rec->new_views) || !r.u64(&rec->base_states) ||
-      !r.u64(&rec->new_states)) {
-    return false;
-  }
-  if (rec->new_views > r.remaining() / 4 ||
-      rec->new_states > r.remaining() / 4) {
-    return false;
-  }
-
-  rec->views.resize(static_cast<std::size_t>(rec->new_views));
-  for (std::uint64_t i = 0; i < rec->new_views; ++i) {
-    ViewNode& v = rec->views[static_cast<std::size_t>(i)];
-    if (!codec::decode_view(r, &v)) return false;
-    const std::uint64_t id = rec->base_views + i;
-    if (v.owner < 0 || v.owner >= n ||
-        (v.prev != kNoView && static_cast<std::uint64_t>(v.prev) >= id)) {
-      return false;
-    }
-  }
-
-  const std::uint64_t views_end = rec->base_views + rec->new_views;
-  rec->states.resize(static_cast<std::size_t>(rec->new_states));
-  for (std::uint64_t i = 0; i < rec->new_states; ++i) {
-    GlobalState& s = rec->states[static_cast<std::size_t>(i)];
-    if (!codec::decode_state(r, n, &s)) return false;
-    for (ViewId v : s.locals) {
-      if (v < 0 || static_cast<std::uint64_t>(v) >= views_end) return false;
-    }
-  }
-
-  const std::uint64_t states_end = rec->base_states + rec->new_states;
-  std::uint64_t layer_count = 0;
-  if (!r.u64(&layer_count) || layer_count > r.remaining() / 8) return false;
-  rec->layers.resize(static_cast<std::size_t>(layer_count));
-  for (auto& [x, succ] : rec->layers) {
-    if (!codec::decode_layer_entry(r, &x, &succ) || x >= states_end) {
-      return false;
-    }
-    for (StateId y : succ) {
-      if (y >= states_end) return false;
-    }
-  }
-
+  std::uint64_t new_views = 0, new_states = 0, layers = 0, rows = 0;
   std::uint32_t memo_present = 0, reserved = 0;
-  if (!r.u32(&memo_present) || !r.u32(&reserved) || memo_present > 1) {
+  if (!r.u64(seq) || !r.u64(&batch->base_views) || !r.u64(&new_views) ||
+      !r.u64(&batch->base_states) || !r.u64(&new_states) ||
+      !codec::decode_views(r, new_views, n, batch) ||
+      !codec::decode_states(r, new_states, n, batch) || !r.u64(&layers) ||
+      !codec::decode_layers(r, layers, batch) || !r.u32(&memo_present) ||
+      !r.u32(&reserved) || memo_present > 1 ||
+      (memo_present == 1 && !codec::decode_memo(r, batch)) ||
+      !r.u64(&rows) || !codec::decode_rows(r, rows, n, batch)) {
     return false;
   }
-  rec->memo_present = memo_present != 0;
-  if (rec->memo_present) {
-    std::uint64_t memo_count = 0;
-    if (!codec::decode_memo_header(r, &rec->memo_horizon, &rec->memo_mode,
-                                   &memo_count)) {
-      return false;
-    }
-    rec->memo.resize(static_cast<std::size_t>(memo_count));
-    for (ValenceEngine::MemoEntry& e : rec->memo) {
-      if (!codec::decode_memo_entry(r, rec->memo_horizon, rec->memo_mode,
-                                    &e) ||
-          e.x >= states_end) {
-        return false;
-      }
-    }
-  }
-
-  std::uint64_t fp_count = 0;
-  const std::size_t fp_record_bytes = 8 + 8 * static_cast<std::size_t>(n);
-  if (!r.u64(&fp_count) || fp_count > r.remaining() / fp_record_bytes) {
-    return false;
-  }
-  rec->fingerprints.resize(static_cast<std::size_t>(fp_count));
-  for (auto& [x, row] : rec->fingerprints) {
-    row.resize(static_cast<std::size_t>(n));
-    if (!codec::decode_fingerprint_row(r, n, &x, row.data()) ||
-        x >= states_end) {
-      return false;
-    }
-  }
-
   // Lemma block: written by earlier builds, checked and dropped. Records
   // without one end here, with only zero padding (< 8 bytes) remaining.
-  if (r.remaining() >= 8) {
-    std::uint64_t lemma_count = 0;
-    if (!r.u64(&lemma_count) ||
-        lemma_count > r.remaining() / codec::kLemmaEntryBytes) {
-      return false;
-    }
-    for (std::uint64_t i = 0; i < lemma_count; ++i) {
-      if (!codec::skip_lemma_entry(r)) return false;
-    }
+  std::uint64_t lemmas = 0;
+  if (r.remaining() >= 8 &&
+      (!r.u64(&lemmas) || !codec::skip_lemmas(r, lemmas))) {
+    return false;
   }
-
-  // Anything left is zero padding to the 8-byte boundary.
   return r.remaining() < 8;
 }
 
@@ -368,7 +275,6 @@ Result Wal::replay(LayeredModel& model, ValenceEngine* engine,
 
   const int n = model.n();
   std::size_t offset = 0;  // relative to header_end_
-  Result applied_error;
   while (offset < bytes.size()) {
     // Frame.
     bool valid = bytes.size() - offset >= kWalFrameBytes;
@@ -388,21 +294,22 @@ Result Wal::replay(LayeredModel& model, ValenceEngine* engine,
               fnv1a(body, static_cast<std::size_t>(body_bytes)) == checksum;
     }
 
-    // Body: decode and validate in full before touching the model.
-    DecodedRecord rec;
+    // Body: decode and check in full before touching the model.
+    codec::RecordBatch batch;
+    std::uint64_t seq = 0;
     if (valid) {
-      valid = decode_record(body, static_cast<std::size_t>(body_bytes), n,
-                            &rec);
+      valid = decode_body(body, static_cast<std::size_t>(body_bytes), n, &seq,
+                          &batch);
     }
 
     bool skip = false;
     if (valid) {
       const std::uint64_t cur_views = model.num_views();
       const std::uint64_t cur_states = model.num_states();
-      if (rec.base_views == cur_views && rec.base_states == cur_states) {
+      if (batch.base_views == cur_views && batch.base_states == cur_states) {
         skip = false;  // applies to exactly this model state
-      } else if (rec.base_views + rec.new_views <= cur_views &&
-                 rec.base_states + rec.new_states <= cur_states) {
+      } else if (batch.views_end() <= cur_views &&
+                 batch.states_end() <= cur_states) {
         // Fully covered by the snapshot we recovered over (saved after this
         // record was logged, crash before the log was reset).
         skip = true;
@@ -425,49 +332,14 @@ Result Wal::replay(LayeredModel& model, ValenceEngine* engine,
     if (skip) {
       ++rs.records_skipped;
     } else {
-      try {
-        for (std::uint64_t i = 0; i < rec.new_views; ++i) {
-          const ViewId got = model.views().restore(
-              std::move(rec.views[static_cast<std::size_t>(i)]));
-          if (static_cast<std::uint64_t>(got) != rec.base_views + i) {
-            return fail(Status::kCorrupt,
-                        path_ + ": view replay diverged at id " +
-                            std::to_string(rec.base_views + i));
-          }
-        }
-        for (std::uint64_t i = 0; i < rec.new_states; ++i) {
-          const StateRef s = rec.states[static_cast<std::size_t>(i)];
-          const StateId got =
-              model.restore_state(s, StateArena::content_hash(s));
-          if (static_cast<std::uint64_t>(got) != rec.base_states + i) {
-            return fail(Status::kCorrupt,
-                        path_ + ": state replay diverged at id " +
-                            std::to_string(rec.base_states + i));
-          }
-        }
-        if (!rec.layers.empty()) {
-          model.import_layer_cache(std::move(rec.layers));
-        }
-        if (rec.memo_present && engine != nullptr &&
-            engine->horizon() == rec.memo_horizon &&
-            (engine->mode() == Exactness::kConvergence) ==
-                (rec.memo_mode == 1)) {
-          engine->import_memo(rec.memo);
-        }
-        for (const auto& [x, row] : rec.fingerprints) {
-          model.restore_fingerprint_row(x, row.data());
-        }
-      } catch (const std::bad_alloc&) {
-        // Same contract as snapshot load: the model holds a partial replay
-        // and the caller falls back to a cold start.
-        return fail(Status::kIoError,
-                    path_ + ": allocation failure during replay");
+      if (Result r = codec::apply(model, engine, batch); !r.ok()) {
+        return fail(r.status, path_ + ": " + r.detail);
       }
       ++rs.records_applied;
-      rs.views_applied += rec.new_views;
-      rs.states_applied += rec.new_states;
+      rs.views_applied += batch.views.size();
+      rs.states_applied += batch.states.size();
     }
-    seq_ = rec.seq + 1;
+    seq_ = seq + 1;
     offset += kWalFrameBytes + static_cast<std::size_t>(body_bytes);
   }
 
@@ -484,12 +356,6 @@ Result Wal::replay(LayeredModel& model, ValenceEngine* engine,
   }
   if (stats_out != nullptr) *stats_out = rs;
   return {};
-}
-
-Result Wal::append(LayeredModel& model, ValenceEngine* engine) {
-  std::vector<ValenceEngine*> engines;
-  if (engine != nullptr) engines.push_back(engine);
-  return append(model, engines);
 }
 
 Result Wal::append(LayeredModel& model,
@@ -536,70 +402,35 @@ Result Wal::append(LayeredModel& model,
   // engine's memo; each further engine gets a memo-only record whose base
   // counts are the NEW watermarks (zero new views/states), so sequential
   // replay applies them with no special casing.
-  const int n = model.n();
   Writer batch;
-  std::uint64_t records = 0;
-  const auto frame = [&batch, &records](Writer& body) {
+  const std::size_t records = memos.empty() ? 1 : memos.size();
+  for (std::size_t i = 0; i < records; ++i) {
+    const bool delta = i == 0;
+    const std::uint64_t views_from = delta ? persisted_views_ : V;
+    const std::uint64_t states_from = delta ? persisted_states_ : S;
+    Writer body;
+    body.u64(seq_ + i);
+    body.u64(views_from);
+    body.u64(V - views_from);
+    body.u64(states_from);
+    body.u64(S - states_from);
+    codec::encode_views(body, model.views(), views_from, V);
+    codec::encode_states(body, model, states_from, S);
+    body.u64(delta ? layers.size() : 0);
+    if (delta) codec::encode_layers(body, layers);
+    body.u32(i < memos.size() ? 1 : 0);
+    body.u32(0);
+    if (i < memos.size()) {
+      codec::encode_memo(body, *memos[i].first, memos[i].second);
+    }
+    body.u64(delta ? fp_ids.size() : 0);
+    if (delta) codec::encode_rows(body, model, fp_ids);
     body.pad_to_8();
     batch.u32(kWalRecordMagic);
     batch.u32(0);
     batch.u64(body.size());
     batch.u64(fnv1a(body.data(), body.size()));
     batch.raw(body.data(), body.size());
-    ++records;
-  };
-  const auto memo_block = [](Writer& body, ValenceEngine* eng,
-                             const std::vector<ValenceEngine::MemoEntry>& m) {
-    body.u32(m.empty() ? 0 : 1);
-    body.u32(0);
-    if (m.empty()) return;
-    body.i32(eng->horizon());
-    body.u32(eng->mode() == Exactness::kConvergence ? 1 : 0);
-    body.u64(m.size());
-    for (const auto& e : m) codec::encode_memo_entry(body, e);
-  };
-
-  {
-    Writer body;
-    body.u64(seq_);
-    body.u64(persisted_views_);
-    body.u64(new_views);
-    body.u64(persisted_states_);
-    body.u64(new_states);
-    for (std::uint64_t id = persisted_views_; id < V; ++id) {
-      codec::encode_view(body, model.views().node(static_cast<ViewId>(id)));
-    }
-    for (std::uint64_t id = persisted_states_; id < S; ++id) {
-      codec::encode_state(body, model.state(static_cast<StateId>(id)));
-    }
-    body.u64(layers.size());
-    for (const auto& [x, succ] : layers) {
-      codec::encode_layer_entry(body, x, succ);
-    }
-    if (memos.empty()) {
-      body.u32(0);
-      body.u32(0);
-    } else {
-      memo_block(body, memos.front().first, memos.front().second);
-    }
-    body.u64(fp_ids.size());
-    for (StateId x : fp_ids) {
-      codec::encode_fingerprint_row(body, x, model.cached_fingerprint_row(x),
-                                    n);
-    }
-    frame(body);
-  }
-  for (std::size_t i = 1; i < memos.size(); ++i) {
-    Writer body;
-    body.u64(seq_ + records);
-    body.u64(V);
-    body.u64(0);
-    body.u64(S);
-    body.u64(0);
-    body.u64(0);  // no layer entries
-    memo_block(body, memos[i].first, memos[i].second);
-    body.u64(0);  // no fingerprint rows
-    frame(body);
   }
 
   // One write, one fsync, for the whole round. The watermarks advance only

@@ -131,25 +131,21 @@ class Wal {
   Result replay(LayeredModel& model, ValenceEngine* engine,
                 WalReplayStats* stats_out = nullptr);
 
-  // Appends one delta record covering everything interned past the
-  // watermarks plus every queued cache entry, fsyncs it, and advances the
-  // watermarks. A no-op (kOk) when nothing new exists. Entries that
-  // reference a state interned after the round captured its state count
-  // stay queued for the next round. On a failed write or fsync the file is
-  // truncated back to the previous record boundary, so a failed append
-  // never leaves a torn middle, and the whole drained delta is queued
-  // again. Requires replay() or reset_to() first: they start the queues.
-  Result append(LayeredModel& model, ValenceEngine* engine);
-
-  // Group-commit append: one delta record carrying everything past the
-  // watermarks plus the first engine's queued memo entries, then one
-  // memo-only record (zero new views/states) per additional engine that
-  // memoized anything new — the whole batch written and fsync'd as a
-  // SINGLE write, so N concurrent requests share one durability round.
-  // Every record is an ordinary v1 record; replay applies them in
-  // sequence with no special casing. Nullptr and duplicate engines are
-  // tolerated. This is what laconrd's commit leader calls with the engines
-  // of every request staged in its round.
+  // Group-commit append: one delta record carrying everything interned
+  // past the watermarks, every queued cache entry and the first engine's
+  // queued memo entries, then one memo-only record (zero new views/states)
+  // per additional engine that memoized anything new — the whole batch
+  // written and fsync'd as a SINGLE write, so N concurrent requests share
+  // one durability round. Every record is an ordinary v1 record; replay
+  // applies them in sequence with no special casing. Nullptr and duplicate
+  // engines are tolerated. A no-op (kOk) when nothing new exists. Entries
+  // that reference a state interned after the round captured its state
+  // count stay queued for the next round. On a failed write or fsync the
+  // file is truncated back to the previous record boundary, so a failed
+  // append never leaves a torn middle, and the whole drained delta is
+  // queued again. Requires replay() or reset_to() first: they start the
+  // queues. laconrd's commit leader calls it with the engines of every
+  // request staged in its round.
   Result append(LayeredModel& model,
                 const std::vector<ValenceEngine*>& engines);
 

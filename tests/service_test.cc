@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -30,12 +31,14 @@
 #include "core/sym.hpp"
 #include "engine/explore.hpp"
 #include "engine/valence.hpp"
+#include "runtime/fault.hpp"
 #include "runtime/stats.hpp"
 #include "service/json.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "store/env.hpp"
 #include "store/snapshot.hpp"
+#include "store/wal.hpp"
 #include "store_bytes.hpp"
 
 namespace lacon::service {
@@ -1045,6 +1048,122 @@ TEST(ProtocolWalTest, WrappedLemmaCountFallsBackToColdStart) {
   EXPECT_EQ(find_path(*doc, {"metrics", "new_states"})->as_number(),
             find_path(*doc, {"metrics", "states"})->as_number());
   EXPECT_GT(find_path(*doc, {"metrics", "new_states"})->as_number(), 0.0);
+
+  ::unsetenv("LACON_WAL");
+  ::unsetenv("LACON_STORE_DIR");
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+// Writes a depth-1 mobile n=3 snapshot into the store dir, and a log over
+// it holding the depth-2 exploration; returns their paths.
+std::pair<std::string, std::string> write_snapshot_and_log() {
+  auto rule = min_after_round(2);
+  auto model = make_model(ModelKind::kMobile, 3, 1, *rule);
+  reachable_by_depth(*model, 1);
+  const std::string snap = store::snapshot_path(*model);
+  const std::string wal = store::wal_path(*model);
+  EXPECT_TRUE(store::save(*model, snap).ok());
+  store::Wal log;
+  EXPECT_TRUE(log.open(*model, wal).ok());
+  EXPECT_TRUE(log.replay(*model, nullptr).ok());
+  reachable_by_depth(*model, 2);
+  EXPECT_TRUE(log.append(*model, {}).ok());
+  return {snap, wal};
+}
+
+const char* const kDepth2Layers =
+    "{\"id\":1,\"model\":\"mobile\",\"n\":3,\"query\":\"layers\","
+    "\"depth\":2}";
+
+// A snapshot whose state 0 names view 2^30, its checksums re-sealed, with
+// a log over it. Recovery refuses the snapshot and restores nothing; the
+// log can only replay over that snapshot, so both are quarantined to .bad,
+// the notice names them, and the session answers cold and starts a fresh
+// log, which a restarted manager replays.
+TEST(ProtocolWalTest, RefusedSnapshotIsQuarantinedWithItsLog) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("lacon_service_refused_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  ::setenv("LACON_WAL", "on", 1);
+  ::setenv("LACON_STORE_DIR", dir.c_str(), 1);
+  const auto [snap, wal] = write_snapshot_and_log();
+  {
+    std::vector<char> bytes = store_bytes::read_file(snap);
+    const std::size_t state0 =
+        store_bytes::section_at(bytes, store::SectionKind::kStates);
+    const auto env = store_bytes::get<std::uint64_t>(bytes, state0);
+    store_bytes::put<std::int32_t>(bytes, state0 + 8 + 8 * env, 1 << 30);
+    store_bytes::reseal_snapshot(bytes, /*digests=*/false);
+    store_bytes::write_file(snap, bytes.data(), bytes.size());
+  }
+  SessionManager sessions;
+  const auto doc = Json::parse(handle_line(sessions, kDepth2Layers));
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(find_path(*doc, {"status"})->as_string(), "ok");
+  // Cold: every view and state the answer holds is new.
+  EXPECT_EQ(find_path(*doc, {"metrics", "new_views"})->as_number(),
+            find_path(*doc, {"metrics", "views"})->as_number());
+  EXPECT_EQ(find_path(*doc, {"metrics", "new_states"})->as_number(),
+            find_path(*doc, {"metrics", "states"})->as_number());
+  const Json* notice = doc->find("notice");
+  ASSERT_NE(notice, nullptr);
+  EXPECT_NE(notice->as_string().find(snap + ".bad"), std::string::npos)
+      << notice->as_string();
+  EXPECT_NE(notice->as_string().find(wal + ".bad"), std::string::npos)
+      << notice->as_string();
+  EXPECT_TRUE(fs::exists(snap + ".bad"));
+  EXPECT_TRUE(fs::exists(wal + ".bad"));
+
+  SessionManager restarted;
+  const auto again = Json::parse(handle_line(restarted, kDepth2Layers));
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(find_path(*again, {"result"})->dump(),
+            find_path(*doc, {"result"})->dump());
+  EXPECT_EQ(find_path(*again, {"metrics", "new_states"})->as_number(), 0.0);
+  EXPECT_EQ(again->find("notice"), nullptr);
+
+  ::unsetenv("LACON_WAL");
+  ::unsetenv("LACON_STORE_DIR");
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+// A snapshot that exists but cannot be loaded for a reason other than its
+// bytes — here an allocation failure on its first record — is not the base
+// its log replays over either. It is quarantined with its log, both files
+// byte for byte as they were, instead of replay cutting the log.
+TEST(ProtocolWalTest, UnloadableSnapshotKeepsItsLog) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("lacon_service_unloadable_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  ::setenv("LACON_WAL", "on", 1);
+  ::setenv("LACON_STORE_DIR", dir.c_str(), 1);
+  const auto [snap, wal] = write_snapshot_and_log();
+  const auto snap_bytes = fs::file_size(snap);
+  const auto wal_bytes = fs::file_size(wal);
+  std::optional<Json> doc;
+  {
+    // Every arena intern fails, the load's first restore included.
+    fault::FaultScope faults(/*seed=*/1, /*rate=*/1.0);
+    SessionManager sessions;
+    doc = Json::parse(handle_line(sessions, kDepth2Layers));
+  }
+  ASSERT_TRUE(doc.has_value());
+  const Json* notice = doc->find("notice");
+  ASSERT_NE(notice, nullptr);
+  EXPECT_NE(notice->as_string().find(snap + ".bad"), std::string::npos)
+      << notice->as_string();
+  EXPECT_NE(notice->as_string().find(wal + ".bad"), std::string::npos)
+      << notice->as_string();
+  ASSERT_TRUE(fs::exists(snap + ".bad"));
+  ASSERT_TRUE(fs::exists(wal + ".bad"));
+  EXPECT_EQ(fs::file_size(snap + ".bad"), snap_bytes);
+  EXPECT_EQ(fs::file_size(wal + ".bad"), wal_bytes);
 
   ::unsetenv("LACON_WAL");
   ::unsetenv("LACON_STORE_DIR");

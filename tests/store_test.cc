@@ -46,6 +46,10 @@ using store_bytes::get;
 using store_bytes::lemma_facts;
 using store_bytes::put;
 using store_bytes::read_file;
+using store_bytes::reseal_snapshot;
+using store_bytes::section_at;
+using store_bytes::section_count;
+using store_bytes::section_entry;
 using store_bytes::write_file;
 
 class StoreTest : public ::testing::Test {
@@ -601,10 +605,10 @@ TEST_F(StoreTest, WalAppendReplayRoundTrip) {
     ASSERT_TRUE(wal.open(*cold.model, file).ok());
     ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get()).ok());
     analyze(cold, 2);
-    ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
+    ASSERT_TRUE(wal.append(*cold.model, {cold.engine.get()}).ok());
     EXPECT_EQ(wal.records_appended(), 1u);
     // Nothing new interned since the commit: append is a no-op.
-    ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
+    ASSERT_TRUE(wal.append(*cold.model, {cold.engine.get()}).ok());
     EXPECT_EQ(wal.records_appended(), 1u);
   }
 
@@ -656,7 +660,7 @@ TEST_F(StoreTest, WalReplaysDeltaOverSnapshot) {
     ASSERT_TRUE(wal.open(*cold.model, file).ok());
     ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get()).ok());
     analyze(cold, 2);
-    ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
+    ASSERT_TRUE(wal.append(*cold.model, {cold.engine.get()}).ok());
   }
 
   auto warm = make_instance(ModelKind::kMobile, 3, 1, 3);
@@ -682,9 +686,9 @@ TEST_F(StoreTest, WalSkipsRecordsCoveredBySnapshot) {
     ASSERT_TRUE(wal.open(*cold.model, file).ok());
     ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get()).ok());
     analyze(cold, 1);
-    ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
+    ASSERT_TRUE(wal.append(*cold.model, {cold.engine.get()}).ok());
     intern_one_extra_state(*cold.model);
-    ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
+    ASSERT_TRUE(wal.append(*cold.model, {cold.engine.get()}).ok());
     // Snapshot saved AFTER both records, crash before the log was reset:
     // replay must recognize both records as covered and skip them.
     ASSERT_TRUE(store::save(*cold.model, snap, cold.engine.get()).ok());
@@ -714,11 +718,11 @@ TEST_F(StoreTest, WalTornTailRecoversAtEveryByteOffset) {
   ASSERT_TRUE(wal.open(*cold.model, file).ok());
   ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get()).ok());
   analyze(cold, 1);
-  ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
+  ASSERT_TRUE(wal.append(*cold.model, {cold.engine.get()}).ok());
   const std::size_t record1_states = cold.model->num_states();
   const auto boundary = static_cast<std::size_t>(fs::file_size(file));
   intern_one_extra_state(*cold.model);
-  ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
+  ASSERT_TRUE(wal.append(*cold.model, {cold.engine.get()}).ok());
   wal.close();
   const std::vector<char> bytes = read_file(file);
   ASSERT_GT(bytes.size(), boundary);
@@ -740,7 +744,7 @@ TEST_F(StoreTest, WalTornTailRecoversAtEveryByteOffset) {
     EXPECT_EQ(fs::file_size(cut), boundary) << "keep=" << keep;
     // ...so the log keeps working: the next commit lands cleanly.
     intern_one_extra_state(*target.model);
-    ASSERT_TRUE(w.append(*target.model, target.engine.get()).ok())
+    ASSERT_TRUE(w.append(*target.model, {target.engine.get()}).ok())
         << "keep=" << keep;
   }
 }
@@ -752,11 +756,11 @@ TEST_F(StoreTest, WalBitFlippedTailIsTruncatedNotFatal) {
   ASSERT_TRUE(wal.open(*cold.model, file).ok());
   ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get()).ok());
   analyze(cold, 1);
-  ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
+  ASSERT_TRUE(wal.append(*cold.model, {cold.engine.get()}).ok());
   const std::size_t record1_states = cold.model->num_states();
   const auto boundary = static_cast<std::size_t>(fs::file_size(file));
   intern_one_extra_state(*cold.model);
-  ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
+  ASSERT_TRUE(wal.append(*cold.model, {cold.engine.get()}).ok());
   wal.close();
 
   std::vector<char> bytes = read_file(file);
@@ -914,7 +918,7 @@ TEST_F(StoreTest, WalResetToAfterSnapshotLogsOnlyNewWork) {
   ASSERT_TRUE(wal.open(*cold.model, file).ok());
   ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get()).ok());
   analyze(cold, 1);
-  ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
+  ASSERT_TRUE(wal.append(*cold.model, {cold.engine.get()}).ok());
   EXPECT_GT(wal.log_bytes(), 0u);
 
   // Compaction: fold the log into a snapshot, then reset the log to it.
@@ -930,7 +934,7 @@ TEST_F(StoreTest, WalResetToAfterSnapshotLogsOnlyNewWork) {
   // Post-compaction commits log only the new work; snapshot + log together
   // still recover the full space.
   analyze(cold, 2);
-  ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
+  ASSERT_TRUE(wal.append(*cold.model, {cold.engine.get()}).ok());
   EXPECT_EQ(wal.records_appended(), 1u);
   wal.close();
 
@@ -1029,7 +1033,7 @@ TEST_F(StoreTest, WalResetKeepsEntriesInsertedAfterTheSnapshot) {
   const std::vector<StateId> frontier = reachable_by_depth(*model, 2).back();
   ASSERT_GE(frontier.size(), 2u);
   engine.valence(frontier[0]);
-  ASSERT_TRUE(wal.append(*model, &engine).ok());
+  ASSERT_TRUE(wal.append(*model, {&engine}).ok());
 
   store::SnapshotMeta meta;
   ASSERT_TRUE(store::save(*model, snap, &engine, &meta).ok());
@@ -1043,7 +1047,7 @@ TEST_F(StoreTest, WalResetKeepsEntriesInsertedAfterTheSnapshot) {
   ASSERT_EQ(model->num_states(), meta.num_states);
   ASSERT_TRUE(
       wal.reset_to(*model, meta.num_views, meta.num_states, &engine).ok());
-  ASSERT_TRUE(wal.append(*model, &engine).ok());
+  ASSERT_TRUE(wal.append(*model, {&engine}).ok());
   wal.close();
 
   auto rule2 = min_after_round(2);
@@ -1091,13 +1095,13 @@ int failed_write_child(const std::string& file) {
              "rows to log")) {
     return 1;
   }
-  const store::Result failed = wal.append(*cold.model, cold.engine.get());
+  const store::Result failed = wal.append(*cold.model, {cold.engine.get()});
   if (!check(failed.status == store::Status::kIoError, "append must fail") ||
       !check(fs::file_size(file) == header_bytes, "file kept its length")) {
     return 1;
   }
   if (!check(::setrlimit(RLIMIT_FSIZE, &old_limit) == 0, "restore limit") ||
-      !check(wal.append(*cold.model, cold.engine.get()).ok(), "append")) {
+      !check(wal.append(*cold.model, {cold.engine.get()}).ok(), "append")) {
     return 1;
   }
   wal.close();
@@ -1190,7 +1194,7 @@ TEST_F(StoreTest, SymmetryMismatchedWalRefusedOnOpen) {
     ASSERT_TRUE(wal.open(*cold.model, file).ok());
     ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get()).ok());
     analyze(cold, 1);
-    ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
+    ASSERT_TRUE(wal.append(*cold.model, {cold.engine.get()}).ok());
   }
   sym::ScopedSymmetry on(true);
   auto warm = make_instance(ModelKind::kMsgPass, 3, 1, 2);
@@ -1291,49 +1295,21 @@ TEST_F(StoreTest, CraftedLemmaSectionsAreRejected) {
 // Where a WAL record body's fingerprint rows end, walking it the way replay
 // decodes it: the offset at which earlier builds wrote the lemma block.
 std::size_t fingerprints_end(const std::vector<char>& body, int n) {
-  store::codec::Reader r(as_bytes(body, 0), body.size());
-  std::uint64_t seq = 0, base_views = 0, new_views = 0, base_states = 0,
-                new_states = 0;
-  r.u64(&seq);
-  r.u64(&base_views);
-  r.u64(&new_views);
-  r.u64(&base_states);
-  r.u64(&new_states);
-  for (std::uint64_t i = 0; i < new_views; ++i) {
-    ViewNode v;
-    store::codec::decode_view(r, &v);
-  }
-  for (std::uint64_t i = 0; i < new_states; ++i) {
-    GlobalState s;
-    store::codec::decode_state(r, n, &s);
-  }
-  std::uint64_t layers = 0;
-  r.u64(&layers);
-  for (std::uint64_t i = 0; i < layers; ++i) {
-    StateId x = 0;
-    std::vector<StateId> succ;
-    store::codec::decode_layer_entry(r, &x, &succ);
-  }
+  namespace codec = store::codec;
+  codec::Reader r(as_bytes(body, 0), body.size());
+  codec::RecordBatch batch;
+  std::uint64_t seq = 0, new_views = 0, new_states = 0, layers = 0, rows = 0;
   std::uint32_t memo_present = 0, reserved = 0;
-  r.u32(&memo_present);
-  r.u32(&reserved);
-  if (memo_present != 0) {
-    std::int32_t horizon = 0;
-    std::uint32_t mode = 0;
-    std::uint64_t count = 0;
-    store::codec::decode_memo_header(r, &horizon, &mode, &count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      ValenceEngine::MemoEntry e;
-      store::codec::decode_memo_entry(r, horizon, mode, &e);
-    }
-  }
-  std::uint64_t rows = 0;
-  r.u64(&rows);
-  std::vector<std::uint64_t> row(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    StateId x = 0;
-    store::codec::decode_fingerprint_row(r, n, &x, row.data());
-  }
+  const bool ok =
+      r.u64(&seq) && r.u64(&batch.base_views) && r.u64(&new_views) &&
+      r.u64(&batch.base_states) && r.u64(&new_states) &&
+      codec::decode_views(r, new_views, n, &batch) &&
+      codec::decode_states(r, new_states, n, &batch) && r.u64(&layers) &&
+      codec::decode_layers(r, layers, &batch) && r.u32(&memo_present) &&
+      r.u32(&reserved) &&
+      (memo_present == 0 || codec::decode_memo(r, &batch)) && r.u64(&rows) &&
+      codec::decode_rows(r, rows, n, &batch);
+  EXPECT_TRUE(ok) << "record " << seq;
   return body.size() - r.remaining();
 }
 
@@ -1386,7 +1362,7 @@ std::size_t write_three_records(Instance& cold, ValenceEngine& second,
   second.classify_all(analyze(cold, 1));
   EXPECT_TRUE(wal.append(*cold.model, {cold.engine.get(), &second}).ok());
   analyze(cold, 2);
-  EXPECT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
+  EXPECT_TRUE(wal.append(*cold.model, {cold.engine.get()}).ok());
   EXPECT_EQ(wal.records_appended(), 3u);
   return header_end;
 }
@@ -1473,6 +1449,316 @@ TEST_F(StoreTest, WalRecordWithMalformedLemmaBlockIsTruncated) {
     EXPECT_EQ(fs::file_size(edited), boundary) << c.what;
     EXPECT_TRUE(target_second.export_memo().empty()) << c.what;
   }
+}
+
+// --- one record path: the shared rules, through both formats ---------------
+
+// Where the records a rule edit targets sit in a snapshot or in one log
+// record, and the id horizons those records must respect.
+struct Targets {
+  std::size_t view = 0;  // a view record with observations
+  std::uint64_t view_id = 0;
+  std::size_t state = 0;  // the first state record
+  std::size_t layer = 0;  // the first layer-cache entry
+  std::size_t memo = 0;   // the first memo entry
+  std::size_t row = 0;    // the first fingerprint row
+  std::uint64_t views_end = 0;
+  std::uint64_t states_end = 0;
+};
+
+// Walks `count` view records from `at`: the first one with observations
+// goes into `t`; returns where the block ends.
+std::size_t walk_views(const std::vector<char>& bytes, std::size_t at,
+                       std::uint64_t first_id, std::uint64_t count,
+                       Targets* t) {
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const auto obs = get<std::uint32_t>(bytes, at + 16);
+    if (obs > 0 && t->view == 0) {
+      t->view = at;
+      t->view_id = first_id + i;
+    }
+    at += 20 + 8 * std::size_t{obs};
+  }
+  EXPECT_NE(t->view, 0u) << "no view with observations";
+  return at;
+}
+
+// One edit per rule the shared block decoders check (FORMATS.md §1.4–1.8).
+struct Rule {
+  const char* what;
+  void (*edit)(std::vector<char>&, const Targets&);
+};
+const Rule kRules[] = {
+    {"view owner n",
+     [](std::vector<char>& b, const Targets& t) {
+       put<std::int32_t>(b, t.view, 3);
+     }},
+    {"view prev = own id",
+     [](std::vector<char>& b, const Targets& t) {
+       put<std::int32_t>(b, t.view + 12, static_cast<std::int32_t>(t.view_id));
+     }},
+    {"view observes view 5,000,000",
+     [](std::vector<char>& b, const Targets& t) {
+       put<std::int32_t>(b, t.view + 24, 5'000'000);
+     }},
+    {"observation source n",
+     [](std::vector<char>& b, const Targets& t) {
+       put<std::int32_t>(b, t.view + 20, 3);
+     }},
+    {"state local past the views",
+     [](std::vector<char>& b, const Targets& t) {
+       const auto env = get<std::uint64_t>(b, t.state);
+       put<std::int32_t>(b, t.state + 8 + 8 * env,
+                         static_cast<std::int32_t>(t.views_end));
+     }},
+    {"layer key past the states",
+     [](std::vector<char>& b, const Targets& t) {
+       put<std::uint32_t>(b, t.layer, static_cast<std::uint32_t>(t.states_end));
+     }},
+    {"layer successor past the states",
+     [](std::vector<char>& b, const Targets& t) {
+       ASSERT_GT(get<std::uint32_t>(b, t.layer + 4), 0u);
+       put<std::uint32_t>(b, t.layer + 8,
+                          static_cast<std::uint32_t>(t.states_end));
+     }},
+    {"memo key past the states",
+     [](std::vector<char>& b, const Targets& t) {
+       put<std::uint32_t>(b, t.memo, static_cast<std::uint32_t>(t.states_end));
+     }},
+    {"row key past the states",
+     [](std::vector<char>& b, const Targets& t) {
+       put<std::uint32_t>(b, t.row, static_cast<std::uint32_t>(t.states_end));
+     }},
+};
+
+// Every rule, in a snapshot whose checksums and digests are re-sealed
+// around the edit: refused kCorrupt with nothing restored. So are the two
+// digest mismatches, which only a snapshot carries.
+TEST_F(StoreTest, SnapshotRecordRulesRefuseAndRestoreNothing) {
+  using store::SectionKind;
+  auto cold = make_instance(ModelKind::kMobile, 3, 1, 2);
+  analyze(cold, 1);
+  const std::string file = path("rules.store");
+  ASSERT_TRUE(store::save(*cold.model, file, cold.engine.get()).ok());
+  const std::vector<char> saved = read_file(file);
+
+  Targets t;
+  t.views_end = section_count(saved, SectionKind::kViews);
+  t.states_end = section_count(saved, SectionKind::kStates);
+  walk_views(saved, section_at(saved, SectionKind::kViews), 0, t.views_end,
+             &t);
+  t.state = section_at(saved, SectionKind::kStates);
+  t.layer = section_at(saved, SectionKind::kLayerCache);
+  t.memo = section_at(saved, SectionKind::kValenceMemo) + 16;
+  t.row = section_at(saved, SectionKind::kFingerprints);
+
+  const auto expect_refused = [&](const std::vector<char>& bytes,
+                                  const std::string& what) {
+    const std::string edited = path("edited.store");
+    write_file(edited, bytes.data(), bytes.size());
+    auto target = make_instance(ModelKind::kMobile, 3, 1, 2);
+    const store::Result r =
+        store::load(*target.model, edited, target.engine.get());
+    EXPECT_EQ(r.status, store::Status::kCorrupt) << what << ": " << r.detail;
+    EXPECT_EQ(target.model->num_views(), 0u) << what;
+    EXPECT_EQ(target.model->num_states(), 0u) << what;
+    EXPECT_TRUE(target.engine->export_memo().empty()) << what;
+  };
+  for (const Rule& rule : kRules) {
+    std::vector<char> bytes = saved;
+    rule.edit(bytes, t);
+    reseal_snapshot(bytes);
+    expect_refused(bytes, rule.what);
+  }
+  for (const SectionKind kind :
+       {SectionKind::kViewDigests, SectionKind::kStateDigests}) {
+    std::vector<char> bytes = saved;
+    const std::size_t at = section_at(bytes, kind);
+    put<std::uint64_t>(bytes, at, get<std::uint64_t>(bytes, at) + 1);
+    reseal_snapshot(bytes, /*digests=*/false);
+    expect_refused(bytes, "digest mismatch in section kind " +
+                              std::to_string(static_cast<int>(kind)));
+  }
+}
+
+// Every rule, in the second record of a log whose body checksum is
+// re-sealed around the edit: replay cuts the log at that record and keeps
+// the first.
+TEST_F(StoreTest, WalRecordRulesCutTheLogAtTheRecord) {
+  const std::string file = path("rules.wal");
+  auto cold = make_instance(ModelKind::kMobile, 3, 1, 2);
+  store::Wal wal;
+  ASSERT_TRUE(wal.open(*cold.model, file).ok());
+  ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get()).ok());
+  reachable_by_depth(*cold.model, 0);
+  ASSERT_TRUE(wal.append(*cold.model, {cold.engine.get()}).ok());
+  const std::size_t first_views = cold.model->num_views();
+  const std::size_t first_states = cold.model->num_states();
+  const auto boundary = static_cast<std::size_t>(fs::file_size(file));
+  analyze(cold, 1);
+  ASSERT_TRUE(wal.append(*cold.model, {cold.engine.get()}).ok());
+  wal.close();
+  const std::vector<char> saved = read_file(file);
+
+  // Record 2's body (FORMATS.md §2.3): seq and the four id counts, then
+  // the view, state, layer, memo and row blocks.
+  const std::size_t body = boundary + 24;
+  const auto base_views = get<std::uint64_t>(saved, body + 8);
+  const auto new_views = get<std::uint64_t>(saved, body + 16);
+  const auto base_states = get<std::uint64_t>(saved, body + 24);
+  const auto new_states = get<std::uint64_t>(saved, body + 32);
+  Targets t;
+  t.views_end = base_views + new_views;
+  t.states_end = base_states + new_states;
+  t.state = walk_views(saved, body + 40, base_views, new_views, &t);
+  std::size_t at = t.state;
+  for (std::uint64_t i = 0; i < new_states; ++i) {
+    at += 8 + 8 * get<std::uint64_t>(saved, at) + 8 * 3;
+  }
+  const auto layers = get<std::uint64_t>(saved, at);
+  ASSERT_GT(layers, 0u);
+  t.layer = at + 8;
+  at = t.layer;
+  for (std::uint64_t i = 0; i < layers; ++i) {
+    at += 8 + 4 * std::size_t{get<std::uint32_t>(saved, at + 4)};
+  }
+  ASSERT_EQ(get<std::uint32_t>(saved, at), 1u);  // memo present
+  ASSERT_GT(get<std::uint64_t>(saved, at + 16), 0u);
+  t.memo = at + 24;
+  at = t.memo + 12 * get<std::uint64_t>(saved, at + 16);
+  ASSERT_GT(get<std::uint64_t>(saved, at), 0u);
+  t.row = at + 8;
+
+  for (const Rule& rule : kRules) {
+    std::vector<char> bytes = saved;
+    rule.edit(bytes, t);
+    const auto body_bytes = get<std::uint64_t>(bytes, boundary + 8);
+    put<std::uint64_t>(bytes, boundary + 16,
+                       store::codec::fnv1a(as_bytes(bytes, body), body_bytes));
+    const std::string edited = path("edited.wal");
+    write_file(edited, bytes.data(), bytes.size());
+
+    auto target = make_instance(ModelKind::kMobile, 3, 1, 2);
+    store::Wal w;
+    ASSERT_TRUE(w.open(*target.model, edited).ok()) << rule.what;
+    store::WalReplayStats rs;
+    const store::Result r = w.replay(*target.model, target.engine.get(), &rs);
+    ASSERT_TRUE(r.ok()) << rule.what << ": " << r.detail;
+    EXPECT_EQ(rs.records_applied, 1u) << rule.what;
+    EXPECT_EQ(rs.truncated_bytes, bytes.size() - boundary) << rule.what;
+    EXPECT_EQ(fs::file_size(edited), boundary) << rule.what;
+    EXPECT_EQ(target.model->num_views(), first_views) << rule.what;
+    EXPECT_EQ(target.model->num_states(), first_states) << rule.what;
+  }
+}
+
+// v1 knows section kinds 1..8, each once (FORMATS.md §1.3): a kind-99
+// section and a second layer-cache section are refused, with the header
+// checksum re-sealed around the edit.
+TEST_F(StoreTest, UnknownOrRepeatedSectionKindsAreRefused) {
+  auto cold = make_instance(ModelKind::kMobile, 3, 1, 2);
+  analyze(cold, 1);
+  const std::string file = path("kinds.store");
+  ASSERT_TRUE(store::save(*cold.model, file, cold.engine.get()).ok());
+  const std::vector<char> saved = read_file(file);
+  const std::size_t entry =
+      section_entry(saved, store::SectionKind::kFingerprints);
+  ASSERT_NE(entry, 0u);
+  for (const std::uint32_t kind :
+       {99u, static_cast<std::uint32_t>(store::SectionKind::kLayerCache)}) {
+    std::vector<char> bytes = saved;
+    put<std::uint32_t>(bytes, entry, kind);
+    reseal_snapshot(bytes, /*digests=*/false);
+    const std::string edited = path("edited.store");
+    write_file(edited, bytes.data(), bytes.size());
+    auto target = make_instance(ModelKind::kMobile, 3, 1, 2);
+    const store::Result r =
+        store::load(*target.model, edited, target.engine.get());
+    EXPECT_EQ(r.status, store::Status::kCorrupt) << kind << ": " << r.detail;
+    EXPECT_EQ(target.model->num_views(), 0u) << kind;
+  }
+}
+
+// A record that repeats an earlier record's content passes every record
+// rule and is caught only while applying (FORMATS.md §1.3): kCorrupt, with
+// the records before it restored, so the target must be discarded.
+TEST_F(StoreTest, DuplicateRecordIsRefusedWhileApplying) {
+  auto cold = make_instance(ModelKind::kMobile, 3, 1, 2);
+  analyze(cold, 1);
+  const std::string file = path("duplicate.store");
+  ASSERT_TRUE(store::save(*cold.model, file, nullptr).ok());
+  std::vector<char> bytes = read_file(file);
+  // Views 0 and 1 are 20-byte initial views; view 1 becomes a copy of 0.
+  const std::size_t views = section_at(bytes, store::SectionKind::kViews);
+  ASSERT_EQ(get<std::uint32_t>(bytes, views + 16), 0u);
+  ASSERT_EQ(get<std::uint32_t>(bytes, views + 36), 0u);
+  std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(views), 20,
+              bytes.begin() + static_cast<std::ptrdiff_t>(views + 20));
+  reseal_snapshot(bytes);
+  const std::string edited = path("edited.store");
+  write_file(edited, bytes.data(), bytes.size());
+
+  auto target = make_instance(ModelKind::kMobile, 3, 1, 2);
+  const store::Result r = store::load(*target.model, edited, nullptr);
+  EXPECT_EQ(r.status, store::Status::kCorrupt) << r.detail;
+  EXPECT_NE(r.detail.find("view replay diverged at id 1"), std::string::npos)
+      << r.detail;
+  EXPECT_EQ(target.model->num_views(), 1u);
+}
+
+// --- files an earlier build wrote ------------------------------------------
+
+// tests/golden/store/ holds a snapshot and its log as an earlier build wrote
+// them: mobile n=3 t=1 explored to depth 1, a horizon-1 memo of the initial
+// states and the depth-1 fingerprint rows; then a log of three records — the
+// depth-2 exploration, the valence and similarity of its frontier, and one
+// novel view with a state holding it, whose odd view count leaves the
+// record's state block 4-aligned (FORMATS.md §2.3). Both load and replay in
+// full, the snapshot re-saves byte for byte, and the replayed space answers
+// a depth-2 layers query as the writing build did without interning
+// anything.
+TEST_F(StoreTest, FilesAnEarlierBuildWroteLoadReplayAndResave) {
+  const std::string golden =
+      std::string(LACON_GOLDEN_STORE_DIR) + "/mobile_n3_t1.lacon.store";
+  const std::string snap = path("golden.store");
+  const std::string log = snap + ".wal";
+  fs::copy_file(golden, snap);
+  fs::copy_file(golden + ".wal", log);
+
+  auto warm = make_instance(ModelKind::kMobile, 3, 1, 1);
+  store::SnapshotMeta meta;
+  const store::Result r =
+      store::load(*warm.model, snap, warm.engine.get(), &meta);
+  ASSERT_TRUE(r.ok()) << r.detail;
+  EXPECT_EQ(meta.num_views, 54u);
+  EXPECT_EQ(meta.num_states, 64u);
+  EXPECT_EQ(meta.layer_entries, 8u);
+  EXPECT_EQ(meta.memo_entries, 64u);
+  EXPECT_EQ(meta.fingerprint_rows, 56u);
+  const std::string resaved = path("resaved.store");
+  ASSERT_TRUE(store::save(*warm.model, resaved, warm.engine.get()).ok());
+  EXPECT_TRUE(read_file(resaved) == read_file(golden));
+
+  store::Wal wal;
+  ASSERT_TRUE(wal.open(*warm.model, log).ok());
+  store::WalReplayStats rs;
+  const store::Result replayed =
+      wal.replay(*warm.model, warm.engine.get(), &rs);
+  ASSERT_TRUE(replayed.ok()) << replayed.detail;
+  EXPECT_EQ(rs.records_applied, 3u);
+  EXPECT_EQ(rs.records_skipped, 0u);
+  EXPECT_EQ(rs.truncated_bytes, 0u);
+  EXPECT_EQ(warm.model->num_views(), 439u);
+  EXPECT_EQ(warm.model->num_states(), 457u);
+
+  auto& misses = runtime::Stats::global().counter("arena.state_misses");
+  const std::uint64_t misses_before = misses.value();
+  std::vector<std::size_t> sizes;
+  for (const auto& level : reachable_by_depth(*warm.model, 2)) {
+    sizes.push_back(level.size());
+  }
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{8, 56, 392}));
+  EXPECT_EQ(misses.value(), misses_before);
 }
 
 // --- env knob parsing (the warn-once contract) ----------------------------
