@@ -15,11 +15,10 @@
 // benchmark JSON context. Truncations during the timed benchmark loops
 // appear in the runtime_report() table printed at exit instead.
 //
-// finish() is the common epilogue: it prints runtime_report() and emits the
-// observability artifacts requested via LACON_METRICS_FILE (MetricsSnapshot
-// JSON, always when set) and LACON_TRACE_FILE (Chrome trace JSON, only under
-// LACON_TRACE=spans). bench/run_all.sh points both at the output directory
-// so every BENCH_<tag>.json gains a METRICS_<tag>.json sibling.
+// finish() is the common epilogue: it prints runtime_report() and writes the
+// lacon.metrics.v2 snapshot to LACON_METRICS_FILE when it is set.
+// bench/run_all.sh points it at the output directory so every
+// BENCH_<tag>.json gains a METRICS_<tag>.json sibling.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -33,7 +32,6 @@
 #include "analysis/reports.hpp"
 #include "runtime/guard.hpp"
 #include "runtime/stats.hpp"
-#include "runtime/trace.hpp"
 
 namespace lacon::benchflags {
 
@@ -110,11 +108,10 @@ inline void add_json_context() {
 }
 
 // Common bench epilogue: human-readable stats table to stdout, then the
-// machine-readable artifacts (metrics snapshot and, under LACON_TRACE=spans,
-// the Chrome trace) to the paths named by the environment.
+// machine-readable metrics snapshot to the path the environment names.
 inline void finish() {
   std::fputs(runtime_report().c_str(), stdout);
-  trace::write_env_artifacts();
+  runtime::write_env_artifacts();
 }
 
 }  // namespace lacon::benchflags

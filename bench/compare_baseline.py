@@ -8,10 +8,10 @@ Usage:
         [--max-regression 0.25] [--floor-ms 1.0] \
         [--baseline-metrics METRICS.json --metrics METRICS.json]
 
-When both --baseline-metrics and --metrics name MetricsSnapshot files
-(schema lacon.metrics.v1, emitted next to each BENCH_*.json by
-bench/run_all.sh), a per-phase timer comparison is printed after the gate
-rows. The phase diff is diagnostic only — it localizes WHICH subsystem
+When both --baseline-metrics and --metrics name metrics snapshots (schema
+lacon.metrics.v2, emitted next to each BENCH_*.json by bench/run_all.sh;
+the committed v1 baselines carry the same timer "ns" and still compare),
+a per-phase timer comparison is printed after the gate rows. The phase diff is diagnostic only — it localizes WHICH subsystem
 moved when the gate fires, but never changes the exit status, because
 per-phase times at smoke budgets are far noisier than the benchmark loop's
 repeated-measurement real_time.
@@ -59,7 +59,7 @@ def byte_mismatches(base_row, cur_row):
 
 
 def load_phase_timers_ms(path):
-    """Timer name -> total milliseconds from a lacon.metrics.v1 snapshot."""
+    """Timer name -> total milliseconds from a lacon.metrics snapshot."""
     with open(path) as f:
         doc = json.load(f)
     return {name: row["ns"] * 1e-6
@@ -92,9 +92,9 @@ def main():
     ap.add_argument("--floor-ms", type=float, default=1.0,
                     help="skip rows where both times are under this")
     ap.add_argument("--baseline-metrics", default=None,
-                    help="baseline MetricsSnapshot for the phase diff")
+                    help="baseline metrics snapshot for the phase diff")
     ap.add_argument("--metrics", default=None,
-                    help="current MetricsSnapshot for the phase diff")
+                    help="current metrics snapshot for the phase diff")
     args = ap.parse_args()
 
     base_rows = load_rows(args.baseline)

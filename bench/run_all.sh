@@ -7,11 +7,9 @@
 # defaults: BUILD_DIR=build, OUT_DIR=bench_results. Each bench writes
 # OUT_DIR/BENCH_<tag>.json via google-benchmark's --benchmark_out (the
 # experiment tables still go to stdout, captured as BENCH_<tag>.txt) plus a
-# METRICS_<tag>.json MetricsSnapshot sibling (schema lacon.metrics.v1 —
-# counters, timers, span histograms, guard truncation state; see DESIGN.md
-# §11). Under LACON_TRACE=spans each bench additionally writes
-# TRACE_<tag>.json, a Chrome trace-event file loadable in Perfetto
-# (https://ui.perfetto.dev) or chrome://tracing.
+# METRICS_<tag>.json sibling (schema lacon.metrics.v2 — counters, phase
+# timers with their duration histograms, guard truncation state; see
+# DESIGN.md §11).
 #
 # Extra arguments for the bench binaries can be passed via BENCH_ARGS,
 # e.g. BENCH_ARGS=--benchmark_min_time=0.01 for a smoke run.
@@ -39,12 +37,7 @@ for bench in "$BUILD_DIR"/bench/bench_*; do
   name="$(basename "$bench")"
   tag="${name#bench_}"
   echo "=== $name -> $OUT_DIR/BENCH_$tag.json"
-  # Per-bench observability artifacts: the metrics snapshot is always
-  # emitted; the span trace only materializes when LACON_TRACE=spans (the
-  # runtime skips LACON_TRACE_FILE otherwise, so pointing it somewhere is
-  # harmless in the default counters mode).
   if ! LACON_METRICS_FILE="$OUT_DIR/METRICS_$tag.json" \
-      LACON_TRACE_FILE="${LACON_TRACE_FILE:-$OUT_DIR/TRACE_$tag.json}" \
       "$bench" \
       --benchmark_out="$OUT_DIR/BENCH_$tag.json" \
       --benchmark_out_format=json \
@@ -61,27 +54,15 @@ if [[ "$ran" -eq 0 ]]; then
   exit 1
 fi
 
-# Schema-validate every observability artifact the benches emitted. Both
-# kinds gate the exit status: a malformed METRICS_ snapshot and a malformed
-# TRACE_ span export are equally a regression (a span trace that silently
-# stops validating is how instrumentation rot slips past CI).
+# Schema-validate every metrics snapshot the benches emitted: a malformed
+# METRICS_ file gates the exit status like a failed bench.
 script_dir="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 metrics_files=("$OUT_DIR"/METRICS_*.json)
 if [[ -e "${metrics_files[0]}" ]]; then
   echo "=== validating ${#metrics_files[@]} metrics snapshot(s)"
-  if ! python3 "$script_dir/validate_metrics.py" --kind metrics \
-      "${metrics_files[@]}"; then
+  if ! python3 "$script_dir/validate_metrics.py" "${metrics_files[@]}"; then
     status=1
     failed+=("validate:metrics")
-  fi
-fi
-trace_files=("$OUT_DIR"/TRACE_*.json)
-if [[ -e "${trace_files[0]}" ]]; then
-  echo "=== validating ${#trace_files[@]} span trace(s)"
-  if ! python3 "$script_dir/validate_metrics.py" --kind trace \
-      "${trace_files[@]}"; then
-    status=1
-    failed+=("validate:trace")
   fi
 fi
 

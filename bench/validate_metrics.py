@@ -1,33 +1,32 @@
 #!/usr/bin/env python3
-"""Schema validation for lacon observability artifacts.
+"""Schema validation for lacon.metrics.v2 documents (DESIGN.md §11).
 
 Usage:
-    bench/validate_metrics.py --kind metrics METRICS_t9_runtime.json ...
-    bench/validate_metrics.py --kind trace TRACE_t9_runtime.json ...
+    bench/validate_metrics.py METRICS_t9_runtime.json ... [PROBE.json ...]
 
---kind metrics checks a MetricsSnapshot (schema "lacon.metrics.v1", see
-DESIGN.md §11): every top-level key present, counters/timers/histograms
-well-formed, histogram bucket lists sparse and sorted by lower bound.
+Each file holds either a metrics document (bench/run_all.sh writes one per
+bench) or a laconrd response to a request sent with "metrics": true, whose
+"snapshot" member embeds the document; the embedded one is checked then.
 
---kind trace checks a Chrome trace-event file: traceEvents is a list, every
-event carries ph/pid/tid, "X" events carry ts and dur, and at least one complete
-span is present (a trace emitted under LACON_TRACE=spans that contains no
-spans means the instrumentation went missing).
+Checks: exactly the top-level keys schema/guard/counters/timers; the guard
+block well-formed; counter and timer names sorted; every counter a
+non-negative int; every timer row exactly {"buckets", "calls", "ns"} in
+that (sorted) key order, its buckets sparse [lower_bound_ns, count] pairs
+with power-of-two lower bounds in ascending order, bucket counts summing to
+"calls", and "ns" within the range those buckets allow. A document taken
+while no timer records is exact, so the sums must hold exactly.
 
 Exit status: 0 when all files validate, 1 otherwise. Each failure prints a
 path-prefixed reason so CI logs show which artifact is broken.
 """
 
-import argparse
 import json
 import sys
 
-METRICS_KEYS = {
-    "schema", "trace_mode", "guard", "counters", "timers", "histograms",
-    "spans",
-}
+METRICS_KEYS = {"schema", "guard", "counters", "timers"}
 GUARD_KEYS = {"budget_ms", "max_states", "trips"}
 TRIP_KEYS = {"deadline", "state_budget"}
+TIMER_KEYS = ["buckets", "calls", "ns"]
 
 
 def fail(path, reason):
@@ -35,79 +34,76 @@ def fail(path, reason):
     return False
 
 
+def is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def check_timer(path, name, row):
+    if not isinstance(row, dict) or list(row) != TIMER_KEYS:
+        return fail(path, f"timer {name!r} must carry exactly {TIMER_KEYS}")
+    if not is_count(row["calls"]) or not is_count(row["ns"]):
+        return fail(path, f"timer {name!r} calls/ns are not non-negative ints")
+    lowest = -1
+    calls = low = high = 0
+    for pair in row["buckets"]:
+        if (not isinstance(pair, list) or len(pair) != 2
+                or not all(is_count(v) for v in pair) or pair[1] == 0):
+            return fail(path, f"timer {name!r} bucket {pair!r} malformed")
+        lower, count = pair
+        if lower & (lower - 1) or lower <= lowest:
+            return fail(path, f"timer {name!r} buckets not ascending powers "
+                        "of two")
+        lowest = lower
+        calls += count
+        low += lower * count
+        high += max(2 * lower - 1, 0) * count
+    if calls != row["calls"]:
+        return fail(path, f"timer {name!r} bucket counts {calls} != calls "
+                    f"{row['calls']}")
+    if not low <= row["ns"] <= high:
+        return fail(path, f"timer {name!r} ns {row['ns']} outside its "
+                    f"buckets' range [{low}, {high}]")
+    return True
+
+
 def check_metrics(path, doc):
+    if isinstance(doc, dict) and "snapshot" in doc and "schema" not in doc:
+        doc = doc["snapshot"]  # a laconrd response embedding the document
     if not isinstance(doc, dict):
         return fail(path, "top level is not an object")
-    missing = METRICS_KEYS - doc.keys()
-    if missing:
-        return fail(path, f"missing keys: {sorted(missing)}")
-    if doc["schema"] != "lacon.metrics.v1":
+    if doc.keys() != METRICS_KEYS:
+        return fail(path, f"top-level keys {sorted(doc)} are not "
+                    f"{sorted(METRICS_KEYS)}")
+    if doc["schema"] != "lacon.metrics.v2":
         return fail(path, f"unexpected schema {doc['schema']!r}")
-    if doc["trace_mode"] not in ("off", "counters", "spans"):
-        return fail(path, f"unknown trace_mode {doc['trace_mode']!r}")
     guard = doc["guard"]
     if not isinstance(guard, dict) or GUARD_KEYS - guard.keys():
         return fail(path, f"guard block must carry {sorted(GUARD_KEYS)}")
     if TRIP_KEYS - guard["trips"].keys():
         return fail(path, f"guard.trips must carry {sorted(TRIP_KEYS)}")
+    for block in ("counters", "timers"):
+        if list(doc[block]) != sorted(doc[block]):
+            return fail(path, f"{block} names are not sorted")
     for name, value in doc["counters"].items():
-        if not isinstance(value, int) or value < 0:
+        if not is_count(value):
             return fail(path, f"counter {name!r} is not a non-negative int")
-    for name, row in doc["timers"].items():
-        if not isinstance(row, dict) or {"ns", "calls"} - row.keys():
-            return fail(path, f"timer {name!r} must carry ns and calls")
-    for name, row in doc["histograms"].items():
-        if not isinstance(row, dict) or {"count", "sum", "buckets"} - row.keys():
-            return fail(path, f"histogram {name!r} must carry count/sum/buckets")
-        buckets = row["buckets"]
-        lowers = [b[0] for b in buckets]
-        if lowers != sorted(lowers):
-            return fail(path, f"histogram {name!r} buckets not sorted")
-        if sum(b[1] for b in buckets) != row["count"]:
-            return fail(path, f"histogram {name!r} bucket counts != count")
-    spans = doc["spans"]
-    if not isinstance(spans, dict) or {"recorded", "dropped"} - spans.keys():
-        return fail(path, "spans block must carry recorded and dropped")
-    return True
-
-
-def check_trace(path, doc):
-    if not isinstance(doc, dict) or "traceEvents" not in doc:
-        return fail(path, "missing traceEvents")
-    events = doc["traceEvents"]
-    if not isinstance(events, list):
-        return fail(path, "traceEvents is not a list")
-    complete = 0
-    for i, ev in enumerate(events):
-        for key in ("ph", "pid", "tid"):
-            if key not in ev:
-                return fail(path, f"event {i} missing {key!r}")
-        if ev["ph"] == "X":
-            for key in ("ts", "dur"):
-                if key not in ev:
-                    return fail(path, f"event {i} (X) missing {key!r}")
-            complete += 1
-    if complete == 0:
-        return fail(path, "no complete ('X') span events")
-    return True
+    return all(check_timer(path, name, row)
+               for name, row in doc["timers"].items())
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--kind", choices=("metrics", "trace"), required=True)
-    ap.add_argument("files", nargs="+")
-    args = ap.parse_args()
-
-    check = check_metrics if args.kind == "metrics" else check_trace
+    if len(sys.argv) < 2:
+        print(__doc__, file=sys.stderr)
+        return 2
     ok = True
-    for path in args.files:
+    for path in sys.argv[1:]:
         try:
             with open(path) as f:
                 doc = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             ok = fail(path, str(e))
             continue
-        if check(path, doc):
+        if check_metrics(path, doc):
             print(f"{path}: ok")
         else:
             ok = False

@@ -59,9 +59,9 @@ run_config() {
     # the deterministic equivalence tests in the same binaries ignore them.
     echo "=== [$name] fault-injection soak" \
          "(seed=${LACON_FAULT_SEED:-20260805} rate=${LACON_FAULT_RATE:-0.05})"
-    # trace_test rides along with tracing forced on: span buffers are
-    # lock-free per-thread structures read concurrently by the exporters, so
-    # the soak doubles as the TSan/ASan proof for the publish protocol.
+    # trace_test rides along for the phase timers: four threads record
+    # into one timer's buckets at once, and an injected failure unwinds
+    # through explore's ScopedTimer.
     # store_test rides along for the snapshot replay paths under ASan
     # (truncated/corrupt file parsing is exactly where ASan earns its keep);
     # service_test is the concurrency soak: eight socket clients writing one
@@ -81,7 +81,6 @@ run_config() {
                     trace_test store_test service_test simd_test sym_test; do
       LACON_FAULT_SEED="${LACON_FAULT_SEED:-20260805}" \
       LACON_FAULT_RATE="${LACON_FAULT_RATE:-0.05}" \
-      LACON_TRACE=spans \
       LACON_SYMMETRY=on \
         "$dir/tests/$soak_bin" --gtest_brief=1
     done
@@ -111,14 +110,13 @@ run_config() {
       exit 1
     fi
     ls bench_results/BENCH_*.json >/dev/null
-    # Every bench emits a MetricsSnapshot sibling; a malformed or missing
+    # Every bench emits a lacon.metrics.v2 sibling; a malformed or missing
     # snapshot fails CI before the regression gate looks at anything.
     echo "=== [$name] metrics snapshot validation (METRICS_*.json)"
     for m in bench_results/METRICS_*.json; do
       python3 -m json.tool "$m" > /dev/null
     done
-    python3 bench/validate_metrics.py --kind metrics \
-      bench_results/METRICS_*.json
+    python3 bench/validate_metrics.py bench_results/METRICS_*.json
     # Regression gate on the runtime-path experiments (t9: analysis hot
     # paths, t10: arena intern contention): >25% real_time regression vs the
     # committed bench/baseline/ fails CI. Regenerate the baseline with the
@@ -138,20 +136,6 @@ run_config() {
       cp "bench_results/BENCH_$tag.json" "BENCH_$tag.json"
       cp "bench_results/METRICS_$tag.json" "METRICS_$tag.json"
     done
-    # Tracing-on smoke: one bench under LACON_TRACE=spans proves the span
-    # path end-to-end — the Chrome trace must parse and contain complete
-    # span events. Not part of the regression gate (span emission costs a
-    # little; the gate above runs with tracing off, matching the baseline).
-    echo "=== [$name] tracing-on bench smoke (t9 + TRACE/METRICS validation)"
-    LACON_TRACE=spans \
-    LACON_METRICS_FILE=bench_results/METRICS_t9_traced.json \
-    LACON_TRACE_FILE=bench_results/TRACE_t9_traced.json \
-      "$dir/bench/bench_t9_runtime" --benchmark_min_time=0.01x > /dev/null
-    python3 bench/validate_metrics.py --kind trace \
-      bench_results/TRACE_t9_traced.json
-    python3 bench/validate_metrics.py --kind metrics \
-      bench_results/METRICS_t9_traced.json
-    cp bench_results/TRACE_t9_traced.json TRACE_t9_traced.json
     # Snapshot store gate: t11 measures file IO, which is noisier than the
     # in-memory t9/t10 paths, so its threshold is looser than the hard 25%
     # gate above. Regenerate bench/baseline/BENCH_t11_store.json with the
@@ -319,6 +303,9 @@ run_config() {
       > "$wal_dir/probe.json"
     python3 bench/check_recovery.py \
       "$wal_dir/before.jsonl" "$wal_dir/after.jsonl" "$wal_dir/probe.json"
+    # The probe's embedded snapshot is the daemon's lacon.metrics.v2 path:
+    # schema-check it like the bench artifacts.
+    python3 bench/validate_metrics.py "$wal_dir/probe.json"
     kill -TERM "$wal_pid"
     wait "$wal_pid"
     rm -f "$wsock" "$wsock2"

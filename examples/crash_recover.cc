@@ -20,7 +20,7 @@
 //   C  recovery daemon over the same store dir: the workload again must
 //      yield responses byte-identical to A, with metrics.new_states == 0 and
 //      new_views == 0 on every request (nothing re-interned), and the
-//      lacon.metrics.v1 snapshot must show arena.state_restored > 0 with
+//      lacon.metrics.v2 snapshot must show arena.state_restored > 0 with
 //      arena.state_misses == 0 — the space came back from the log, not from
 //      re-exploration.
 //

@@ -25,7 +25,7 @@
 #include <cstring>
 #include <string>
 
-#include "runtime/trace.hpp"
+#include "runtime/stats.hpp"
 #include "service/server.hpp"
 #include "store/env.hpp"
 
@@ -103,6 +103,6 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "laconrd: shutting down (%zu session(s))\n",
                server.sessions().session_count());
   server.stop();
-  lacon::trace::write_env_artifacts();
+  lacon::runtime::write_env_artifacts();
   return 0;
 }

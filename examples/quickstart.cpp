@@ -10,10 +10,8 @@
 //      mobile failure" (Corollary 5.2);
 //   3. prints the trilemma verdict for a catalog of candidate protocols:
 //      each violates one of decision / agreement / validity;
-//   4. demonstrates the observability layer: the whole analysis runs under
-//      LACON_TRACE=counters-equivalent tracing, and the program finishes by
-//      writing quickstart_trace.json (open it at https://ui.perfetto.dev)
-//      and printing where the time went, span by span.
+//   4. prints where the time went: every engine phase above recorded its
+//      duration into a named timer of the stats registry.
 #include <cstdio>
 
 #include "analysis/reports.hpp"
@@ -22,19 +20,11 @@
 #include "models/mobile/mobile_model.hpp"
 #include "relation/similarity.hpp"
 #include "runtime/stats.hpp"
-#include "runtime/trace.hpp"
 
 int main() {
   using namespace lacon;
   const int n = 3;
   const int horizon = 3;
-
-  // Record spans for everything below. Equivalent to running any lacon
-  // binary with LACON_TRACE=spans in the environment; the explicit call
-  // just makes the quickstart self-contained. Tracing never changes
-  // results — with the default LACON_TRACE=off a span site costs one
-  // relaxed atomic load.
-  trace::set_mode(trace::Mode::kSpans);
 
   auto rule = min_after_round(2);
   MobileModel model(n, *rule);
@@ -86,22 +76,13 @@ int main() {
   }
 
   // --- Where did the time go? ----------------------------------------------
-  // Every span recorded above also fed a log2 latency histogram
-  // "span.<category>.<name>" in the stats registry; print the per-phase
-  // totals, then export the full event timeline as a Chrome trace. In the
-  // Perfetto UI each thread is a lane, and engine phases appear as nested
-  // explore.expand / similarity.confirm / valence.classify spans.
-  for (const runtime::HistogramSample& h :
-       runtime::Stats::global().histogram_snapshot()) {
-    if (h.count == 0) continue;
-    std::printf("%-28s %6llu spans, %8.3f ms total\n", h.name.c_str(),
-                static_cast<unsigned long long>(h.count),
-                static_cast<double>(h.sum) * 1e-6);
-  }
-  const char* trace_path = "quickstart_trace.json";
-  if (trace::write_chrome_trace(trace_path)) {
-    std::printf("%zu span events -> %s (drag into https://ui.perfetto.dev)\n",
-                trace::spans_recorded(), trace_path);
+  // Each phase's timer also keeps a log2 histogram of its durations;
+  // runtime::metrics_snapshot_json() renders the bucket vectors.
+  for (const runtime::StatSample& s : runtime::Stats::global().snapshot()) {
+    if (!s.is_timer || s.count == 0) continue;
+    std::printf("%-36s %6llu calls, %8.3f ms total\n", s.name.c_str(),
+                static_cast<unsigned long long>(s.count),
+                static_cast<double>(s.value) * 1e-6);
   }
   return 0;
 }

@@ -2,7 +2,6 @@
 
 #include "runtime/guard.hpp"
 #include "runtime/stats.hpp"
-#include "runtime/trace.hpp"
 #include "util/table.hpp"
 
 #include "models/mobile/mobile_model.hpp"
@@ -128,7 +127,6 @@ std::vector<NamedCheck> run_lemma_suite(ModelKind kind, int n, int t,
 
 std::string runtime_report() {
   Table table({"stat", "kind", "value", "calls"});
-  table.add_row({"trace.mode", "config", trace::to_string(trace::mode()), "-"});
   const guard::GuardSpec& spec = guard::process_guard_spec();
   if (spec.limited()) {
     if (spec.budget_ms > 0) {
@@ -149,24 +147,6 @@ std::string runtime_report() {
       table.add_row(
           {s.name, "counter", cell(static_cast<long long>(s.value)), "-"});
     }
-  }
-  // Span histograms only populate when tracing is on; report the mean so the
-  // table stays one line per site (the full bucket vector lives in the
-  // MetricsSnapshot JSON).
-  for (const runtime::HistogramSample& h :
-       runtime::Stats::global().histogram_snapshot()) {
-    if (h.count == 0) continue;
-    const double mean_ms =
-        static_cast<double>(h.sum) / static_cast<double>(h.count) * 1e-6;
-    table.add_row({h.name, "histogram", cell(mean_ms, 3) + " ms mean",
-                   cell(static_cast<long long>(h.count))});
-  }
-  if (trace::mode() == trace::Mode::kSpans) {
-    table.add_row({"trace.spans_recorded", "counter",
-                   cell(static_cast<long long>(trace::spans_recorded())),
-                   "-"});
-    table.add_row({"trace.spans_dropped", "counter",
-                   cell(static_cast<long long>(trace::spans_dropped())), "-"});
   }
   return table.to_string("Runtime stats (lacon::runtime)");
 }

@@ -46,8 +46,8 @@ std::vector<NamedCheck> run_lemma_suite(ModelKind kind, int n, int t,
                                         const DecisionRule& rule);
 
 // Renders the runtime instrumentation registry (runtime/stats.hpp) — the
-// trace mode, the process guard spec and every counter and timer the hot
-// paths recorded since the last reset — as a table. The bench harnesses
+// process guard spec and every counter and timer the hot paths recorded
+// since the last reset — as a table. The bench harnesses
 // print this after their experiment tables.
 std::string runtime_report();
 

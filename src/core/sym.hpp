@@ -36,7 +36,7 @@
 //       represents the orbit, never any verdict.)
 //
 // Gated by LACON_SYMMETRY=off|on (default off; malformed values warn once
-// and fall back, like LACON_TRACE). Models opt in via
+// and fall back, like LACON_WAL). Models opt in via
 // LayeredModel::symmetry() — see core/model.hpp; asymmetric models keep the
 // kTrivial default and are never touched. DESIGN.md §15 documents the
 // contracts (equivariance, decision-rule symmetry, id-nondeterminism).

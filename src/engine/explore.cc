@@ -2,7 +2,6 @@
 
 #include "runtime/fault.hpp"
 #include "runtime/stats.hpp"
-#include "runtime/trace.hpp"
 #include "util/bitset.hpp"
 
 namespace lacon {
@@ -40,15 +39,12 @@ guard::Partial<std::vector<std::vector<StateId>>> reachable_by_depth(
     // probed per frontier state; a trip discards the partial level, so
     // truncation is level-granular.
     std::vector<StateId> next;
-    std::size_t expanded = 0;
-    {
-      LACON_TRACE_SPAN_ARG("explore", "expand", d);
-      expanded = guard::guarded_for(g, frontier.size(), [&](std::size_t i) {
-        for (StateId y : model.layer(frontier[i])) {
-          if (seen.insert(y)) next.push_back(y);
-        }
-      });
-    }
+    const std::size_t expanded =
+        guard::guarded_for(g, frontier.size(), [&](std::size_t i) {
+          for (StateId y : model.layer(frontier[i])) {
+            if (seen.insert(y)) next.push_back(y);
+          }
+        });
     if (expanded < frontier.size()) break;
     stats.counter("explore.layers_expanded").add(frontier.size());
     if (next.empty()) break;  // quiescent: complete, not truncated

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "runtime/stats.hpp"
-#include "runtime/trace.hpp"
 
 namespace lacon {
 
@@ -148,7 +147,6 @@ guard::Partial<std::vector<ValenceInfo>> ValenceEngine::classify_all(
     const std::vector<StateId>& X, const guard::Guard& g) {
   auto& stats = runtime::Stats::global();
   runtime::ScopedTimer timer(stats.timer("valence.classify_time"));
-  LACON_TRACE_SPAN_ARG("valence", "classify", X.size());
   guard::Partial<std::vector<ValenceInfo>> out;
   out.value.resize(X.size());
   out.completed = guard::guarded_for(

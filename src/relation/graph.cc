@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "runtime/stats.hpp"
-#include "runtime/trace.hpp"
 
 namespace lacon {
 
@@ -28,7 +27,6 @@ Graph Graph::from_relation(std::size_t size,
   runtime::ScopedTimer timer(stats.timer("relation.pair_sweep_time"));
   const std::size_t pairs = size < 2 ? 0 : size * (size - 1) / 2;
   stats.counter("relation.pairs_evaluated").add(pairs);
-  LACON_TRACE_SPAN_ARG("relation", "pair_sweep", pairs);
 
   // Lexicographic (a, b) order is the sorted edge order from_sorted_edges
   // expects.
@@ -168,7 +166,6 @@ guard::Partial<std::optional<std::size_t>> Graph::diameter(
   ensure_csr();
   auto& stats = runtime::Stats::global();
   runtime::ScopedTimer timer(stats.timer("relation.diameter_time"));
-  LACON_TRACE_SPAN_ARG("relation", "diameter", size());
   // Fold eccentricities in source order. One full BFS that misses a vertex
   // proves disconnection: the answer cannot change, so the remaining
   // sources are skipped and the result is reported complete.

@@ -5,7 +5,6 @@
 
 #include "relation/similarity.hpp"
 #include "runtime/stats.hpp"
-#include "runtime/trace.hpp"
 
 namespace lacon {
 
@@ -38,7 +37,8 @@ guard::Partial<Graph> similarity_graph_indexed(LayeredModel& model,
   std::vector<const std::uint64_t*> rows(m);
   std::size_t hashed = 0;
   {
-    LACON_TRACE_SPAN_ARG("similarity", "fingerprint", m);
+    runtime::ScopedTimer phase(
+        stats.timer("relation.index_fingerprint_time"));
     hashed = guard::guarded_for(g, m, [&](std::size_t i) {
       rows[i] = model.fingerprint_row(X[i]);
     });
@@ -57,7 +57,7 @@ guard::Partial<Graph> similarity_graph_indexed(LayeredModel& model,
   std::vector<Graph::Edge> candidates;
   std::vector<std::pair<std::uint64_t, Graph::Vertex>> column(m);
   {
-    LACON_TRACE_SPAN_ARG("similarity", "bucket", m);
+    runtime::ScopedTimer phase(stats.timer("relation.index_bucket_time"));
     for (ProcessId j = 0; j < n; ++j) {
       if (g.tripped()) {
         out.truncation = g.reason();
@@ -96,7 +96,7 @@ guard::Partial<Graph> similarity_graph_indexed(LayeredModel& model,
   // list is (a, b)-lexicographically sorted, so the survivors reproduce
   // exactly the naive sweep's edge sequence; under truncation the survivors
   // of the confirmed candidate prefix do.
-  LACON_TRACE_SPAN_ARG("similarity", "confirm", candidates.size());
+  runtime::ScopedTimer confirm(stats.timer("relation.index_confirm_time"));
   std::vector<Graph::Edge> edges;
   const std::size_t evaluated =
       guard::guarded_for(g, candidates.size(), [&](std::size_t k) {

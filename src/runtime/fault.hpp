@@ -12,9 +12,8 @@
 // Injection is off unless a plan is installed (FaultScope). The environment
 // knobs LACON_FAULT_SEED / LACON_FAULT_RATE do not activate injection
 // globally — they parameterize the dedicated fault-soak tests (ci.sh runs
-// them under TSan and ASan, with LACON_TRACE=spans forced so injected
-// unwinds also exercise the span-buffer paths of runtime/trace.hpp), so
-// unrelated tests in the same process stay deterministic.
+// them under TSan and ASan), so unrelated tests in the same process stay
+// deterministic.
 //
 // Sites:
 //   kArenaAlloc — StateArena/ViewArena::intern throws InjectedAllocError

@@ -34,7 +34,7 @@
 //
 // Observability: every boundary probe bumps the "guard.checks" counter and
 // the first trip per guard bumps "guard.trips_<reason>" (runtime/stats.hpp),
-// so runtime_report() and the MetricsSnapshot JSON (runtime/trace.hpp,
+// so runtime_report() and the lacon.metrics.v2 JSON (runtime/stats.hpp,
 // "guard.trips" block) show how many analyses were truncated and why
 // without any extra wiring at the call sites.
 #pragma once

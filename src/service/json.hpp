@@ -11,8 +11,8 @@
 //    response serializes in the order it was assembled — stable output for
 //    golden tests.
 //  * Json::raw() splices pre-serialized text verbatim into dump() output;
-//    the protocol uses it to embed a MetricsSnapshot::to_json() document
-//    without re-parsing it.
+//    the protocol uses it to embed a runtime::metrics_snapshot_json()
+//    document without re-parsing it.
 //  * parse() rejects trailing garbage and caps nesting depth, so a
 //    malformed or adversarial request line cannot recurse the daemon into
 //    a stack overflow.

@@ -14,7 +14,6 @@
 #include "relation/similarity.hpp"
 #include "runtime/guard.hpp"
 #include "runtime/stats.hpp"
-#include "runtime/trace.hpp"
 #include "store/env.hpp"
 #include "store/snapshot.hpp"
 #include "store/wal.hpp"
@@ -481,8 +480,8 @@ Executed execute_request(SessionManager& sessions, const Request& req) {
   metrics.set("symmetry", Json(model.sym_quotient_active()));
   resp.set("metrics", std::move(metrics));
   if (req.include_metrics) {
-    // The same lacon.metrics.v1 document the bench harnesses emit.
-    resp.set("snapshot", Json::raw(trace::metrics_snapshot_json()));
+    // The same lacon.metrics.v2 document the bench harnesses emit.
+    resp.set("snapshot", Json::raw(runtime::metrics_snapshot_json()));
   }
   // Operator notice from store recovery (e.g. "wal quarantined to <path>"):
   // attached to whichever response drains it first, so the quarantined

@@ -15,7 +15,7 @@
 //    "horizon": <int>,         valence lookahead (default depth + 1)
 //    "budget_ms": <int>,       per-request wall-clock budget (0 = none)
 //    "max_states": <int>,      per-request arena budget (0 = none)
-//    "metrics": <bool>}        embed the full lacon.metrics.v1 snapshot
+//    "metrics": <bool>}        embed the full lacon.metrics.v2 snapshot
 //
 // Response: {"id", "status": "ok" | "truncated" | "error", result fields
 // per query, "truncation": <guard reason> when truncated, "error": <msg>

@@ -6,10 +6,9 @@
 // With LACON_WAL=on, laconrd loads a session's snapshot as the base of its
 // write-ahead log, replays the log over it and commits every request to
 // the log before responding; the log compacts into a fresh snapshot
-// (DESIGN.md §14). Off, nothing is loaded or written. Parsing follows the
-// LACON_TRACE contract (runtime/trace.hpp): a malformed value earns one
-// stderr warning per process and falls back to the default — it never
-// aborts and never silently changes meaning. The parse_* functions are
+// (DESIGN.md §14). Off, nothing is loaded or written. A malformed value
+// earns one stderr warning per process and falls back to the default — it
+// never aborts and never silently changes meaning. The parse_* functions are
 // pure (testable without touching the environment); dir()/wal_enabled()
 // read the environment on every call so harnesses can retarget the store
 // between phases.

@@ -19,7 +19,6 @@
 #include "core/model.hpp"
 #include "engine/valence.hpp"
 #include "runtime/stats.hpp"
-#include "runtime/trace.hpp"
 #include "store/codec.hpp"
 
 namespace lacon::store {
@@ -333,7 +332,6 @@ Result save(LayeredModel& model, const std::string& path,
             ValenceEngine* engine, SnapshotMeta* meta) {
   auto& stats = runtime::Stats::global();
   runtime::ScopedTimer timer(stats.timer("store.save_time"));
-  LACON_TRACE_SPAN_ARG("store", "save", model.num_states());
 
   const std::uint32_t digest_shards =
       static_cast<std::uint32_t>(kArenaShards);
@@ -466,7 +464,6 @@ Result load(LayeredModel& model, const std::string& path,
   if (Result r = read_file(path, &file, &bytes); !r.ok()) return r;
   Header h;
   if (Result r = parse_header(bytes, path, &h); !r.ok()) return r;
-  LACON_TRACE_SPAN_ARG("store", "load", h.num_states);
 
   if (h.name != model.name() ||
       h.n != static_cast<std::uint32_t>(model.n()) ||

@@ -14,7 +14,6 @@
 #include "core/model.hpp"
 #include "engine/valence.hpp"
 #include "runtime/stats.hpp"
-#include "runtime/trace.hpp"
 #include "store/codec.hpp"
 
 namespace lacon::store {
@@ -261,7 +260,6 @@ Result Wal::replay(LayeredModel& model, ValenceEngine* engine,
                    WalReplayStats* stats_out) {
   auto& stats = runtime::Stats::global();
   runtime::ScopedTimer timer(stats.timer("wal.replay_time"));
-  LACON_TRACE_SPAN_ARG("store", "wal_replay", log_end_ - header_end_);
 
   WalReplayStats rs;
   if (fd_ < 0) return fail(Status::kIoError, "wal not open");

@@ -56,10 +56,16 @@ TEST(Stats, SnapshotIsSortedByName) {
 }
 
 TEST(RuntimeReport, MentionsWorkersAndStats) {
-  runtime::Stats::global().counter("report.probe").increment();
+  auto& stats = runtime::Stats::global();
+  stats.counter("report.probe").increment();
+  stats.timer("report.probe_time").record(std::chrono::milliseconds(2));
   const std::string report = runtime_report();
-  EXPECT_NE(report.find("trace.mode"), std::string::npos);
-  EXPECT_NE(report.find("report.probe"), std::string::npos);
+  EXPECT_NE(report.find("report.probe "), std::string::npos);
+  const std::size_t row = report.find("report.probe_time");
+  ASSERT_NE(row, std::string::npos);
+  const std::string line = report.substr(row, report.find('\n', row) - row);
+  EXPECT_NE(line.find("timer"), std::string::npos) << line;
+  EXPECT_NE(line.find(" ms"), std::string::npos) << line;
 }
 
 TEST(FromRelation, TinySizes) {

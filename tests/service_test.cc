@@ -320,10 +320,16 @@ TEST(HandleLineTest, MetricsSnapshotEmbedsWhenAsked) {
       "{\"id\":1,\"model\":\"mobile\",\"depth\":1,\"metrics\":true}");
   const auto doc = Json::parse(response);
   ASSERT_TRUE(doc.has_value()) << response;
-  // The spliced lacon.metrics.v1 document is itself valid JSON.
+  // The spliced lacon.metrics.v2 document is itself valid JSON, and it
+  // carries the timer the request's exploration recorded.
   const Json* snap = find_path(*doc, {"snapshot"});
   ASSERT_TRUE(snap != nullptr);
   EXPECT_TRUE(snap->is_object());
+  const Json* schema = find_path(*snap, {"schema"});
+  ASSERT_TRUE(schema != nullptr);
+  EXPECT_EQ(schema->as_string(), "lacon.metrics.v2");
+  EXPECT_NE(find_path(*snap, {"timers", "explore.expand_time", "buckets"}),
+            nullptr);
 }
 
 // --- symmetry quotient: quotient-vs-full verdict identity -------------------
