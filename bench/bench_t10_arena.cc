@@ -1,16 +1,15 @@
-// T10 — Concurrent sharded hash-consing arenas (core/state.hpp).
+// T10 — Hash-consing arena interning (core/state.hpp).
 //
-// Intern contention microbench: N writer threads hammer one
-// StateArena::intern, the way concurrent connections sharing a session do,
-// under two key-set regimes — disjoint (each op interns distinct content:
-// all misses, no index sharing) and overlapping (all writers intern the
-// same small key set: hit-heavy, racing equal-content interns that must
-// agree on one id). The writer sweep is fixed at 1/2/4/8 regardless of the
-// host's core count so bench names stay stable for the baseline comparison
-// in ci.sh (the rows keep their "workers:N" names); on a single-core host
-// the >1-writer rows measure contention structure (shard waits), not
-// speedup. BM_ExploreN8 is the n=8 mobile-model exploration whose cost is
-// dominated by state/view interning, run on the calling thread.
+// Intern microbench on one writer, under two key-set regimes — disjoint
+// (each op interns distinct content: all misses) and overlapping (the ops
+// cycle through a small key set: hit-heavy). BM_ExploreN8 is the n=8
+// mobile-model exploration whose cost is dominated by state/view interning.
+// Each arena interns under one mutex, so N writers into one arena
+// serialize; the table still runs 8 writers against one arena to show that
+// racing interns agree (unique states, hits, misses) and how often they
+// waited on the lock. The rows keep their "workers:1" names from the
+// sharded arenas' writer sweep, so the baseline comparison in ci.sh still
+// matches them.
 #include <benchmark/benchmark.h>
 
 #include "bench_flags.hpp"
@@ -72,10 +71,9 @@ void run_writers(unsigned writers, const Write& write) {
 }
 
 void BM_InternDisjoint(benchmark::State& state) {
-  const auto writers = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
     StateArena arena;
-    run_writers(writers, [&](std::size_t i) {
+    run_writers(1, [&](std::size_t i) {
       benchmark::DoNotOptimize(
           arena.intern(make_state(static_cast<std::uint64_t>(i))));
     });
@@ -85,10 +83,9 @@ void BM_InternDisjoint(benchmark::State& state) {
 }
 
 void BM_InternOverlapping(benchmark::State& state) {
-  const auto writers = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
     StateArena arena;
-    run_writers(writers, [&](std::size_t i) {
+    run_writers(1, [&](std::size_t i) {
       benchmark::DoNotOptimize(arena.intern(
           make_state(static_cast<std::uint64_t>(i) % kDistinct)));
     });
@@ -99,7 +96,7 @@ void BM_InternOverlapping(benchmark::State& state) {
 }
 
 // The n=8 exploration interning path: one mobile-model layer below Con_0
-// interns ~18k global states and ~150k views through the sharded arenas.
+// interns ~18k global states and ~150k views through the arenas.
 void BM_ExploreN8(benchmark::State& state) {
   auto rule = never_decide();
   for (auto _ : state) {
@@ -108,12 +105,12 @@ void BM_ExploreN8(benchmark::State& state) {
   }
 }
 
-// One-vs-8-writer table with the shard-contention counters, so a run shows
-// at a glance how often interns actually waited on a shard.
+// One-vs-8-writer table with the lock-contention counter, so a run shows
+// at a glance how often interns actually waited on the arena's lock.
 void print_table() {
   auto& stats = runtime::Stats::global();
   Table table({"regime", "writers", "unique states", "hits", "misses",
-               "shard waits"});
+               "lock waits"});
   for (const unsigned w : {1u, 8u}) {
     for (const bool overlapping : {false, true}) {
       stats.counter("arena.state_hits").reset();
@@ -134,21 +131,9 @@ void print_table() {
     }
   }
   std::fputs(
-      table
-          .to_string("T10: sharded arena intern contention (" +
-                     std::to_string(kArenaShards) + " shards)")
+      table.to_string("T10: arena intern contention (one lock per arena)")
           .c_str(),
       stdout);
-}
-
-void register_writer_sweep(const char* name,
-                           void (*fn)(benchmark::State&)) {
-  for (const unsigned w : {1u, 2u, 4u, 8u}) {
-    benchmark::RegisterBenchmark(
-        (std::string(name) + "/workers:" + std::to_string(w)).c_str(), fn)
-        ->Arg(static_cast<int>(w))
-        ->Unit(benchmark::kMillisecond);
-  }
 }
 
 }  // namespace
@@ -157,9 +142,12 @@ void register_writer_sweep(const char* name,
 int main(int argc, char** argv) {
   lacon::benchflags::init(&argc, argv);
   lacon::print_table();
-  lacon::register_writer_sweep("BM_InternDisjoint", lacon::BM_InternDisjoint);
-  lacon::register_writer_sweep("BM_InternOverlapping",
-                               lacon::BM_InternOverlapping);
+  benchmark::RegisterBenchmark("BM_InternDisjoint/workers:1/1",
+                               lacon::BM_InternDisjoint)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("BM_InternOverlapping/workers:1/1",
+                               lacon::BM_InternOverlapping)
+      ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("BM_ExploreN8/workers:1/1", lacon::BM_ExploreN8)
       ->Unit(benchmark::kMillisecond);
   lacon::benchflags::add_json_context();

@@ -180,8 +180,9 @@ void BM_WalAppend(benchmark::State& state, const Workload& w) {
 // Group commit vs serialized fsync: the same four-client commit round —
 // one full delta record plus one memo-carrying record per additional
 // engine horizon — lands in the log either as ONE coalesced write+fsync
-// (the batch append laconrd's commit leader performs) or as four
-// sequential fsync'd appends (the old per-request discipline). The
+// (the batch append laconrd performs for a pipelined batch that touched
+// four horizons) or as four sequential fsync'd appends (the old
+// per-request discipline). The
 // acceptance criterion is that the group row costs no more per round than
 // the serial row — in practice it approaches a quarter, since the fsync
 // dominates and the group pays it once.

@@ -14,9 +14,9 @@
 //   B  crash daemon, LACON_WAL=on over a fresh store dir: same workload
 //      (responses must already match A), then SIGKILL it with at least four
 //      forked clients concurrently in flight — same-session requests at
-//      different horizons riding the group-commit path, plus a larger
-//      session mid-interning — so the kill lands inside the coalesced
-//      append+fsync discipline, not a quiet daemon.
+//      different horizons committing under one store lock, plus a larger
+//      session mid-interning — so the kill lands inside an append+fsync,
+//      not a quiet daemon.
 //   C  recovery daemon over the same store dir: the workload again must
 //      yield responses byte-identical to A, with metrics.new_states == 0 and
 //      new_views == 0 on every request (nothing re-interned), and the
@@ -72,9 +72,9 @@ const std::vector<std::string>& workload() {
 
 // The requests in flight when the SIGKILL lands, one forked client each.
 // Three hammer the committed session concurrently at distinct horizons —
-// concurrent commit_wal calls stage into one group-commit round, so the
-// kill can land inside the coalesced append+fsync — and the fourth interns
-// a bigger fresh session so live arena growth is interrupted too.
+// their commit_wal calls queue on the session's store lock, so the kill can
+// land inside an append+fsync — and the fourth interns a bigger fresh
+// session so live arena growth is interrupted too.
 const std::vector<std::string>& inflight_requests() {
   static const std::vector<std::string> kRequests = {
       R"({"id":5,"model":"mobile","n":3,"query":"valence","depth":2,"horizon":4})",
@@ -255,7 +255,7 @@ int main() {
     // Put the concurrent requests in flight, one forked client each, then
     // SIGKILL the daemon under them. The clients' outcomes are irrelevant
     // (some may even finish); what matters is that the kill lands with the
-    // daemon mid-work — including mid group-commit — and that phase C still
+    // daemon mid-work — including mid-commit — and that phase C still
     // recovers every response phase B already delivered.
     std::vector<pid_t> clients;
     for (const std::string& req : inflight_requests()) {

@@ -1,4 +1,4 @@
-// HashIndex: the content-hash -> id index of one interning-arena shard
+// HashIndex: the content-hash -> id index of an interning arena
 // (core/state.hpp, core/view.hpp).
 //
 // Open addressing with linear probing over a power-of-two table of
@@ -7,7 +7,7 @@
 // content can share a hash, so one hash may map to several ids: find()
 // visits every id stored under the hash and returns the first one the
 // caller's equality check accepts against arena-resident content. Ids are
-// never removed. Not thread-safe: each arena calls it under its shard
+// never removed. Not thread-safe: each arena calls it under its intern
 // mutex.
 #pragma once
 
@@ -47,8 +47,7 @@ class HashIndex {
   };
 
   // Fibonacci hashing: the top bits of h * 2^64/phi pick the home slot, so
-  // the index does not depend on the low bits of h being well mixed (the
-  // arenas pick the shard from bits 40..45).
+  // the index does not depend on the low bits of h being well mixed.
   std::size_t home(std::uint64_t h) const noexcept {
     return static_cast<std::size_t>((h * 0x9e3779b97f4a7c15ULL) >> shift_);
   }

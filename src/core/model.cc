@@ -73,9 +73,8 @@ const std::uint64_t* LayeredModel::fingerprint_row(StateId x) {
   if (slot.compare_exchange_strong(expected, mine, std::memory_order_acq_rel,
                                    std::memory_order_acquire)) {
     if (records_unpersisted()) {
-      LayerShard& shard = layer_shard(x);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.unpersisted_rows.push_back(x);
+      std::lock_guard<std::mutex> lock(unpersisted_mu_);
+      unpersisted_rows_.push_back(x);
     }
     return mine;
   }
@@ -142,73 +141,58 @@ void LayeredModel::begin_log_epoch(std::uint64_t num_states) {
   const std::uint64_t live = arena_.size();
   if (num_states >= live) return;
   const auto held = [num_states](std::uint64_t id) { return id < num_states; };
+  std::lock_guard<std::mutex> lock(unpersisted_mu_);
   for (std::uint64_t id = 0; id < live; ++id) {
     const auto x = static_cast<StateId>(id);
     const std::vector<StateId>* succ = cached_layer(x);
-    const bool layer_held =
-        succ == nullptr ||
-        (held(id) && std::all_of(succ->begin(), succ->end(), held));
-    const bool row_held = held(id) || cached_fingerprint_row(x) == nullptr;
-    if (layer_held && row_held) continue;
-    LayerShard& shard = layer_shard(x);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (!layer_held) shard.unpersisted_layers.push_back(x);
-    if (!row_held) shard.unpersisted_rows.push_back(x);
+    if (succ != nullptr &&
+        !(held(id) && std::all_of(succ->begin(), succ->end(), held))) {
+      unpersisted_layers_.push_back(x);
+    }
+    if (!held(id) && cached_fingerprint_row(x) != nullptr) {
+      unpersisted_rows_.push_back(x);
+    }
   }
 }
 
 LayeredModel::UnpersistedCaches LayeredModel::drain_unpersisted(
     std::uint64_t bound) {
+  const auto sort_unique = [](std::vector<StateId>& ids) {
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  };
+  const auto below = [bound](StateId y) { return y < bound; };
   UnpersistedCaches out;
-  for (LayerShard& shard : layer_shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    std::vector<StateId>& layers = shard.unpersisted_layers;
-    std::sort(layers.begin(), layers.end());
-    layers.erase(std::unique(layers.begin(), layers.end()), layers.end());
-    std::size_t kept = 0;
-    for (StateId x : layers) {
-      // Queued only after its layer was published.
-      const std::vector<StateId>& succ = *cached_layer(x);
-      bool in_range = x < bound;
-      for (StateId y : succ) in_range = in_range && y < bound;
-      if (in_range) {
-        out.layers.emplace_back(x, succ);
-      } else {
-        layers[kept++] = x;
-      }
+  std::lock_guard<std::mutex> lock(unpersisted_mu_);
+  sort_unique(unpersisted_layers_);
+  std::size_t kept = 0;
+  for (StateId x : unpersisted_layers_) {
+    // Queued only after its layer was published.
+    const std::vector<StateId>& succ = *cached_layer(x);
+    if (below(x) && std::all_of(succ.begin(), succ.end(), below)) {
+      out.layers.emplace_back(x, succ);
+    } else {
+      unpersisted_layers_[kept++] = x;
     }
-    layers.resize(kept);
-
-    std::vector<StateId>& rows = shard.unpersisted_rows;
-    std::sort(rows.begin(), rows.end());
-    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-    kept = 0;
-    for (StateId x : rows) {
-      if (x < bound) {
-        out.fingerprint_rows.push_back(x);
-      } else {
-        rows[kept++] = x;
-      }
-    }
-    rows.resize(kept);
   }
-  std::sort(out.layers.begin(), out.layers.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::sort(out.fingerprint_rows.begin(), out.fingerprint_rows.end());
+  unpersisted_layers_.resize(kept);
+  // Sorted, so the rows below the bound are a prefix.
+  sort_unique(unpersisted_rows_);
+  const auto end = std::partition_point(unpersisted_rows_.begin(),
+                                        unpersisted_rows_.end(), below);
+  out.fingerprint_rows.assign(unpersisted_rows_.begin(), end);
+  unpersisted_rows_.erase(unpersisted_rows_.begin(), end);
   return out;
 }
 
 void LayeredModel::requeue(const UnpersistedCaches& drained) {
+  std::lock_guard<std::mutex> lock(unpersisted_mu_);
   for (const auto& [x, succ] : drained.layers) {
-    LayerShard& shard = layer_shard(x);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.unpersisted_layers.push_back(x);
+    unpersisted_layers_.push_back(x);
   }
-  for (StateId x : drained.fingerprint_rows) {
-    LayerShard& shard = layer_shard(x);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.unpersisted_rows.push_back(x);
-  }
+  unpersisted_rows_.insert(unpersisted_rows_.end(),
+                           drained.fingerprint_rows.begin(),
+                           drained.fingerprint_rows.end());
 }
 
 const std::vector<StateId>& LayeredModel::initial_states() {
@@ -252,9 +236,8 @@ const std::vector<StateId>& LayeredModel::layer(StateId x) {
     return *expected;
   }
   if (records_unpersisted()) {
-    LayerShard& shard = layer_shard(x);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.unpersisted_layers.push_back(x);
+    std::lock_guard<std::mutex> lock(unpersisted_mu_);
+    unpersisted_layers_.push_back(x);
   }
   return *mine;
 }

@@ -10,11 +10,11 @@
 // and the synchronous t+1 lower bound.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -72,17 +72,12 @@ class LayeredModel {
   const ViewArena& views() const noexcept { return views_; }
   const DecisionRule& rule() const noexcept { return *rule_; }
 
+  // Every id below each count can be read while other threads intern. A
+  // reader that walks both arenas (snapshot save, log append) reads
+  // num_states() first: a state is published after the views it holds, so
+  // every view a counted state references is counted too.
   std::size_t num_states() const noexcept { return arena_.size(); }
   std::size_t num_views() const noexcept { return views_.size(); }
-
-  // {states, views} for a reader that walks the arenas while other threads
-  // intern (snapshot save, log append): every id below each count can be
-  // read, and states are counted first, so every view a counted state
-  // references is counted too.
-  std::pair<std::size_t, std::size_t> settled_counts() const {
-    const std::size_t states = arena_.settled_size();
-    return {states, views_.settled_size()};
-  }
 
   // Approximate bytes held by the state arena and the view DAG combined,
   // a deterministic function of the interned content.
@@ -134,6 +129,18 @@ class LayeredModel {
   // StateArena::restore for the contract on `s` and `hash`.
   StateId restore_state(const StateRef& s, std::uint64_t hash);
 
+  // True when `env` is an environment this model can hold at its n, with
+  // every view id it names below `views_end` (FORMATS.md §1.3). The store's
+  // record decoder asks this of every state it reads, so a crafted register
+  // or message never reaches compute_layer or the decision rule as a view
+  // past the arena or a process index past n. The default accepts: it
+  // serves the models that copy their env verbatim and read nothing out of
+  // it (mobile, sync, IIS).
+  virtual bool env_well_formed(std::span<const std::int64_t> /*env*/,
+                               std::uint64_t /*views_end*/) const {
+    return true;
+  }
+
   // The memoized erase-one fingerprint row of x: n entries, entry j equal
   // to similarity_fingerprint(x, j). Rows are published once per state in a
   // lock-free slot (racing computations are idempotent — the first
@@ -153,7 +160,7 @@ class LayeredModel {
   void restore_fingerprint_row(StateId x, const std::uint64_t* row);
 
   // The layer cache as (state, successors) entries, sorted by state id.
-  // Call only while no layer computation is in flight.
+  // Lock-free: layers published concurrently may or may not appear.
   std::vector<std::pair<StateId, std::vector<StateId>>> export_layer_cache();
 
   // Replays cached layers from a snapshot. Entries whose key is already
@@ -167,11 +174,11 @@ class LayeredModel {
   // A write-ahead log persists what the caches gained since its last round.
   // Once the log has fixed what is on disk (Wal::replay or Wal::reset_to
   // call begin_log_epoch), every layer-cache and fingerprint-row publish
-  // also queues its state id under its queue shard's lock, and
-  // every engine over this model queues its memo inserts. Imports
-  // (import_layer_cache, restore_fingerprint_row) queue nothing. A model no
-  // log drains (lacon_check, a WAL-off daemon) never records and pays one
-  // branch per insert.
+  // also queues its state id under the queues' one mutex, and every engine
+  // over this model queues its memo inserts. Imports (import_layer_cache,
+  // restore_fingerprint_row) queue nothing. A model no log drains
+  // (lacon_check, a WAL-off daemon) never records and pays one branch per
+  // insert.
 
   // 0 until the first begin_log_epoch; bumped by every later one.
   std::uint64_t log_epoch() const noexcept { return log_epoch_.load(); }
@@ -291,18 +298,6 @@ class LayeredModel {
   Value updated_decision(ProcessId i, Value current, ViewId new_view);
 
  private:
-  static constexpr std::size_t kLayerShards = 64;
-  // The queues of unpersisted layer entries and fingerprint rows for the
-  // ids that hash to this shard. Cache-line aligned like the memo's queue
-  // shards (engine/valence.hpp).
-  struct alignas(64) LayerShard {
-    std::mutex mu;
-    std::vector<StateId> unpersisted_layers;
-    std::vector<StateId> unpersisted_rows;
-  };
-  LayerShard& layer_shard(StateId x) noexcept {
-    return layer_shards_[static_cast<std::size_t>(x) % kLayerShards];
-  }
   // The published layer of x, nullptr until layer() or an import sets it.
   const std::vector<StateId>* cached_layer(StateId x) const;
 
@@ -318,7 +313,10 @@ class LayeredModel {
   StateArena arena_;
   std::vector<StateId> initial_states_;
   std::once_flag initial_once_;
-  std::array<LayerShard, kLayerShards> layer_shards_;
+  // The state ids of unpersisted layer entries and fingerprint rows.
+  std::mutex unpersisted_mu_;
+  std::vector<StateId> unpersisted_layers_;  // guarded by unpersisted_mu_
+  std::vector<StateId> unpersisted_rows_;    // guarded by unpersisted_mu_
   // Per-state layers; nullptr until published.
   runtime::ConcurrentSlotVector<std::atomic<const std::vector<StateId>*>>
       layer_memo_;

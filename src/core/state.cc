@@ -12,7 +12,7 @@ namespace lacon {
 namespace {
 
 // Deterministic per-state byte estimate: header + flat payload + a flat
-// allowance for the shard-index entry. A pure function of the state's
+// allowance for the index entry. A pure function of the state's
 // content — never of pool occupancy or vector capacities — so
 // LayeredModel::memory_footprint reads the same total for the same interned
 // content however interns interleave (chunk-tail waste in the pool varies
@@ -53,20 +53,11 @@ bool agree_modulo(const StateRef& x, const StateRef& y, ProcessId j) {
 }
 
 StateArena::StateArena()
-    : shards_(std::make_unique<Shard[]>(kArenaShards)),
-      hits_(&runtime::Stats::global().counter("arena.state_hits")),
+    : hits_(&runtime::Stats::global().counter("arena.state_hits")),
       misses_(&runtime::Stats::global().counter("arena.state_misses")),
       restored_(&runtime::Stats::global().counter("arena.state_restored")),
-      shard_waits_(
+      lock_waits_(
           &runtime::Stats::global().counter("arena.state_shard_waits")) {}
-
-std::size_t StateArena::settled_size() const {
-  const std::size_t count = size();
-  for (std::size_t i = 0; i < kArenaShards; ++i) {
-    const std::lock_guard<std::mutex> lock(shards_[i].mu);
-  }
-  return count;
-}
 
 StateId StateArena::intern(GlobalState s) {
   const StateRef candidate(s);
@@ -83,21 +74,19 @@ StateId StateArena::intern_impl(const StateRef& s, std::uint64_t h,
   fault::maybe_throw_alloc_fault();
   assert(s.decisions.size() == s.locals.size() &&
          "a state carries one decision slot per process");
-  Shard& sh = shard_for(h);
-  std::unique_lock<std::mutex> lock(sh.mu, std::try_to_lock);
+  std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
   if (!lock.owns_lock()) {
-    shard_waits_->increment();  // contended: another intern holds this shard
+    lock_waits_->increment();  // contended: another intern holds the lock
     lock.lock();
   }
   if (const std::optional<StateId> found =
-          sh.index.find(h, [&](StateId id) { return state(id) == s; })) {
+          index_.find(h, [&](StateId id) { return state(id) == s; })) {
     hits_->increment();
     return *found;
   }
-  // Miss: copy the payload into the pool, claim a dense id, publish the
-  // header, then index it. Only the index insert needs the shard lock for
-  // correctness, but holding it across the copy also serialises racing
-  // equal-content interns (same hash -> same shard), so they agree on one id.
+  // Miss: copy the payload into the pool, write the header, index it, and
+  // only then publish the id by raising the count, so a reader that sees
+  // the id in size() sees its content too.
   const std::size_t n = s.locals.size();
   const std::size_t lanes = lane_words(n);
   const std::size_t words = s.env.size() + 2 * lanes;
@@ -129,12 +118,13 @@ StateId StateArena::intern_impl(const StateRef& s, std::uint64_t h,
     }
 #endif
   }
-  const StateId id =
-      static_cast<StateId>(next_id_.fetch_add(1, std::memory_order_acq_rel));
-  headers_.slot(static_cast<std::size_t>(id)) = hd;
+  const std::size_t idx = next_id_.load(std::memory_order_relaxed);
+  const auto id = static_cast<StateId>(idx);
+  headers_.slot(idx) = hd;
   approx_bytes_.fetch_add(state_footprint(s.env.size(), n),
                           std::memory_order_relaxed);
-  sh.index.insert(h, id);
+  index_.insert(h, id);
+  next_id_.store(idx + 1, std::memory_order_release);
   miss_counter->increment();
   return id;
 }

@@ -18,7 +18,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -74,16 +73,15 @@ bool agree_modulo(const StateRef& x, const StateRef& y, ProcessId j);
 // model, or the permutation-layering diamond — checkable as id equality.
 //
 // Thread-safety: intern() may be called concurrently (layer computations of
-// connections sharing a session do). The index is hash-sharded with striped
-// mutexes (kArenaShards), so interns of distinct states proceed in
-// parallel; racing interns of equal content land in the same shard, are
-// serialized there, and agree on the id. Ids are claimed from one atomic
-// counter, so they stay dense — but *which* content gets which id depends on
+// connections sharing a session do). One mutex guards the index, the pool
+// cursor and the id counter, so racing interns of equal content agree on
+// the id and ids stay dense — but *which* content gets which id depends on
 // scheduling. Canonical cross-run output must go through env_to_string /
 // ViewArena::to_string, never raw ids (DESIGN.md §9).
 //
-// state() is lock-free and safe for any id the caller received through
-// intern() or another happens-before edge.
+// state() and size() are lock-free. An intern writes the pool words and
+// the header, then publishes the id with a release store of the count, so
+// every id below size() can be read while other threads keep interning.
 class StateArena {
  public:
   StateArena();
@@ -113,16 +111,10 @@ class StateArena {
     return {{base, h.env_len}, {locals, h.n}, {decisions, h.n}};
   }
 
+  // The ids published so far; each one's content is readable.
   std::size_t size() const noexcept {
     return next_id_.load(std::memory_order_acquire);
   }
-
-  // size() counts an id as soon as an intern claims it, a moment before the
-  // intern writes its content; both happen under the intern's shard lock.
-  // Passing through every shard lock after reading size() waits those
-  // interns out, so every id below the returned count can be read while
-  // other threads keep interning.
-  std::size_t settled_size() const;
 
   // Approximate heap footprint of the interned states. Deliberately a
   // deterministic function of the interned *content* (header + payload words
@@ -154,34 +146,28 @@ class StateArena {
       return env_len + 2 * lane_words(n);
     }
   };
-  struct alignas(64) Shard {
-    std::mutex mu;
-    // hash -> id; equality is confirmed against the pooled payload, so the
-    // index stores no second copy of any state.
-    HashIndex<StateId> index;
-  };
-
   // 32-bit lanes (locals, decisions) pack two per word.
   static constexpr std::size_t lane_words(std::size_t n) noexcept {
     return (n + 1) / 2;
   }
 
-  Shard& shard_for(std::uint64_t h) const noexcept {
-    return shards_[(h >> 40) & (kArenaShards - 1)];
-  }
-
   StateId intern_impl(const StateRef& s, std::uint64_t h,
                       runtime::Counter* miss_counter);
 
-  std::unique_ptr<Shard[]> shards_;
-  mutable runtime::WordPool pool_;
+  std::mutex mu_;
+  // hash -> id; equality is confirmed against the pooled payload, so the
+  // index stores no second copy of any state. Guarded by mu_.
+  HashIndex<StateId> index_;
+  runtime::WordPool pool_;  // allocated under mu_
   runtime::ConcurrentSlotVector<Header> headers_;
   std::atomic<std::size_t> next_id_{0};
   std::atomic<std::size_t> approx_bytes_{0};
   runtime::Counter* hits_;
   runtime::Counter* misses_;
   runtime::Counter* restored_;
-  runtime::Counter* shard_waits_;
+  // "arena.state_shard_waits", a name perfbench reads: interns that found
+  // mu_ held.
+  runtime::Counter* lock_waits_;
 };
 
 }  // namespace lacon

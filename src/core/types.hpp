@@ -25,9 +25,4 @@ inline constexpr ViewId kNoView = -1;
 // Index of an interned global state in a StateArena.
 using StateId = std::uint32_t;
 
-// Shard count of the StateArena and ViewArena intern indexes (a power of
-// two, so shard selection is a mask). Snapshots record it as their
-// digest_shards.
-inline constexpr std::size_t kArenaShards = 64;
-
 }  // namespace lacon

@@ -9,32 +9,23 @@ namespace lacon {
 
 ViewArena::ViewArena(int n)
     : n_(n),
-      shards_(std::make_unique<Shard[]>(kArenaShards)),
       hits_(&runtime::Stats::global().counter("arena.view_hits")),
       misses_(&runtime::Stats::global().counter("arena.view_misses")),
       restored_(&runtime::Stats::global().counter("arena.view_restored")),
-      shard_waits_(
+      lock_waits_(
           &runtime::Stats::global().counter("arena.view_shard_waits")) {
   assert(n >= 2 && n < 62);
 }
 
 ViewArena::~ViewArena() {
   // Memo slots own their vectors; interning has quiesced by destruction
-  // time, so a relaxed sweep over the claimed id range suffices.
+  // time, so a sweep over the published id range suffices.
   const std::size_t count = next_id_.load(std::memory_order_acquire);
   for (std::size_t i = 0; i < count; ++i) {
     const auto* slot = known_memo_.try_get(i);
     if (slot == nullptr) continue;
     delete slot->load(std::memory_order_acquire);
   }
-}
-
-std::size_t ViewArena::settled_size() const {
-  const std::size_t count = size();
-  for (std::size_t i = 0; i < kArenaShards; ++i) {
-    const std::lock_guard<std::mutex> lock(shards_[i].mu);
-  }
-  return count;
 }
 
 ViewId ViewArena::initial(ProcessId owner, Value input) {
@@ -68,14 +59,13 @@ ViewId ViewArena::intern(ViewNode nd) {
 ViewId ViewArena::intern_impl(ViewNode nd, std::uint64_t h,
                               runtime::Counter* miss_counter) {
   fault::maybe_throw_alloc_fault();
-  Shard& sh = shard_for(h);
-  std::unique_lock<std::mutex> lock(sh.mu, std::try_to_lock);
+  std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
   if (!lock.owns_lock()) {
-    shard_waits_->increment();
+    lock_waits_->increment();
     lock.lock();
   }
   if (const std::optional<ViewId> found =
-          sh.index.find(h, [&](ViewId id) { return node(id) == nd; })) {
+          index_.find(h, [&](ViewId id) { return node(id) == nd; })) {
     hits_->increment();
     return *found;
   }
@@ -84,10 +74,12 @@ ViewId ViewArena::intern_impl(ViewNode nd, std::uint64_t h,
   // however interns interleave (see StateArena::approx_bytes).
   approx_bytes_.fetch_add(sizeof(ViewNode) + nd.obs.size() * sizeof(Obs) + 64,
                           std::memory_order_relaxed);
-  const std::size_t idx = next_id_.fetch_add(1, std::memory_order_acq_rel);
-  const ViewId id = static_cast<ViewId>(idx);
+  // Write the node and index it, then publish the id by raising the count.
+  const std::size_t idx = next_id_.load(std::memory_order_relaxed);
+  const auto id = static_cast<ViewId>(idx);
   nodes_.slot(idx) = std::move(nd);
-  sh.index.insert(h, id);
+  index_.insert(h, id);
+  next_id_.store(idx + 1, std::memory_order_release);
   miss_counter->increment();
   return id;
 }

@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -56,13 +55,14 @@ struct ViewNode {
 //
 // Thread-safety: initial()/extend()/known_inputs() may be called
 // concurrently (layer computations of connections sharing a session do).
-// The index is hash-sharded with striped mutexes (kArenaShards, shared with
-// StateArena); interning is content-addressed, so racing interns of equal
-// nodes land in the same shard and agree on the id, while distinct nodes
-// proceed in parallel. node() and to_string() are lock-free reads, safe for
-// any id received through an intern call or another happens-before edge.
-// The known_inputs memo is a per-node atomic slot (no lock at all), so
-// concurrent valence classifications never serialize on it.
+// One mutex guards the index and the id counter; interning is
+// content-addressed, so racing interns of equal nodes agree on the id. An
+// intern writes the node, then publishes its id with a release store of the
+// count, so node(), size() and to_string() are lock-free reads, safe for
+// any id below size() or received through an intern call or another
+// happens-before edge. The known_inputs memo is a per-node atomic slot (no
+// lock at all), so concurrent valence classifications never serialize on
+// it.
 class ViewArena {
  public:
   explicit ViewArena(int n);
@@ -88,16 +88,10 @@ class ViewArena {
   const ViewNode& node(ViewId id) const {
     return nodes_[static_cast<std::size_t>(id)];
   }
+  // The ids published so far; each one's node is readable.
   std::size_t size() const noexcept {
     return next_id_.load(std::memory_order_acquire);
   }
-
-  // size() counts an id as soon as an intern claims it, a moment before the
-  // intern writes its content; both happen under the intern's shard lock.
-  // Passing through every shard lock after reading size() waits those
-  // interns out, so every id below the returned count can be read while
-  // other threads keep interning.
-  std::size_t settled_size() const;
 
   // Approximate heap footprint of the interned view DAG (see
   // StateArena::approx_bytes — likewise a deterministic function of the
@@ -130,22 +124,15 @@ class ViewArena {
   }
 
  private:
-  struct alignas(64) Shard {
-    std::mutex mu;
-    // hash -> id; equality confirmed against the arena-resident node.
-    HashIndex<ViewId> index;
-  };
-
   ViewId intern(ViewNode node);
   ViewId intern_impl(ViewNode node, std::uint64_t h,
                      runtime::Counter* miss_counter);
 
-  Shard& shard_for(std::uint64_t h) const noexcept {
-    return shards_[(h >> 40) & (kArenaShards - 1)];
-  }
-
   int n_;
-  std::unique_ptr<Shard[]> shards_;
+  std::mutex mu_;
+  // hash -> id; equality confirmed against the arena-resident node. Guarded
+  // by mu_.
+  HashIndex<ViewId> index_;
   runtime::ConcurrentSlotVector<ViewNode> nodes_;
   std::atomic<std::size_t> next_id_{0};
   std::atomic<std::size_t> approx_bytes_{0};
@@ -155,7 +142,9 @@ class ViewArena {
   runtime::Counter* hits_;
   runtime::Counter* misses_;
   runtime::Counter* restored_;
-  runtime::Counter* shard_waits_;
+  // "arena.view_shard_waits", a name perfbench reads: interns that found
+  // mu_ held.
+  runtime::Counter* lock_waits_;
 };
 
 }  // namespace lacon

@@ -123,9 +123,8 @@ void ValenceEngine::memoize(Memo& memo, StateId x, int budget,
 }
 
 void ValenceEngine::queue(Memo& memo, StateId x) {
-  QueueShard& shard = memo.queues[static_cast<std::size_t>(x) % kQueueShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.unpersisted.push_back(x);
+  std::lock_guard<std::mutex> lock(memo.mu);
+  memo.unpersisted.push_back(x);
 }
 
 bool ValenceEngine::merge(std::atomic<std::uint32_t>& word, int budget,
@@ -205,26 +204,19 @@ std::vector<ValenceEngine::MemoEntry> ValenceEngine::drain_memo(
   }
   std::vector<MemoEntry> out;
   const auto drain = [&out, bound](Memo& memo, bool deep) {
-    const std::size_t first = out.size();
-    for (QueueShard& shard : memo.queues) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      std::vector<StateId>& queue = shard.unpersisted;
-      std::sort(queue.begin(), queue.end());
-      queue.erase(std::unique(queue.begin(), queue.end()), queue.end());
-      std::size_t kept = 0;
-      for (StateId x : queue) {
-        if (x >= bound) {
-          queue[kept++] = x;
-          continue;
-        }
-        // Queued only after a CAS made the word present.
-        out.push_back(entry_of(
-            x, memo.words[x].load(std::memory_order_acquire), deep));
-      }
-      queue.resize(kept);
+    std::lock_guard<std::mutex> lock(memo.mu);
+    std::vector<StateId>& queue = memo.unpersisted;
+    std::sort(queue.begin(), queue.end());
+    queue.erase(std::unique(queue.begin(), queue.end()), queue.end());
+    // Sorted, so the entries below the bound are a prefix.
+    const auto end = std::partition_point(
+        queue.begin(), queue.end(), [bound](StateId x) { return x < bound; });
+    for (auto it = queue.begin(); it != end; ++it) {
+      // Queued only after a CAS made the word present.
+      out.push_back(entry_of(
+          *it, memo.words[*it].load(std::memory_order_acquire), deep));
     }
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
-              [](const MemoEntry& a, const MemoEntry& b) { return a.x < b.x; });
+    queue.erase(queue.begin(), end);
   };
   drain(memo_, false);
   if (mode_ == Exactness::kConvergence) drain(memo_deep_, true);

@@ -26,7 +26,6 @@
 //    point across consecutive horizons is reported as exact.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -134,7 +133,7 @@ class ValenceEngine {
   //
   // While the model records (LayeredModel::begin_log_epoch), every memo
   // insert and every strengthening by memoize()'s strongest-wins rule
-  // queues the state under its queue shard's lock, after the CAS that
+  // queues the state under the memo's queue mutex, after the CAS that
   // changed the word.
 
   // Removes and returns the queued entries whose state lies below `bound`,
@@ -159,17 +158,11 @@ class ValenceEngine {
   // ids are dense): present,
   // exact, v0, v1 and the lookahead, packed so a lookup is one lock-free
   // load and a merge one CAS loop. Only the unpersisted-entry queue takes a
-  // lock, and only when a word changed while the model records. A queue
-  // shard fills whole cache lines, so neighbouring shards never share one
-  // whatever address the heap gives the engine.
-  static constexpr std::size_t kQueueShards = 16;
-  struct alignas(64) QueueShard {
-    std::mutex mu;
-    std::vector<StateId> unpersisted;
-  };
+  // lock, and only when a word changed while the model records.
   struct Memo {
     runtime::ConcurrentSlotVector<std::atomic<std::uint32_t>> words;
-    std::array<QueueShard, kQueueShards> queues;
+    std::mutex mu;
+    std::vector<StateId> unpersisted;  // guarded by mu
   };
   // Queues x as unpersisted in `memo`.
   static void queue(Memo& memo, StateId x);

@@ -225,6 +225,23 @@ std::string MsgPassModel::env_to_string(StateId x) const {
   return transit_env_to_string(views(), state(x));
 }
 
+bool transit_env_well_formed(std::span<const std::int64_t> env, int n,
+                             std::uint64_t views_end) {
+  return std::all_of(env.begin(), env.end(), [n, views_end](std::int64_t m) {
+    const ProcessId sender = message_sender(m);
+    const ProcessId receiver = message_receiver(m);
+    const ViewId view = message_view(m);
+    return sender >= 0 && sender < n && receiver < n && view >= 0 &&
+           static_cast<std::uint64_t>(view) < views_end &&
+           pack_message(sender, receiver, view) == m;
+  });
+}
+
+bool MsgPassModel::env_well_formed(std::span<const std::int64_t> env,
+                                   std::uint64_t views_end) const {
+  return transit_env_well_formed(env, n(), views_end);
+}
+
 void MsgPassModel::sym_env_key(const StateRef& s, sym::Relabeling& rel,
                                std::vector<std::uint64_t>* out) const {
   // Key of the relabeled in-transit multiset: (sender', receiver', 128-bit

@@ -76,6 +76,10 @@ class MsgPassModel final : public LayeredModel {
   void fingerprint_row_into(StateId x, std::uint64_t* out) const override;
   std::string env_to_string(StateId x) const override;
 
+  // The env is a multiset of messages (transit_env_well_formed).
+  bool env_well_formed(std::span<const std::int64_t> env,
+                       std::uint64_t views_end) const override;
+
   // All layer actions for this model size (the three types above).
   const std::vector<Schedule>& schedules() const { return schedules_; }
 
@@ -97,6 +101,12 @@ std::uint64_t mailbox_masked_fingerprint(const StateRef& s, int n,
 // Renders the in-transit messages as "sender->receiver:<view term>" — the
 // id-free env_to_string shared by both message-passing models.
 std::string transit_env_to_string(const ViewArena& views, const StateRef& s);
+
+// True when every word of `env` is a message pack_message could have made
+// for n processes: sender and receiver below n, the view below
+// `views_end`. The env_well_formed shared by both message-passing models.
+bool transit_env_well_formed(std::span<const std::int64_t> env, int n,
+                             std::uint64_t views_end);
 
 // Message encoding helpers (exposed for tests).
 std::int64_t pack_message(ProcessId sender, ProcessId receiver, ViewId view);

@@ -164,6 +164,11 @@ std::string MsgPassSyncModel::env_to_string(StateId x) const {
   return transit_env_to_string(views(), state(x));
 }
 
+bool MsgPassSyncModel::env_well_formed(std::span<const std::int64_t> env,
+                                       std::uint64_t views_end) const {
+  return transit_env_well_formed(env, n(), views_end);
+}
+
 std::vector<StateId> MsgPassSyncModel::compute_layer(StateId x) {
   std::vector<StateId> succ;
   succ.reserve(static_cast<std::size_t>(n() * (n() + 2)));

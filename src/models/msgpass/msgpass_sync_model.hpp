@@ -49,6 +49,10 @@ class MsgPassSyncModel final : public LayeredModel {
   void fingerprint_row_into(StateId x, std::uint64_t* out) const override;
   std::string env_to_string(StateId x) const override;
 
+  // The env is a multiset of messages (transit_env_well_formed).
+  bool env_well_formed(std::span<const std::int64_t> env,
+                       std::uint64_t views_end) const override;
+
  protected:
   std::vector<StateId> compute_layer(StateId x) override;
 };

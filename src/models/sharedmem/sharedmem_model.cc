@@ -1,5 +1,6 @@
 #include "models/sharedmem/sharedmem_model.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace lacon {
@@ -99,6 +100,20 @@ std::string SharedMemModel::env_to_string(StateId x) const {
     out += ',';
   }
   return out;
+}
+
+bool register_file_well_formed(std::span<const std::int64_t> env, int n,
+                               std::uint64_t views_end) {
+  return env.size() == static_cast<std::size_t>(n) &&
+         std::all_of(env.begin(), env.end(), [views_end](std::int64_t r) {
+           return r == kNoView ||
+                  (r >= 0 && static_cast<std::uint64_t>(r) < views_end);
+         });
+}
+
+bool SharedMemModel::env_well_formed(std::span<const std::int64_t> env,
+                                     std::uint64_t views_end) const {
+  return register_file_well_formed(env, n(), views_end);
 }
 
 std::vector<StateId> SharedMemModel::compute_layer(StateId x) {

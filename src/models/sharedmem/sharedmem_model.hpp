@@ -50,6 +50,10 @@ class SharedMemModel final : public LayeredModel {
   // Registers hold interned ViewIds; render them as view terms.
   std::string env_to_string(StateId x) const override;
 
+  // The env is a register file (register_file_well_formed).
+  bool env_well_formed(std::span<const std::int64_t> env,
+                       std::uint64_t views_end) const override;
+
  protected:
   std::vector<StateId> compute_layer(StateId x) override;
 
@@ -58,5 +62,11 @@ class SharedMemModel final : public LayeredModel {
     return std::vector<std::int64_t>(static_cast<std::size_t>(n()), kNoView);
   }
 };
+
+// True when `env` is a register file for n processes: n words, each kNoView
+// or a view id below `views_end`. Shared by the two models whose
+// environment is one register per process (S^rw and immediate snapshot).
+bool register_file_well_formed(std::span<const std::int64_t> env, int n,
+                               std::uint64_t views_end);
 
 }  // namespace lacon

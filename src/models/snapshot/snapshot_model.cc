@@ -3,6 +3,8 @@
 #include <cassert>
 #include <functional>
 
+#include "models/sharedmem/sharedmem_model.hpp"
+
 namespace lacon {
 
 std::vector<OrderedPartition> ordered_partitions_of(ProcessSet members) {
@@ -69,6 +71,11 @@ std::string SnapshotModel::env_to_string(StateId x) const {
     out += ',';
   }
   return out;
+}
+
+bool SnapshotModel::env_well_formed(std::span<const std::int64_t> env,
+                                    std::uint64_t views_end) const {
+  return register_file_well_formed(env, n(), views_end);
 }
 
 void SnapshotModel::sym_env_key(const StateRef& s, sym::Relabeling& rel,

@@ -49,6 +49,10 @@ class SnapshotModel final : public LayeredModel {
   // Registers hold interned ViewIds; render them as view terms.
   std::string env_to_string(StateId x) const override;
 
+  // The env is a register file (register_file_well_formed).
+  bool env_well_formed(std::span<const std::int64_t> env,
+                       std::uint64_t views_end) const override;
+
  protected:
   std::vector<StateId> compute_layer(StateId x) override;
 

@@ -8,19 +8,19 @@
 // std::vector would both invalidate references on growth and trip TSan on
 // its internal bookkeeping. This class fixes the storage into 1024-element
 // chunks hung off a two-level directory of atomic pointers, so elements
-// never move and readers take zero locks. The sharded arenas claim indices
-// with an atomic counter *outside* any lock and then write the slot — so
-// slots are written out of order and by racing threads: slot(i)
-// materialises the backing chunk with a CAS (losers free their allocation)
-// and returns a reference the caller may write.
+// never move and readers take zero locks. The per-state caches keyed by id
+// (the layer cache, fingerprint rows, valence memo words, known_inputs,
+// orbit weights) write their slots from racing threads in any order:
+// slot(i) materialises the backing chunk with a CAS (losers free their
+// allocation) and returns a reference the caller may write.
 //
 // There is no size(): index validity is the caller's contract. A reader must
 // have received the index through a happens-before edge with the slot's
-// write (the arenas publish ids through their shard mutex, a thread join, or
-// a program-order return value); operator[] then reads lock-free. try_get()
-// additionally tolerates indices whose chunk was never created (returns
-// nullptr) — used by destructors and by memo lookups of slots that may
-// never have been written.
+// write (the arenas publish ids with a release store of their count, a
+// thread join, or a program-order return value); operator[] then reads
+// lock-free. try_get() additionally tolerates indices whose chunk was never
+// created (returns nullptr) — used by destructors and by memo lookups of
+// slots that may never have been written.
 #pragma once
 
 #include <atomic>

@@ -1,20 +1,21 @@
-// WordPool: a concurrent append-only pool of 64-bit words.
+// WordPool: an append-only pool of 64-bit words with lock-free readers.
 //
 // The flat-storage arenas (core/state.hpp) replace per-state heap vectors
 // with one contiguous per-arena pool: each interned state is a single
 // (offset, len) region holding its env words plus its packed locals and
-// decisions. The pool hands out regions with a lock-free CAS bump of a
-// global cursor; chunks are fixed-size, never move, and are materialised on
-// demand, so data(offset) stays valid for the pool's lifetime and readers
-// take no locks.
+// decisions. alloc() bumps a plain cursor, so its callers serialize it (the
+// arena calls it under its intern lock). Chunks are fixed-size, never move,
+// and are materialised on demand behind atomic pointers, so data(offset)
+// stays valid for the pool's lifetime and readers take no locks.
 //
 // A region never spans a chunk boundary: when the tail of the current chunk
 // is too small, alloc() skips it (the skipped words are wasted, bounded by
-// max-region-size per chunk) and starts at the next chunk. Because the
-// amount of waste depends on the interleaving of concurrent allocations, the
-// arenas deliberately do NOT account pool occupancy in approx_bytes() — the
-// byte accounting must be a scheduling-independent function of the
-// interned content (see DESIGN.md §9).
+// max-region-size per chunk) and starts at the next chunk. The amount of
+// waste depends on the order of the allocations, which depends on how
+// concurrent interns interleave, so the arenas deliberately do NOT account
+// pool occupancy in approx_bytes() — the byte accounting must be a
+// scheduling-independent function of the interned content (see DESIGN.md
+// §9).
 #pragma once
 
 #include <atomic>
@@ -47,21 +48,15 @@ class WordPool {
   WordPool& operator=(const WordPool&) = delete;
 
   // Claims a region of `len` contiguous words and returns its offset. The
-  // region never spans a chunk boundary. Lock-free except for the (rare)
-  // chunk materialisation, which is a CAS where losers free their block.
+  // region never spans a chunk boundary. Callers serialize alloc().
   std::size_t alloc(std::size_t len) {
     assert(len <= kMaxRegionWords && "WordPool region exceeds chunk size");
-    std::size_t cur = cursor_.load(std::memory_order_relaxed);
-    for (;;) {
-      std::size_t off = cur;
-      const std::size_t tail = kChunkWords - (off & kChunkMask);
-      if (len > tail) off += tail;  // waste the tail, start a fresh chunk
-      if (cursor_.compare_exchange_weak(cur, off + len,
-                                        std::memory_order_relaxed)) {
-        if (len != 0) ensure_chunk(off >> kChunkBits);
-        return off;
-      }
-    }
+    std::size_t off = cursor_;
+    const std::size_t tail = kChunkWords - (off & kChunkMask);
+    if (len > tail) off += tail;  // waste the tail, start a fresh chunk
+    cursor_ = off + len;
+    if (len != 0) ensure_chunk(off >> kChunkBits);
+    return off;
   }
 
   const std::int64_t* data(std::size_t offset) const noexcept {
@@ -77,28 +72,22 @@ class WordPool {
   }
 
   // High-water cursor: allocated words including skipped chunk tails.
-  std::size_t allocated_words() const noexcept {
-    return cursor_.load(std::memory_order_relaxed);
-  }
+  // Serialized with alloc() like alloc() itself.
+  std::size_t allocated_words() const noexcept { return cursor_; }
 
  private:
   void ensure_chunk(std::size_t ci) {
     assert(ci < kMaxChunks && "WordPool capacity exhausted");
-    std::int64_t* chunk = chunks_[ci].load(std::memory_order_acquire);
-    if (chunk != nullptr) return;
+    if (chunks_[ci].load(std::memory_order_relaxed) != nullptr) return;
     // Chunks hold raw words whose payload is fully written before the
     // owning id is published; no value-initialisation needed (padding words
     // for odd process counts are zeroed explicitly by the arena).
-    std::int64_t* fresh = new std::int64_t[kChunkWords];
-    if (!chunks_[ci].compare_exchange_strong(chunk, fresh,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire)) {
-      delete[] fresh;  // a racing alloc materialised it first
-    }
+    chunks_[ci].store(new std::int64_t[kChunkWords],
+                      std::memory_order_release);
   }
 
   std::atomic<std::int64_t*> chunks_[kMaxChunks] = {};
-  std::atomic<std::size_t> cursor_{0};
+  std::size_t cursor_ = 0;
 };
 
 }  // namespace lacon::runtime

@@ -267,42 +267,11 @@ void Session::commit_wal(const std::vector<ValenceEngine*>& engines) {
   // is ordered after that write.
   if (wal_ == nullptr) return;
 
-  std::unique_lock<std::mutex> lock(commit_mu_);
-  commit_engines_.insert(commit_engines_.end(), engines.begin(),
-                         engines.end());
-  // Wal::append persists everything interned before it runs, so this
-  // caller's work — finished before this call — is covered by any round
-  // that STARTS from here on. A round already in flight may have captured
-  // its horizon before we arrived and cannot be counted on.
-  const std::uint64_t need = commit_started_ + 1;
-  while (commit_done_ < need) {
-    if (!commit_leader_) {
-      // Claim leadership of the next round and commit the whole stage with
-      // one append+fsync. Leader exclusivity (commit_leader_) keeps the
-      // Wal externally serialized; store_mu_ additionally fences loads,
-      // saves and compaction.
-      commit_leader_ = true;
-      const std::uint64_t round = ++commit_started_;
-      std::vector<ValenceEngine*> staged;
-      staged.swap(commit_engines_);
-      lock.unlock();
-      {
-        std::lock_guard<std::mutex> store(store_mu_);
-        leader_commit_locked(staged);
-      }
-      lock.lock();
-      commit_leader_ = false;
-      commit_done_ = round;
-      commit_cv_.notify_all();
-    } else {
-      runtime::Stats::global().counter("service.commit_waits").increment();
-      commit_cv_.wait(lock);
-    }
+  std::unique_lock<std::mutex> lock(store_mu_, std::try_to_lock);
+  if (!lock.owns_lock()) {
+    runtime::Stats::global().counter("service.commit_waits").increment();
+    lock.lock();
   }
-}
-
-void Session::leader_commit_locked(
-    const std::vector<ValenceEngine*>& engines) {
   const store::Result r = wal_->append(*model_, engines);
   if (!r.ok()) {
     std::fprintf(stderr, "laconrd: wal append failed (%s): %s\n",
@@ -531,7 +500,7 @@ std::vector<std::string> handle_batch(SessionManager& sessions,
     }
     out.push_back(ex.response.dump());
   }
-  // One group commit per touched session: the whole batch's work shares one
+  // One commit per touched session: the whole batch's work shares one
   // fsync (Wal's batch append), and the commit still precedes every
   // response byte on the wire — the caller only sends after we return, so
   // kill -9 after a response never loses that response's work.

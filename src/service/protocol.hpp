@@ -27,13 +27,13 @@
 // tiny budget truncates that request to a valid partial result (with its
 // TruncationReason) while concurrent requests on other connections keep
 // their own budgets — exactly the Partial<T> contract the engine layers
-// already honor. Handling is thread-safe: the arenas intern under
-// striped-mutex shards, and the layer cache and valence memo publish
-// per-state atomic slots that reads take without a lock, so requests
-// against the same session run concurrently, one connection thread each.
+// already honor. Handling is thread-safe: each arena interns under one
+// mutex and publishes ids after their content, and the layer cache and
+// valence memo publish per-state atomic slots that reads take without a
+// lock, so requests against the same session run concurrently, one
+// connection thread each.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -103,16 +103,14 @@ class Session {
   // once everything the requests that ran against `engines` interned or
   // cached is fsync'd in the WAL. handle_batch calls this after a batch's
   // analysis and BEFORE any of its responses is sent, so a response on the
-  // wire implies its work survives kill -9. Commits are GROUP-COMMITTED:
-  // concurrent callers stage their engines and exactly one leader performs
-  // a single coalesced append+fsync for the whole round (Wal::append batch
-  // overload); every caller waits for a round that started no earlier than
-  // its own arrival, which — a round drains every cache entry queued
-  // before it started, plus the states and views past the durability
-  // watermarks — is what makes its finished work durable. A round with
-  // nothing queued writes nothing and costs one pass over the queues'
-  // shard locks. Compacts the log into a fresh snapshot once it outgrows
-  // store::kWalCompactRatio times the snapshot.
+  // wire implies its work survives kill -9. Takes the store mutex and
+  // appends once (Wal::append): the append drains everything the model
+  // queued and `engines` memoized before it ran, plus the states and views
+  // past the durability watermarks, which covers the callers' finished
+  // work. Deltas other requests finish while a caller waits for the mutex
+  // coalesce into its append; a caller whose work an earlier append took
+  // finds nothing queued and writes nothing. Compacts the log into a fresh
+  // snapshot once it outgrows store::kWalCompactRatio times the snapshot.
   void commit_wal(const std::vector<ValenceEngine*>& engines);
 
   // Drains the pending operator notice (empty if none): set when store
@@ -130,27 +128,13 @@ class Session {
   std::unique_ptr<LayeredModel> model_;
   std::mutex engines_mu_;
   std::map<int, std::unique_ptr<ValenceEngine>> engines_;
-  // The leader's append/compact body; caller holds store_mu_ via the
-  // group-commit protocol in commit_wal.
-  void leader_commit_locked(const std::vector<ValenceEngine*>& engines);
 
+  // Serializes store loads, appends, compaction and the notice.
   std::mutex store_mu_;
   bool store_attempted_ = false;
   std::unique_ptr<store::Wal> wal_;       // null unless LACON_WAL=on
   std::uint64_t snapshot_bytes_ = 0;      // compaction baseline
   std::string pending_notice_;            // guarded by store_mu_
-
-  // --- group commit (see commit_wal) ---
-  // commit_started_ counts rounds a leader has claimed, commit_done_ rounds
-  // completed; a caller needs commit_done_ >= (commit_started_ at arrival)
-  // + 1, because only a round that STARTS after its analysis finished is
-  // guaranteed to capture its delta.
-  std::mutex commit_mu_;
-  std::condition_variable commit_cv_;
-  std::uint64_t commit_started_ = 0;
-  std::uint64_t commit_done_ = 0;
-  bool commit_leader_ = false;
-  std::vector<ValenceEngine*> commit_engines_;  // staged for the next round
 };
 
 // Owns every session; thread-safe. Sessions are created on demand and live
@@ -168,8 +152,8 @@ class SessionManager {
 
 // The one request path: executes the NDJSON request lines one connection
 // read — parse, validate, execute, serialize. Requests execute IN ORDER,
-// every session the batch touched is group-committed ONCE (all the batch's
-// work shares one WAL fsync), and only then are the responses returned —
+// every session the batch touched is committed ONCE (all the batch's work
+// shares one WAL fsync), and only then are the responses returned —
 // in request order, one one-line JSON response per line (parse failures
 // become status "error" with a null id). Never throws. The commit precedes
 // every response byte, so any response on the wire implies the whole

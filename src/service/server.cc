@@ -226,7 +226,7 @@ void Server::serve_connection(Connection* conn) {
     last_activity = Clock::now();
 
     // Pipelining: every complete line the chunk delivered is one batch.
-    // handle_batch executes the requests in order and group-commits each
+    // handle_batch executes the requests in order and commits each
     // touched session ONCE, so a client that writes k requests back to
     // back pays one WAL fsync, not k — and the responses (sent below, in
     // request order) still only hit the wire after that commit.

@@ -48,7 +48,9 @@ bool decode_views(Reader& r, std::uint64_t count, int n, RecordBatch* batch) {
   return true;
 }
 
-bool decode_states(Reader& r, std::uint64_t count, int n, RecordBatch* batch) {
+bool decode_states(Reader& r, std::uint64_t count, const LayeredModel& model,
+                   RecordBatch* batch) {
+  const int n = model.n();
   const std::size_t min_bytes = 8 + 8 * static_cast<std::size_t>(n);
   if (count > r.remaining() / min_bytes) return false;
   Reader in = r;
@@ -63,7 +65,9 @@ bool decode_states(Reader& r, std::uint64_t count, int n, RecordBatch* batch) {
   batch->state_hashes.resize(static_cast<std::size_t>(count));
   for (std::size_t i = 0; i < batch->states.size(); ++i) {
     StateRef& s = batch->states[i];
-    if (!view_state(in, n, &s)) return false;
+    if (!view_state(in, n, &s) || !model.env_well_formed(s.env, views_end)) {
+      return false;
+    }
     for (ViewId v : s.locals) {
       if (v < 0 || static_cast<std::uint64_t>(v) >= views_end) return false;
     }

@@ -17,8 +17,9 @@
 // read wild memory. The block decoders check every record rule (FORMATS.md
 // §1.3, one list for both formats): each count against the bytes left, each
 // view's owner, prev and observations, each state's locals against the
-// batch's view horizon, and each layer, memo and row key against its
-// state horizon. A batch that decoded is safe to apply; a loader applies
+// batch's view horizon and its environment by the model's
+// env_well_formed, and each layer, memo and row key against its state
+// horizon. A batch that decoded is safe to apply; a loader applies
 // nothing before its whole batch (and, for a snapshot, the digests)
 // passed.
 #pragma once
@@ -190,7 +191,9 @@ struct RecordBatch {
 // horizons the blocks before it set.
 
 bool decode_views(Reader& r, std::uint64_t count, int n, RecordBatch* batch);
-bool decode_states(Reader& r, std::uint64_t count, int n, RecordBatch* batch);
+// Each state's environment must satisfy model.env_well_formed.
+bool decode_states(Reader& r, std::uint64_t count, const LayeredModel& model,
+                   RecordBatch* batch);
 bool decode_layers(Reader& r, std::uint64_t count, RecordBatch* batch);
 // A whole memo block (FORMATS.md §1.7): its header carries the count.
 bool decode_memo(Reader& r, RecordBatch* batch);

@@ -64,8 +64,8 @@ Result fail(Status status, std::string detail) {
 }
 
 // The digest sections fold every record's content hash into
-// digest_shards sums keyed the way the live arenas shard their indexes,
-// (hash >> 40) & mask. A flipped payload bit therefore fails two
+// digest_shards sums, keyed by (hash >> 40) & (digest_shards - 1); save
+// writes kDigestShards of them. A flipped payload bit therefore fails two
 // independent ways — the section FNV checksum and the digest of the shard
 // the record hashes into — and the digests double as a cheap cross-check
 // that the decoded records are the content the saver hashed.
@@ -333,17 +333,15 @@ Result save(LayeredModel& model, const std::string& path,
   auto& stats = runtime::Stats::global();
   runtime::ScopedTimer timer(stats.timer("store.save_time"));
 
-  const std::uint32_t digest_shards =
-      static_cast<std::uint32_t>(kArenaShards);
+  const std::uint32_t digest_shards = kDigestShards;
 
   // Capture the id horizons ONCE, states before views: with S read first,
   // every view a state < S references exists (< V) even if interning races
-  // this save, and settled counts wait out interns still writing an id
-  // below them. All sections are filtered against the captured horizons so
-  // the file is internally consistent regardless of concurrent growth.
-  const auto [settled_states, settled_views] = model.settled_counts();
-  const std::uint64_t num_states = settled_states;
-  const std::uint64_t num_views = settled_views;
+  // this save, and every id below a count is written. All sections are
+  // filtered against the captured horizons so the file is internally
+  // consistent regardless of concurrent growth.
+  const std::uint64_t num_states = model.num_states();
+  const std::uint64_t num_views = model.num_views();
 
   Header h;
   h.n = static_cast<std::uint32_t>(model.n());
@@ -523,7 +521,7 @@ Result load(LayeredModel& model, const std::string& path,
     return codec::decode_views(r, count, n, &batch);
   });
   section(SectionKind::kStates, "state", [&](Reader& r, std::uint64_t count) {
-    return codec::decode_states(r, count, n, &batch);
+    return codec::decode_states(r, count, model, &batch);
   });
   section(SectionKind::kLayerCache, "layer-cache",
           [&](Reader& r, std::uint64_t count) {

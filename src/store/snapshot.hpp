@@ -56,6 +56,9 @@ namespace lacon::store {
 
 inline constexpr char kMagic[8] = {'L', 'A', 'C', 'O', 'N', 'S', 'T', '1'};
 inline constexpr std::uint32_t kFormatVersion = 1;
+// The digest_shards a snapshot is saved with (FORMATS.md §1.6). A loader
+// takes any power of two the header names.
+inline constexpr std::uint32_t kDigestShards = 64;
 
 enum class SectionKind : std::uint32_t {
   kViews = 1,             // ViewNode records in id order
@@ -107,10 +110,12 @@ struct SnapshotMeta {
 
 // Serializes the model's interned space (and `engine`'s memo, when given) to
 // `path`. Writes `path + ".tmp"` and renames, so readers never observe a
-// half-written snapshot. The model must be quiescent (no analysis in
-// flight); the save side reads the caches through export_layer_cache and
-// export_memo, which take no locks. On success fills `meta` (may be null)
-// with what the file holds.
+// half-written snapshot. Analysis may run while it saves (laconrd compacts
+// under other connections' requests): it reads the state count, then the
+// view count, once and writes only content below them, and it reads the
+// caches lock-free through export_layer_cache and export_memo, so an entry
+// inserted meanwhile may or may not be in the file. On success fills `meta`
+// (may be null) with what the file holds.
 Result save(LayeredModel& model, const std::string& path,
             ValenceEngine* engine = nullptr, SnapshotMeta* meta = nullptr);
 

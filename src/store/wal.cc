@@ -64,15 +64,17 @@ bool pread_all(int fd, std::uint8_t* out, std::size_t bytes,
 // Decodes one record body (FORMATS.md §2.3) into `batch` through the
 // shared block decoders. False on any malformation, which the caller treats
 // as a torn tail: nothing of the record reaches the model.
-bool decode_body(const std::uint8_t* body, std::size_t bytes, int n,
-                 std::uint64_t* seq, codec::RecordBatch* batch) {
+bool decode_body(const std::uint8_t* body, std::size_t bytes,
+                 const LayeredModel& model, std::uint64_t* seq,
+                 codec::RecordBatch* batch) {
+  const int n = model.n();
   Reader r(body, bytes);
   std::uint64_t new_views = 0, new_states = 0, layers = 0, rows = 0;
   std::uint32_t memo_present = 0, reserved = 0;
   if (!r.u64(seq) || !r.u64(&batch->base_views) || !r.u64(&new_views) ||
       !r.u64(&batch->base_states) || !r.u64(&new_states) ||
       !codec::decode_views(r, new_views, n, batch) ||
-      !codec::decode_states(r, new_states, n, batch) || !r.u64(&layers) ||
+      !codec::decode_states(r, new_states, model, batch) || !r.u64(&layers) ||
       !codec::decode_layers(r, layers, batch) || !r.u32(&memo_present) ||
       !r.u32(&reserved) || memo_present > 1 ||
       (memo_present == 1 && !codec::decode_memo(r, batch)) ||
@@ -271,7 +273,6 @@ Result Wal::replay(LayeredModel& model, ValenceEngine* engine,
     return fail(Status::kIoError, "cannot read " + path_);
   }
 
-  const int n = model.n();
   std::size_t offset = 0;  // relative to header_end_
   while (offset < bytes.size()) {
     // Frame.
@@ -296,8 +297,8 @@ Result Wal::replay(LayeredModel& model, ValenceEngine* engine,
     codec::RecordBatch batch;
     std::uint64_t seq = 0;
     if (valid) {
-      valid = decode_body(body, static_cast<std::size_t>(body_bytes), n, &seq,
-                          &batch);
+      valid = decode_body(body, static_cast<std::size_t>(body_bytes), model,
+                          &seq, &batch);
     }
 
     bool skip = false;
@@ -364,10 +365,9 @@ Result Wal::append(LayeredModel& model,
 
   // States first, then views: with S captured before V, every view a state
   // < S references exists (< V) — same ordering rule the snapshot relies
-  // on. Both are settled counts: interning may race this round.
-  const auto [settled_states, settled_views] = model.settled_counts();
-  const std::uint64_t S = settled_states;
-  const std::uint64_t V = settled_views;
+  // on. Interning may race this round; every id below a count is written.
+  const std::uint64_t S = model.num_states();
+  const std::uint64_t V = model.num_views();
 
   // Drain the queued cache entries. Bounds-filter against S: an entry
   // referencing a state interned after the capture stays queued for the

@@ -55,7 +55,7 @@
 // the cache entries the model and its engines queued as unpersisted when
 // they inserted or strengthened them (core/model.hpp, engine/valence.hpp).
 // append() drains those queues, so a round costs what it writes, and a
-// round with nothing queued costs one pass over the queue shards' locks.
+// round with nothing queued costs one lock per queue.
 // Recording starts at replay() or reset_to(), the two calls that fix what
 // is on disk, and covers that model and every engine over the model, later
 // ones too.
@@ -68,10 +68,11 @@
 //
 // A Wal instance is not internally synchronized: callers serialize open/
 // replay/append/reset_to. laconrd does this with a per-session store mutex
-// plus a group-commit leader discipline (service/protocol.cc): concurrent
-// requests stage their engines under a commit mutex, exactly one leader at
-// a time calls append() with the staged batch, and every waiter returns
-// only after a round that started at or after its own work completed.
+// (service/protocol.cc): each batch of requests, once its work is done,
+// takes the mutex and appends with its own engines. The append drains what
+// every request queued before it ran, so deltas that finished while a
+// caller waited ride its round, and a caller whose delta an earlier round
+// took writes nothing.
 #pragma once
 
 #include <cstdint>
@@ -131,12 +132,12 @@ class Wal {
   Result replay(LayeredModel& model, ValenceEngine* engine,
                 WalReplayStats* stats_out = nullptr);
 
-  // Group-commit append: one delta record carrying everything interned
-  // past the watermarks, every queued cache entry and the first engine's
-  // queued memo entries, then one memo-only record (zero new views/states)
-  // per additional engine that memoized anything new — the whole batch
-  // written and fsync'd as a SINGLE write, so N concurrent requests share
-  // one durability round. Every record is an ordinary v1 record; replay
+  // Batch append: one delta record carrying everything interned past the
+  // watermarks, every queued cache entry and the first engine's queued
+  // memo entries, then one memo-only record (zero new views/states) per
+  // additional engine that memoized anything new — the whole batch written
+  // and fsync'd as a SINGLE write, so every request whose delta it drained
+  // shares one durability round. Every record is an ordinary v1 record; replay
   // applies them in sequence with no special casing. Nullptr and duplicate
   // engines are tolerated. A no-op (kOk) when nothing new exists. Entries
   // that reference a state interned after the round captured its state
@@ -144,8 +145,8 @@ class Wal {
   // file is truncated back to the previous record boundary, so a failed
   // append never leaves a torn middle, and the whole drained delta is
   // queued again. Requires replay() or reset_to() first: they start the
-  // queues. laconrd's commit leader calls it with the engines of every
-  // request staged in its round.
+  // queues. laconrd calls it once per touched session per batch, with the
+  // engines of the batch's requests.
   Result append(LayeredModel& model,
                 const std::vector<ValenceEngine*>& engines);
 

@@ -1,8 +1,8 @@
-// Concurrency and flat-storage tests for the sharded hash-consing arenas
+// Concurrency and flat-storage tests for the hash-consing arenas
 // (core/state.hpp, core/view.hpp) and their supporting runtime pieces
-// (runtime/word_pool.hpp, ConcurrentSlotVector). The stress tests run under
-// the TSan CI lane (ci.sh), which is where the sharded index and the
-// lock-free pool earn their keep.
+// (runtime/word_pool.hpp, ConcurrentSlotVector). The stress tests and the
+// publication test run under the TSan CI lane (ci.sh), which is where the
+// lock-free readers earn their keep.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -223,6 +223,87 @@ TEST(ViewArenaTest, ParallelInternStressAgreesAcrossThreads) {
     v = arena.extend(v, std::move(obs));
   }
   EXPECT_EQ(arena.size(), before);
+}
+
+// The publication rule: an intern writes its content and only then raises
+// size(). Reader threads walk every id below size() while writers intern
+// into a StateArena and a ViewArena, taking no lock, and each id must
+// already hold its content. Every item checks itself: a state's words and
+// lanes are functions of its first env word, and a view extends its prev
+// with one observation of it, keeping its owner and its input (>= 1, so an
+// unwritten default node fails).
+TEST(ArenaPublicationTest, EveryIdBelowSizeIsWritten) {
+  constexpr int kWriters = 4;
+  constexpr int kReaders = 4;
+  constexpr std::uint64_t kKeys = 1200;  // per writer; neighbours overlap
+  const auto make = [](std::uint64_t k) {
+    GlobalState s;
+    s.env = {static_cast<std::int64_t>(k), static_cast<std::int64_t>(mix64(k))};
+    for (int j = 0; j < 3; ++j) {
+      s.locals.push_back(static_cast<ViewId>(k % 1000 + j));
+      s.decisions.push_back(k % 2 == 0 ? kUndecided : static_cast<Value>(j % 2));
+    }
+    return s;
+  };
+  const auto state_ok = [&](const StateRef& s) {
+    return s.env.size() == 2 &&
+           StateRef(make(static_cast<std::uint64_t>(s.env[0]))) == s;
+  };
+  StateArena states;
+  ViewArena views(4);
+  const auto view_ok = [&](ViewId id) {
+    const ViewNode& v = views.node(id);
+    if (v.input < 1 || v.owner < 0 || v.owner >= 4) return false;
+    if (v.prev == kNoView) return v.round == 0 && v.obs.empty();
+    const ViewNode& p = views.node(v.prev);
+    return v.prev < id && v.round == p.round + 1 && v.owner == p.owner &&
+           v.input == p.input && v.obs.size() == 1 &&
+           v.obs[0] == Obs{v.round % 4, v.prev};
+  };
+
+  std::atomic<int> writing{kWriters};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      const std::uint64_t first = static_cast<std::uint64_t>(w) * kKeys / 2;
+      for (std::uint64_t k = first; k < first + kKeys; ++k) {
+        states.intern(make(k));
+        ViewId v = views.initial(static_cast<ProcessId>(k % 4),
+                                 static_cast<Value>(1 + k % 300));
+        for (std::int32_t round = 1; round <= 3; ++round) {
+          v = views.extend(v, {Obs{round % 4, v}});
+        }
+      }
+      writing.fetch_sub(1);
+    });
+  }
+  std::vector<std::uint64_t> failures(kReaders, 0);
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      std::size_t state_seen = 0, view_seen = 0;
+      std::uint64_t& bad = failures[static_cast<std::size_t>(r)];
+      for (bool last = false; !last;) {
+        last = writing.load() == 0;  // one more pass after the writers end
+        for (const std::size_t end = states.size(); state_seen < end;
+             ++state_seen) {
+          bad += !state_ok(states.state(static_cast<StateId>(state_seen)));
+        }
+        for (const std::size_t end = views.size(); view_seen < end;
+             ++view_seen) {
+          bad += !view_ok(static_cast<ViewId>(view_seen));
+        }
+      }
+      EXPECT_EQ(state_seen, states.size());
+      EXPECT_EQ(view_seen, views.size());
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (const std::uint64_t bad : failures) EXPECT_EQ(bad, 0u);
+  EXPECT_EQ(states.size(), kKeys * (kWriters + 1) / 2);
+  // 300 distinct initial views (the owner follows from the input), each
+  // extended three times.
+  EXPECT_EQ(views.size(), 300u * 4);
 }
 
 // Concurrent known_inputs over a shared deep chain: the per-node memo slots

@@ -1294,8 +1294,10 @@ TEST_F(StoreTest, CraftedLemmaSectionsAreRejected) {
 
 // Where a WAL record body's fingerprint rows end, walking it the way replay
 // decodes it: the offset at which earlier builds wrote the lemma block.
-std::size_t fingerprints_end(const std::vector<char>& body, int n) {
+std::size_t fingerprints_end(const std::vector<char>& body,
+                             const LayeredModel& model) {
   namespace codec = store::codec;
+  const int n = model.n();
   codec::Reader r(as_bytes(body, 0), body.size());
   codec::RecordBatch batch;
   std::uint64_t seq = 0, new_views = 0, new_states = 0, layers = 0, rows = 0;
@@ -1304,7 +1306,7 @@ std::size_t fingerprints_end(const std::vector<char>& body, int n) {
       r.u64(&seq) && r.u64(&batch.base_views) && r.u64(&new_views) &&
       r.u64(&batch.base_states) && r.u64(&new_states) &&
       codec::decode_views(r, new_views, n, &batch) &&
-      codec::decode_states(r, new_states, n, &batch) && r.u64(&layers) &&
+      codec::decode_states(r, new_states, model, &batch) && r.u64(&layers) &&
       codec::decode_layers(r, layers, &batch) && r.u32(&memo_present) &&
       r.u32(&reserved) &&
       (memo_present == 0 || codec::decode_memo(r, &batch)) && r.u64(&rows) &&
@@ -1327,7 +1329,8 @@ std::vector<char> lemma_block(std::uint64_t count,
 // `blocks[i]`: each block goes right after the fingerprint rows, the body
 // is padded to 8 again and its frame re-sealed.
 std::vector<char> with_lemma_blocks(const std::vector<char>& wal,
-                                    std::size_t header_end, int n,
+                                    std::size_t header_end,
+                                    const LayeredModel& model,
                                     const std::vector<std::vector<char>>& blocks) {
   std::vector<char> out(wal.begin(), wal.begin() + header_end);
   std::size_t at = header_end;
@@ -1336,7 +1339,7 @@ std::vector<char> with_lemma_blocks(const std::vector<char>& wal,
     std::vector<char> frame(wal.begin() + at, wal.begin() + at + 24);
     std::vector<char> body(wal.begin() + at + 24,
                            wal.begin() + at + 24 + body_bytes);
-    body.resize(fingerprints_end(body, n));
+    body.resize(fingerprints_end(body, model));
     body.insert(body.end(), block.begin(), block.end());
     body.resize((body.size() + 7) / 8 * 8, 0);
     put<std::uint64_t>(frame, 8, body.size());
@@ -1375,7 +1378,7 @@ TEST_F(StoreTest, WalLemmaBlocksAreCheckedAndDropped) {
   ValenceEngine second(*cold.model, 2, Exactness::kQuiescence);
   const std::size_t header_end = write_three_records(cold, second, file);
   const std::vector<char> crafted = with_lemma_blocks(
-      read_file(file), header_end, 3,
+      read_file(file), header_end, *cold.model,
       {lemma_block(2, lemma_facts(2)), lemma_block(0, {}),
        lemma_block(3, lemma_facts(3))});
   const std::string old = path("lemmas.wal");
@@ -1429,7 +1432,7 @@ TEST_F(StoreTest, WalRecordWithMalformedLemmaBlockIsTruncated) {
   for (const Case& c : cases) {
     // The second record, the memo-only one, carries the damage.
     const std::vector<char> bytes =
-        with_lemma_blocks(saved, header_end, 3,
+        with_lemma_blocks(saved, header_end, *cold.model,
                           {lemma_block(1, lemma_facts(1)), c.block,
                            lemma_block(0, {})});
     const std::size_t boundary =
@@ -1459,6 +1462,7 @@ struct Targets {
   std::size_t view = 0;  // a view record with observations
   std::uint64_t view_id = 0;
   std::size_t state = 0;  // the first state record
+  std::uint64_t states = 0;  // records in the state block
   std::size_t layer = 0;  // the first layer-cache entry
   std::size_t memo = 0;   // the first memo entry
   std::size_t row = 0;    // the first fingerprint row
@@ -1531,44 +1535,54 @@ const Rule kRules[] = {
      }},
 };
 
+// A snapshot of a `kind` instance (n=3) analyzed to depth 1, saved to
+// `file`, and where its record blocks sit.
+void save_rules_snapshot(ModelKind kind, const std::string& file,
+                         std::vector<char>* bytes, Targets* t) {
+  using store::SectionKind;
+  auto cold = make_instance(kind, 3, 1, 2);
+  analyze(cold, 1);
+  ASSERT_TRUE(store::save(*cold.model, file, cold.engine.get()).ok());
+  *bytes = read_file(file);
+  t->views_end = section_count(*bytes, SectionKind::kViews);
+  t->states_end = section_count(*bytes, SectionKind::kStates);
+  t->states = t->states_end;
+  walk_views(*bytes, section_at(*bytes, SectionKind::kViews), 0, t->views_end,
+             t);
+  t->state = section_at(*bytes, SectionKind::kStates);
+  t->layer = section_at(*bytes, SectionKind::kLayerCache);
+  t->memo = section_at(*bytes, SectionKind::kValenceMemo) + 16;
+  t->row = section_at(*bytes, SectionKind::kFingerprints);
+}
+
+// Loading the edited snapshot `bytes` into a fresh `kind` instance is
+// refused kCorrupt with nothing restored.
+void expect_snapshot_refused(ModelKind kind, const std::vector<char>& bytes,
+                             const std::string& file,
+                             const std::string& what) {
+  write_file(file, bytes.data(), bytes.size());
+  auto target = make_instance(kind, 3, 1, 2);
+  const store::Result r = store::load(*target.model, file, target.engine.get());
+  EXPECT_EQ(r.status, store::Status::kCorrupt) << what << ": " << r.detail;
+  EXPECT_EQ(target.model->num_views(), 0u) << what;
+  EXPECT_EQ(target.model->num_states(), 0u) << what;
+  EXPECT_TRUE(target.engine->export_memo().empty()) << what;
+}
+
 // Every rule, in a snapshot whose checksums and digests are re-sealed
 // around the edit: refused kCorrupt with nothing restored. So are the two
 // digest mismatches, which only a snapshot carries.
 TEST_F(StoreTest, SnapshotRecordRulesRefuseAndRestoreNothing) {
   using store::SectionKind;
-  auto cold = make_instance(ModelKind::kMobile, 3, 1, 2);
-  analyze(cold, 1);
-  const std::string file = path("rules.store");
-  ASSERT_TRUE(store::save(*cold.model, file, cold.engine.get()).ok());
-  const std::vector<char> saved = read_file(file);
-
+  std::vector<char> saved;
   Targets t;
-  t.views_end = section_count(saved, SectionKind::kViews);
-  t.states_end = section_count(saved, SectionKind::kStates);
-  walk_views(saved, section_at(saved, SectionKind::kViews), 0, t.views_end,
-             &t);
-  t.state = section_at(saved, SectionKind::kStates);
-  t.layer = section_at(saved, SectionKind::kLayerCache);
-  t.memo = section_at(saved, SectionKind::kValenceMemo) + 16;
-  t.row = section_at(saved, SectionKind::kFingerprints);
-
-  const auto expect_refused = [&](const std::vector<char>& bytes,
-                                  const std::string& what) {
-    const std::string edited = path("edited.store");
-    write_file(edited, bytes.data(), bytes.size());
-    auto target = make_instance(ModelKind::kMobile, 3, 1, 2);
-    const store::Result r =
-        store::load(*target.model, edited, target.engine.get());
-    EXPECT_EQ(r.status, store::Status::kCorrupt) << what << ": " << r.detail;
-    EXPECT_EQ(target.model->num_views(), 0u) << what;
-    EXPECT_EQ(target.model->num_states(), 0u) << what;
-    EXPECT_TRUE(target.engine->export_memo().empty()) << what;
-  };
+  save_rules_snapshot(ModelKind::kMobile, path("rules.store"), &saved, &t);
   for (const Rule& rule : kRules) {
     std::vector<char> bytes = saved;
     rule.edit(bytes, t);
     reseal_snapshot(bytes);
-    expect_refused(bytes, rule.what);
+    expect_snapshot_refused(ModelKind::kMobile, bytes, path("edited.store"),
+                            rule.what);
   }
   for (const SectionKind kind :
        {SectionKind::kViewDigests, SectionKind::kStateDigests}) {
@@ -1576,43 +1590,51 @@ TEST_F(StoreTest, SnapshotRecordRulesRefuseAndRestoreNothing) {
     const std::size_t at = section_at(bytes, kind);
     put<std::uint64_t>(bytes, at, get<std::uint64_t>(bytes, at) + 1);
     reseal_snapshot(bytes, /*digests=*/false);
-    expect_refused(bytes, "digest mismatch in section kind " +
-                              std::to_string(static_cast<int>(kind)));
+    expect_snapshot_refused(ModelKind::kMobile, bytes, path("edited.store"),
+                            "digest mismatch in section kind " +
+                                std::to_string(static_cast<int>(kind)));
   }
 }
 
-// Every rule, in the second record of a log whose body checksum is
-// re-sealed around the edit: replay cuts the log at that record and keeps
-// the first.
-TEST_F(StoreTest, WalRecordRulesCutTheLogAtTheRecord) {
-  const std::string file = path("rules.wal");
-  auto cold = make_instance(ModelKind::kMobile, 3, 1, 2);
+// A log of two records for a `kind` instance (n=3): the initial states,
+// then a depth-1 analysis. What replay must keep when record 2 is cut.
+struct RulesLog {
+  std::vector<char> bytes;
+  std::size_t boundary = 0;  // where record 2 starts
+  std::size_t first_views = 0;
+  std::size_t first_states = 0;
+  Targets t;  // in record 2
+};
+
+void write_rules_log(ModelKind kind, const std::string& file, RulesLog* log) {
+  auto cold = make_instance(kind, 3, 1, 2);
   store::Wal wal;
   ASSERT_TRUE(wal.open(*cold.model, file).ok());
   ASSERT_TRUE(wal.replay(*cold.model, cold.engine.get()).ok());
   reachable_by_depth(*cold.model, 0);
   ASSERT_TRUE(wal.append(*cold.model, {cold.engine.get()}).ok());
-  const std::size_t first_views = cold.model->num_views();
-  const std::size_t first_states = cold.model->num_states();
-  const auto boundary = static_cast<std::size_t>(fs::file_size(file));
+  log->first_views = cold.model->num_views();
+  log->first_states = cold.model->num_states();
+  log->boundary = static_cast<std::size_t>(fs::file_size(file));
   analyze(cold, 1);
   ASSERT_TRUE(wal.append(*cold.model, {cold.engine.get()}).ok());
   wal.close();
-  const std::vector<char> saved = read_file(file);
+  log->bytes = read_file(file);
 
   // Record 2's body (FORMATS.md §2.3): seq and the four id counts, then
   // the view, state, layer, memo and row blocks.
-  const std::size_t body = boundary + 24;
+  const std::vector<char>& saved = log->bytes;
+  Targets& t = log->t;
+  const std::size_t body = log->boundary + 24;
   const auto base_views = get<std::uint64_t>(saved, body + 8);
   const auto new_views = get<std::uint64_t>(saved, body + 16);
   const auto base_states = get<std::uint64_t>(saved, body + 24);
-  const auto new_states = get<std::uint64_t>(saved, body + 32);
-  Targets t;
+  t.states = get<std::uint64_t>(saved, body + 32);
   t.views_end = base_views + new_views;
-  t.states_end = base_states + new_states;
+  t.states_end = base_states + t.states;
   t.state = walk_views(saved, body + 40, base_views, new_views, &t);
   std::size_t at = t.state;
-  for (std::uint64_t i = 0; i < new_states; ++i) {
+  for (std::uint64_t i = 0; i < t.states; ++i) {
     at += 8 + 8 * get<std::uint64_t>(saved, at) + 8 * 3;
   }
   const auto layers = get<std::uint64_t>(saved, at);
@@ -1628,28 +1650,103 @@ TEST_F(StoreTest, WalRecordRulesCutTheLogAtTheRecord) {
   at = t.memo + 12 * get<std::uint64_t>(saved, at + 16);
   ASSERT_GT(get<std::uint64_t>(saved, at), 0u);
   t.row = at + 8;
+}
 
+// `bytes`, `log` with record 2 edited, its body checksum re-sealed: replay
+// into a fresh `kind` instance cuts the log at record 2 and keeps record 1.
+void expect_log_cut(ModelKind kind, std::vector<char> bytes,
+                    const RulesLog& log, const std::string& file,
+                    const std::string& what) {
+  const auto body_bytes = get<std::uint64_t>(bytes, log.boundary + 8);
+  put<std::uint64_t>(bytes, log.boundary + 16,
+                     store::codec::fnv1a(as_bytes(bytes, log.boundary + 24),
+                                         body_bytes));
+  write_file(file, bytes.data(), bytes.size());
+
+  auto target = make_instance(kind, 3, 1, 2);
+  store::Wal w;
+  ASSERT_TRUE(w.open(*target.model, file).ok()) << what;
+  store::WalReplayStats rs;
+  const store::Result r = w.replay(*target.model, target.engine.get(), &rs);
+  ASSERT_TRUE(r.ok()) << what << ": " << r.detail;
+  EXPECT_EQ(rs.records_applied, 1u) << what;
+  EXPECT_EQ(rs.truncated_bytes, bytes.size() - log.boundary) << what;
+  EXPECT_EQ(fs::file_size(file), log.boundary) << what;
+  EXPECT_EQ(target.model->num_views(), log.first_views) << what;
+  EXPECT_EQ(target.model->num_states(), log.first_states) << what;
+}
+
+// Every rule, in the second record of a log whose body checksum is
+// re-sealed around the edit: replay cuts the log at that record and keeps
+// the first.
+TEST_F(StoreTest, WalRecordRulesCutTheLogAtTheRecord) {
+  RulesLog log;
+  write_rules_log(ModelKind::kMobile, path("rules.wal"), &log);
   for (const Rule& rule : kRules) {
-    std::vector<char> bytes = saved;
-    rule.edit(bytes, t);
-    const auto body_bytes = get<std::uint64_t>(bytes, boundary + 8);
-    put<std::uint64_t>(bytes, boundary + 16,
-                       store::codec::fnv1a(as_bytes(bytes, body), body_bytes));
-    const std::string edited = path("edited.wal");
-    write_file(edited, bytes.data(), bytes.size());
-
-    auto target = make_instance(ModelKind::kMobile, 3, 1, 2);
-    store::Wal w;
-    ASSERT_TRUE(w.open(*target.model, edited).ok()) << rule.what;
-    store::WalReplayStats rs;
-    const store::Result r = w.replay(*target.model, target.engine.get(), &rs);
-    ASSERT_TRUE(r.ok()) << rule.what << ": " << r.detail;
-    EXPECT_EQ(rs.records_applied, 1u) << rule.what;
-    EXPECT_EQ(rs.truncated_bytes, bytes.size() - boundary) << rule.what;
-    EXPECT_EQ(fs::file_size(edited), boundary) << rule.what;
-    EXPECT_EQ(target.model->num_views(), first_views) << rule.what;
-    EXPECT_EQ(target.model->num_states(), first_states) << rule.what;
+    std::vector<char> bytes = log.bytes;
+    rule.edit(bytes, log.t);
+    expect_log_cut(ModelKind::kMobile, bytes, log, path("edited.wal"),
+                   rule.what);
   }
+}
+
+// Environment words the model reads as view ids and process indices
+// (FORMATS.md §1.3, LayeredModel::env_well_formed): edits the first state
+// record of the block `t` names that has an environment. A shared-memory
+// register file's first register comes to name view t.views_end, past the
+// horizon; a message-passing env's first message comes to be addressed to
+// process n.
+void craft_env(std::vector<char>& bytes, const Targets& t, ModelKind kind) {
+  constexpr int n = 3;
+  std::size_t at = t.state;
+  for (std::uint64_t i = 0; i < t.states; ++i) {
+    const auto env = get<std::uint64_t>(bytes, at);
+    if (env == 0) {
+      at += 8 + 8 * n;
+      continue;
+    }
+    const auto word = get<std::int64_t>(bytes, at + 8);
+    put<std::int64_t>(bytes, at + 8,
+                      kind == ModelKind::kSharedMem
+                          ? static_cast<std::int64_t>(t.views_end)
+                          : (word & ~(std::int64_t{0xff} << 32)) |
+                                std::int64_t{n} << 32);
+    return;
+  }
+  ADD_FAILURE() << "no state record with an environment";
+}
+
+void expect_snapshot_refuses_env(const std::string& dir, ModelKind kind) {
+  std::vector<char> bytes;
+  Targets t;
+  save_rules_snapshot(kind, dir + "/env.store", &bytes, &t);
+  craft_env(bytes, t, kind);
+  reseal_snapshot(bytes);
+  expect_snapshot_refused(kind, bytes, dir + "/edited.store", "env word");
+}
+
+void expect_log_cut_at_env(const std::string& dir, ModelKind kind) {
+  RulesLog log;
+  write_rules_log(kind, dir + "/env.wal", &log);
+  std::vector<char> bytes = log.bytes;
+  craft_env(bytes, log.t, kind);
+  expect_log_cut(kind, bytes, log, dir + "/edited.wal", "env word");
+}
+
+TEST_F(StoreTest, SnapshotRegisterPastTheViewsIsRefused) {
+  expect_snapshot_refuses_env(dir_.string(), ModelKind::kSharedMem);
+}
+
+TEST_F(StoreTest, SnapshotMessageToProcessNIsRefused) {
+  expect_snapshot_refuses_env(dir_.string(), ModelKind::kMsgPass);
+}
+
+TEST_F(StoreTest, WalRegisterPastTheViewsCutsTheLog) {
+  expect_log_cut_at_env(dir_.string(), ModelKind::kSharedMem);
+}
+
+TEST_F(StoreTest, WalMessageToProcessNCutsTheLog) {
+  expect_log_cut_at_env(dir_.string(), ModelKind::kMsgPass);
 }
 
 // v1 knows section kinds 1..8, each once (FORMATS.md §1.3): a kind-99
