@@ -48,7 +48,7 @@ class OwnInputAfterRound final : public DecisionRule {
   }
   std::optional<Value> decide(ProcessId, ViewId view,
                               ViewArena& arena) const override {
-    const ViewNode& node = arena.node(view);
+    const ViewRef node = arena.node(view);
     if (node.round < round_) return std::nullopt;
     return node.input;
   }
@@ -65,7 +65,7 @@ class UnanimityThenMin final : public DecisionRule {
   }
   std::optional<Value> decide(ProcessId i, ViewId view,
                               ViewArena& arena) const override {
-    const std::vector<Value>& inputs = arena.known_inputs(view);
+    const std::span<const Value> inputs = arena.known_inputs(view);
     const bool complete =
         std::none_of(inputs.begin(), inputs.end(),
                      [](Value v) { return v == kUnknownInput; });
@@ -113,7 +113,7 @@ class MinWhenAllKnown final : public DecisionRule {
   std::optional<Value> decide(ProcessId i, ViewId view,
                               ViewArena& arena) const override {
     if (arena.node(view).round < round_) return std::nullopt;
-    const std::vector<Value>& inputs = arena.known_inputs(view);
+    const std::span<const Value> inputs = arena.known_inputs(view);
     const bool complete =
         std::none_of(inputs.begin(), inputs.end(),
                      [](Value v) { return v == kUnknownInput; });

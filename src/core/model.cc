@@ -61,14 +61,6 @@ const std::uint64_t* LayeredModel::fingerprint_row(StateId x) {
   }
   auto* mine = new std::uint64_t[static_cast<std::size_t>(n_)];
   fingerprint_row_into(x, mine);
-#ifndef NDEBUG
-  for (ProcessId j = 0; j < n_; ++j) {
-    // The batched row must be bit-identical to the per-j definition; a model
-    // that overrode similarity_fingerprint without fingerprint_row_into (or
-    // a divergent fingerprint_lanes) trips here immediately.
-    assert(mine[static_cast<std::size_t>(j)] == similarity_fingerprint(x, j));
-  }
-#endif
   const std::uint64_t* expected = nullptr;
   if (slot.compare_exchange_strong(expected, mine, std::memory_order_acq_rel,
                                    std::memory_order_acquire)) {
@@ -244,19 +236,6 @@ const std::vector<StateId>& LayeredModel::layer(StateId x) {
 
 ProcessSet LayeredModel::failed_at(StateId) const { return {}; }
 
-std::uint64_t LayeredModel::similarity_fingerprint(StateId x,
-                                                   ProcessId j) const {
-  const StateRef s = state(x);
-  std::uint64_t h = hash_range(s.env, 0x73696d666970ULL);  // "simfip"
-  for (ProcessId i = 0; i < n_; ++i) {
-    if (i == j) continue;
-    const auto idx = static_cast<std::size_t>(i);
-    h = hash_combine(h, static_cast<std::uint64_t>(s.locals[idx]));
-    h = hash_combine(h, static_cast<std::uint64_t>(s.decisions[idx]));
-  }
-  return h;
-}
-
 void LayeredModel::fingerprint_row_into(StateId x, std::uint64_t* out) const {
   const StateRef s = state(x);
   const std::uint64_t env_hash = hash_range(s.env, 0x73696d666970ULL);
@@ -325,11 +304,11 @@ bool LayeredModel::sym_quotient_active() {
 }
 
 StateId LayeredModel::intern_canonical(GlobalState s) {
-  if (!sym_quotient_active()) return arena_.intern(std::move(s));
+  if (!sym_quotient_active()) return arena_.intern(s);
   bool folded = false;
   const std::uint64_t stab = canon_->canonicalize(*this, &s, &folded);
   if (folded) sym_folds_->increment();
-  const StateId id = arena_.intern(std::move(s));
+  const StateId id = arena_.intern(s);
   auto& weight = orbit_weights_.slot(static_cast<std::size_t>(id));
   if (weight.load(std::memory_order_relaxed) == 0) {
     weight.store(sym::factorial(n_) / stab, std::memory_order_relaxed);

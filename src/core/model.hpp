@@ -96,24 +96,16 @@ class LayeredModel {
     return lacon::agree_modulo(state(x), state(y), j);
   }
 
-  // Erase-j fingerprint: a 64-bit hash of exactly the material agree_modulo
-  // compares — the environment plus every process local state except j's.
-  // Soundness contract (the similarity index relies on it): whenever
-  // agree_modulo(x, y, j) holds, similarity_fingerprint(x, j) ==
-  // similarity_fingerprint(y, j); otherwise the index silently drops edges.
-  // A model overriding agree_modulo to attribute environment words to
-  // process j (the message-passing mailbox reading) must override this too
-  // and mask the same words.
-  virtual std::uint64_t similarity_fingerprint(StateId x, ProcessId j) const;
-
-  // Writes the whole erase-one row at once: out[j] = similarity_fingerprint
-  // (x, j) for j in [0, n). The base implementation hashes the env prefix
-  // once and folds every locals/decisions lane into all n-1 non-erased row
-  // entries in a single pass over the state (simd::fingerprint_lanes), which
-  // is how fingerprint_row publication avoids n separate state walks. A
-  // model that overrides similarity_fingerprint MUST override this too (the
-  // message-passing models loop their own per-j hash); fingerprint_row
-  // debug-asserts the row against the per-j virtual entry by entry.
+  // The erase-one fingerprint row of x: out[j] is a 64-bit hash of exactly
+  // the material agree_modulo compares — the environment plus every process
+  // local state except j's. Soundness contract (the similarity index relies
+  // on it): whenever agree_modulo(x, y, j) holds, the rows of x and y agree
+  // at j; otherwise the index silently drops edges. The base implementation
+  // hashes the env prefix once ("simfip"-seeded hash_range) and folds every
+  // locals/decisions lane into all n-1 non-erased entries in one pass over
+  // the state (simd::fingerprint_lanes). A model overriding agree_modulo to
+  // attribute environment words to process j (the message-passing mailbox
+  // reading) must override this too and mask the same words.
   virtual void fingerprint_row_into(StateId x, std::uint64_t* out) const;
 
   // --- Snapshot hooks (lacon::store, store/snapshot.hpp) ------------------
@@ -141,14 +133,14 @@ class LayeredModel {
     return true;
   }
 
-  // The memoized erase-one fingerprint row of x: n entries, entry j equal
-  // to similarity_fingerprint(x, j). Rows are published once per state in a
-  // lock-free slot (racing computations are idempotent — the first
-  // published row wins, losers free theirs); the similarity index reads
-  // rows instead of rehashing each sweep, and the store serializes
-  // published rows so a warm start skips the hashing phase. Deliberately
-  // NOT part of memory_footprint(): rows appear in sweep order, which is
-  // scheduling-dependent, and guard byte accounting must not be.
+  // The memoized erase-one fingerprint row of x (fingerprint_row_into).
+  // Rows are published once per state in a lock-free slot (racing
+  // computations are idempotent — the first published row wins, losers
+  // free theirs); the similarity index reads rows instead of rehashing
+  // each sweep, and the store serializes published rows so a warm start
+  // skips the hashing phase. Deliberately NOT part of memory_footprint():
+  // rows appear in sweep order, which is scheduling-dependent, and guard
+  // byte accounting must not be.
   const std::uint64_t* fingerprint_row(StateId x);
 
   // The row for x if one was already published, nullptr otherwise (the

@@ -3,26 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "runtime/fault.hpp"
-#include "runtime/stats.hpp"
-#include "util/simd.hpp"
-
 namespace lacon {
-
-namespace {
-
-// Deterministic per-state byte estimate: header + flat payload + a flat
-// allowance for the index entry. A pure function of the state's
-// content — never of pool occupancy or vector capacities — so
-// LayeredModel::memory_footprint reads the same total for the same interned
-// content however interns interleave (chunk-tail waste in the pool varies
-// with scheduling and is deliberately not counted).
-std::size_t state_footprint(std::size_t env_len, std::size_t n) noexcept {
-  const std::size_t words = env_len + 2 * ((n + 1) / 2);
-  return 16 /* header */ + words * sizeof(std::int64_t) + 48 /* index */;
-}
-
-}  // namespace
 
 bool operator==(const StateRef& a, const StateRef& b) noexcept {
   if (a.env.size() != b.env.size() || a.locals.size() != b.locals.size() ||
@@ -52,50 +33,15 @@ bool agree_modulo(const StateRef& x, const StateRef& y, ProcessId j) {
                                 skip);
 }
 
-StateArena::StateArena()
-    : hits_(&runtime::Stats::global().counter("arena.state_hits")),
-      misses_(&runtime::Stats::global().counter("arena.state_misses")),
-      restored_(&runtime::Stats::global().counter("arena.state_restored")),
-      lock_waits_(
-          &runtime::Stats::global().counter("arena.state_shard_waits")) {}
-
-StateId StateArena::intern(GlobalState s) {
-  const StateRef candidate(s);
-  return intern_impl(candidate, content_hash(candidate), misses_);
-}
-
-StateId StateArena::restore(const StateRef& s, std::uint64_t hash) {
-  assert(hash == content_hash(s) && "hash must be content_hash(s)");
-  return intern_impl(s, hash, restored_);
-}
-
-StateId StateArena::intern_impl(const StateRef& s, std::uint64_t h,
-                                runtime::Counter* miss_counter) {
-  fault::maybe_throw_alloc_fault();
+StateId StateArena::insert(const StateRef& s, std::uint64_t h,
+                           bool restored) {
   assert(s.decisions.size() == s.locals.size() &&
          "a state carries one decision slot per process");
-  std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    lock_waits_->increment();  // contended: another intern holds the lock
-    lock.lock();
-  }
-  if (const std::optional<StateId> found =
-          index_.find(h, [&](StateId id) { return state(id) == s; })) {
-    hits_->increment();
-    return *found;
-  }
-  // Miss: copy the payload into the pool, write the header, index it, and
-  // only then publish the id by raising the count, so a reader that sees
-  // the id in size() sees its content too.
   const std::size_t n = s.locals.size();
   const std::size_t lanes = lane_words(n);
-  const std::size_t words = s.env.size() + 2 * lanes;
-  Header hd;
-  hd.env_len = static_cast<std::uint32_t>(s.env.size());
-  hd.n = static_cast<std::uint32_t>(n);
-  if (words != 0) {
-    hd.offset = pool_.alloc(words);
-    std::int64_t* base = pool_.mutable_data(hd.offset);
+  const Header hd{nullptr, static_cast<std::uint32_t>(s.env.size()),
+                  static_cast<std::uint32_t>(n)};
+  const auto write = [&](std::int64_t* base) {
     std::copy(s.env.begin(), s.env.end(), base);
     std::int64_t* lanes_base = base + s.env.size();
     if (n % 2 != 0) {  // zero the padding halves of odd-count 32-bit lanes
@@ -117,16 +63,10 @@ StateId StateArena::intern_impl(const StateRef& s, std::uint64_t h,
              "odd-n decisions padding lane must be zero");
     }
 #endif
-  }
-  const std::size_t idx = next_id_.load(std::memory_order_relaxed);
-  const auto id = static_cast<StateId>(idx);
-  headers_.slot(idx) = hd;
-  approx_bytes_.fetch_add(state_footprint(s.env.size(), n),
-                          std::memory_order_relaxed);
-  index_.insert(h, id);
-  next_id_.store(idx + 1, std::memory_order_release);
-  miss_counter->increment();
-  return id;
+  };
+  return core_.intern(
+      h, restored, [&](StateId id) { return state(id) == s; }, hd,
+      region_words(s.env.size(), n), write);
 }
 
 }  // namespace lacon

@@ -119,7 +119,7 @@ std::uint64_t Canonicalizer::shape(ViewId v) {
   auto& slot = shape_memo_.slot(static_cast<std::size_t>(v));
   const std::uint64_t cached = slot.load(std::memory_order_acquire);
   if (cached != 0) return cached >> 1;
-  const ViewNode& node = views_->node(v);
+  const ViewRef node = views_->node(v);
   std::uint64_t h =
       hash_combine(kShapeSeed, static_cast<std::uint64_t>(node.round));
   h = hash_combine(h, static_cast<std::uint64_t>(node.input));
@@ -143,7 +143,7 @@ std::uint64_t Canonicalizer::relevant_mask(ViewId v) {
   auto& slot = mask_memo_.slot(static_cast<std::size_t>(v));
   const std::uint64_t cached = slot.load(std::memory_order_acquire);
   if (cached & kMaskComputed) return cached & ~kMaskComputed;
-  const ViewNode& node = views_->node(v);
+  const ViewRef node = views_->node(v);
   std::uint64_t m = std::uint64_t{1} << node.owner;
   if (node.prev != kNoView) m |= relevant_mask(node.prev);
   for (const Obs& o : node.obs) {
@@ -193,7 +193,7 @@ std::pair<std::uint64_t, std::uint64_t> Canonicalizer::rewrite_key(
     auto it = sh.keys.find(lookup_key);
     if (it != sh.keys.end()) return it->second;
   }
-  const ViewNode& node = views_->node(v);
+  const ViewRef node = views_->node(v);
   const ProcessId owner = inv[static_cast<std::size_t>(node.owner)];
   std::uint64_t a = hash_combine(kKeySeedA, static_cast<std::uint64_t>(owner));
   std::uint64_t b = hash_combine(kKeySeedB, static_cast<std::uint64_t>(owner));
@@ -247,7 +247,7 @@ ViewId Canonicalizer::rewrite(ViewId v, const Permutation& inv) {
     auto it = sh.views.find(lookup_key);
     if (it != sh.views.end()) return it->second;
   }
-  const ViewNode& node = views_->node(v);
+  const ViewRef node = views_->node(v);
   ViewId out;
   if (node.round == 0) {
     out = views_->initial(inv[static_cast<std::size_t>(node.owner)],
@@ -270,7 +270,7 @@ ViewId Canonicalizer::rewrite(ViewId v, const Permutation& inv) {
       obs.push_back(Obs{inv[static_cast<std::size_t>(o.source)],
                         o.view == kNoView ? kNoView : rewrite(o.view, inv)});
     }
-    out = views_->extend(prev, std::move(obs));
+    out = views_->extend(prev, obs);
   }
   rewrites_->increment();
   std::lock_guard<std::mutex> lock(sh.mu);

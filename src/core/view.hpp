@@ -11,20 +11,14 @@
 // relation — is integer equality.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
+#include <span>
 #include <string>
-#include <vector>
+#include <type_traits>
 
-#include "core/hash_index.hpp"
+#include "core/intern.hpp"
 #include "core/types.hpp"
-#include "runtime/slot_vector.hpp"
 #include "util/hash.hpp"
-
-namespace lacon::runtime {
-class Counter;
-}  // namespace lacon::runtime
 
 namespace lacon {
 
@@ -39,34 +33,45 @@ struct Obs {
   bool operator==(const Obs&) const = default;
 };
 
-// A node of the view DAG: the local state of `owner` after `round` completed
-// local phases.
-struct ViewNode {
-  ProcessId owner = 0;
-  std::int32_t round = 0;     // number of completed local phases
-  Value input = 0;            // owner's initial input value
-  ViewId prev = kNoView;      // local state before this phase; kNoView iff round == 0
-  std::vector<Obs> obs;       // observations made during this phase
+// A read-only, non-owning view of an interned (or about-to-be-interned) node
+// of the view DAG: the local state of `owner` after `round` completed local
+// phases. `obs` spans the arena's pool for node(), or caller-owned memory
+// for a candidate (extend's observations, a record in a store file).
+struct ViewRef {
+  // A FORMATS.md §1.5 record is these lanes (owner .. obs_count), then the
+  // observations as (source, view) lane pairs.
+  static constexpr std::size_t kHeadLanes = 5;
 
-  bool operator==(const ViewNode&) const = default;
+  ProcessId owner = 0;
+  std::int32_t round = 0;    // number of completed local phases
+  Value input = 0;           // owner's initial input value
+  ViewId prev = kNoView;     // state before this phase; kNoView iff round 0
+  std::span<const Obs> obs;  // observations made during this phase
+
+  // Views the §1.5 record at `r` (4-aligned) in place.
+  static ViewRef at(const std::int32_t* r) noexcept {
+    return {r[0], r[1], r[2], r[3],
+            {reinterpret_cast<const Obs*>(r + kHeadLanes),
+             static_cast<std::uint32_t>(r[4])}};
+  }
 };
 
-// Interns ViewNodes; equal nodes receive equal ViewIds.
+// Content equality (spans have no operator==).
+bool operator==(const ViewRef& a, const ViewRef& b) noexcept;
+
+// Interns views; equal views receive equal ViewIds.
 //
-// Thread-safety: initial()/extend()/known_inputs() may be called
-// concurrently (layer computations of connections sharing a session do).
-// One mutex guards the index and the id counter; interning is
-// content-addressed, so racing interns of equal nodes agree on the id. An
-// intern writes the node, then publishes its id with a release store of the
-// count, so node(), size() and to_string() are lock-free reads, safe for
-// any id below size() or received through an intern call or another
-// happens-before edge. The known_inputs memo is a per-node atomic slot (no
-// lock at all), so concurrent valence classifications never serialize on
-// it.
+// Each view is one pool region of 32-bit lanes: its n known-input lanes,
+// written when the view is interned or restored, then its FORMATS.md §1.5
+// record (owner, round, input, prev, obs_count, then the (source, view)
+// pairs). Thread-safety: initial()/extend()/restore() may be called
+// concurrently (layer computations of connections sharing a session do);
+// node(), known_inputs(), record(), size() and to_string() are lock-free
+// reads of every id below size() or received through an intern call or
+// another happens-before edge (core/intern.hpp).
 class ViewArena {
  public:
   explicit ViewArena(int n);
-  ~ViewArena();
 
   int n() const noexcept { return n_; }
 
@@ -74,43 +79,52 @@ class ViewArena {
   ViewId initial(ProcessId owner, Value input);
 
   // The view after one more local phase extending `prev` with observations
-  // `obs`. Callers must pass observations in a canonical (sorted-by-source)
-  // order so that equal views intern to equal ids.
-  ViewId extend(ViewId prev, std::vector<Obs> obs);
+  // `obs`, copied only when the view is new. Callers must pass observations
+  // in a canonical (sorted-by-source) order so that equal views intern to
+  // equal ids.
+  ViewId extend(ViewId prev, std::span<const Obs> obs);
 
-  // Re-interns a node read back by the store (store/codec.hpp). Identical
-  // to the private intern path except that a fresh insertion bumps
-  // "arena.view_restored" instead of the miss counter; replay happens in
-  // stored-id order, so the returned id equals the stored one. `hash` must
-  // be content_hash(node): the loaders compute it while decoding.
-  ViewId restore(ViewNode node, std::uint64_t hash);
+  // Re-interns a view read back by the store (store/codec.hpp), `v.obs`
+  // viewing the record in place. Identical to extend's intern path except
+  // that a fresh insertion bumps "arena.view_restored" instead of the miss
+  // counter; replay happens in stored-id order, so the returned id equals
+  // the stored one. `hash` must be content_hash(v): the loaders compute it
+  // while decoding.
+  ViewId restore(const ViewRef& v, std::uint64_t hash);
 
-  const ViewNode& node(ViewId id) const {
-    return nodes_[static_cast<std::size_t>(id)];
+  // Words in the pool region of a view with `obs` observations. The store
+  // loaders refuse one that needs more than WordPool::kMaxRegionWords.
+  static constexpr std::size_t region_words(int n, std::size_t obs) noexcept {
+    return (n + ViewRef::kHeadLanes + 2 * obs + 1) / 2;
   }
-  // The ids published so far; each one's node is readable.
-  std::size_t size() const noexcept {
-    return next_id_.load(std::memory_order_acquire);
-  }
 
-  // Approximate heap footprint of the interned view DAG (see
-  // StateArena::approx_bytes — likewise a deterministic function of the
-  // interned content only). Monotone, relaxed reads.
-  std::size_t approx_bytes() const noexcept {
-    return approx_bytes_.load(std::memory_order_relaxed);
+  ViewRef node(ViewId id) const noexcept {
+    return ViewRef::at(lanes(id) + n_);
   }
 
   // The inputs this view knows about: entry j is process j's input if it is
-  // determined by the view, kUnknownInput otherwise. Memoized per node in a
-  // lock-free atomic slot: racing computations are idempotent, the first
-  // published vector wins and losers discard theirs.
-  const std::vector<Value>& known_inputs(ViewId id);
+  // determined by the view, kUnknownInput otherwise.
+  std::span<const Value> known_inputs(ViewId id) const noexcept {
+    return {lanes(id), static_cast<std::size_t>(n_)};
+  }
+
+  // The view's FORMATS.md §1.5 record, as the store writes it.
+  std::span<const std::int32_t> record(ViewId id) const noexcept {
+    const std::int32_t* r = lanes(id) + n_;
+    return {r, ViewRef::kHeadLanes + 2 * ViewRef::at(r).obs.size()};
+  }
+
+  // The ids published so far; each one's node is readable.
+  std::size_t size() const noexcept { return core_.size(); }
+
+  // Approximate heap bytes, a function of the content (core/intern.hpp).
+  std::size_t approx_bytes() const noexcept { return core_.approx_bytes(); }
 
   // Renders a view as a nested term for debugging, e.g.
   // "p1@2<p0@1<...>, -,- >".
   std::string to_string(ViewId id) const;
 
-  static std::uint64_t content_hash(const ViewNode& v) noexcept {
+  static std::uint64_t content_hash(const ViewRef& v) noexcept {
     std::uint64_t h = hash_combine(static_cast<std::uint64_t>(v.owner),
                                    static_cast<std::uint64_t>(v.round));
     h = hash_combine(h, static_cast<std::uint64_t>(v.input));
@@ -124,27 +138,23 @@ class ViewArena {
   }
 
  private:
-  ViewId intern(ViewNode node);
-  ViewId intern_impl(ViewNode node, std::uint64_t h,
-                     runtime::Counter* miss_counter);
+  static_assert(std::is_same_v<ProcessId, std::int32_t> &&
+                std::is_same_v<Value, std::int32_t> &&
+                std::is_same_v<ViewId, std::int32_t> && sizeof(Obs) == 8 &&
+                alignof(Obs) == 4);
+
+  struct Header {
+    const std::int64_t* region = nullptr;
+  };
+
+  const std::int32_t* lanes(ViewId id) const noexcept {
+    return reinterpret_cast<const std::int32_t*>(core_.header(id).region);
+  }
+
+  ViewId insert(const ViewRef& v, std::uint64_t h, bool restored);
 
   int n_;
-  std::mutex mu_;
-  // hash -> id; equality confirmed against the arena-resident node. Guarded
-  // by mu_.
-  HashIndex<ViewId> index_;
-  runtime::ConcurrentSlotVector<ViewNode> nodes_;
-  std::atomic<std::size_t> next_id_{0};
-  std::atomic<std::size_t> approx_bytes_{0};
-  // Per-node memo slot; nullptr until the first known_inputs(id) publishes.
-  runtime::ConcurrentSlotVector<std::atomic<const std::vector<Value>*>>
-      known_memo_;
-  runtime::Counter* hits_;
-  runtime::Counter* misses_;
-  runtime::Counter* restored_;
-  // "arena.view_shard_waits", a name perfbench reads: interns that found
-  // mu_ held.
-  runtime::Counter* lock_waits_;
+  InternCore<ViewId, Header> core_;
 };
 
 }  // namespace lacon

@@ -54,7 +54,7 @@ StateId IisModel::apply_partition(StateId x,
         obs.push_back(Obs{w, s.locals[static_cast<std::size_t>(w)]});
       }
       const ViewId view = views().extend(
-          s.locals[static_cast<std::size_t>(i)], std::move(obs));
+          s.locals[static_cast<std::size_t>(i)], obs);
       next.locals[static_cast<std::size_t>(i)] = view;
       next.decisions[static_cast<std::size_t>(i)] = updated_decision(
           i, s.decisions[static_cast<std::size_t>(i)], view);

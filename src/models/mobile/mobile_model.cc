@@ -33,7 +33,7 @@ StateId MobileModel::apply_general(StateId x, ProcessId j, ProcessSet lost) {
               is_lost ? kNoView : s.locals[static_cast<std::size_t>(sender)]});
     }
     const ViewId view =
-        views().extend(s.locals[static_cast<std::size_t>(i)], std::move(obs));
+        views().extend(s.locals[static_cast<std::size_t>(i)], obs);
     next.locals.push_back(view);
     next.decisions.push_back(
         updated_decision(i, s.decisions[static_cast<std::size_t>(i)], view));

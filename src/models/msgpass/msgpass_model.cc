@@ -121,9 +121,9 @@ StateId MsgPassModel::apply_schedule(StateId x, const Schedule& schedule) {
     });
     return obs;
   };
-  auto do_phase_update = [&](ProcessId i, std::vector<Obs> obs) {
+  auto do_phase_update = [&](ProcessId i, std::span<const Obs> obs) {
     const ViewId view =
-        views().extend(locals[static_cast<std::size_t>(i)], std::move(obs));
+        views().extend(locals[static_cast<std::size_t>(i)], obs);
     locals[static_cast<std::size_t>(i)] = view;
     decisions[static_cast<std::size_t>(i)] = updated_decision(
         i, decisions[static_cast<std::size_t>(i)], view);
@@ -152,8 +152,8 @@ StateId MsgPassModel::apply_schedule(StateId x, const Schedule& schedule) {
       const ViewId pre_b = locals[static_cast<std::size_t>(group.b)];
       std::vector<Obs> obs_a = do_receives(group.a);
       std::vector<Obs> obs_b = do_receives(group.b);
-      do_phase_update(group.a, std::move(obs_a));
-      do_phase_update(group.b, std::move(obs_b));
+      do_phase_update(group.a, obs_a);
+      do_phase_update(group.b, obs_b);
       do_sends(group.a, pre_a);
       do_sends(group.b, pre_b);
     }
@@ -191,11 +191,6 @@ bool MsgPassModel::agree_modulo(StateId x, StateId y, ProcessId j) const {
     ++it_y;
   }
   return it_x == sx.env.end() && it_y == sy.env.end();
-}
-
-std::uint64_t MsgPassModel::similarity_fingerprint(StateId x,
-                                                   ProcessId j) const {
-  return mailbox_masked_fingerprint(state(x), n(), j);
 }
 
 void MsgPassModel::fingerprint_row_into(StateId x, std::uint64_t* out) const {

@@ -72,7 +72,6 @@ class MsgPassModel final : public LayeredModel {
   StateId apply_schedule(StateId x, const Schedule& schedule);
 
   bool agree_modulo(StateId x, StateId y, ProcessId j) const override;
-  std::uint64_t similarity_fingerprint(StateId x, ProcessId j) const override;
   void fingerprint_row_into(StateId x, std::uint64_t* out) const override;
   std::string env_to_string(StateId x) const override;
 
@@ -94,7 +93,7 @@ class MsgPassModel final : public LayeredModel {
 // by both message-passing models: hashes the in-transit messages *not*
 // addressed to j (j's mailbox belongs to j's local state) plus every
 // process local state except j's. Filtered-equal envs hash equal, so the
-// fingerprint contract of LayeredModel::similarity_fingerprint holds.
+// fingerprint contract of LayeredModel::fingerprint_row_into holds.
 std::uint64_t mailbox_masked_fingerprint(const StateRef& s, int n,
                                          ProcessId j);
 

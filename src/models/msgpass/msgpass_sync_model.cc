@@ -145,11 +145,6 @@ bool MsgPassSyncModel::agree_modulo(StateId x, StateId y, ProcessId j) const {
   return it_x == sx.env.end() && it_y == sy.env.end();
 }
 
-std::uint64_t MsgPassSyncModel::similarity_fingerprint(StateId x,
-                                                       ProcessId j) const {
-  return mailbox_masked_fingerprint(state(x), n(), j);
-}
-
 void MsgPassSyncModel::fingerprint_row_into(StateId x,
                                             std::uint64_t* out) const {
   // Mailbox masking makes the env hash j-dependent; batch the row per

@@ -45,7 +45,6 @@ class MsgPassSyncModel final : public LayeredModel {
   StateId apply_absent(StateId x, ProcessId j);
 
   bool agree_modulo(StateId x, StateId y, ProcessId j) const override;
-  std::uint64_t similarity_fingerprint(StateId x, ProcessId j) const override;
   void fingerprint_row_into(StateId x, std::uint64_t* out) const override;
   std::string env_to_string(StateId x) const override;
 

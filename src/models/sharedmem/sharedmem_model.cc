@@ -93,10 +93,14 @@ StateId SharedMemModel::apply_absent(StateId x, ProcessId j) {
 }
 
 std::string SharedMemModel::env_to_string(StateId x) const {
-  const StateRef s = state(x);
+  return register_file_to_string(views(), state(x));
+}
+
+std::string register_file_to_string(const ViewArena& views,
+                                    const StateRef& s) {
   std::string out;
   for (std::int64_t r : s.env) {
-    out += r == kNoView ? "-" : views().to_string(static_cast<ViewId>(r));
+    out += r == kNoView ? "-" : views.to_string(static_cast<ViewId>(r));
     out += ',';
   }
   return out;

@@ -69,4 +69,9 @@ class SharedMemModel final : public LayeredModel {
 bool register_file_well_formed(std::span<const std::int64_t> env, int n,
                                std::uint64_t views_end);
 
+// Renders a register file as its view terms ("-" for an unwritten
+// register) — the id-free env_to_string of the same two models.
+std::string register_file_to_string(const ViewArena& views,
+                                    const StateRef& s);
+
 }  // namespace lacon

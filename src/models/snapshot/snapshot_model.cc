@@ -54,7 +54,7 @@ StateId SnapshotModel::apply_partition(StateId x,
                                  next.env[static_cast<std::size_t>(r)])});
       }
       const ViewId view = views().extend(
-          s.locals[static_cast<std::size_t>(i)], std::move(obs));
+          s.locals[static_cast<std::size_t>(i)], obs);
       next.locals[static_cast<std::size_t>(i)] = view;
       next.decisions[static_cast<std::size_t>(i)] = updated_decision(
           i, s.decisions[static_cast<std::size_t>(i)], view);
@@ -64,13 +64,7 @@ StateId SnapshotModel::apply_partition(StateId x,
 }
 
 std::string SnapshotModel::env_to_string(StateId x) const {
-  const StateRef s = state(x);
-  std::string out;
-  for (std::int64_t r : s.env) {
-    out += r == kNoView ? "-" : views().to_string(static_cast<ViewId>(r));
-    out += ',';
-  }
-  return out;
+  return register_file_to_string(views(), state(x));
 }
 
 bool SnapshotModel::env_well_formed(std::span<const std::int64_t> env,

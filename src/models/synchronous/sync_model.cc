@@ -24,7 +24,7 @@ ProcessSet SyncModel::omission_evidence(ViewId view) const {
   // read-only; const_cast keeps failed_at const as the interface requires.
   const ViewArena& arena = const_cast<SyncModel*>(this)->views();
   ProcessSet evidence;
-  const ViewNode& node = arena.node(view);
+  const ViewRef node = arena.node(view);
   for (const Obs& o : node.obs) {
     if (o.view == kNoView) evidence.insert(o.source);
   }
@@ -86,7 +86,7 @@ StateId SyncModel::apply_multi(StateId x, const std::vector<int>& losses) {
               lost ? kNoView : s.locals[static_cast<std::size_t>(sender)]});
     }
     const ViewId view =
-        views().extend(s.locals[static_cast<std::size_t>(i)], std::move(obs));
+        views().extend(s.locals[static_cast<std::size_t>(i)], obs);
     next.locals.push_back(view);
     next.decisions.push_back(
         updated_decision(i, s.decisions[static_cast<std::size_t>(i)], view));

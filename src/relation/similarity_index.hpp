@@ -3,7 +3,7 @@
 // The naive sweep evaluates agree_modulo on all |X|(|X|-1)/2 pairs. But
 // ~s is an equality-modulo-one-coordinate relation: x ~s y requires a
 // process j with agree_modulo(x, y, j), and agree_modulo truth implies
-// equality of the erase-j fingerprints (LayeredModel::similarity_fingerprint,
+// equality of the erase-j fingerprints (LayeredModel::fingerprint_row_into,
 // a 64-bit hash of everything agree_modulo compares). So hashing each state
 // once per erased coordinate and bucketing by (j, fingerprint) yields a
 // candidate set that provably contains every ~s edge; each candidate is then

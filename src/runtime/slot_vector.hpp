@@ -1,18 +1,19 @@
 // ConcurrentSlotVector<T>: chunked slot storage with lock-free reads and
 // concurrent, out-of-order writes.
 //
-// The interning arenas (core/view.hpp, core/state.hpp) hand out dense ids
-// and are read on every hot-path operation — agree_modulo alone reads two
-// GlobalStates per evaluated ~s pair. When connections share a session those
+// The interning arenas (core/intern.hpp) keep one header per id here and
+// are read on every hot-path operation — agree_modulo alone reads two
+// states per evaluated ~s pair. When connections share a session those
 // reads race with appends from concurrent layer computations, and a
 // std::vector would both invalidate references on growth and trip TSan on
 // its internal bookkeeping. This class fixes the storage into 1024-element
 // chunks hung off a two-level directory of atomic pointers, so elements
 // never move and readers take zero locks. The per-state caches keyed by id
-// (the layer cache, fingerprint rows, valence memo words, known_inputs,
-// orbit weights) write their slots from racing threads in any order:
-// slot(i) materialises the backing chunk with a CAS (losers free their
-// allocation) and returns a reference the caller may write.
+// (the layer cache, fingerprint rows, valence memo words, orbit weights)
+// and the canonicalizer's per-view memos write their slots from racing
+// threads in any order: slot(i) materialises the backing chunk with a CAS
+// (losers free their allocation) and returns a reference the caller may
+// write.
 //
 // There is no size(): index validity is the caller's contract. A reader must
 // have received the index through a happens-before edge with the slot's

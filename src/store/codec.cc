@@ -14,6 +14,9 @@ constexpr std::size_t kLayerMinBytes = 8;  // an entry with no successors
 constexpr std::size_t kMemoEntryBytes = 12;
 constexpr std::size_t kLemmaBytes = 24;
 
+// Records the arenas cannot hold in one pool region are refused.
+constexpr std::size_t kMaxRegionWords = runtime::WordPool::kMaxRegionWords;
+
 constexpr std::uint32_t kMemoV0 = 1u << 0;
 constexpr std::uint32_t kMemoV1 = 1u << 1;
 constexpr std::uint32_t kMemoExact = 1u << 2;
@@ -32,10 +35,11 @@ bool decode_views(Reader& r, std::uint64_t count, int n, RecordBatch* batch) {
   batch->views.resize(static_cast<std::size_t>(count));
   batch->view_hashes.resize(static_cast<std::size_t>(count));
   for (std::size_t i = 0; i < batch->views.size(); ++i) {
-    ViewNode& v = batch->views[i];
+    ViewRef& v = batch->views[i];
     const std::uint64_t id = batch->base_views + i;
     if (!decode_view(r, &v) || v.owner < 0 || v.owner >= n ||
-        !earlier(v.prev, id)) {
+        !earlier(v.prev, id) ||
+        ViewArena::region_words(n, v.obs.size()) > kMaxRegionWords) {
       return false;
     }
     // Sources are process or register indices (< n): the models put them
@@ -65,7 +69,10 @@ bool decode_states(Reader& r, std::uint64_t count, const LayeredModel& model,
   batch->state_hashes.resize(static_cast<std::size_t>(count));
   for (std::size_t i = 0; i < batch->states.size(); ++i) {
     StateRef& s = batch->states[i];
-    if (!view_state(in, n, &s) || !model.env_well_formed(s.env, views_end)) {
+    if (!view_state(in, n, &s) ||
+        StateArena::region_words(s.env.size(), s.locals.size()) >
+            kMaxRegionWords ||
+        !model.env_well_formed(s.env, views_end)) {
       return false;
     }
     for (ViewId v : s.locals) {
@@ -158,16 +165,9 @@ bool skip_lemmas(Reader& r, std::uint64_t count) {
 void encode_views(Writer& w, const ViewArena& views, std::uint64_t from,
                   std::uint64_t to) {
   for (std::uint64_t id = from; id < to; ++id) {
-    const ViewNode& v = views.node(static_cast<ViewId>(id));
-    w.i32(static_cast<std::int32_t>(v.owner));
-    w.i32(v.round);
-    w.i32(static_cast<std::int32_t>(v.input));
-    w.i32(static_cast<std::int32_t>(v.prev));
-    w.u32(static_cast<std::uint32_t>(v.obs.size()));
-    for (const Obs& o : v.obs) {
-      w.i32(o.source);
-      w.i32(static_cast<std::int32_t>(o.view));
-    }
+    const std::span<const std::int32_t> record =
+        views.record(static_cast<ViewId>(id));
+    w.raw(record.data(), record.size_bytes());
   }
 }
 
@@ -224,8 +224,8 @@ bool memo_matches(const ValenceEngine* engine, const RecordBatch& batch) {
 Result apply(LayeredModel& model, ValenceEngine* engine, RecordBatch& batch) {
   try {
     for (std::size_t i = 0; i < batch.views.size(); ++i) {
-      const ViewId got = model.views().restore(std::move(batch.views[i]),
-                                               batch.view_hashes[i]);
+      const ViewId got =
+          model.views().restore(batch.views[i], batch.view_hashes[i]);
       if (static_cast<std::uint64_t>(got) != batch.base_views + i) {
         return {Status::kCorrupt, "view replay diverged at id " +
                                       std::to_string(batch.base_views + i)};

@@ -18,8 +18,8 @@
 // §1.3, one list for both formats): each count against the bytes left, each
 // view's owner, prev and observations, each state's locals against the
 // batch's view horizon and its environment by the model's
-// env_well_formed, and each layer, memo and row key against its state
-// horizon. A batch that decoded is safe to apply; a loader applies
+// env_well_formed, each view and state against the largest pool region an
+// arena holds, and each layer, memo and row key against its state horizon. A batch that decoded is safe to apply; a loader applies
 // nothing before its whole batch (and, for a snapshot, the digests)
 // passed.
 #pragma once
@@ -111,24 +111,20 @@ class Reader {
 
 // --- One record of each kind, for readers that walk a block unchecked ----
 
-// Decodes one view record (FORMATS.md §1.5), checking only that it fits.
-inline bool decode_view(Reader& r, ViewNode* v) {
-  std::int32_t owner = 0, input = 0, prev = 0;
-  std::uint32_t obs_count = 0;
-  if (!r.i32(&owner) || !r.i32(&v->round) || !r.i32(&input) || !r.i32(&prev) ||
-      !r.u32(&obs_count) || obs_count > r.remaining() / 8) {
-    return false;
-  }
-  v->owner = static_cast<ProcessId>(owner);
-  v->input = static_cast<Value>(input);
-  v->prev = static_cast<ViewId>(prev);
-  v->obs.resize(obs_count);
-  for (Obs& o : v->obs) {
-    r.i32(&o.source);
-    std::int32_t view = 0;
-    r.i32(&view);
-    o.view = static_cast<ViewId>(view);
-  }
+// Views a view record (FORMATS.md §1.5) in place, checking only that it
+// fits: `obs` points into the reader's buffer, which must outlive it.
+// Requires the record to start 4-aligned in memory, as every record of a
+// block that does (each is 20 + 8 * obs_count bytes).
+inline bool decode_view(Reader& r, ViewRef* v) {
+  const std::uint8_t* p = r.view(4 * ViewRef::kHeadLanes);
+  if (p == nullptr) return false;
+  assert(reinterpret_cast<std::uintptr_t>(p) % alignof(Obs) == 0 &&
+         "view records are viewed only from a 4-aligned buffer");
+  const auto* lanes = reinterpret_cast<const std::int32_t*>(p);
+  const auto obs_count = static_cast<std::uint32_t>(lanes[4]);
+  if (obs_count > r.remaining() / sizeof(Obs)) return false;
+  r.skip(obs_count * sizeof(Obs));
+  *v = ViewRef::at(lanes);
   return true;
 }
 
@@ -161,7 +157,7 @@ inline bool view_state(Reader& r, int n, StateRef* s) {
 struct RecordBatch {
   std::uint64_t base_views = 0;
   std::uint64_t base_states = 0;
-  std::vector<ViewNode> views;
+  std::vector<ViewRef> views;              // viewed in the decoded bytes
   std::vector<std::uint64_t> view_hashes;  // ViewArena::content_hash
   std::vector<StateRef> states;            // viewed in the decoded bytes
   std::vector<std::uint64_t> state_hashes;  // StateArena::content_hash

@@ -61,7 +61,7 @@ inline constexpr std::uint32_t kFormatVersion = 1;
 inline constexpr std::uint32_t kDigestShards = 64;
 
 enum class SectionKind : std::uint32_t {
-  kViews = 1,             // ViewNode records in id order
+  kViews = 1,             // view records in id order
   kStates = 2,            // GlobalState records in id order
   kStateDigests = 3,      // per-digest-shard sums of state content hashes
   kViewDigests = 4,       // per-digest-shard sums of view content hashes

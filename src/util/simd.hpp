@@ -58,9 +58,9 @@ inline bool lanes_equal_skip(const std::int32_t* a, const std::int32_t* b,
 
 // Erase-one fingerprint row: out[j] becomes the fold of hash_combine over
 //   seed, locals[0], decisions[0], ..., locals[n-1], decisions[n-1]
-// with locals[j] and decisions[j] skipped — exactly
-// LayeredModel::similarity_fingerprint(x, j) when `seed` is the state's
-// env hash. Lanes are sign-extended to 64 bits before combining, matching
+// with locals[j] and decisions[j] skipped — the base
+// LayeredModel::fingerprint_row_into row when `seed` is the state's env
+// hash. Lanes are sign-extended to 64 bits before combining, matching
 // static_cast<std::uint64_t>(ViewId) on int32 lanes.
 inline void fingerprint_lanes(std::uint64_t seed, const std::int32_t* locals,
                               const std::int32_t* decisions, std::size_t n,
@@ -69,7 +69,7 @@ inline void fingerprint_lanes(std::uint64_t seed, const std::int32_t* locals,
   // Item-major instead of row-major: each lane j still receives exactly the
   // per-j fold's operations in the per-j fold's order (items of i < i' are
   // combined before i'), so the row is bit-identical to n independent
-  // similarity_fingerprint calls while touching each lane pair once.
+  // per-j folds while touching each lane pair once.
   for (std::size_t i = 0; i < n; ++i) {
     const auto l =
         static_cast<std::uint64_t>(static_cast<std::int64_t>(locals[i]));

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -56,20 +57,60 @@ std::vector<std::uint64_t> content_hashes(const StateArena& arena) {
 TEST(WordPoolTest, RegionsNeverSpanChunks) {
   runtime::WordPool pool;
   constexpr std::size_t kChunk = runtime::WordPool::kMaxRegionWords;
-  const std::size_t a = pool.alloc(10);
-  EXPECT_EQ(a, 0u);
-  // The tail of chunk 0 (kChunk - 10 words) cannot hold a full chunk, so
-  // this region must start at the next chunk boundary.
-  const std::size_t b = pool.alloc(kChunk);
-  EXPECT_EQ(b, kChunk);
-  EXPECT_EQ(pool.allocated_words(), 2 * kChunk);
-  // Writes round-trip through data().
-  std::int64_t* w = pool.mutable_data(a);
-  for (std::size_t i = 0; i < 10; ++i) w[i] = static_cast<std::int64_t>(i);
-  const std::int64_t* r = pool.data(a);
-  for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(r[i], static_cast<std::int64_t>(i));
+  // The first two regions fill chunk 0 exactly; the third starts chunk 1,
+  // whose tail (kChunk - 1 words) cannot hold the fourth, a full chunk.
+  const std::size_t lens[] = {10, kChunk - 10, 1, kChunk};
+  std::vector<std::int64_t*> regions;
+  for (const std::size_t len : lens) regions.push_back(pool.alloc(len));
+  EXPECT_EQ(regions[1], regions[0] + 10);
+  // Every word of every region is written (ASan checks that each lies in
+  // a chunk), then read back: no region overlaps another.
+  for (std::size_t r = 0; r < regions.size(); ++r) {
+    std::fill_n(regions[r], lens[r], static_cast<std::int64_t>(r));
   }
+  for (std::size_t r = 0; r < regions.size(); ++r) {
+    EXPECT_EQ(std::count(regions[r], regions[r] + lens[r],
+                         static_cast<std::int64_t>(r)),
+              static_cast<std::ptrdiff_t>(lens[r]))
+        << "region " << r;
+  }
+}
+
+// A region larger than a chunk is refused before anything is claimed: the
+// next region still continues the current chunk.
+TEST(WordPoolTest, OversizedRegionThrowsAndClaimsNothing) {
+  runtime::WordPool pool;
+  std::int64_t* a = pool.alloc(3);
+  EXPECT_THROW(pool.alloc(runtime::WordPool::kMaxRegionWords + 1),
+               std::bad_alloc);
+  EXPECT_EQ(pool.alloc(5), a + 3);
+}
+
+// A view or state whose region would exceed one chunk is refused with
+// std::bad_alloc before anything is interned; the largest that fits is
+// interned whole.
+TEST(ArenaRegionLimitTest, OversizedContentThrowsAndInternsNothing) {
+  constexpr std::size_t kMax = runtime::WordPool::kMaxRegionWords;
+  ViewArena views(3);
+  const ViewId v0 = views.initial(0, 1);
+  const std::size_t bytes = views.approx_bytes();
+  // (3 known-input lanes + 5 head lanes + 2 * 65,532 + 1) / 2 = kMax words.
+  const std::vector<Obs> fits(kMax - 4, Obs{2, kNoView});
+  const std::vector<Obs> over(kMax - 3, Obs{2, kNoView});
+  EXPECT_THROW(views.extend(v0, over), std::bad_alloc);
+  EXPECT_EQ(views.size(), 1u);
+  EXPECT_EQ(views.approx_bytes(), bytes);
+  const ViewId big = views.extend(v0, fits);
+  EXPECT_EQ(views.node(big).obs.size(), fits.size());
+  EXPECT_EQ(views.known_inputs(big)[0], 1);
+
+  StateArena states;
+  GlobalState s{std::vector<std::int64_t>(kMax - 3, 7), {0, 0, 0}, {0, 0, 0}};
+  EXPECT_THROW(states.intern(s), std::bad_alloc);
+  EXPECT_EQ(states.size(), 0u);
+  s.env.pop_back();  // 65,532 env words + 2 * 2 lane words = kMax
+  const StateId id = states.intern(s);
+  EXPECT_EQ(states.state(id), StateRef(s));
 }
 
 // Distinct content can share a 64-bit hash: the index must keep every id
@@ -198,7 +239,7 @@ TEST(ViewArenaTest, ParallelInternStressAgreesAcrossThreads) {
             if (src == c % 4) continue;
             obs.push_back(Obs{src, ((c + d + src) % 3 == 0) ? v : kNoView});
           }
-          v = arena.extend(v, std::move(obs));
+          v = arena.extend(v, obs);
         }
         tips[static_cast<std::size_t>(t)][static_cast<std::size_t>(c)] = v;
       }
@@ -220,7 +261,7 @@ TEST(ViewArenaTest, ParallelInternStressAgreesAcrossThreads) {
     for (std::int32_t src = 1; src < 4; ++src) {
       obs.push_back(Obs{src, ((0 + d + src) % 3 == 0) ? v : kNoView});
     }
-    v = arena.extend(v, std::move(obs));
+    v = arena.extend(v, obs);
   }
   EXPECT_EQ(arena.size(), before);
 }
@@ -252,10 +293,10 @@ TEST(ArenaPublicationTest, EveryIdBelowSizeIsWritten) {
   StateArena states;
   ViewArena views(4);
   const auto view_ok = [&](ViewId id) {
-    const ViewNode& v = views.node(id);
+    const ViewRef v = views.node(id);
     if (v.input < 1 || v.owner < 0 || v.owner >= 4) return false;
     if (v.prev == kNoView) return v.round == 0 && v.obs.empty();
-    const ViewNode& p = views.node(v.prev);
+    const ViewRef p = views.node(v.prev);
     return v.prev < id && v.round == p.round + 1 && v.owner == p.owner &&
            v.input == p.input && v.obs.size() == 1 &&
            v.obs[0] == Obs{v.round % 4, v.prev};
@@ -271,7 +312,7 @@ TEST(ArenaPublicationTest, EveryIdBelowSizeIsWritten) {
         ViewId v = views.initial(static_cast<ProcessId>(k % 4),
                                  static_cast<Value>(1 + k % 300));
         for (std::int32_t round = 1; round <= 3; ++round) {
-          v = views.extend(v, {Obs{round % 4, v}});
+          v = views.extend(v, std::vector<Obs>{{round % 4, v}});
         }
       }
       writing.fetch_sub(1);
@@ -306,40 +347,45 @@ TEST(ArenaPublicationTest, EveryIdBelowSizeIsWritten) {
   EXPECT_EQ(views.size(), 300u * 4);
 }
 
-// Concurrent known_inputs over a shared deep chain: the per-node memo slots
-// must hand every caller the same (correct) vector.
-TEST(ViewArenaTest, KnownInputsMemoIsConcurrent) {
+// Known-input lanes are written when a view is interned, before its id is
+// published: threads racing to build the same deep chain all read the same
+// (correct) lanes at the tip, without any lock or memo.
+TEST(ViewArenaTest, KnownInputLanesAreWrittenAtIntern) {
   ViewArena arena(4);
-  // p0 learns everyone's input through a chain of phases.
-  std::vector<ViewId> others;
-  for (ProcessId p = 1; p < 4; ++p) others.push_back(arena.initial(p, p % 2));
-  ViewId v = arena.initial(0, 1);
-  for (int d = 0; d < 30; ++d) {
-    std::vector<Obs> obs;
-    for (std::int32_t src = 1; src < 4; ++src) {
-      obs.push_back(
-          Obs{src, d == 0 ? others[static_cast<std::size_t>(src - 1)]
-                          : kNoView});
-    }
-    v = arena.extend(v, std::move(obs));
-  }
-
-  std::vector<const std::vector<Value>*> results(kThreads, nullptr);
+  std::vector<ViewId> tips(kThreads, kNoView);
+  std::vector<const Value*> lanes(kThreads, nullptr);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      results[static_cast<std::size_t>(t)] = &arena.known_inputs(v);
+      // p0 learns everyone's input in its first phase, then hears nothing.
+      std::vector<ViewId> others;
+      for (ProcessId p = 1; p < 4; ++p) {
+        others.push_back(arena.initial(p, p % 2));
+      }
+      ViewId v = arena.initial(0, 1);
+      for (int d = 0; d < 30; ++d) {
+        std::vector<Obs> obs;
+        for (std::int32_t src = 1; src < 4; ++src) {
+          obs.push_back(
+              Obs{src, d == 0 ? others[static_cast<std::size_t>(src - 1)]
+                              : kNoView});
+        }
+        v = arena.extend(v, obs);
+      }
+      tips[static_cast<std::size_t>(t)] = v;
+      lanes[static_cast<std::size_t>(t)] = arena.known_inputs(v).data();
     });
   }
   for (auto& th : threads) th.join();
 
-  const std::vector<Value> expected = {1, 1, 0, 1};  // p:, input p%2; p0=1
+  const std::vector<Value> expected = {1, 1, 0, 1};  // p: input p%2; p0=1
   for (int t = 0; t < kThreads; ++t) {
-    ASSERT_NE(results[static_cast<std::size_t>(t)], nullptr);
-    EXPECT_EQ(*results[static_cast<std::size_t>(t)], expected);
-    // Memoized: every thread sees the same published vector.
-    EXPECT_EQ(results[static_cast<std::size_t>(t)], results[0]);
+    EXPECT_EQ(tips[static_cast<std::size_t>(t)], tips[0]);
+    EXPECT_EQ(lanes[static_cast<std::size_t>(t)], lanes[0]);
   }
+  const std::span<const Value> known = arena.known_inputs(tips[0]);
+  EXPECT_EQ(std::vector<Value>(known.begin(), known.end()), expected);
+  EXPECT_EQ(arena.size(), 4u + 30u);
 }
 
 // Fault soak at kArenaAlloc against the pooled arena: injected allocation

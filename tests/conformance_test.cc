@@ -99,7 +99,7 @@ TEST_P(Conformance, ViewsRecordMonotoneRounds) {
   for (StateId x : reachable_states(*model_, 2)) {
     const StateRef s = model_->state(x);
     for (ViewId v : s.locals) {
-      const ViewNode& node = model_->views().node(v);
+      const ViewRef node = model_->views().node(v);
       EXPECT_LE(node.round, 2);
       if (node.prev != kNoView) {
         EXPECT_EQ(model_->views().node(node.prev).round, node.round - 1);

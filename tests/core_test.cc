@@ -10,6 +10,8 @@
 namespace lacon {
 namespace {
 
+using ObsList = std::vector<Obs>;
+
 TEST(ViewArena, InitialViewsInterned) {
   ViewArena arena(3);
   const ViewId a = arena.initial(0, 1);
@@ -27,9 +29,9 @@ TEST(ViewArena, ExtendAdvancesRoundAndInterns) {
   ViewArena arena(3);
   const ViewId a = arena.initial(0, 1);
   const ViewId b = arena.initial(1, 0);
-  const ViewId x = arena.extend(a, {{1, b}, {2, kNoView}});
-  const ViewId y = arena.extend(a, {{1, b}, {2, kNoView}});
-  const ViewId z = arena.extend(a, {{1, kNoView}, {2, kNoView}});
+  const ViewId x = arena.extend(a, ObsList{{1, b}, {2, kNoView}});
+  const ViewId y = arena.extend(a, ObsList{{1, b}, {2, kNoView}});
+  const ViewId z = arena.extend(a, ObsList{{1, kNoView}, {2, kNoView}});
   EXPECT_EQ(x, y);
   EXPECT_NE(x, z);
   EXPECT_EQ(arena.node(x).round, 1);
@@ -52,14 +54,14 @@ TEST(ViewArena, KnownInputsPropagateThroughObservations) {
   const ViewId b = arena.initial(1, 1);
   const ViewId c = arena.initial(2, 1);
   // Process 0 observes 1 but misses 2.
-  const ViewId x = arena.extend(a, {{1, b}, {2, kNoView}});
+  const ViewId x = arena.extend(a, ObsList{{1, b}, {2, kNoView}});
   const auto& known = arena.known_inputs(x);
   EXPECT_EQ(known[0], 0);
   EXPECT_EQ(known[1], 1);
   EXPECT_EQ(known[2], kUnknownInput);
   // A second round observing a view that knows 2's input fills the gap.
-  const ViewId y1 = arena.extend(b, {{0, a}, {2, c}});
-  const ViewId x2 = arena.extend(x, {{1, y1}, {2, kNoView}});
+  const ViewId y1 = arena.extend(b, ObsList{{0, a}, {2, c}});
+  const ViewId x2 = arena.extend(x, ObsList{{1, y1}, {2, kNoView}});
   EXPECT_EQ(arena.known_inputs(x2)[2], 1);
 }
 
@@ -67,8 +69,8 @@ TEST(ViewArena, KnownInputsTransitiveThroughPrevChain) {
   ViewArena arena(2);
   const ViewId a = arena.initial(0, 0);
   const ViewId b = arena.initial(1, 1);
-  const ViewId x1 = arena.extend(a, {{1, b}});
-  const ViewId x2 = arena.extend(x1, {{1, kNoView}});
+  const ViewId x1 = arena.extend(a, ObsList{{1, b}});
+  const ViewId x2 = arena.extend(x1, ObsList{{1, kNoView}});
   // Input of 1 was learned in round 1 and persists.
   EXPECT_EQ(arena.known_inputs(x2)[1], 1);
 }
@@ -77,7 +79,7 @@ TEST(ViewArena, ToStringMentionsOwnerAndRound) {
   ViewArena arena(2);
   const ViewId a = arena.initial(0, 1);
   EXPECT_EQ(arena.to_string(a), "p0@0(in=1)");
-  const ViewId x = arena.extend(a, {{1, kNoView}});
+  const ViewId x = arena.extend(a, ObsList{{1, kNoView}});
   EXPECT_NE(arena.to_string(x).find("p0@1"), std::string::npos);
 }
 
@@ -101,9 +103,10 @@ TEST(GlobalState, AgreeModuloSeesDecisionDifference) {
 
 TEST(StateArena, InternsStructurally) {
   StateArena arena;
-  const StateId a = arena.intern({{1}, {2, 3}, {kUndecided, kUndecided}});
-  const StateId b = arena.intern({{1}, {2, 3}, {kUndecided, kUndecided}});
-  const StateId c = arena.intern({{1}, {2, 4}, {kUndecided, kUndecided}});
+  const std::vector<Value> undecided = {kUndecided, kUndecided};
+  const StateId a = arena.intern(GlobalState{{1}, {2, 3}, undecided});
+  const StateId b = arena.intern(GlobalState{{1}, {2, 3}, undecided});
+  const StateId c = arena.intern(GlobalState{{1}, {2, 4}, undecided});
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
   EXPECT_EQ(arena.size(), 2u);
@@ -136,7 +139,7 @@ TEST_F(RuleFixture, MinAfterRoundWaitsForRound) {
   const ViewId a = arena_.initial(0, 1);
   EXPECT_FALSE(rule->decide(0, a, arena_));  // round 0 < 1
   const ViewId b = arena_.initial(1, 0);
-  const ViewId x = arena_.extend(a, {{1, b}, {2, kNoView}});
+  const ViewId x = arena_.extend(a, ObsList{{1, b}, {2, kNoView}});
   const auto d = rule->decide(0, x, arena_);
   ASSERT_TRUE(d);
   EXPECT_EQ(*d, 0);  // min of {1, 0}
@@ -145,7 +148,7 @@ TEST_F(RuleFixture, MinAfterRoundWaitsForRound) {
 TEST_F(RuleFixture, OwnInputAfterRound) {
   const auto rule = own_input_after_round(1);
   const ViewId a = arena_.initial(2, 1);
-  const ViewId x = arena_.extend(a, {{0, kNoView}, {1, kNoView}});
+  const ViewId x = arena_.extend(a, ObsList{{0, kNoView}, {1, kNoView}});
   const auto d = rule->decide(2, x, arena_);
   ASSERT_TRUE(d);
   EXPECT_EQ(*d, 1);
@@ -156,13 +159,13 @@ TEST_F(RuleFixture, UnanimityDecidesEarlyOnCompleteUnanimousView) {
   const ViewId a = arena_.initial(0, 1);
   const ViewId b = arena_.initial(1, 1);
   const ViewId c = arena_.initial(2, 1);
-  const ViewId x = arena_.extend(a, {{1, b}, {2, c}});
+  const ViewId x = arena_.extend(a, ObsList{{1, b}, {2, c}});
   const auto d = rule->decide(0, x, arena_);
   ASSERT_TRUE(d);
   EXPECT_EQ(*d, 1);
   // Mixed inputs: no early decision before the deadline round.
   const ViewId b0 = arena_.initial(1, 0);
-  const ViewId y = arena_.extend(a, {{1, b0}, {2, c}});
+  const ViewId y = arena_.extend(a, ObsList{{1, b0}, {2, c}});
   EXPECT_FALSE(rule->decide(0, y, arena_));
 }
 
@@ -171,12 +174,12 @@ TEST_F(RuleFixture, MajorityAfterRound) {
   const ViewId a = arena_.initial(0, 0);
   const ViewId b = arena_.initial(1, 1);
   const ViewId c = arena_.initial(2, 1);
-  const ViewId x = arena_.extend(a, {{1, b}, {2, c}});
+  const ViewId x = arena_.extend(a, ObsList{{1, b}, {2, c}});
   const auto d = rule->decide(0, x, arena_);
   ASSERT_TRUE(d);
   EXPECT_EQ(*d, 1);  // two ones beat one zero
   // Ties go to 0.
-  const ViewId y = arena_.extend(a, {{1, b}, {2, kNoView}});
+  const ViewId y = arena_.extend(a, ObsList{{1, b}, {2, kNoView}});
   const auto dy = rule->decide(0, y, arena_);
   ASSERT_TRUE(dy);
   EXPECT_EQ(*dy, 0);

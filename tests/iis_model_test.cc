@@ -48,10 +48,10 @@ TEST(Iis, BlockMembersSeeEachOther) {
   const StateId x0 = model.initial_states().front();
   // {0,1} first, then {2}: 0 and 1 see each other but not 2; 2 sees all.
   const StateId y = model.apply_partition(x0, blocks({{0, 1}, {2}}));
-  const ViewNode& v0 = model.views().node(model.state(y).locals[0]);
+  const ViewRef v0 = model.views().node(model.state(y).locals[0]);
   ASSERT_EQ(v0.obs.size(), 1u);
   EXPECT_EQ(v0.obs[0].source, 1);
-  const ViewNode& v2 = model.views().node(model.state(y).locals[2]);
+  const ViewRef v2 = model.views().node(model.state(y).locals[2]);
   EXPECT_EQ(v2.obs.size(), 2u);
 }
 
@@ -60,7 +60,7 @@ TEST(Iis, SoloFirstProcessSeesNothing) {
   IisModel model(3, *rule);
   const StateId x0 = model.initial_states().front();
   const StateId y = model.apply_partition(x0, blocks({{1}, {0, 2}}));
-  const ViewNode& v1 = model.views().node(model.state(y).locals[1]);
+  const ViewRef v1 = model.views().node(model.state(y).locals[1]);
   EXPECT_TRUE(v1.obs.empty());
 }
 

@@ -140,7 +140,7 @@ TEST(MobileModel, SilencedProcessViewStillAdvances) {
   const StateId y = model.apply(x0, 1, 3);  // j=1 silent to everyone
   EXPECT_EQ(model.views().node(model.state(y).locals[1]).round, 1);
   // Processes 0 and 2 observed an absence from 1.
-  const ViewNode& v0 = model.views().node(model.state(y).locals[0]);
+  const ViewRef v0 = model.views().node(model.state(y).locals[0]);
   bool missing_from_1 = false;
   for (const Obs& o : v0.obs) {
     if (o.source == 1 && o.view == kNoView) missing_from_1 = true;

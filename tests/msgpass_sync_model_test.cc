@@ -46,7 +46,7 @@ TEST(MsgPassSync, EarlyReadersMissTheSlowMessage) {
   const StateId x0 = model.initial_states().front();
   // (j=0, k=n): the proper processes receive in R1, before 0's S2 send.
   const StateId y = model.apply_timed(x0, 0, 3);
-  const ViewNode& v1 = model.views().node(model.state(y).locals[1]);
+  const ViewRef v1 = model.views().node(model.state(y).locals[1]);
   for (const Obs& o : v1.obs) {
     EXPECT_NE(o.source, 0) << "R1 receiver must miss the S2 message";
   }
@@ -57,7 +57,7 @@ TEST(MsgPassSync, EarlyReadersMissTheSlowMessage) {
   }
   EXPECT_EQ(from_0, 2);
   // The slow process itself received everything.
-  const ViewNode& v0 = model.views().node(model.state(y).locals[0]);
+  const ViewRef v0 = model.views().node(model.state(y).locals[0]);
   EXPECT_EQ(v0.obs.size(), 2u);
 }
 
@@ -69,7 +69,7 @@ TEST(MsgPassSync, StaleMessageArrivesNextRound) {
   const StateId x0 = model.initial_states().front();
   const StateId y = model.apply_timed(x0, 0, 3);
   const StateId z = model.apply_absent(y, 0);
-  const ViewNode& v1 = model.views().node(model.state(z).locals[1]);
+  const ViewRef v1 = model.views().node(model.state(z).locals[1]);
   bool saw_stale = false;
   for (const Obs& o : v1.obs) {
     if (o.source == 0 && o.view == model.state(x0).locals[0]) saw_stale = true;

@@ -11,9 +11,11 @@
 #include "models/mobile/mobile_model.hpp"
 #include "models/msgpass/msgpass_model.hpp"
 #include "models/msgpass/msgpass_sync_model.hpp"
+#include "models/snapshot/snapshot_model.hpp"
 #include "relation/graph.hpp"
 #include "relation/similarity.hpp"
 #include "relation/similarity_index.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace lacon {
@@ -222,6 +224,39 @@ TEST(SimilarityIndex, IndexedEqualsNaiveAcrossModelsAndDepths) {
   }
 }
 
+// The base models' erase-j fingerprint, one coordinate at a time: the
+// "simfip"-seeded env hash, then every other process's local and decision.
+// LayeredModel::fingerprint_row_into computes the whole row in one pass.
+std::uint64_t reference_fingerprint(const StateRef& s, ProcessId j) {
+  std::uint64_t h = hash_range(s.env, 0x73696d666970ULL);
+  for (std::size_t i = 0; i < s.locals.size(); ++i) {
+    if (i == static_cast<std::size_t>(j)) continue;
+    h = hash_combine(h, static_cast<std::uint64_t>(s.locals[i]));
+    h = hash_combine(h, static_cast<std::uint64_t>(s.decisions[i]));
+  }
+  return h;
+}
+
+TEST(SimilarityIndex, BaseRowsMatchThePerCoordinateFold) {
+  auto rule = min_after_round(2);
+  std::vector<std::unique_ptr<LayeredModel>> models;
+  for (ModelKind kind :
+       {ModelKind::kMobile, ModelKind::kSharedMem, ModelKind::kSync}) {
+    models.push_back(make_model(kind, 3, 1, *rule));
+  }
+  models.push_back(std::make_unique<SnapshotModel>(3, *rule));
+  models.push_back(std::make_unique<IisModel>(3, *rule));
+  for (const auto& model : models) {
+    for (StateId x : reachable_states(*model, 2)) {
+      const std::uint64_t* row = model->fingerprint_row(x);
+      for (ProcessId j = 0; j < model->n(); ++j) {
+        ASSERT_EQ(row[j], reference_fingerprint(model->state(x), j))
+            << model->name() << " state " << x << " erasing " << j;
+      }
+    }
+  }
+}
+
 // Soundness contract of the msgpass fingerprint overrides: agree_modulo
 // truth implies fingerprint equality (for every erased coordinate), so the
 // index can never drop a ~s edge.
@@ -232,8 +267,7 @@ void check_fingerprint_contract(Model& model, int depth) {
     for (StateId y : states) {
       for (ProcessId j = 0; j < model.n(); ++j) {
         if (model.agree_modulo(x, y, j)) {
-          ASSERT_EQ(model.similarity_fingerprint(x, j),
-                    model.similarity_fingerprint(y, j))
+          ASSERT_EQ(model.fingerprint_row(x)[j], model.fingerprint_row(y)[j])
               << model.name() << " states " << x << "," << y << " mod " << j;
         }
       }
@@ -266,11 +300,9 @@ TEST(SimilarityIndex, MailboxMaskedFingerprintIgnoresOwnMailbox) {
       x0, Schedule{{0, -1}, {1, -1}, {2, -1}});
   const StateId b = model.apply_schedule(x0, Schedule{{0, 1}, {2, -1}});
   ASSERT_TRUE(model.agree_modulo(a, b, 1));
-  EXPECT_EQ(model.similarity_fingerprint(a, 1),
-            model.similarity_fingerprint(b, 1));
+  EXPECT_EQ(model.fingerprint_row(a)[1], model.fingerprint_row(b)[1]);
   EXPECT_FALSE(model.agree_modulo(a, b, 0));
-  EXPECT_NE(model.similarity_fingerprint(a, 0),
-            model.similarity_fingerprint(b, 0));
+  EXPECT_NE(model.fingerprint_row(a)[0], model.fingerprint_row(b)[0]);
 }
 
 }  // namespace

@@ -65,13 +65,13 @@ TEST(SharedMem, EarlyReadersMissTheSlowWrite) {
   const StateId y = model.apply_timed(x0, 0, 3);
   const StateRef sx = model.state(x0);
   const StateRef sy = model.state(y);
-  const ViewNode& v1 = model.views().node(sy.locals[1]);
+  const ViewRef v1 = model.views().node(sy.locals[1]);
   bool saw_stale_v0 = false;
   for (const Obs& o : v1.obs) {
     if (o.source == 0) saw_stale_v0 = (o.view == kNoView);  // unwritten V_0
   }
   EXPECT_TRUE(saw_stale_v0);
-  const ViewNode& v0 = model.views().node(sy.locals[0]);
+  const ViewRef v0 = model.views().node(sy.locals[0]);
   bool saw_fresh_v0 = false;
   for (const Obs& o : v0.obs) {
     if (o.source == 0) saw_fresh_v0 = (o.view == sx.locals[0]);

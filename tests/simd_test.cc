@@ -100,8 +100,8 @@ TEST(SimdKernels, LanesEqualSkipMatchesScalar) {
 }
 
 // The documented definition: per erased coordinate j, fold hash_combine over
-// all sign-extended lanes i != j in increasing i (core/model.cc's
-// similarity_fingerprint with `seed` standing in for the env hash).
+// all sign-extended lanes i != j in increasing i (relation_test's
+// reference_fingerprint with `seed` standing in for the env hash).
 std::uint64_t reference_fingerprint(std::uint64_t seed,
                                     const std::vector<std::int32_t>& locals,
                                     const std::vector<std::int32_t>& decisions,

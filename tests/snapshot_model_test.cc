@@ -46,7 +46,7 @@ TEST(Snapshot, BlockMembersSeeEachOtherAndPersistentValues) {
   const StateId x0 = model.initial_states().front();
   // Round 1: only {0,2} participate (1 slow), 0 and 2 in one block.
   const StateId y = model.apply_partition(x0, blocks({{0, 2}}));
-  const ViewNode& v0 = model.views().node(model.state(y).locals[0]);
+  const ViewRef v0 = model.views().node(model.state(y).locals[0]);
   // Snapshot covers all registers: 0's own, 1's (never written: kNoView),
   // and 2's fresh write.
   ASSERT_EQ(v0.obs.size(), 3u);
@@ -65,7 +65,7 @@ TEST(Snapshot, RegistersPersistAcrossRounds) {
   // register value (the stale-value bridge).
   const StateId y = model.apply_partition(x0, blocks({{0, 1, 2}}));
   const StateId z = model.apply_partition(y, blocks({{0, 2}}));
-  const ViewNode& v0 = model.views().node(model.state(z).locals[0]);
+  const ViewRef v0 = model.views().node(model.state(z).locals[0]);
   EXPECT_EQ(v0.obs[1].source, 1);
   EXPECT_EQ(v0.obs[1].view, model.state(x0).locals[1]);  // round-1 write
 }

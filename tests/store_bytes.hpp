@@ -169,7 +169,7 @@ inline void reseal_snapshot(std::vector<char>& bytes, bool digests = true) {
         as_bytes(bytes, section_at(bytes, SectionKind::kViews)), bytes.size());
     for (std::uint64_t i = 0; i < section_count(bytes, SectionKind::kViews);
          ++i) {
-      ViewNode v;
+      ViewRef v;
       store::codec::decode_view(views, &v);
       add(view_sums, ViewArena::content_hash(v));
     }

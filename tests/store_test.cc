@@ -1063,6 +1063,49 @@ TEST_F(StoreTest, WalResetKeepsEntriesInsertedAfterTheSnapshot) {
             memo_tuples(engine.export_memo()));
 }
 
+// The same window when the other connections intern: states, their views,
+// layer entries reaching past the snapshot, rows and memo entries all land
+// after store::save captured its counts, and a commit may drain them into
+// the log that reset_to then truncates. reset_to's epoch walk
+// (LayeredModel::begin_log_epoch) must queue again every cache entry the
+// snapshot lacks, so the snapshot and the new log recover the live model.
+TEST_F(StoreTest, WalResetQueuesWhatWasInternedAfterTheSnapshot) {
+  const std::string snap = path("race.store");
+  const std::string file = path("race.wal");
+  auto live = make_instance(ModelKind::kMobile, 3, 1, 3);
+  store::Wal wal;
+  ASSERT_TRUE(wal.open(*live.model, file).ok());
+  ASSERT_TRUE(wal.replay(*live.model, live.engine.get()).ok());
+  analyze(live, 1);
+  ASSERT_TRUE(wal.append(*live.model, {live.engine.get()}).ok());
+
+  store::SnapshotMeta meta;
+  ASSERT_TRUE(store::save(*live.model, snap, live.engine.get(), &meta).ok());
+  analyze(live, 3);
+  ASSERT_GT(live.model->num_states(), meta.num_states);
+  ASSERT_GT(live.model->num_views(), meta.num_views);
+  ASSERT_TRUE(wal.append(*live.model, {live.engine.get()}).ok());
+  ASSERT_TRUE(live.model->drain_unpersisted(UINT64_MAX).empty());
+  ASSERT_TRUE(wal.reset_to(*live.model, meta.num_views, meta.num_states,
+                           live.engine.get())
+                  .ok());
+  ASSERT_TRUE(wal.append(*live.model, {live.engine.get()}).ok());
+  wal.close();
+
+  auto fresh = make_instance(ModelKind::kMobile, 3, 1, 3);
+  ASSERT_TRUE(store::load(*fresh.model, snap, fresh.engine.get()).ok());
+  store::Wal w;
+  ASSERT_TRUE(w.open(*fresh.model, file).ok());
+  ASSERT_TRUE(w.replay(*fresh.model, fresh.engine.get()).ok());
+  EXPECT_EQ(view_hashes(*fresh.model), view_hashes(*live.model));
+  EXPECT_EQ(state_hashes(*fresh.model), state_hashes(*live.model));
+  EXPECT_EQ(fresh.model->export_layer_cache(),
+            live.model->export_layer_cache());
+  EXPECT_EQ(fingerprint_rows(*fresh.model), fingerprint_rows(*live.model));
+  EXPECT_EQ(memo_tuples(fresh.engine->export_memo()),
+            memo_tuples(live.engine->export_memo()));
+}
+
 // Body of WalFailedWriteKeepsDelta, run in a death-test child so the file
 // size limit stays there. Returns 0 when every check holds.
 int failed_write_child(const std::string& file) {
@@ -1652,15 +1695,20 @@ void write_rules_log(ModelKind kind, const std::string& file, RulesLog* log) {
   t.row = at + 8;
 }
 
+// Re-seals the body checksum of the log record framed at `boundary`.
+void reseal_record(std::vector<char>& bytes, std::size_t boundary) {
+  const auto body_bytes = get<std::uint64_t>(bytes, boundary + 8);
+  put<std::uint64_t>(
+      bytes, boundary + 16,
+      store::codec::fnv1a(as_bytes(bytes, boundary + 24), body_bytes));
+}
+
 // `bytes`, `log` with record 2 edited, its body checksum re-sealed: replay
 // into a fresh `kind` instance cuts the log at record 2 and keeps record 1.
 void expect_log_cut(ModelKind kind, std::vector<char> bytes,
                     const RulesLog& log, const std::string& file,
                     const std::string& what) {
-  const auto body_bytes = get<std::uint64_t>(bytes, log.boundary + 8);
-  put<std::uint64_t>(bytes, log.boundary + 16,
-                     store::codec::fnv1a(as_bytes(bytes, log.boundary + 24),
-                                         body_bytes));
+  reseal_record(bytes, log.boundary);
   write_file(file, bytes.data(), bytes.size());
 
   auto target = make_instance(kind, 3, 1, 2);
@@ -1747,6 +1795,139 @@ TEST_F(StoreTest, WalRegisterPastTheViewsCutsTheLog) {
 
 TEST_F(StoreTest, WalMessageToProcessNCutsTheLog) {
   expect_log_cut_at_env(dir_.string(), ModelKind::kMsgPass);
+}
+
+// --- records larger than one arena pool region (FORMATS.md §1.3) ---------
+
+// An interned view or state is one pool region of at most
+// WordPool::kMaxRegionWords = 65,536 words. At n = 3 a view of 65,532
+// observations ((3 known-input lanes + 5 head lanes + 2 * 65,532 + 1) / 2
+// words) and a state of 65,532 env words (plus 2 * 2 lane words) fill one
+// exactly; one more observation or env word is one too many.
+constexpr std::uint32_t kLargestFit = 65'532;
+
+// Grows the view record at `at` to `obs` observations, appending
+// (source 2, kNoView) pairs after its own so they stay sorted by source.
+// Returns the bytes inserted, 8 per pair, so every later record keeps its
+// alignment.
+std::size_t grow_view(std::vector<char>& bytes, std::size_t at,
+                      std::uint32_t obs) {
+  const auto had = get<std::uint32_t>(bytes, at + 16);
+  std::vector<char> pairs(8 * std::size_t{obs - had});
+  for (std::size_t i = 0; i < pairs.size(); i += 8) {
+    put<std::int32_t>(pairs, i, 2);
+    put<std::int32_t>(pairs, i + 4, kNoView);
+  }
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at + 20 + 8 * had),
+               pairs.begin(), pairs.end());
+  put<std::uint32_t>(bytes, at + 16, obs);
+  return pairs.size();
+}
+
+// Grows the state record at `at` to `env_len` environment words (zeros
+// after its own; the mobile model takes any environment). Returns the
+// bytes inserted.
+std::size_t grow_env(std::vector<char>& bytes, std::size_t at,
+                     std::uint64_t env_len) {
+  const auto had = get<std::uint64_t>(bytes, at);
+  const std::size_t extra = 8 * static_cast<std::size_t>(env_len - had);
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at + 8 + 8 * had),
+               extra, 0);
+  put<std::uint64_t>(bytes, at, env_len);
+  return extra;
+}
+
+// The snapshot `saved` (save_rules_snapshot, targets `t`) with its first
+// view with observations (`view`) or its first state grown to `size`: the
+// section grows, every section after it moves, and the file is re-sealed.
+std::vector<char> with_grown_record(const std::vector<char>& saved,
+                                    const Targets& t, bool view,
+                                    std::uint32_t size) {
+  using store::SectionKind;
+  std::vector<char> bytes = saved;
+  const std::size_t extra = view ? grow_view(bytes, t.view, size)
+                                 : grow_env(bytes, t.state, size);
+  const std::size_t grown = section_entry(
+      bytes, view ? SectionKind::kViews : SectionKind::kStates);
+  const auto from = get<std::uint64_t>(bytes, grown + 8);
+  put<std::uint64_t>(bytes, grown + 16,
+                     get<std::uint64_t>(bytes, grown + 16) + extra);
+  const auto sections = get<std::uint32_t>(bytes, store_bytes::kPrelude + 24);
+  const std::size_t table_at = store_bytes::kPrelude +
+                               get<std::uint32_t>(bytes, 12) -
+                               store_bytes::kEntry * sections;
+  for (std::uint32_t i = 0; i < sections; ++i) {
+    const std::size_t offset_at = table_at + store_bytes::kEntry * i + 8;
+    const auto offset = get<std::uint64_t>(bytes, offset_at);
+    if (offset > from) put<std::uint64_t>(bytes, offset_at, offset + extra);
+  }
+  reseal_snapshot(bytes);
+  return bytes;
+}
+
+TEST_F(StoreTest, SnapshotRecordLargerThanAPoolRegionIsRefused) {
+  std::vector<char> saved;
+  Targets t;
+  save_rules_snapshot(ModelKind::kMobile, path("big.store"), &saved, &t);
+  expect_snapshot_refused(ModelKind::kMobile,
+                          with_grown_record(saved, t, true, kLargestFit + 1),
+                          path("edited.store"), "view one observation over");
+  expect_snapshot_refused(ModelKind::kMobile,
+                          with_grown_record(saved, t, false, kLargestFit + 1),
+                          path("edited.store"), "state one env word over");
+  for (const bool view : {true, false}) {
+    const std::vector<char> bytes =
+        with_grown_record(saved, t, view, kLargestFit);
+    const std::string file = path("largest.store");
+    write_file(file, bytes.data(), bytes.size());
+    auto target = make_instance(ModelKind::kMobile, 3, 1, 2);
+    const store::Result r =
+        store::load(*target.model, file, target.engine.get());
+    ASSERT_TRUE(r.ok()) << r.detail;
+    ASSERT_EQ(target.model->num_views(), t.views_end);
+    ASSERT_EQ(target.model->num_states(), t.states_end);
+    EXPECT_EQ(view ? target.model->views()
+                         .node(static_cast<ViewId>(t.view_id))
+                         .obs.size()
+                   : target.model->state(0).env.size(),
+              kLargestFit);
+  }
+}
+
+TEST_F(StoreTest, WalRecordLargerThanAPoolRegionCutsTheLog) {
+  RulesLog log;
+  write_rules_log(ModelKind::kMobile, path("big.wal"), &log);
+  for (const std::uint32_t size : {kLargestFit + 1, kLargestFit}) {
+    for (const bool view : {true, false}) {
+      std::vector<char> bytes = log.bytes;
+      const std::size_t extra = view ? grow_view(bytes, log.t.view, size)
+                                     : grow_env(bytes, log.t.state, size);
+      put<std::uint64_t>(
+          bytes, log.boundary + 8,
+          get<std::uint64_t>(bytes, log.boundary + 8) + extra);
+      const std::string what = std::string(view ? "view" : "state") +
+                               " of size " + std::to_string(size);
+      if (size > kLargestFit) {
+        expect_log_cut(ModelKind::kMobile, bytes, log, path("edited.wal"),
+                       what);
+        continue;
+      }
+      reseal_record(bytes, log.boundary);
+      const std::string file = path("largest.wal");
+      write_file(file, bytes.data(), bytes.size());
+      auto target = make_instance(ModelKind::kMobile, 3, 1, 2);
+      store::Wal w;
+      ASSERT_TRUE(w.open(*target.model, file).ok()) << what;
+      store::WalReplayStats rs;
+      const store::Result r =
+          w.replay(*target.model, target.engine.get(), &rs);
+      ASSERT_TRUE(r.ok()) << what << ": " << r.detail;
+      EXPECT_EQ(rs.records_applied, 2u) << what;
+      EXPECT_EQ(rs.truncated_bytes, 0u) << what;
+      EXPECT_EQ(target.model->num_views(), log.t.views_end) << what;
+      EXPECT_EQ(target.model->num_states(), log.t.states_end) << what;
+    }
+  }
 }
 
 // v1 knows section kinds 1..8, each once (FORMATS.md §1.3): a kind-99

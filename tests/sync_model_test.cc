@@ -46,7 +46,7 @@ TEST(SyncModel, FailedProcessSilencedForever) {
   // observes an absence from 0.
   const StateId z = model.apply(y, 1, 0);
   for (ProcessId i = 1; i < 3; ++i) {
-    const ViewNode& v = model.views().node(model.state(z).locals[i]);
+    const ViewRef v = model.views().node(model.state(z).locals[i]);
     bool missing_from_0 = false;
     for (const Obs& o : v.obs) {
       if (o.source == 0 && o.view == kNoView) missing_from_0 = true;
