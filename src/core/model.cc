@@ -199,7 +199,7 @@ const std::vector<StateId>& LayeredModel::initial_states() {
       }
       // No process has decided initially: d_i = ⊥ in Con_0 by definition.
       s.decisions.assign(static_cast<std::size_t>(n_), kUndecided);
-      initial_states_.push_back(intern(std::move(s)));
+      initial_states_.push_back(intern_canonical(s));
     }
     // Keep them sorted for deterministic iteration, and deduplicate: under
     // the symmetry quotient, orbit-equivalent input assignments fold onto
@@ -303,7 +303,7 @@ bool LayeredModel::sym_quotient_active() {
   return sym_active_;
 }
 
-StateId LayeredModel::intern_canonical(GlobalState s) {
+StateId LayeredModel::intern_canonical(GlobalState& s) {
   if (!sym_quotient_active()) return arena_.intern(s);
   bool folded = false;
   const std::uint64_t stab = canon_->canonicalize(*this, &s, &folded);

@@ -257,11 +257,12 @@ class LayeredModel {
   // O(orbit · n · rewrite) rather than n!.
   std::vector<StateId> unfold_orbit(StateId x);
 
-  // The intern path explore/compute_layer use: folds s onto its orbit
-  // representative first whenever the quotient is active, and records the
-  // orbit weight for the interned id. Public so tests and orbit unfolding
-  // helpers can intern externally-built states through the same path.
-  StateId intern_canonical(GlobalState s);
+  // The intern path compute_layer uses: folds `s` in place onto its orbit
+  // representative whenever the quotient is active, records the orbit
+  // weight for the interned id, and interns `s` as a StateRef (copied only
+  // when new). Public so tests can intern externally-built states through
+  // the same path.
+  StateId intern_canonical(GlobalState& s);
   // ------------------------------------------------------------------------
 
   // Canonical, id-free rendering of x's environment component. The default
@@ -276,14 +277,13 @@ class LayeredModel {
  protected:
   // Computes S(x); implementations should return successors in a
   // deterministic order and need not deduplicate (the base class does).
+  // Each builds its successors in one SuccessorBuilder (core/state.hpp) and
+  // interns them through intern_canonical, so the symmetry quotient applies
+  // transparently to every model.
   virtual std::vector<StateId> compute_layer(StateId x) = 0;
 
   // Environment component of initial states; default: empty (constant env).
   virtual std::vector<std::int64_t> initial_env() const { return {}; }
-
-  // Interns a successor state; routes through intern_canonical, so the
-  // symmetry quotient applies transparently to every model's compute_layer.
-  StateId intern(GlobalState s) { return intern_canonical(std::move(s)); }
 
   // Applies the decision rule to process i after it obtained `new_view`.
   // Respects the write-once semantics of d_i.

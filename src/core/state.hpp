@@ -9,11 +9,13 @@
 // Storage is flat: the arena keeps one word pool and stores each interned
 // state as a single region — env words first, then the locals and decisions
 // packed as 32-bit lanes. Readers see a StateRef of spans into the pool.
-// GlobalState (three vectors) remains the models' construction type;
-// intern() and restore() take a StateRef of one, or of a stored record
+// The models build successors in a SuccessorBuilder, one per layer
+// computation, reused for every successor of the layer; intern() and
+// restore() take a StateRef of the builder's state, or of a stored record
 // viewed in place, and copy it into the pool only when the content is new.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -21,6 +23,7 @@
 
 #include "core/intern.hpp"
 #include "core/types.hpp"
+#include "core/view.hpp"
 #include "util/simd.hpp"
 
 namespace lacon {
@@ -53,6 +56,31 @@ struct StateRef {
 
 // Content equality (spans have no operator==).
 bool operator==(const StateRef& a, const StateRef& b) noexcept;
+
+// The models' construction type: scratch for one successor at a time.
+// compute_layer owns one builder for the call (never thread_local, so
+// connections sharing a session stay independent) and reuses it for every
+// successor of the layer. start(x) overwrites `next` with x's content, and
+// each phase clears the observation buffer it fills; clear() and assign()
+// keep a vector's capacity, so once the buffers have grown to the layer's
+// largest successor, building one allocates nothing. Views extend over
+// spans of `obs`, and `next` is interned as a StateRef
+// (LayeredModel::intern_canonical, which folds it in place under the
+// symmetry quotient).
+struct SuccessorBuilder {
+  GlobalState next;
+  // Per-phase observation buffers, each handed to ViewArena::extend as a
+  // span. Two, for successors built from two observation lists at once:
+  // the message-passing pair that receives before either sends, and
+  // S^rw's R1 and R2 read sweeps.
+  std::array<std::vector<Obs>, 2> obs;
+
+  void start(const StateRef& x) {
+    next.env.assign(x.env.begin(), x.env.end());
+    next.locals.assign(x.locals.begin(), x.locals.end());
+    next.decisions.assign(x.decisions.begin(), x.decisions.end());
+  }
+};
 
 // x and y agree modulo j: environments equal and all process local states
 // (view and decision variable) equal except possibly j's (Section 2).

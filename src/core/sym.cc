@@ -411,9 +411,21 @@ std::uint64_t Canonicalizer::canonicalize(const LayeredModel& model,
     if (!advanced) break;
   }
 
-  if (!best_materialized) best_state = permute(model, *s, best_perm);
-  if (!(best_state == *s)) *folded = true;
-  *s = std::move(best_state);
+  if (!best_materialized) {
+    // A sorted permutation is the identity, which relabels nothing: *s is
+    // already its representative.
+    if (std::is_sorted(best_perm.begin(), best_perm.end())) return stab;
+    best_state = permute(model, *s, best_perm);
+  }
+  if (!(best_state == *s)) {
+    // Copied, not moved, so *s (a successor builder's state) keeps its
+    // buffers for the next successor.
+    *folded = true;
+    s->env.assign(best_state.env.begin(), best_state.env.end());
+    s->locals.assign(best_state.locals.begin(), best_state.locals.end());
+    s->decisions.assign(best_state.decisions.begin(),
+                        best_state.decisions.end());
+  }
   return stab;
 }
 

@@ -18,6 +18,8 @@
 // standard solo-ordering indistinguishability gives the valence bridges.
 #pragma once
 
+#include <bit>
+
 #include "core/model.hpp"
 
 namespace lacon {
@@ -25,6 +27,15 @@ namespace lacon {
 // An ordered partition: blocks in schedule order, each block a non-empty
 // set of processes; the blocks partition {0..n-1}.
 using OrderedPartition = std::vector<ProcessSet>;
+
+// Calls f(i) for every member i of `set`, in increasing order, straight
+// from the set's bits.
+template <typename F>
+void for_each_member(ProcessSet set, F&& f) {
+  for (std::uint64_t m = set.mask(); m != 0; m &= m - 1) {
+    f(static_cast<ProcessId>(std::countr_zero(m)));
+  }
+}
 
 class IisModel final : public LayeredModel {
  public:
@@ -51,8 +62,15 @@ class IisModel final : public LayeredModel {
   std::vector<StateId> compute_layer(StateId x) override;
 
  private:
+  // apply_partition built in `b` (reused across a layer).
+  StateId apply_partition(SuccessorBuilder& b, StateId x,
+                          const OrderedPartition& partition);
+
   std::vector<OrderedPartition> partitions_;
 };
+
+// All ordered partitions of a given subset of {0..n-1}.
+std::vector<OrderedPartition> ordered_partitions_of(ProcessSet members);
 
 // All ordered partitions of {0..n-1} (there are Fubini(n): 3, 13, 75 for
 // n = 2, 3, 4).

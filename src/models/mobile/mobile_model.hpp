@@ -49,6 +49,11 @@ class MobileModel final : public LayeredModel {
 
  protected:
   std::vector<StateId> compute_layer(StateId x) override;
+
+ private:
+  // apply_general built in `b` (reused across a layer).
+  StateId apply_general(SuccessorBuilder& b, StateId x, ProcessId j,
+                        ProcessSet lost);
 };
 
 }  // namespace lacon

@@ -96,37 +96,43 @@ MsgPassModel::MsgPassModel(int n, const DecisionRule& rule,
     : LayeredModel(n, rule, std::move(initial_inputs)),
       schedules_(build_schedules(n)) {}
 
-StateId MsgPassModel::apply_schedule(StateId x, const Schedule& schedule) {
-  const StateRef s = state(x);
-  // Mutable copy of the in-transit multiset.
-  std::vector<std::int64_t> transit(s.env.begin(), s.env.end());
-  std::vector<ViewId> locals(s.locals.begin(), s.locals.end());
-  std::vector<Value> decisions(s.decisions.begin(), s.decisions.end());
-
-  auto do_receives = [&](ProcessId i) {
-    // Collect and remove all messages addressed to i, in canonical order.
-    std::vector<Obs> obs;
-    std::vector<std::int64_t> rest;
-    rest.reserve(transit.size());
-    for (std::int64_t m : transit) {
-      if (message_receiver(m) == i) {
-        obs.push_back(Obs{message_sender(m), message_view(m)});
-      } else {
-        rest.push_back(m);
-      }
+void take_mailbox(std::vector<std::int64_t>& transit, ProcessId i,
+                  std::vector<Obs>& obs) {
+  obs.clear();
+  std::size_t kept = 0;
+  for (std::size_t r = 0; r < transit.size(); ++r) {
+    const std::int64_t m = transit[r];
+    if (message_receiver(m) == i) {
+      obs.push_back(Obs{message_sender(m), message_view(m)});
+    } else {
+      transit[kept++] = m;
     }
-    transit = std::move(rest);
-    std::sort(obs.begin(), obs.end(), [](const Obs& l, const Obs& r) {
-      return l.source != r.source ? l.source < r.source : l.view < r.view;
-    });
-    return obs;
-  };
+  }
+  transit.resize(kept);
+  std::sort(obs.begin(), obs.end(), [](const Obs& l, const Obs& r) {
+    return l.source != r.source ? l.source < r.source : l.view < r.view;
+  });
+}
+
+StateId MsgPassModel::apply_schedule(StateId x, const Schedule& schedule) {
+  SuccessorBuilder b;
+  return apply_schedule(b, x, schedule);
+}
+
+StateId MsgPassModel::apply_schedule(SuccessorBuilder& b, StateId x,
+                                     const Schedule& schedule) {
+  const StateRef s = state(x);
+  // The in-transit multiset is the builder's env.
+  b.start(s);
+  std::vector<std::int64_t>& transit = b.next.env;
+  std::vector<ViewId>& locals = b.next.locals;
+  std::vector<Value>& decisions = b.next.decisions;
+
   auto do_phase_update = [&](ProcessId i, std::span<const Obs> obs) {
-    const ViewId view =
-        views().extend(locals[static_cast<std::size_t>(i)], obs);
-    locals[static_cast<std::size_t>(i)] = view;
-    decisions[static_cast<std::size_t>(i)] = updated_decision(
-        i, decisions[static_cast<std::size_t>(i)], view);
+    const auto iu = static_cast<std::size_t>(i);
+    const ViewId view = views().extend(locals[iu], obs);
+    locals[iu] = view;
+    decisions[iu] = updated_decision(i, decisions[iu], view);
   };
   // The message content of a phase is the sender's view at the *start* of
   // the phase — the exact analogue of the shared-memory local phase, where
@@ -141,17 +147,19 @@ StateId MsgPassModel::apply_schedule(StateId x, const Schedule& schedule) {
     }
   };
 
+  std::vector<Obs>& obs_a = b.obs[0];
+  std::vector<Obs>& obs_b = b.obs[1];
   for (const SchedGroup& group : schedule) {
+    const ViewId pre_a = locals[static_cast<std::size_t>(group.a)];
     if (!group.pair()) {
-      const ViewId pre_a = locals[static_cast<std::size_t>(group.a)];
-      do_phase_update(group.a, do_receives(group.a));
+      take_mailbox(transit, group.a, obs_a);
+      do_phase_update(group.a, obs_a);
       do_sends(group.a, pre_a);
     } else {
       // Concurrent pair: both receive before either sends.
-      const ViewId pre_a = locals[static_cast<std::size_t>(group.a)];
       const ViewId pre_b = locals[static_cast<std::size_t>(group.b)];
-      std::vector<Obs> obs_a = do_receives(group.a);
-      std::vector<Obs> obs_b = do_receives(group.b);
+      take_mailbox(transit, group.a, obs_a);
+      take_mailbox(transit, group.b, obs_b);
       do_phase_update(group.a, obs_a);
       do_phase_update(group.b, obs_b);
       do_sends(group.a, pre_a);
@@ -160,11 +168,7 @@ StateId MsgPassModel::apply_schedule(StateId x, const Schedule& schedule) {
   }
 
   std::sort(transit.begin(), transit.end());
-  GlobalState next;
-  next.env = std::move(transit);
-  next.locals = std::move(locals);
-  next.decisions = std::move(decisions);
-  return intern(std::move(next));
+  return intern_canonical(b.next);
 }
 
 bool MsgPassModel::agree_modulo(StateId x, StateId y, ProcessId j) const {
@@ -275,8 +279,9 @@ std::vector<std::int64_t> MsgPassModel::sym_permute_env(
 std::vector<StateId> MsgPassModel::compute_layer(StateId x) {
   std::vector<StateId> succ;
   succ.reserve(schedules_.size());
+  SuccessorBuilder b;
   for (const Schedule& schedule : schedules_) {
-    succ.push_back(apply_schedule(x, schedule));
+    succ.push_back(apply_schedule(b, x, schedule));
   }
   return succ;
 }

@@ -86,8 +86,18 @@ class MsgPassModel final : public LayeredModel {
   std::vector<StateId> compute_layer(StateId x) override;
 
  private:
+  // apply_schedule built in `b` (reused across a layer).
+  StateId apply_schedule(SuccessorBuilder& b, StateId x,
+                         const Schedule& schedule);
+
   std::vector<Schedule> schedules_;
 };
+
+// Moves every message addressed to i out of `transit` (the rest keep their
+// order) into `obs`, as observations sorted by (source, view): one receive
+// step of both message-passing models. `obs` is cleared first.
+void take_mailbox(std::vector<std::int64_t>& transit, ProcessId i,
+                  std::vector<Obs>& obs);
 
 // The erase-j fingerprint under the mailbox reading of agree-modulo shared
 // by both message-passing models: hashes the in-transit messages *not*

@@ -7,30 +7,6 @@
 #include "util/simd.hpp"
 
 namespace lacon {
-namespace {
-
-// Collects and removes all messages addressed to i, returning canonical
-// observations.
-std::vector<Obs> take_mailbox(std::vector<std::int64_t>& transit,
-                              ProcessId i) {
-  std::vector<Obs> obs;
-  std::vector<std::int64_t> rest;
-  rest.reserve(transit.size());
-  for (std::int64_t m : transit) {
-    if (message_receiver(m) == i) {
-      obs.push_back(Obs{message_sender(m), message_view(m)});
-    } else {
-      rest.push_back(m);
-    }
-  }
-  transit = std::move(rest);
-  std::sort(obs.begin(), obs.end(), [](const Obs& l, const Obs& r) {
-    return l.source != r.source ? l.source < r.source : l.view < r.view;
-  });
-  return obs;
-}
-
-}  // namespace
 
 MsgPassSyncModel::MsgPassSyncModel(
     int n, const DecisionRule& rule,
@@ -38,20 +14,30 @@ MsgPassSyncModel::MsgPassSyncModel(
     : LayeredModel(n, rule, std::move(initial_inputs)) {}
 
 StateId MsgPassSyncModel::apply_timed(StateId x, ProcessId j, int k) {
+  SuccessorBuilder b;
+  return apply_timed(b, x, j, k);
+}
+
+StateId MsgPassSyncModel::apply_absent(StateId x, ProcessId j) {
+  SuccessorBuilder b;
+  return apply_absent(b, x, j);
+}
+
+StateId MsgPassSyncModel::apply_timed(SuccessorBuilder& b, StateId x,
+                                      ProcessId j, int k) {
   assert(j >= 0 && j < n());
   assert(k >= 0 && k <= n());
   const StateRef s = state(x);
-  std::vector<std::int64_t> transit(s.env.begin(), s.env.end());
-  std::vector<ViewId> locals(s.locals.begin(), s.locals.end());
-  std::vector<Value> decisions(s.decisions.begin(), s.decisions.end());
+  // The in-transit multiset is the builder's env.
+  b.start(s);
+  std::vector<std::int64_t>& transit = b.next.env;
 
   auto do_receive = [&](ProcessId i) {
-    const ViewId view =
-        views().extend(locals[static_cast<std::size_t>(i)],
-                       take_mailbox(transit, i));
-    locals[static_cast<std::size_t>(i)] = view;
-    decisions[static_cast<std::size_t>(i)] =
-        updated_decision(i, decisions[static_cast<std::size_t>(i)], view);
+    const auto iu = static_cast<std::size_t>(i);
+    take_mailbox(transit, i, b.obs[0]);
+    const ViewId view = views().extend(b.next.locals[iu], b.obs[0]);
+    b.next.locals[iu] = view;
+    b.next.decisions[iu] = updated_decision(i, b.next.decisions[iu], view);
   };
   auto do_send = [&](ProcessId i) {
     // Message content is the pre-phase view (see msgpass_model.cc).
@@ -78,19 +64,15 @@ StateId MsgPassSyncModel::apply_timed(StateId x, ProcessId j, int k) {
   }
 
   std::sort(transit.begin(), transit.end());
-  GlobalState next;
-  next.env = std::move(transit);
-  next.locals = std::move(locals);
-  next.decisions = std::move(decisions);
-  return intern(std::move(next));
+  return intern_canonical(b.next);
 }
 
-StateId MsgPassSyncModel::apply_absent(StateId x, ProcessId j) {
+StateId MsgPassSyncModel::apply_absent(SuccessorBuilder& b, StateId x,
+                                       ProcessId j) {
   assert(j >= 0 && j < n());
   const StateRef s = state(x);
-  std::vector<std::int64_t> transit(s.env.begin(), s.env.end());
-  std::vector<ViewId> locals(s.locals.begin(), s.locals.end());
-  std::vector<Value> decisions(s.decisions.begin(), s.decisions.end());
+  b.start(s);
+  std::vector<std::int64_t>& transit = b.next.env;
 
   for (ProcessId i = 0; i < n(); ++i) {
     if (i == j) continue;
@@ -102,20 +84,15 @@ StateId MsgPassSyncModel::apply_absent(StateId x, ProcessId j) {
   }
   for (ProcessId i = 0; i < n(); ++i) {
     if (i == j) continue;
-    const ViewId view =
-        views().extend(locals[static_cast<std::size_t>(i)],
-                       take_mailbox(transit, i));
-    locals[static_cast<std::size_t>(i)] = view;
-    decisions[static_cast<std::size_t>(i)] =
-        updated_decision(i, decisions[static_cast<std::size_t>(i)], view);
+    const auto iu = static_cast<std::size_t>(i);
+    take_mailbox(transit, i, b.obs[0]);
+    const ViewId view = views().extend(b.next.locals[iu], b.obs[0]);
+    b.next.locals[iu] = view;
+    b.next.decisions[iu] = updated_decision(i, b.next.decisions[iu], view);
   }
 
   std::sort(transit.begin(), transit.end());
-  GlobalState next;
-  next.env = std::move(transit);
-  next.locals = std::move(locals);
-  next.decisions = std::move(decisions);
-  return intern(std::move(next));
+  return intern_canonical(b.next);
 }
 
 bool MsgPassSyncModel::agree_modulo(StateId x, StateId y, ProcessId j) const {
@@ -167,11 +144,12 @@ bool MsgPassSyncModel::env_well_formed(std::span<const std::int64_t> env,
 std::vector<StateId> MsgPassSyncModel::compute_layer(StateId x) {
   std::vector<StateId> succ;
   succ.reserve(static_cast<std::size_t>(n() * (n() + 2)));
+  SuccessorBuilder b;
   for (ProcessId j = 0; j < n(); ++j) {
     for (int k = 0; k <= n(); ++k) {
-      succ.push_back(apply_timed(x, j, k));
+      succ.push_back(apply_timed(b, x, j, k));
     }
-    succ.push_back(apply_absent(x, j));
+    succ.push_back(apply_absent(b, x, j));
   }
   return succ;
 }

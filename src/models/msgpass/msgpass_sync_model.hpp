@@ -54,6 +54,11 @@ class MsgPassSyncModel final : public LayeredModel {
 
  protected:
   std::vector<StateId> compute_layer(StateId x) override;
+
+ private:
+  // apply_timed and apply_absent built in `b` (reused across a layer).
+  StateId apply_timed(SuccessorBuilder& b, StateId x, ProcessId j, int k);
+  StateId apply_absent(SuccessorBuilder& b, StateId x, ProcessId j);
 };
 
 }  // namespace lacon

@@ -61,6 +61,11 @@ class SharedMemModel final : public LayeredModel {
   std::vector<std::int64_t> initial_env() const override {
     return std::vector<std::int64_t>(static_cast<std::size_t>(n()), kNoView);
   }
+
+ private:
+  // apply_timed and apply_absent built in `b` (reused across a layer).
+  StateId apply_timed(SuccessorBuilder& b, StateId x, ProcessId j, int k);
+  StateId apply_absent(SuccessorBuilder& b, StateId x, ProcessId j);
 };
 
 // True when `env` is a register file for n processes: n words, each kNoView

@@ -1,66 +1,65 @@
 #include "models/snapshot/snapshot_model.hpp"
 
 #include <cassert>
-#include <functional>
 
 #include "models/sharedmem/sharedmem_model.hpp"
 
 namespace lacon {
+namespace {
 
-std::vector<OrderedPartition> ordered_partitions_of(ProcessSet members) {
-  std::vector<OrderedPartition> out;
-  OrderedPartition current;
-  std::function<void(ProcessSet)> recurse = [&](ProcessSet remaining) {
-    if (remaining.empty()) {
-      out.push_back(current);
-      return;
+// Full participation, then each process j slow/absent (1-resilience).
+std::vector<OrderedPartition> snapshot_partitions(int n) {
+  std::vector<OrderedPartition> out = all_ordered_partitions(n);
+  for (ProcessId j = 0; j < n; ++j) {
+    ProcessSet members = ProcessSet::all(n);
+    members.erase(j);
+    for (OrderedPartition& p : ordered_partitions_of(members)) {
+      out.push_back(std::move(p));
     }
-    const std::uint64_t mask = remaining.mask();
-    for (std::uint64_t sub = mask; sub != 0; sub = (sub - 1) & mask) {
-      current.push_back(ProcessSet(sub));
-      recurse(remaining - ProcessSet(sub));
-      current.pop_back();
-    }
-  };
-  recurse(members);
+  }
   return out;
 }
 
+}  // namespace
+
 SnapshotModel::SnapshotModel(int n, const DecisionRule& rule,
                              std::vector<std::vector<Value>> initial_inputs)
-    : LayeredModel(n, rule, std::move(initial_inputs)) {}
+    : LayeredModel(n, rule, std::move(initial_inputs)),
+      partitions_(snapshot_partitions(n)) {}
 
 StateId SnapshotModel::apply_partition(StateId x,
                                        const OrderedPartition& partition) {
-  const StateRef s = state(x);
-  GlobalState next;
-  // Persistent registers, updated by the writes below.
-  next.env.assign(s.env.begin(), s.env.end());
-  next.locals.assign(s.locals.begin(), s.locals.end());
-  next.decisions.assign(s.decisions.begin(), s.decisions.end());
+  SuccessorBuilder b;
+  return apply_partition(b, x, partition);
+}
 
+StateId SnapshotModel::apply_partition(SuccessorBuilder& b, StateId x,
+                                       const OrderedPartition& partition) {
+  const StateRef s = state(x);
+  // Persistent registers, updated by the writes below.
+  b.start(s);
+  std::vector<std::int64_t>& regs = b.next.env;
+  std::vector<Obs>& obs = b.obs[0];
   for (const ProcessSet& block : partition) {
     // All block members write their pre-phase views ...
-    for (ProcessId i : block.to_vector()) {
-      next.env[static_cast<std::size_t>(i)] =
-          static_cast<std::int64_t>(s.locals[static_cast<std::size_t>(i)]);
-    }
+    for_each_member(block, [&](ProcessId i) {
+      const auto iu = static_cast<std::size_t>(i);
+      regs[iu] = s.locals[iu];
+    });
     // ... then all snapshot the full memory (their own writes included).
-    for (ProcessId i : block.to_vector()) {
-      std::vector<Obs> obs;
-      obs.reserve(static_cast<std::size_t>(n()));
-      for (ProcessId r = 0; r < n(); ++r) {
-        obs.push_back(Obs{r, static_cast<ViewId>(
-                                 next.env[static_cast<std::size_t>(r)])});
-      }
-      const ViewId view = views().extend(
-          s.locals[static_cast<std::size_t>(i)], obs);
-      next.locals[static_cast<std::size_t>(i)] = view;
-      next.decisions[static_cast<std::size_t>(i)] = updated_decision(
-          i, s.decisions[static_cast<std::size_t>(i)], view);
+    obs.clear();
+    for (ProcessId r = 0; r < n(); ++r) {
+      obs.push_back(
+          Obs{r, static_cast<ViewId>(regs[static_cast<std::size_t>(r)])});
     }
+    for_each_member(block, [&](ProcessId i) {
+      const auto iu = static_cast<std::size_t>(i);
+      const ViewId view = views().extend(s.locals[iu], obs);
+      b.next.locals[iu] = view;
+      b.next.decisions[iu] = updated_decision(i, s.decisions[iu], view);
+    });
   }
-  return intern(std::move(next));
+  return intern_canonical(b.next);
 }
 
 std::string SnapshotModel::env_to_string(StateId x) const {
@@ -104,17 +103,10 @@ std::vector<std::int64_t> SnapshotModel::sym_permute_env(
 
 std::vector<StateId> SnapshotModel::compute_layer(StateId x) {
   std::vector<StateId> succ;
-  // Full participation ...
-  for (const OrderedPartition& p : ordered_partitions_of(ProcessSet::all(n()))) {
-    succ.push_back(apply_partition(x, p));
-  }
-  // ... and one process slow/absent (1-resilience).
-  for (ProcessId j = 0; j < n(); ++j) {
-    ProcessSet members = ProcessSet::all(n());
-    members.erase(j);
-    for (const OrderedPartition& p : ordered_partitions_of(members)) {
-      succ.push_back(apply_partition(x, p));
-    }
+  succ.reserve(partitions_.size());
+  SuccessorBuilder b;
+  for (const OrderedPartition& partition : partitions_) {
+    succ.push_back(apply_partition(b, x, partition));
   }
   return succ;
 }

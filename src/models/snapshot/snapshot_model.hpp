@@ -18,7 +18,7 @@
 #pragma once
 
 #include "core/model.hpp"
-#include "models/iis/iis_model.hpp"  // OrderedPartition
+#include "models/iis/iis_model.hpp"  // OrderedPartition, for_each_member
 
 namespace lacon {
 
@@ -46,6 +46,13 @@ class SnapshotModel final : public LayeredModel {
   // the partition participate (others keep their state and register).
   StateId apply_partition(StateId x, const OrderedPartition& partition);
 
+  // The layer's actions, in compute_layer's order: every ordered partition
+  // of all processes, then for each process j every ordered partition of
+  // the others. Built once, at construction.
+  const std::vector<OrderedPartition>& partitions() const {
+    return partitions_;
+  }
+
   // Registers hold interned ViewIds; render them as view terms.
   std::string env_to_string(StateId x) const override;
 
@@ -59,9 +66,13 @@ class SnapshotModel final : public LayeredModel {
   std::vector<std::int64_t> initial_env() const override {
     return std::vector<std::int64_t>(static_cast<std::size_t>(n()), kNoView);
   }
-};
 
-// All ordered partitions of a given subset of {0..n-1}.
-std::vector<OrderedPartition> ordered_partitions_of(ProcessSet members);
+ private:
+  // apply_partition built in `b` (reused across a layer).
+  StateId apply_partition(SuccessorBuilder& b, StateId x,
+                          const OrderedPartition& partition);
+
+  std::vector<OrderedPartition> partitions_;
+};
 
 }  // namespace lacon

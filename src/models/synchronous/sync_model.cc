@@ -55,9 +55,16 @@ StateId SyncModel::apply(StateId x, ProcessId j, int k) {
 }
 
 StateId SyncModel::apply_multi(StateId x, const std::vector<int>& losses) {
+  SuccessorBuilder b;
+  return apply_multi(b, x, failed_at(x), losses);
+}
+
+StateId SyncModel::apply_multi(SuccessorBuilder& b, StateId x,
+                               ProcessSet failed,
+                               const std::vector<int>& losses) {
   assert(static_cast<int>(losses.size()) == n());
+  assert(failed == failed_at(x));
   const StateRef s = state(x);
-  const ProcessSet failed = failed_at(x);
 #ifndef NDEBUG
   int newly = 0;
   for (ProcessId j = 0; j < n(); ++j) {
@@ -69,14 +76,12 @@ StateId SyncModel::apply_multi(StateId x, const std::vector<int>& losses) {
   assert(failed.size() + newly <= t_);
 #endif
 
-  GlobalState next;
   // Env constant; the failure record lives in the views.
-  next.env.assign(s.env.begin(), s.env.end());
-  next.locals.reserve(static_cast<std::size_t>(n()));
-  next.decisions.reserve(static_cast<std::size_t>(n()));
+  b.start(s);
+  std::vector<Obs>& obs = b.obs[0];
   for (ProcessId i = 0; i < n(); ++i) {
-    std::vector<Obs> obs;
-    obs.reserve(static_cast<std::size_t>(n() - 1));
+    const auto iu = static_cast<std::size_t>(i);
+    obs.clear();
     for (ProcessId sender = 0; sender < n(); ++sender) {
       if (sender == i) continue;
       const bool lost = failed.contains(sender) ||
@@ -85,27 +90,29 @@ StateId SyncModel::apply_multi(StateId x, const std::vector<int>& losses) {
           Obs{sender,
               lost ? kNoView : s.locals[static_cast<std::size_t>(sender)]});
     }
-    const ViewId view =
-        views().extend(s.locals[static_cast<std::size_t>(i)], obs);
-    next.locals.push_back(view);
-    next.decisions.push_back(
-        updated_decision(i, s.decisions[static_cast<std::size_t>(i)], view));
+    const ViewId view = views().extend(s.locals[iu], obs);
+    b.next.locals[iu] = view;
+    b.next.decisions[iu] = updated_decision(i, s.decisions[iu], view);
   }
-  return intern(std::move(next));
+  return intern_canonical(b.next);
 }
 
 std::vector<StateId> SyncModel::one_per_round_layer(StateId x) {
   const ProcessSet failed = failed_at(x);
+  SuccessorBuilder b;
+  std::vector<int> losses(static_cast<std::size_t>(n()), 0);
   std::vector<StateId> succ;
   // The failure-free round is always available (and is the unique successor
   // once t processes have failed).
-  succ.push_back(apply(x, 0, 0));
+  succ.push_back(apply_multi(b, x, failed, losses));
   if (failed.size() < t_) {
     for (ProcessId j = 0; j < n(); ++j) {
       if (failed.contains(j)) continue;
       for (int k = 1; k <= n(); ++k) {
-        succ.push_back(apply(x, j, k));
+        losses[static_cast<std::size_t>(j)] = k;
+        succ.push_back(apply_multi(b, x, failed, losses));
       }
+      losses[static_cast<std::size_t>(j)] = 0;
     }
   }
   return succ;
@@ -116,6 +123,7 @@ std::vector<StateId> SyncModel::multi_failure_layer(StateId x) {
   const int budget = t_ - failed.size();
   // Enumerate every assignment of a prefix-loss k in 0..n to each non-failed
   // process, with at most `budget` non-zero entries.
+  SuccessorBuilder b;
   std::vector<StateId> succ;
   std::vector<int> losses(static_cast<std::size_t>(n()), 0);
   std::vector<ProcessId> live;
@@ -125,7 +133,7 @@ std::vector<StateId> SyncModel::multi_failure_layer(StateId x) {
   std::function<void(std::size_t, int)> recurse = [&](std::size_t idx,
                                                       int used) {
     if (idx == live.size()) {
-      succ.push_back(apply_multi(x, losses));
+      succ.push_back(apply_multi(b, x, failed, losses));
       return;
     }
     recurse(idx + 1, used);  // this process does not newly fail

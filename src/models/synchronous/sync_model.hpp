@@ -89,6 +89,11 @@ class SyncModel final : public LayeredModel {
   // concurrent compute_layer() invocations.
   ProcessSet omission_evidence(ViewId view) const;
 
+  // apply_multi built in `b` (reused across a layer), `failed` being
+  // failed_at(x).
+  StateId apply_multi(SuccessorBuilder& b, StateId x, ProcessSet failed,
+                      const std::vector<int>& losses);
+
   std::vector<StateId> one_per_round_layer(StateId x);
   std::vector<StateId> multi_failure_layer(StateId x);
 

@@ -132,6 +132,51 @@ TEST(HashIndexTest, CollidingHashesKeepEveryId) {
   }
   EXPECT_FALSE(index.find(42, [](std::uint32_t id) { return id % 3 != 0; }));
   EXPECT_FALSE(index.find(mix64(kIds), [](std::uint32_t) { return true; }));
+
+  // Distinct hashes that share one 32-bit tag, and with it one home slot at
+  // every capacity: products with equal top 32 bits, each multiplied by
+  // phi^-1 mod 2^64 so that h * phi (the index's Fibonacci product) gives
+  // the product back.
+  constexpr std::uint64_t kPhi = 0x9e3779b97f4a7c15ULL;
+  constexpr std::uint64_t kTag = 0x5eedf00d;
+  std::uint64_t phi_inv = kPhi;  // Newton's step doubles the exact low bits
+  for (int step = 0; step < 6; ++step) phi_inv *= 2 - kPhi * phi_inv;
+  ASSERT_EQ(kPhi * phi_inv, 1u);
+  const auto tagged = [&](std::uint64_t k) {
+    return ((kTag << 32) | k) * phi_inv;
+  };
+  HashIndex<std::uint32_t> shared;
+  std::vector<std::uint64_t> hash_of;  // by id
+  const auto check_all = [&] {
+    for (std::uint32_t id = 0; id < hash_of.size(); ++id) {
+      const auto found = shared.find(hash_of[id], [id](std::uint32_t c) {
+        return c == id;
+      });
+      ASSERT_TRUE(found.has_value()) << id;
+      EXPECT_EQ(*found, id);
+    }
+    // An absent hash with the shared tag probes the whole cluster and
+    // finds nothing the equality check accepts.
+    const std::uint64_t absent = tagged(0xffffffff);
+    EXPECT_FALSE(shared.find(absent, [&](std::uint32_t c) {
+      return hash_of[c] == absent;
+    }));
+  };
+  // The table starts at 64 slots and doubles at 33, 65, 129, 257 and 513
+  // entries; the checks fall between five different capacities.
+  for (std::uint32_t id = 0; id < 600; ++id) {
+    const std::uint64_t h = id % 4 == 0 ? tagged(id) : mix64(id);
+    if (id % 4 == 0) {
+      ASSERT_EQ((h * kPhi) >> 32, kTag);
+      ASSERT_EQ(std::count(hash_of.begin(), hash_of.end(), h), 0);
+    }
+    shared.insert(h, id);
+    hash_of.push_back(h);
+    if (id + 1 == 40 || id + 1 == 70 || id + 1 == 140 || id + 1 == 300 ||
+        id + 1 == 600) {
+      check_all();
+    }
+  }
 }
 
 TEST(StateArenaTest, FlatStorageRoundTrips) {

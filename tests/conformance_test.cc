@@ -1,15 +1,21 @@
 // LayeredModel conformance battery: structural invariants every model must
-// satisfy, run against all five models (the four of the paper plus IIS).
+// satisfy, run against all five models (the four of the paper plus IIS),
+// and the successor-builder reuse check for all seven models.
+#include <algorithm>
+#include <functional>
 #include <memory>
 
 #include <gtest/gtest.h>
 
 #include "core/decision_rule.hpp"
+#include "core/sym.hpp"
 #include "engine/explore.hpp"
 #include "models/iis/iis_model.hpp"
 #include "models/mobile/mobile_model.hpp"
 #include "models/msgpass/msgpass_model.hpp"
+#include "models/msgpass/msgpass_sync_model.hpp"
 #include "models/sharedmem/sharedmem_model.hpp"
+#include "models/snapshot/snapshot_model.hpp"
 #include "models/synchronous/sync_model.hpp"
 
 namespace lacon {
@@ -146,6 +152,138 @@ INSTANTIATE_TEST_SUITE_P(AllModels, Conformance,
                              case Kind::kIis: return "Iis";
                            }
                            return "Unknown";
+                         });
+
+// compute_layer builds every successor of a layer in one reused
+// SuccessorBuilder; the public per-action entries build each in a fresh
+// one. Nothing may carry over from one successor to the next (a mailbox
+// left in the env, a stale observation, a register or decision not
+// reset), so for every state to depth 2 at n = 3, layer(x) must equal the
+// sorted, deduplicated successors built one action at a time.
+using Successors = std::function<void(StateId, std::vector<StateId>*)>;
+
+void expect_layers_match_fresh_builds(LayeredModel& model,
+                                      const Successors& one_at_a_time) {
+  const std::vector<StateId> states = reachable_states(model, 2);
+  ASSERT_GT(states.size(), model.initial_states().size());
+  for (const StateId x : states) {
+    std::vector<StateId> fresh;
+    one_at_a_time(x, &fresh);
+    std::sort(fresh.begin(), fresh.end());
+    fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
+    ASSERT_EQ(model.layer(x), fresh) << model.name() << " at state " << x;
+  }
+}
+
+TEST(SuccessorBuilderReuse, Mobile) {
+  const auto rule = min_after_round(2);
+  MobileModel model(3, *rule);
+  expect_layers_match_fresh_builds(
+      model, [&](StateId x, std::vector<StateId>* out) {
+        for (ProcessId j = 0; j < 3; ++j) {
+          for (int k = 0; k <= 3; ++k) out->push_back(model.apply(x, j, k));
+        }
+      });
+}
+
+template <typename ModelT>
+Successors timed_and_absent(ModelT& model) {
+  return [&model](StateId x, std::vector<StateId>* out) {
+    for (ProcessId j = 0; j < 3; ++j) {
+      for (int k = 0; k <= 3; ++k) {
+        out->push_back(model.apply_timed(x, j, k));
+      }
+      out->push_back(model.apply_absent(x, j));
+    }
+  };
+}
+
+TEST(SuccessorBuilderReuse, SharedMem) {
+  const auto rule = min_after_round(2);
+  SharedMemModel model(3, *rule);
+  expect_layers_match_fresh_builds(model, timed_and_absent(model));
+}
+
+TEST(SuccessorBuilderReuse, MsgPassSync) {
+  const auto rule = min_after_round(2);
+  MsgPassSyncModel model(3, *rule);
+  expect_layers_match_fresh_builds(model, timed_and_absent(model));
+}
+
+// At t = 1 both layerings allow exactly the failure-free round and one
+// newly failed process losing a prefix [k], k >= 1, while none has failed.
+TEST(SuccessorBuilderReuse, Sync) {
+  const auto rule = min_after_round(2);
+  for (const SyncLayering layering :
+       {SyncLayering::kOnePerRound, SyncLayering::kMultiFailure}) {
+    SyncModel model(3, 1, *rule, {}, layering);
+    expect_layers_match_fresh_builds(
+        model, [&](StateId x, std::vector<StateId>* out) {
+          std::vector<int> losses(3, 0);
+          out->push_back(model.apply_multi(x, losses));
+          if (!model.failed_at(x).empty()) return;
+          for (ProcessId j = 0; j < 3; ++j) {
+            for (int k = 1; k <= 3; ++k) {
+              losses[static_cast<std::size_t>(j)] = k;
+              out->push_back(model.apply_multi(x, losses));
+            }
+            losses[static_cast<std::size_t>(j)] = 0;
+          }
+        });
+  }
+}
+
+// The three models the symmetry quotient applies to run once raw and once
+// with the canonicalizer folding the reused builder in place.
+class SuccessorBuilderReuseQuotient : public ::testing::TestWithParam<bool> {
+ protected:
+  sym::ScopedSymmetry symmetry_{GetParam()};
+  std::unique_ptr<DecisionRule> rule_ = min_after_round(2);
+};
+
+TEST_P(SuccessorBuilderReuseQuotient, MsgPass) {
+  MsgPassModel model(3, *rule_);
+  EXPECT_EQ(model.sym_quotient_active(), GetParam());
+  expect_layers_match_fresh_builds(
+      model, [&](StateId x, std::vector<StateId>* out) {
+        for (const Schedule& schedule : model.schedules()) {
+          out->push_back(model.apply_schedule(x, schedule));
+        }
+      });
+}
+
+TEST_P(SuccessorBuilderReuseQuotient, Iis) {
+  IisModel model(3, *rule_);
+  EXPECT_EQ(model.sym_quotient_active(), GetParam());
+  expect_layers_match_fresh_builds(
+      model, [&](StateId x, std::vector<StateId>* out) {
+        for (const OrderedPartition& p : all_ordered_partitions(3)) {
+          out->push_back(model.apply_partition(x, p));
+        }
+      });
+}
+
+TEST_P(SuccessorBuilderReuseQuotient, Snapshot) {
+  SnapshotModel model(3, *rule_);
+  EXPECT_EQ(model.sym_quotient_active(), GetParam());
+  expect_layers_match_fresh_builds(
+      model, [&](StateId x, std::vector<StateId>* out) {
+        // Everyone participates, or everyone but one slow process.
+        std::vector<ProcessSet> participants = {ProcessSet::all(3)};
+        for (ProcessId j = 0; j < 3; ++j) {
+          participants.push_back(ProcessSet::all(3) - ProcessSet::single(j));
+        }
+        for (const ProcessSet members : participants) {
+          for (const OrderedPartition& p : ordered_partitions_of(members)) {
+            out->push_back(model.apply_partition(x, p));
+          }
+        }
+      });
+}
+
+INSTANTIATE_TEST_SUITE_P(Quotient, SuccessorBuilderReuseQuotient,
+                         ::testing::Bool(), [](const auto& info) {
+                           return info.param ? "On" : "Off";
                          });
 
 }  // namespace

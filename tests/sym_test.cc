@@ -76,7 +76,8 @@ void check_permutation_invariance(ModelT& model, int depth) {
       EXPECT_EQ(orbit.size(), model.orbit_weight(x));
       EXPECT_TRUE(std::binary_search(orbit.begin(), orbit.end(), x));
       for (const StateId member : orbit) {
-        EXPECT_EQ(model.intern_canonical(copy_state(model.state(member))), x);
+        GlobalState copy = copy_state(model.state(member));
+        EXPECT_EQ(model.intern_canonical(copy), x);
       }
       orbits_checked += orbit.size() > 1 ? 1 : 0;
     }
