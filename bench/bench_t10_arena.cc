@@ -70,12 +70,21 @@ void run_writers(unsigned writers, const Write& write) {
   for (std::thread& t : threads) t.join();
 }
 
+// make_state(0), ..., make_state(count - 1). The intern rows build their
+// operands once, outside the timed loop, so that they time interning alone.
+std::vector<GlobalState> make_states(std::uint64_t count) {
+  std::vector<GlobalState> states;
+  states.reserve(static_cast<std::size_t>(count));
+  for (std::uint64_t i = 0; i < count; ++i) states.push_back(make_state(i));
+  return states;
+}
+
 void BM_InternDisjoint(benchmark::State& state) {
+  const std::vector<GlobalState> ops = make_states(kOps);
   for (auto _ : state) {
     StateArena arena;
     run_writers(1, [&](std::size_t i) {
-      benchmark::DoNotOptimize(
-          arena.intern(make_state(static_cast<std::uint64_t>(i))));
+      benchmark::DoNotOptimize(arena.intern(ops[i]));
     });
     benchmark::DoNotOptimize(arena.size());
   }
@@ -83,11 +92,11 @@ void BM_InternDisjoint(benchmark::State& state) {
 }
 
 void BM_InternOverlapping(benchmark::State& state) {
+  const std::vector<GlobalState> ops = make_states(kDistinct);
   for (auto _ : state) {
     StateArena arena;
     run_writers(1, [&](std::size_t i) {
-      benchmark::DoNotOptimize(arena.intern(
-          make_state(static_cast<std::uint64_t>(i) % kDistinct)));
+      benchmark::DoNotOptimize(arena.intern(ops[i % kDistinct]));
     });
     benchmark::DoNotOptimize(arena.size());
   }

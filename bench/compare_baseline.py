@@ -9,8 +9,7 @@ Usage:
         [--baseline-metrics METRICS.json --metrics METRICS.json]
 
 When both --baseline-metrics and --metrics name metrics snapshots (schema
-lacon.metrics.v2, emitted next to each BENCH_*.json by bench/run_all.sh;
-the committed v1 baselines carry the same timer "ns" and still compare),
+lacon.metrics.v2, emitted next to each BENCH_*.json by bench/run_all.sh),
 a per-phase timer comparison is printed after the gate rows. The phase diff is diagnostic only — it localizes WHICH subsystem
 moved when the gate fires, but never changes the exit status, because
 per-phase times at smoke budgets are far noisier than the benchmark loop's

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 #include "runtime/stats.hpp"
 
@@ -57,10 +58,12 @@ ValenceEngine::MemoEntry entry_of(StateId x, std::uint32_t w, bool deep) {
 
 }  // namespace
 
-ValenceEngine::ValenceEngine(LayeredModel& model, int horizon, Exactness mode)
+ValenceEngine::ValenceEngine(LayeredModel& model, int horizon, Exactness mode,
+                             Witness witness)
     : model_(model),
       horizon_(horizon),
       mode_(mode),
+      witness_(std::move(witness)),
       log_epoch_(model.log_epoch()) {
   if (horizon < 0 || horizon > kMaxHorizon) {
     throw std::invalid_argument("valence horizon outside [0, kMaxHorizon]");
@@ -87,7 +90,7 @@ ValenceInfo ValenceEngine::compute(Memo& memo, StateId x, int budget) {
   }
   evaluations_.fetch_add(1, std::memory_order_relaxed);
 
-  ValenceInfo info = decided_valences(model_, x);
+  ValenceInfo info = witness_ ? witness_(x) : decided_valences(model_, x);
   if (info.bivalent() || quiescent(model_, x)) {
     info.exact = true;
     memoize(memo, x, budget, info);

@@ -29,6 +29,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -62,12 +63,21 @@ class ValenceEngine {
   // A memo word's lookahead field holds kMaxHorizon + 1 (the deep memo).
   static constexpr int kMaxHorizon = 32;
 
+  // The valences a state witnesses by itself, with no lookahead.
+  using Witness = std::function<ValenceInfo(StateId)>;
+
   // `horizon`: number of layers explored below a state when computing its
   // valence, in [0, kMaxHorizon] (std::invalid_argument otherwise). For a
   // protocol whose decisions complete within r rounds, any horizon >= r
   // yields exact valences under kQuiescence in the synchronous models.
+  //
+  // `witness`: empty for Section 3's valence, witnessed by the decided
+  // values (decided_valences). For Section 7's valence w.r.t. a covering,
+  // the covering is the witness the engine is built with (covering_witness,
+  // topology/covering.hpp).
   ValenceEngine(LayeredModel& model, int horizon,
-                Exactness mode = Exactness::kQuiescence);
+                Exactness mode = Exactness::kQuiescence,
+                Witness witness = {});
 
   ValenceInfo valence(StateId x);
 
@@ -184,6 +194,7 @@ class ValenceEngine {
   LayeredModel& model_;
   int horizon_;
   Exactness mode_;
+  Witness witness_;  // empty: decided_valences
   Memo memo_;       // lookahead = horizon_
   Memo memo_deep_;  // lookahead = horizon_ + 1 (kConvergence only)
   std::atomic<std::size_t> evaluations_{0};

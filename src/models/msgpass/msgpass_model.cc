@@ -27,27 +27,6 @@ ViewId message_view(std::int64_t packed) {
   return static_cast<ViewId>(packed & 0xffffffffLL);
 }
 
-std::uint64_t mailbox_masked_fingerprint(const StateRef& s, int n,
-                                         ProcessId j) {
-  std::uint64_t h = 0x73696d666970ULL;  // same seed as the base fingerprint
-  std::uint64_t kept = 0;
-  for (std::int64_t m : s.env) {
-    if (message_receiver(m) == j) continue;
-    h = hash_combine(h, static_cast<std::uint64_t>(m));
-    ++kept;
-  }
-  // Trailing length tag: equal filtered sequences (content and count) are
-  // exactly what agree_modulo's filtered linear comparison accepts.
-  h = hash_combine(h, kept);
-  for (ProcessId i = 0; i < n; ++i) {
-    if (i == j) continue;
-    const auto idx = static_cast<std::size_t>(i);
-    h = hash_combine(h, static_cast<std::uint64_t>(s.locals[idx]));
-    h = hash_combine(h, static_cast<std::uint64_t>(s.decisions[idx]));
-  }
-  return h;
-}
-
 namespace {
 
 // All layer actions of the permutation layering for n processes.
@@ -93,7 +72,7 @@ std::vector<Schedule> build_schedules(int n) {
 
 MsgPassModel::MsgPassModel(int n, const DecisionRule& rule,
                            std::vector<std::vector<Value>> initial_inputs)
-    : LayeredModel(n, rule, std::move(initial_inputs)),
+    : TransitEnvModel(n, rule, std::move(initial_inputs)),
       schedules_(build_schedules(n)) {}
 
 void take_mailbox(std::vector<std::int64_t>& transit, ProcessId i,
@@ -171,7 +150,7 @@ StateId MsgPassModel::apply_schedule(SuccessorBuilder& b, StateId x,
   return intern_canonical(b.next);
 }
 
-bool MsgPassModel::agree_modulo(StateId x, StateId y, ProcessId j) const {
+bool TransitEnvModel::agree_modulo(StateId x, StateId y, ProcessId j) const {
   const StateRef sx = state(x);
   const StateRef sy = state(y);
   const auto nn = static_cast<std::size_t>(n());
@@ -181,9 +160,7 @@ bool MsgPassModel::agree_modulo(StateId x, StateId y, ProcessId j) const {
                               skip)) {
     return false;
   }
-  // The messages addressed to j form j's mailbox and belong to j's local
-  // state; everything else in transit must coincide. Both encodings are
-  // sorted, so a filtered linear comparison suffices.
+  // Both encodings are sorted, so a filtered linear comparison suffices.
   auto it_x = sx.env.begin();
   auto it_y = sy.env.begin();
   while (true) {
@@ -197,48 +174,56 @@ bool MsgPassModel::agree_modulo(StateId x, StateId y, ProcessId j) const {
   return it_x == sx.env.end() && it_y == sy.env.end();
 }
 
-void MsgPassModel::fingerprint_row_into(StateId x, std::uint64_t* out) const {
+void TransitEnvModel::fingerprint_row_into(StateId x,
+                                           std::uint64_t* out) const {
   // The mailbox masking makes the env contribution j-dependent, so the
   // one-pass lane kernel of the base class does not apply; the row is still
   // published in one batch, just hashed per erased coordinate.
   const StateRef s = state(x);
   for (ProcessId j = 0; j < n(); ++j) {
-    out[static_cast<std::size_t>(j)] = mailbox_masked_fingerprint(s, n(), j);
+    std::uint64_t h = 0x73696d666970ULL;  // same seed as the base fingerprint
+    std::uint64_t kept = 0;
+    for (std::int64_t m : s.env) {
+      if (message_receiver(m) == j) continue;
+      h = hash_combine(h, static_cast<std::uint64_t>(m));
+      ++kept;
+    }
+    // Trailing length tag: equal filtered sequences (content and count) are
+    // exactly what agree_modulo's filtered linear comparison accepts.
+    h = hash_combine(h, kept);
+    for (ProcessId i = 0; i < n(); ++i) {
+      if (i == j) continue;
+      const auto idx = static_cast<std::size_t>(i);
+      h = hash_combine(h, static_cast<std::uint64_t>(s.locals[idx]));
+      h = hash_combine(h, static_cast<std::uint64_t>(s.decisions[idx]));
+    }
+    out[static_cast<std::size_t>(j)] = h;
   }
 }
 
-std::string transit_env_to_string(const ViewArena& views, const StateRef& s) {
+std::string TransitEnvModel::env_to_string(StateId x) const {
   std::string out;
-  for (std::int64_t m : s.env) {
+  for (std::int64_t m : state(x).env) {
     out += std::to_string(message_sender(m));
     out += "->";
     out += std::to_string(message_receiver(m));
     out += ':';
-    out += views.to_string(message_view(m));
+    out += views().to_string(message_view(m));
     out += ',';
   }
   return out;
 }
 
-std::string MsgPassModel::env_to_string(StateId x) const {
-  return transit_env_to_string(views(), state(x));
-}
-
-bool transit_env_well_formed(std::span<const std::int64_t> env, int n,
-                             std::uint64_t views_end) {
-  return std::all_of(env.begin(), env.end(), [n, views_end](std::int64_t m) {
+bool TransitEnvModel::env_well_formed(std::span<const std::int64_t> env,
+                                      std::uint64_t views_end) const {
+  return std::all_of(env.begin(), env.end(), [this, views_end](std::int64_t m) {
     const ProcessId sender = message_sender(m);
     const ProcessId receiver = message_receiver(m);
     const ViewId view = message_view(m);
-    return sender >= 0 && sender < n && receiver < n && view >= 0 &&
+    return sender >= 0 && sender < n() && receiver < n() && view >= 0 &&
            static_cast<std::uint64_t>(view) < views_end &&
            pack_message(sender, receiver, view) == m;
   });
-}
-
-bool MsgPassModel::env_well_formed(std::span<const std::int64_t> env,
-                                   std::uint64_t views_end) const {
-  return transit_env_well_formed(env, n(), views_end);
 }
 
 void MsgPassModel::sym_env_key(const StateRef& s, sym::Relabeling& rel,

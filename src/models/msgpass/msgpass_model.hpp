@@ -44,7 +44,33 @@ struct SchedGroup {
 
 using Schedule = std::vector<SchedGroup>;
 
-class MsgPassModel final : public LayeredModel {
+// The base of both message-passing models (this one and MsgPassSyncModel,
+// models/msgpass/msgpass_sync_model.hpp): the env is the sorted multiset of
+// in-transit messages (pack_message), and the messages addressed to j, j's
+// mailbox, belong to j's local state. The env hooks have one body here.
+class TransitEnvModel : public LayeredModel {
+ public:
+  using LayeredModel::LayeredModel;
+
+  // Every local state except j's is equal, and so are the in-transit
+  // messages not addressed to j.
+  bool agree_modulo(StateId x, StateId y, ProcessId j) const override;
+
+  // out[j] hashes the in-transit messages not addressed to j, their count,
+  // and every local state except j's: the material agree_modulo compares.
+  void fingerprint_row_into(StateId x, std::uint64_t* out) const override;
+
+  // The in-transit messages as "sender->receiver:<view term>", id-free.
+  std::string env_to_string(StateId x) const override;
+
+  // True when every word of `env` is a message pack_message could have made
+  // for n processes: sender and receiver below n, the view below
+  // `views_end`.
+  bool env_well_formed(std::span<const std::int64_t> env,
+                       std::uint64_t views_end) const override;
+};
+
+class MsgPassModel final : public TransitEnvModel {
  public:
   MsgPassModel(int n, const DecisionRule& rule,
                std::vector<std::vector<Value>> initial_inputs = {});
@@ -71,14 +97,6 @@ class MsgPassModel final : public LayeredModel {
   // as interned-state equality.
   StateId apply_schedule(StateId x, const Schedule& schedule);
 
-  bool agree_modulo(StateId x, StateId y, ProcessId j) const override;
-  void fingerprint_row_into(StateId x, std::uint64_t* out) const override;
-  std::string env_to_string(StateId x) const override;
-
-  // The env is a multiset of messages (transit_env_well_formed).
-  bool env_well_formed(std::span<const std::int64_t> env,
-                       std::uint64_t views_end) const override;
-
   // All layer actions for this model size (the three types above).
   const std::vector<Schedule>& schedules() const { return schedules_; }
 
@@ -98,24 +116,6 @@ class MsgPassModel final : public LayeredModel {
 // step of both message-passing models. `obs` is cleared first.
 void take_mailbox(std::vector<std::int64_t>& transit, ProcessId i,
                   std::vector<Obs>& obs);
-
-// The erase-j fingerprint under the mailbox reading of agree-modulo shared
-// by both message-passing models: hashes the in-transit messages *not*
-// addressed to j (j's mailbox belongs to j's local state) plus every
-// process local state except j's. Filtered-equal envs hash equal, so the
-// fingerprint contract of LayeredModel::fingerprint_row_into holds.
-std::uint64_t mailbox_masked_fingerprint(const StateRef& s, int n,
-                                         ProcessId j);
-
-// Renders the in-transit messages as "sender->receiver:<view term>" — the
-// id-free env_to_string shared by both message-passing models.
-std::string transit_env_to_string(const ViewArena& views, const StateRef& s);
-
-// True when every word of `env` is a message pack_message could have made
-// for n processes: sender and receiver below n, the view below
-// `views_end`. The env_well_formed shared by both message-passing models.
-bool transit_env_well_formed(std::span<const std::int64_t> env, int n,
-                             std::uint64_t views_end);
 
 // Message encoding helpers (exposed for tests).
 std::int64_t pack_message(ProcessId sender, ProcessId receiver, ViewId view);

@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <cassert>
 
-#include "models/msgpass/msgpass_model.hpp"
-#include "util/simd.hpp"
-
 namespace lacon {
 
 MsgPassSyncModel::MsgPassSyncModel(
     int n, const DecisionRule& rule,
     std::vector<std::vector<Value>> initial_inputs)
-    : LayeredModel(n, rule, std::move(initial_inputs)) {}
+    : TransitEnvModel(n, rule, std::move(initial_inputs)) {}
 
 StateId MsgPassSyncModel::apply_timed(StateId x, ProcessId j, int k) {
   SuccessorBuilder b;
@@ -93,52 +90,6 @@ StateId MsgPassSyncModel::apply_absent(SuccessorBuilder& b, StateId x,
 
   std::sort(transit.begin(), transit.end());
   return intern_canonical(b.next);
-}
-
-bool MsgPassSyncModel::agree_modulo(StateId x, StateId y, ProcessId j) const {
-  // Same mailbox attribution as the permutation-layering model: the
-  // messages addressed to j belong to j's local state.
-  const StateRef sx = state(x);
-  const StateRef sy = state(y);
-  const auto nn = static_cast<std::size_t>(n());
-  const auto skip = static_cast<std::size_t>(j);
-  if (!simd::lanes_equal_skip(sx.locals.data(), sy.locals.data(), nn, skip) ||
-      !simd::lanes_equal_skip(sx.decisions.data(), sy.decisions.data(), nn,
-                              skip)) {
-    return false;
-  }
-  auto it_x = sx.env.begin();
-  auto it_y = sy.env.begin();
-  while (true) {
-    while (it_x != sx.env.end() && message_receiver(*it_x) == j) ++it_x;
-    while (it_y != sy.env.end() && message_receiver(*it_y) == j) ++it_y;
-    if (it_x == sx.env.end() || it_y == sy.env.end()) break;
-    if (*it_x != *it_y) return false;
-    ++it_x;
-    ++it_y;
-  }
-  while (it_x != sx.env.end() && message_receiver(*it_x) == j) ++it_x;
-  while (it_y != sy.env.end() && message_receiver(*it_y) == j) ++it_y;
-  return it_x == sx.env.end() && it_y == sy.env.end();
-}
-
-void MsgPassSyncModel::fingerprint_row_into(StateId x,
-                                            std::uint64_t* out) const {
-  // Mailbox masking makes the env hash j-dependent; batch the row per
-  // erased coordinate (see MsgPassModel::fingerprint_row_into).
-  const StateRef s = state(x);
-  for (ProcessId j = 0; j < n(); ++j) {
-    out[static_cast<std::size_t>(j)] = mailbox_masked_fingerprint(s, n(), j);
-  }
-}
-
-std::string MsgPassSyncModel::env_to_string(StateId x) const {
-  return transit_env_to_string(views(), state(x));
-}
-
-bool MsgPassSyncModel::env_well_formed(std::span<const std::int64_t> env,
-                                       std::uint64_t views_end) const {
-  return transit_env_well_formed(env, n(), views_end);
 }
 
 std::vector<StateId> MsgPassSyncModel::compute_layer(StateId x) {

@@ -22,11 +22,11 @@
 // (the leftover messages differ only in j's own mailbox).
 #pragma once
 
-#include "core/model.hpp"
+#include "models/msgpass/msgpass_model.hpp"
 
 namespace lacon {
 
-class MsgPassSyncModel final : public LayeredModel {
+class MsgPassSyncModel final : public TransitEnvModel {
  public:
   MsgPassSyncModel(int n, const DecisionRule& rule,
                    std::vector<std::vector<Value>> initial_inputs = {});
@@ -43,14 +43,6 @@ class MsgPassSyncModel final : public LayeredModel {
   // x(j, k) and x(j, A), as above. Exposed for the structural tests.
   StateId apply_timed(StateId x, ProcessId j, int k);
   StateId apply_absent(StateId x, ProcessId j);
-
-  bool agree_modulo(StateId x, StateId y, ProcessId j) const override;
-  void fingerprint_row_into(StateId x, std::uint64_t* out) const override;
-  std::string env_to_string(StateId x) const override;
-
-  // The env is a multiset of messages (transit_env_well_formed).
-  bool env_well_formed(std::span<const std::int64_t> env,
-                       std::uint64_t views_end) const override;
 
  protected:
   std::vector<StateId> compute_layer(StateId x) override;

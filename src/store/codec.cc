@@ -1,5 +1,9 @@
 #include "store/codec.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <filesystem>
 #include <new>
 #include <string>
 
@@ -29,6 +33,88 @@ bool earlier(ViewId v, std::uint64_t id) {
 }
 
 }  // namespace
+
+void write_frame(Writer& file, const Format& format, const Writer& header) {
+  file.raw(format.magic, 8);
+  file.u32(format.version);
+  file.u32(static_cast<std::uint32_t>(header.size()));
+  file.u64(fnv1a(header.data(), header.size()));
+  file.raw(header.data(), header.size());
+}
+
+Result read_frame(const Format& format, const std::string& path,
+                  std::uint64_t file_bytes, const ReadAt& read_at,
+                  std::vector<std::uint8_t>* header) {
+  if (file_bytes < kPreludeBytes) {
+    return fail(Status::kTruncated, path + ": shorter than the prelude");
+  }
+  std::uint8_t prelude[kPreludeBytes];
+  if (!read_at(0, prelude, sizeof prelude)) {
+    return fail(Status::kIoError, "cannot read " + path);
+  }
+  if (std::memcmp(prelude, format.magic, 8) != 0) {
+    return fail(Status::kBadMagic,
+                path + ": not a " + format.file + " file");
+  }
+  Reader pre(prelude + 8, sizeof prelude - 8);
+  std::uint32_t version = 0, header_bytes = 0;
+  std::uint64_t header_checksum = 0;
+  pre.u32(&version);
+  pre.u32(&header_bytes);
+  pre.u64(&header_checksum);
+  if (version != format.version) {
+    return fail(Status::kBadVersion,
+                path + ": " + format.noun + " format version " +
+                    std::to_string(version) + " (this build speaks only v" +
+                    std::to_string(format.version) + ")");
+  }
+  if (file_bytes < kPreludeBytes + header_bytes) {
+    return fail(Status::kTruncated, path + ": header extends past EOF");
+  }
+  header->resize(header_bytes);
+  if (!read_at(kPreludeBytes, header->data(), header->size())) {
+    return fail(Status::kIoError, "cannot read " + path);
+  }
+  if (fnv1a(header->data(), header->size()) != header_checksum) {
+    return fail(Status::kCorrupt, path + ": header checksum mismatch");
+  }
+  return {};
+}
+
+Result check_identity(const Format& format, const std::string& path,
+                      LayeredModel& model, const std::string& name,
+                      std::uint32_t n, std::uint32_t max_faulty,
+                      std::uint32_t symmetry) {
+  if (name != model.name() || n != static_cast<std::uint32_t>(model.n()) ||
+      max_faulty != static_cast<std::uint32_t>(model.max_faulty())) {
+    return fail(Status::kModelMismatch,
+                path + ": " + format.noun + " is " + name + " n=" +
+                    std::to_string(n) + " t=" + std::to_string(max_faulty) +
+                    ", target is " + model.name() + " n=" +
+                    std::to_string(model.n()) + " t=" +
+                    std::to_string(model.max_faulty()));
+  }
+  const std::uint32_t want = model.sym_quotient_active() ? 1 : 0;
+  if (symmetry != want) {
+    return fail(Status::kSymmetryMismatch,
+                path + ": " + format.noun +
+                    " written with the orbit quotient " +
+                    (symmetry != 0 ? "on" : "off") + ", target model runs it " +
+                    (want != 0 ? "on" : "off") + " (LACON_SYMMETRY)");
+  }
+  return {};
+}
+
+Result fsync_parent_dir(const std::string& path) {
+  const auto parent = std::filesystem::path(path).parent_path();
+  const std::string dir = parent.empty() ? "." : parent.string();
+  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dfd < 0) return fail(Status::kIoError, "cannot open dir " + dir);
+  const int rc = ::fsync(dfd);
+  ::close(dfd);
+  if (rc != 0) return fail(Status::kIoError, "cannot fsync dir " + dir);
+  return {};
+}
 
 bool decode_views(Reader& r, std::uint64_t count, int n, RecordBatch* batch) {
   if (count > r.remaining() / kViewMinBytes) return false;

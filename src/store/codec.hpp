@@ -27,6 +27,8 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -108,6 +110,52 @@ class Reader {
   const std::uint8_t* p_;
   const std::uint8_t* end_;
 };
+
+// --- The frame both formats open with (FORMATS.md §1.1, §2.1) -------------
+//
+// The prelude, an 8-byte magic, the u32 format version, the u32 header
+// length and the header's u64 FNV-1a checksum, then the header.
+
+inline constexpr std::size_t kPreludeBytes = 8 + 4 + 4 + 8;
+
+// One format's prelude, and its names in refusal details.
+struct Format {
+  const char* magic;      // 8 bytes
+  std::uint32_t version;  // the one version this build speaks
+  const char* file;       // "lacon.store"
+  const char* noun;       // "snapshot"
+};
+
+inline Result fail(Status status, std::string detail) {
+  return Result{status, std::move(detail)};
+}
+
+// Appends the prelude that frames `header`, then the header.
+void write_frame(Writer& file, const Format& format, const Writer& header);
+
+// Reads `bytes` at `offset` of the file into `out`; false on an IO error.
+using ReadAt = std::function<bool(std::uint64_t offset, std::uint8_t* out,
+                                  std::size_t bytes)>;
+
+// Reads the header of a file `file_bytes` long into `header`, refusing in
+// this order: kTruncated when the file is shorter than the prelude,
+// kBadMagic, kBadVersion, kTruncated when the header runs past the end,
+// kCorrupt on a header checksum mismatch; kIoError when a read fails.
+Result read_frame(const Format& format, const std::string& path,
+                  std::uint64_t file_bytes, const ReadAt& read_at,
+                  std::vector<std::uint8_t>* header);
+
+// The identity a header records: kModelMismatch unless `name`, `n` and
+// `max_faulty` are the model's, then kSymmetryMismatch unless the file was
+// written in the model's quotient mode (`symmetry`, 0 off or 1 on).
+Result check_identity(const Format& format, const std::string& path,
+                      LayeredModel& model, const std::string& name,
+                      std::uint32_t n, std::uint32_t max_faulty,
+                      std::uint32_t symmetry);
+
+// fsyncs the directory holding `path`, so that a file created or renamed
+// there survives a power cut.
+Result fsync_parent_dir(const std::string& path);
 
 // --- One record of each kind, for readers that walk a block unchecked ----
 

@@ -27,7 +27,11 @@ namespace {
 
 using codec::Reader;
 using codec::Writer;
+using codec::fail;
 using codec::fnv1a;
+
+constexpr codec::Format kStoreFormat{kMagic, kFormatVersion, "lacon.store",
+                                     "snapshot"};
 
 // ---------------------------------------------------------------------------
 // On-disk structures.
@@ -41,8 +45,6 @@ struct SectionEntry {
   std::uint64_t checksum = 0;
 };
 static_assert(sizeof(SectionEntry) == 40);
-
-constexpr std::size_t kPreludeBytes = 8 + 4 + 4 + 8;
 
 struct Header {
   std::uint32_t n = 0;
@@ -58,10 +60,6 @@ struct Header {
   std::string name;
   std::vector<SectionEntry> sections;
 };
-
-Result fail(Status status, std::string detail) {
-  return Result{status, std::move(detail)};
-}
 
 // The digest sections fold every record's content hash into
 // digest_shards sums, keyed by (hash >> 40) & (digest_shards - 1); save
@@ -128,33 +126,19 @@ Result read_file(const std::string& path, std::unique_ptr<std::byte[]>* buf,
 }
 
 Result parse_header(const Bytes& bytes, const std::string& path, Header* h) {
-  if (bytes.size < kPreludeBytes) {
-    return fail(Status::kTruncated, path + ": shorter than the prelude");
-  }
-  if (std::memcmp(bytes.data, kMagic, sizeof kMagic) != 0) {
-    return fail(Status::kBadMagic, path + ": not a lacon.store file");
-  }
-  Reader pre(bytes.data + sizeof kMagic, bytes.size - sizeof kMagic);
-  std::uint32_t version = 0, header_bytes = 0;
-  std::uint64_t header_checksum = 0;
-  pre.u32(&version);
-  pre.u32(&header_bytes);
-  pre.u64(&header_checksum);
-  if (version != kFormatVersion) {
-    return fail(Status::kBadVersion,
-                path + ": format version " + std::to_string(version) +
-                    " (this build speaks only v" +
-                    std::to_string(kFormatVersion) + ")");
-  }
-  if (bytes.size < kPreludeBytes + header_bytes) {
-    return fail(Status::kTruncated, path + ": header extends past EOF");
-  }
-  const std::uint8_t* body = bytes.data + kPreludeBytes;
-  if (fnv1a(body, header_bytes) != header_checksum) {
-    return fail(Status::kCorrupt, path + ": header checksum mismatch");
+  std::vector<std::uint8_t> header;
+  if (Result r = codec::read_frame(
+          kStoreFormat, path, bytes.size,
+          [&bytes](std::uint64_t offset, std::uint8_t* out, std::size_t n) {
+            std::memcpy(out, bytes.data + offset, n);
+            return true;
+          },
+          &header);
+      !r.ok()) {
+    return r;
   }
 
-  Reader r(body, header_bytes);
+  Reader r(header.data(), header.size());
   bool ok = r.u32(&h->n) && r.u32(&h->max_faulty) && r.u32(&h->lane_bits) &&
             r.u32(&h->word_bytes) && r.u32(&h->digest_shards) &&
             r.u32(&h->name_len) && r.u32(&h->section_count) &&
@@ -164,7 +148,7 @@ Result parse_header(const Bytes& bytes, const std::string& path, Header* h) {
   if (h->symmetry > 1) {
     return fail(Status::kCorrupt, path + ": unknown symmetry mode");
   }
-  if (h->name_len > header_bytes) {
+  if (h->name_len > header.size()) {
     return fail(Status::kCorrupt, path + ": absurd model-name length");
   }
   h->name.resize(h->name_len);
@@ -289,17 +273,7 @@ Result write_file_durably(const std::string& path, const std::uint8_t* data,
     return fail(Status::kIoError, "cannot rename " + tmp + " -> " + path);
   }
 
-  const std::string dir = parent.empty() ? "." : parent.string();
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd < 0) {
-    return fail(Status::kIoError, "cannot open dir " + dir);
-  }
-  const int rc = ::fsync(dfd);
-  ::close(dfd);
-  if (rc != 0) {
-    return fail(Status::kIoError, "cannot fsync dir " + dir);
-  }
-  return {};
+  return codec::fsync_parent_dir(path);
 }
 
 }  // namespace
@@ -430,16 +404,12 @@ Result save(LayeredModel& model, const std::string& path,
   h.section_count = static_cast<std::uint32_t>(table.size());
   h.sections = table;
   const std::size_t header_bytes = encode_header(h).size();
-  const std::size_t payload_base = kPreludeBytes + header_bytes;
+  const std::size_t payload_base = codec::kPreludeBytes + header_bytes;
   for (SectionEntry& e : h.sections) e.offset += payload_base;
   Writer header = encode_header(h);
 
   Writer file;
-  file.raw(kMagic, sizeof kMagic);
-  file.u32(kFormatVersion);
-  file.u32(static_cast<std::uint32_t>(header.size()));
-  file.u64(fnv1a(header.data(), header.size()));
-  file.raw(header.data(), header.size());
+  codec::write_frame(file, kStoreFormat, header);
   file.raw(payload.data(), payload.size());
 
   if (Result r = write_file_durably(path, file.data(), file.size());
@@ -463,24 +433,10 @@ Result load(LayeredModel& model, const std::string& path,
   Header h;
   if (Result r = parse_header(bytes, path, &h); !r.ok()) return r;
 
-  if (h.name != model.name() ||
-      h.n != static_cast<std::uint32_t>(model.n()) ||
-      h.max_faulty != static_cast<std::uint32_t>(model.max_faulty())) {
-    return fail(Status::kModelMismatch,
-                path + ": snapshot is " + h.name + " n=" +
-                    std::to_string(h.n) + " t=" + std::to_string(h.max_faulty) +
-                    ", target is " + model.name() + " n=" +
-                    std::to_string(model.n()) + " t=" +
-                    std::to_string(model.max_faulty()));
-  }
-  const std::uint32_t want_symmetry = model.sym_quotient_active() ? 1 : 0;
-  if (h.symmetry != want_symmetry) {
-    return fail(Status::kSymmetryMismatch,
-                path + ": snapshot saved with the orbit quotient " +
-                    (h.symmetry != 0 ? "on" : "off") +
-                    ", target model runs it " +
-                    (want_symmetry != 0 ? "on" : "off") +
-                    " (LACON_SYMMETRY)");
+  if (Result r = codec::check_identity(kStoreFormat, path, model, h.name, h.n,
+                                       h.max_faulty, h.symmetry);
+      !r.ok()) {
+    return r;
   }
   if (model.num_states() != 0 || model.num_views() != 0) {
     return fail(Status::kNotEmpty,

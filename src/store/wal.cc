@@ -22,28 +22,15 @@ namespace {
 
 using codec::Reader;
 using codec::Writer;
+using codec::fail;
 using codec::fnv1a;
 
-constexpr std::size_t kWalPreludeBytes = 8 + 4 + 4 + 8;
+constexpr codec::Format kWalFormat{kWalMagic, kWalFormatVersion, "lacon.wal",
+                                   "wal"};
 constexpr std::size_t kWalFrameBytes = 4 + 4 + 8 + 8;
 // Floor for should_compact: a near-empty snapshot must not force a
 // compaction cycle after every record.
 constexpr std::uint64_t kCompactFloorBytes = 64 * 1024;
-
-Result fail(Status status, std::string detail) {
-  return Result{status, std::move(detail)};
-}
-
-Result fsync_parent_dir(const std::string& path) {
-  const auto parent = std::filesystem::path(path).parent_path();
-  const std::string dir = parent.empty() ? "." : parent.string();
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd < 0) return fail(Status::kIoError, "cannot open dir " + dir);
-  const int rc = ::fsync(dfd);
-  ::close(dfd);
-  if (rc != 0) return fail(Status::kIoError, "cannot fsync dir " + dir);
-  return {};
-}
 
 bool pread_all(int fd, std::uint8_t* out, std::size_t bytes,
                std::uint64_t offset) {
@@ -132,7 +119,6 @@ Result Wal::write_and_sync(const std::uint8_t* data, std::size_t bytes,
 Result Wal::open(LayeredModel& model, const std::string& path) {
   close();
   path_ = path;
-  const std::uint32_t want_symmetry = model.sym_quotient_active() ? 1 : 0;
 
   std::error_code ec;
   const auto parent = std::filesystem::path(path).parent_path();
@@ -159,22 +145,18 @@ Result Wal::open(LayeredModel& model, const std::string& path) {
     body.u32(static_cast<std::uint32_t>(model.max_faulty()));
     const std::string name = model.name();
     body.u32(static_cast<std::uint32_t>(name.size()));
-    body.u32(want_symmetry);
+    body.u32(model.sym_quotient_active() ? 1 : 0);
     body.raw(name.data(), name.size());
     body.pad_to_8();
 
     Writer file;
-    file.raw(kWalMagic, sizeof kWalMagic);
-    file.u32(kWalFormatVersion);
-    file.u32(static_cast<std::uint32_t>(body.size()));
-    file.u64(fnv1a(body.data(), body.size()));
-    file.raw(body.data(), body.size());
+    codec::write_frame(file, kWalFormat, body);
 
     if (Result r = write_and_sync(file.data(), file.size(), 0); !r.ok()) {
       close();
       return r;
     }
-    if (Result r = fsync_parent_dir(path); !r.ok()) {
+    if (Result r = codec::fsync_parent_dir(path); !r.ok()) {
       close();
       return r;
     }
@@ -187,44 +169,16 @@ Result Wal::open(LayeredModel& model, const std::string& path) {
   // Existing log: the header must parse and match the model. Header damage
   // is a typed error (unlike record damage, which replay truncates away) —
   // with no trustworthy identity the whole file is suspect.
-  if (file_bytes < kWalPreludeBytes) {
+  std::vector<std::uint8_t> header;
+  if (Result r = codec::read_frame(
+          kWalFormat, path, file_bytes,
+          [this](std::uint64_t offset, std::uint8_t* out, std::size_t bytes) {
+            return pread_all(fd_, out, bytes, offset);
+          },
+          &header);
+      !r.ok()) {
     close();
-    return fail(Status::kTruncated, path + ": shorter than the prelude");
-  }
-  std::uint8_t prelude[kWalPreludeBytes];
-  if (!pread_all(fd_, prelude, sizeof prelude, 0)) {
-    close();
-    return fail(Status::kIoError, "cannot read " + path);
-  }
-  if (std::memcmp(prelude, kWalMagic, sizeof kWalMagic) != 0) {
-    close();
-    return fail(Status::kBadMagic, path + ": not a lacon.wal file");
-  }
-  Reader pre(prelude + sizeof kWalMagic, sizeof prelude - sizeof kWalMagic);
-  std::uint32_t version = 0, header_bytes = 0;
-  std::uint64_t header_checksum = 0;
-  pre.u32(&version);
-  pre.u32(&header_bytes);
-  pre.u64(&header_checksum);
-  if (version != kWalFormatVersion) {
-    close();
-    return fail(Status::kBadVersion,
-                path + ": wal format version " + std::to_string(version) +
-                    " (this build speaks only v" +
-                    std::to_string(kWalFormatVersion) + ")");
-  }
-  if (file_bytes < kWalPreludeBytes + header_bytes) {
-    close();
-    return fail(Status::kTruncated, path + ": header extends past EOF");
-  }
-  std::vector<std::uint8_t> header(header_bytes);
-  if (!pread_all(fd_, header.data(), header.size(), kWalPreludeBytes)) {
-    close();
-    return fail(Status::kIoError, "cannot read " + path);
-  }
-  if (fnv1a(header.data(), header.size()) != header_checksum) {
-    close();
-    return fail(Status::kCorrupt, path + ": header checksum mismatch");
+    return r;
   }
   Reader r(header.data(), header.size());
   std::uint32_t n = 0, max_faulty = 0, name_len = 0, symmetry = 0;
@@ -235,24 +189,14 @@ Result Wal::open(LayeredModel& model, const std::string& path) {
   }
   std::string name(name_len, '\0');
   r.raw(name.data(), name_len);
-  if (name != model.name() || n != static_cast<std::uint32_t>(model.n()) ||
-      max_faulty != static_cast<std::uint32_t>(model.max_faulty())) {
+  if (Result id = codec::check_identity(kWalFormat, path, model, name, n,
+                                        max_faulty, symmetry);
+      !id.ok()) {
     close();
-    return fail(Status::kModelMismatch,
-                path + ": wal is " + name + " n=" + std::to_string(n) +
-                    " t=" + std::to_string(max_faulty) + ", target is " +
-                    model.name() + " n=" + std::to_string(model.n()) +
-                    " t=" + std::to_string(model.max_faulty()));
-  }
-  if (symmetry != want_symmetry) {
-    close();
-    return fail(Status::kSymmetryMismatch,
-                path + ": wal written with the orbit quotient " +
-                    (symmetry != 0 ? "on" : "off") + ", target model runs it " +
-                    (want_symmetry != 0 ? "on" : "off") + " (LACON_SYMMETRY)");
+    return id;
   }
 
-  header_end_ = kWalPreludeBytes + header_bytes;
+  header_end_ = codec::kPreludeBytes + header.size();
   log_end_ = file_bytes;  // replay() walks the records and trims the tail
   seq_ = 0;
   return {};

@@ -1,6 +1,7 @@
 #include "topology/covering.hpp"
 
-#include "engine/explore.hpp"
+#include <utility>
+
 #include "util/bitset.hpp"
 
 namespace lacon {
@@ -54,120 +55,21 @@ Covering consensus_covering(int n) {
   return c;
 }
 
-GeneralizedValenceEngine::GeneralizedValenceEngine(LayeredModel& model,
-                                                   Covering covering,
-                                                   int horizon,
-                                                   Exactness mode)
-    : model_(model),
-      covering_(std::move(covering)),
-      horizon_(horizon),
-      mode_(mode) {}
-
-ValenceInfo GeneralizedValenceEngine::local_witness(StateId x) const {
-  ValenceInfo info;
-  for_each_witness_simplex(model_, x, [&](const Simplex& s) {
-    if (covering_.o0.contains(s)) info.v0 = true;
-    if (covering_.o1.contains(s)) info.v1 = true;
-  });
-  return info;
-}
-
-ValenceInfo GeneralizedValenceEngine::valence(StateId x) {
-  if (mode_ == Exactness::kQuiescence) return compute(memo_, x, horizon_);
-  const ValenceInfo shallow = compute(memo_, x, horizon_);
-  if (shallow.bivalent()) return shallow;
-  ValenceInfo deep = compute(memo_deep_, x, horizon_ + 1);
-  deep.exact = deep.exact || deep.bivalent() || deep.same_set(shallow);
-  return deep;
-}
-
-ValenceInfo GeneralizedValenceEngine::compute(Memo& memo, StateId x,
-                                              int budget) {
-  auto it = memo.find(x);
-  if (it != memo.end()) {
-    if (it->second.info.bivalent() || it->second.horizon >= budget) {
-      return it->second.info;
-    }
-  }
-
-  ValenceInfo info = local_witness(x);
-  if (info.bivalent() || quiescent(model_, x)) {
-    info.exact = true;
-    memo[x] = Entry{budget, info};
+ValenceEngine::Witness covering_witness(LayeredModel& model,
+                                        Covering covering) {
+  return [&model, covering = std::move(covering)](StateId x) {
+    ValenceInfo info;
+    for_each_witness_simplex(model, x, [&](const Simplex& s) {
+      if (covering.o0.contains(s)) info.v0 = true;
+      if (covering.o1.contains(s)) info.v1 = true;
+    });
     return info;
-  }
-  if (budget == 0) {
-    info.exact = false;
-    memo[x] = Entry{0, info};
-    return info;
-  }
-
-  info.exact = true;
-  for (StateId y : model_.layer(x)) {
-    const ValenceInfo sub = compute(memo, y, budget - 1);
-    info.v0 = info.v0 || sub.v0;
-    info.v1 = info.v1 || sub.v1;
-    info.exact = info.exact && sub.exact;
-    if (info.bivalent()) {
-      info.exact = true;
-      break;
-    }
-  }
-  memo[x] = Entry{budget, info};
-  return info;
+  };
 }
 
-bool GeneralizedValenceEngine::valence_connected(
-    const std::vector<StateId>& X) {
-  std::vector<ValenceInfo> infos;
-  infos.reserve(X.size());
-  for (StateId x : X) infos.push_back(valence(x));
-  return Graph::from_relation(X.size(),
-                              [&](std::size_t a, std::size_t b) {
-                                return (infos[a].v0 && infos[b].v0) ||
-                                       (infos[a].v1 && infos[b].v1);
-                              })
-      .connected();
-}
-
-std::optional<StateId> GeneralizedValenceEngine::find_bivalent(
-    const std::vector<StateId>& X) {
-  for (StateId x : X) {
-    if (valence(x).bivalent()) return x;
-  }
-  return std::nullopt;
-}
-
-GeneralizedBivalentRun extend_generalized_bivalent_run(
-    GeneralizedValenceEngine& engine, const std::vector<StateId>& I,
-    int depth) {
-  GeneralizedBivalentRun result;
-  const std::optional<StateId> start = engine.find_bivalent(I);
-  if (!start) {
-    result.stuck_reason = "no bivalent state in I";
-    return result;
-  }
-  result.run.push_back(*start);
-  StateId cur = *start;
-  for (int d = 0; d < depth; ++d) {
-    const std::vector<StateId>& layer = engine.model().layer(cur);
-    const std::optional<StateId> next = engine.find_bivalent(layer);
-    if (!next) {
-      result.stuck_reason =
-          "no bivalent successor at depth " + std::to_string(d);
-      return result;
-    }
-    cur = *next;
-    result.run.push_back(cur);
-  }
-  result.complete = true;
-  return result;
-}
-
-GeneralizedBivalentRun lemma_7_4_chain(GeneralizedValenceEngine& engine,
-                                       const std::vector<StateId>& I,
-                                       int length) {
-  GeneralizedBivalentRun result;
+BivalentRunResult lemma_7_4_chain(ValenceEngine& engine,
+                                  const std::vector<StateId>& I, int length) {
+  BivalentRunResult result;
   LayeredModel& model = engine.model();
   const std::optional<StateId> start = engine.find_bivalent(I);
   if (!start) {

@@ -107,6 +107,31 @@ TEST(MsgPassSync, TimedSubsetSimilarityConnected) {
   EXPECT_TRUE(similarity_connected(model, Y));
 }
 
+TEST(MsgPassSync, EnvRendersMessagesAndRefusesForeignOnes) {
+  // The in-transit multiset renders as view terms, and env_well_formed
+  // refuses a message addressed to process n and one naming a view at
+  // views_end.
+  auto rule = never_decide();
+  MsgPassSyncModel model(3, *rule);
+  const StateId x0 = model.initial_states().front();
+  const StateId y = model.apply_absent(x0, 1);
+  const std::vector<std::int64_t> env(model.state(y).env.begin(),
+                                      model.state(y).env.end());
+  ASSERT_EQ(env.size(), 2u);  // 0->1 and 2->1, waiting in 1's mailbox
+  const std::string pre0 = model.views().to_string(model.state(x0).locals[0]);
+  const std::string pre2 = model.views().to_string(model.state(x0).locals[2]);
+  EXPECT_EQ(model.env_to_string(y), "0->1:" + pre0 + ",2->1:" + pre2 + ",");
+
+  const std::uint64_t views_end = model.num_views();
+  EXPECT_TRUE(model.env_well_formed(env, views_end));
+  std::vector<std::int64_t> to_n = env;
+  to_n[0] = pack_message(0, 3, message_view(env[0]));
+  EXPECT_FALSE(model.env_well_formed(to_n, views_end));
+  std::vector<std::int64_t> past_views = env;
+  past_views[0] = pack_message(0, 1, static_cast<ViewId>(views_end));
+  EXPECT_FALSE(model.env_well_formed(past_views, views_end));
+}
+
 TEST(MsgPassSync, LayerValenceConnectedAndBivalentRunExtends) {
   auto rule = min_after_round(2);
   MsgPassSyncModel model(3, *rule);
