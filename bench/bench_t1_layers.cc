@@ -1,6 +1,8 @@
 // T1 — Layer anatomy. For every model and n, the number of environment
 // actions of the layering, the number of *distinct* successor states
-// |S(x)| at an initial state, and the dedup ratio. Expected values (from
+// |S(x)| at an initial state, and the dedup ratio. Every model interns one
+// successor per action, so `actions` is the number of state interns (arena
+// hits plus misses) that computing the layer makes. Expected values (from
 // the layering definitions):
 //   S1:    n(n+1) actions, n^2-n+1 distinct states
 //   S^rw:  n(n+2) actions
@@ -15,26 +17,17 @@
 
 #include "analysis/reports.hpp"
 #include "models/msgpass/msgpass_model.hpp"
+#include "runtime/stats.hpp"
 #include "util/table.hpp"
 
 namespace lacon {
 namespace {
 
-long long actions_of(ModelKind kind, int n) {
-  switch (kind) {
-    case ModelKind::kMobile:
-      return static_cast<long long>(n) * (n + 1);
-    case ModelKind::kSharedMem:
-      return static_cast<long long>(n) * (n + 2);
-    case ModelKind::kMsgPass: {
-      long long fact = 1;
-      for (int i = 2; i <= n; ++i) fact *= i;
-      return fact + fact + (n - 1) * fact / 2;
-    }
-    case ModelKind::kSync:
-      return 1 + static_cast<long long>(n) * n;
-  }
-  return 0;
+// State interns (hits plus misses) so far, across every arena.
+long long state_interns() {
+  auto& stats = runtime::Stats::global();
+  return static_cast<long long>(stats.counter("arena.state_hits").value() +
+                                stats.counter("arena.state_misses").value());
 }
 
 void print_table() {
@@ -46,9 +39,10 @@ void print_table() {
     for (int n = (kind == ModelKind::kSync ? 3 : 2); n <= max_n; ++n) {
       auto model = make_model(kind, n, 1, *rule);
       const StateId x0 = model->initial_states().front();
-      const long long actions = actions_of(kind, n);
+      const long long before = state_interns();
       const long long distinct =
           static_cast<long long>(model->layer(x0).size());
+      const long long actions = state_interns() - before;
       table.add_row({model_kind_name(kind), cell(static_cast<long long>(n)),
                      cell(actions), cell(distinct),
                      cell(static_cast<double>(actions) /

@@ -11,8 +11,11 @@
 # timers with their duration histograms, guard truncation state; see
 # DESIGN.md §11).
 #
-# Extra arguments for the bench binaries can be passed via BENCH_ARGS,
-# e.g. BENCH_ARGS=--benchmark_min_time=0.01 for a smoke run.
+# Extra arguments for the bench binaries can be passed via BENCH_ARGS.
+# Without them every row runs google-benchmark's default budget of 0.5 s,
+# which is what ci.sh runs and what bench/baseline/ was recorded at; the
+# installed google-benchmark reads a bare number of seconds, e.g.
+# BENCH_ARGS=--benchmark_min_time=0.01 for a run of a few iterations.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"

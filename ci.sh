@@ -99,13 +99,13 @@ run_config() {
     # cannot silently fall behind the code.
     echo "=== [$name] docs drift gate (LACON_* knobs vs README table)"
     python3 bench/check_docs.py .
-    # Perf trajectory: a small-size bench pass on the unsanitized build,
-    # emitting one BENCH_*.json per experiment into bench_results/. Compare
-    # against the committed reference under bench/baseline/ (regenerate it
-    # with the same smoke budget when a PR intentionally moves performance).
+    # Perf trajectory: a bench pass on the unsanitized build, emitting one
+    # BENCH_*.json per experiment into bench_results/. Every row runs
+    # google-benchmark's default budget of 0.5 s. Compare against the
+    # committed reference under bench/baseline/ (regenerate it with the
+    # same 0.5 s budget when a PR intentionally moves performance).
     echo "=== [$name] bench smoke (BENCH_*.json -> bench_results/)"
-    if ! BENCH_ARGS="--benchmark_min_time=0.01x" bench/run_all.sh "$dir" \
-        bench_results > /dev/null; then
+    if ! bench/run_all.sh "$dir" bench_results > /dev/null; then
       echo "=== [$name] bench smoke FAILED" >&2
       exit 1
     fi
@@ -120,7 +120,7 @@ run_config() {
     # Regression gate on the runtime-path experiments (t9: analysis hot
     # paths, t10: arena intern contention): >25% real_time regression vs the
     # committed bench/baseline/ fails CI. Regenerate the baseline with the
-    # same smoke budget when a PR intentionally moves performance. The gated
+    # same 0.5 s budget when a PR intentionally moves performance. The gated
     # JSONs (plus their metrics snapshots) are copied to the repo top level
     # as CI artifacts.
     # t12 rides the same hard gate: its one end-to-end row (explore +
@@ -139,7 +139,7 @@ run_config() {
     # Snapshot store gate: t11 measures file IO, which is noisier than the
     # in-memory t9/t10 paths, so its threshold is looser than the hard 25%
     # gate above. Regenerate bench/baseline/BENCH_t11_store.json with the
-    # same smoke budget when the format or the workloads change.
+    # same 0.5 s budget when the format or the workloads change.
     echo "=== [$name] bench regression gate (t11 store vs bench/baseline/)"
     python3 bench/compare_baseline.py \
       "bench/baseline/BENCH_t11_store.json" \
@@ -154,7 +154,7 @@ run_config() {
     # paying for machinery it is supposed to bypass entirely. It shares
     # t11's looser threshold, not the hard 25% gate: the full-space rows
     # explore-and-classify hundreds of thousands of states per iteration,
-    # and at smoke budgets that workload is allocator/cache noise on the
+    # and at the 0.5 s budget that workload is allocator/cache noise on the
     # order of ±20% run to run.
     echo "=== [$name] bench regression gate (t13 symmetry vs bench/baseline/)"
     python3 bench/compare_baseline.py \

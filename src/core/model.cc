@@ -30,7 +30,8 @@ LayeredModel::LayeredModel(int n, const DecisionRule& rule,
       rule_(&rule),
       initial_inputs_(std::move(initial_inputs)),
       views_(n),
-      sym_folds_(&runtime::Stats::global().counter("arena.sym_folds")) {
+      sym_folds_(&runtime::Stats::global().counter("arena.sym_folds")),
+      layer_time_(&runtime::Stats::global().timer("model.layer_time")) {
   assert(n >= 2);
   if (initial_inputs_.empty()) initial_inputs_ = all_binary_inputs(n);
 #ifndef NDEBUG
@@ -215,6 +216,7 @@ const std::vector<StateId>& LayeredModel::initial_states() {
 const std::vector<StateId>& LayeredModel::layer(StateId x) {
   auto& slot = layer_memo_.slot(static_cast<std::size_t>(x));
   if (const auto* cached = slot.load(std::memory_order_acquire)) return *cached;
+  runtime::ScopedTimer timer(*layer_time_);
   // A racing computation of the same layer produces the same vector
   // (interning is content-addressed); the first published copy wins.
   auto* mine = new std::vector<StateId>(compute_layer(x));

@@ -323,6 +323,8 @@ class LayeredModel {
   // |orbit| per canonical state; 0 = not yet computed (slots value-init).
   runtime::ConcurrentSlotVector<std::atomic<std::uint64_t>> orbit_weights_;
   runtime::Counter* sym_folds_;
+  // Times layer()'s miss path: compute_layer, dedup and publish.
+  runtime::Timer* layer_time_;
 };
 
 // All binary input assignments for n processes (the paper's Con_0 inputs).

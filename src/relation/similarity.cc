@@ -3,28 +3,40 @@
 #include "relation/similarity_index.hpp"
 
 namespace lacon {
+namespace {
+
+// The processes non-failed in both x and y.
+ProcessSet alive_in_both(LayeredModel& model, StateId x, StateId y) {
+  return ProcessSet::all(model.n()) - (model.failed_at(x) | model.failed_at(y));
+}
+
+// Condition (ii) for witness j: some process i != j is in `alive`. With >= 2
+// survivors one always is; with exactly one, j must not be that survivor.
+bool alive_besides(ProcessSet alive, ProcessId j) {
+  return alive.size() >= 2 || (alive.size() == 1 && !alive.contains(j));
+}
+
+}  // namespace
 
 std::optional<ProcessId> similarity_witness(LayeredModel& model, StateId x,
                                             StateId y) {
-  const ProcessSet failed_both = model.failed_at(x) | model.failed_at(y);
-  const int n = model.n();
-  // Condition (ii) needs a process i != j non-failed in both states; the
-  // candidate pool is loop-invariant. No survivors at all means no witness
-  // can qualify, whatever agree_modulo says.
-  const ProcessSet alive = ProcessSet::all(n) - failed_both;
+  // The candidate pool is loop-invariant. No survivors at all means no
+  // witness can qualify, whatever agree_modulo says.
+  const ProcessSet alive = alive_in_both(model, x, y);
   if (alive.empty()) return std::nullopt;
-  const bool many_alive = alive.size() >= 2;
-  for (ProcessId j = 0; j < n; ++j) {
-    // With >= 2 survivors some i != j is always alive; with exactly one, j
-    // must not be that survivor.
-    if (!many_alive && alive.contains(j)) continue;
-    if (model.agree_modulo(x, y, j)) return j;
+  for (ProcessId j = 0; j < model.n(); ++j) {
+    if (alive_besides(alive, j) && model.agree_modulo(x, y, j)) return j;
   }
   return std::nullopt;
 }
 
 bool similar(LayeredModel& model, StateId x, StateId y) {
   return similarity_witness(model, x, y).has_value();
+}
+
+bool similar_via(LayeredModel& model, StateId x, StateId y, ProcessId j) {
+  return alive_besides(alive_in_both(model, x, y), j) &&
+         model.agree_modulo(x, y, j);
 }
 
 guard::Partial<Graph> similarity_graph(LayeredModel& model,

@@ -22,6 +22,11 @@ bool similar(LayeredModel& model, StateId x, StateId y);
 std::optional<ProcessId> similarity_witness(LayeredModel& model, StateId x,
                                             StateId y);
 
+// True iff j witnesses x ~s y: conditions (i) and (ii) for this one j, the
+// check similarity_witness makes per process. similar(x, y) holds iff some
+// j qualifies.
+bool similar_via(LayeredModel& model, StateId x, StateId y, ProcessId j);
+
 // The graph (X, ~s), built through the erase-one fingerprint index
 // (relation/similarity_index.hpp). Tests hold it byte-identical to the
 // quadratic reference sweep, similarity_graph_naive.

@@ -5,12 +5,13 @@
 // process j with agree_modulo(x, y, j), and agree_modulo truth implies
 // equality of the erase-j fingerprints (LayeredModel::fingerprint_row_into,
 // a 64-bit hash of everything agree_modulo compares). So hashing each state
-// once per erased coordinate and bucketing by (j, fingerprint) yields a
-// candidate set that provably contains every ~s edge; each candidate is then
-// confirmed with the exact relation (hash collisions must not create edges)
-// and the confirmed edges, sorted (a, b)-lexicographically and deduplicated,
-// rebuild the *byte-identical* graph the naive sweep produces — at
-// O(|X| * n) hashing plus bucket-local verification instead of O(|X|^2).
+// once per erased coordinate and grouping equal (j, fingerprint) in a hash
+// table yields a candidate set that provably contains every ~s edge; the
+// candidates, counting-sorted (a, b)-lexicographically and deduplicated, are
+// then confirmed with the exact relation (hash collisions must not create
+// edges), and the confirmed edges rebuild the *byte-identical* graph the
+// naive sweep produces — at O(|X| * n) hashing and grouping plus
+// group-local verification instead of O(|X|^2).
 //
 // relation/similarity.hpp's similarity_graph() always builds the index. The
 // naive sweep stays public as the reference the equivalence tests and the

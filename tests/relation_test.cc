@@ -15,6 +15,7 @@
 #include "relation/graph.hpp"
 #include "relation/similarity.hpp"
 #include "relation/similarity_index.hpp"
+#include "runtime/stats.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
@@ -199,7 +200,8 @@ TEST(Graph, FromSortedEdgesMatchesFromRelation) {
 // The index must reproduce the naive sweep's graph *exactly* — same edges,
 // same adjacency order — on every model, including the synchronous one
 // whose states record failures (exercising the witness liveness condition)
-// and the message-passing ones with overridden fingerprints.
+// and the message-passing ones with overridden fingerprints. The msgpass
+// depth-2 level holds 2,496 states.
 TEST(SimilarityIndex, IndexedEqualsNaiveAcrossModelsAndDepths) {
   struct Cfg {
     ModelKind kind;
@@ -209,7 +211,7 @@ TEST(SimilarityIndex, IndexedEqualsNaiveAcrossModelsAndDepths) {
   };
   const Cfg cfgs[] = {
       {ModelKind::kMobile, 3, 1, 2},    {ModelKind::kMobile, 4, 1, 1},
-      {ModelKind::kSharedMem, 3, 1, 1}, {ModelKind::kMsgPass, 3, 1, 1},
+      {ModelKind::kSharedMem, 3, 1, 1}, {ModelKind::kMsgPass, 3, 1, 2},
       {ModelKind::kSync, 3, 1, 2},      {ModelKind::kSync, 4, 2, 1},
   };
   auto rule = min_after_round(2);
@@ -221,6 +223,77 @@ TEST(SimilarityIndex, IndexedEqualsNaiveAcrossModelsAndDepths) {
       EXPECT_TRUE(graphs_identical(naive, indexed))
           << model->name() << " n=" << cfg.n << " |X|=" << level.size();
     }
+  }
+}
+
+// M^mf's layering S1 (x(j, [k]): j's messages to the processes below k are
+// lost) whose fingerprint entries keep only their low `bits` bits, then
+// rehashed so that the few values left land on unrelated home slots. An
+// entry that is a function of a sound entry is sound (agree_modulo still
+// implies equal entries), so the index must still find every ~s edge, but
+// unrelated states now share groups, the same pair is grouped under
+// several coordinates, and most candidates are rejected, some only after
+// the grouping coordinate failed and another witnessed the edge. At 2 bits
+// each group holds about a quarter of the level; at 8 bits the up to 256
+// values per coordinate collide on home slots and share probe chains.
+class CutRowModel final : public LayeredModel {
+ public:
+  CutRowModel(int n, const DecisionRule& rule, int bits)
+      : LayeredModel(n, rule), mask_((std::uint64_t{1} << bits) - 1) {}
+
+  std::string name() const override { return "S1/cut-rows"; }
+
+  void fingerprint_row_into(StateId x, std::uint64_t* out) const override {
+    LayeredModel::fingerprint_row_into(x, out);
+    for (int j = 0; j < n(); ++j) out[j] = mix64(out[j] & mask_);
+  }
+
+ protected:
+  std::vector<StateId> compute_layer(StateId x) override {
+    std::vector<StateId> succ;
+    SuccessorBuilder b;
+    const StateRef s = state(x);
+    for (ProcessId j = 0; j < n(); ++j) {
+      for (ProcessId k = 0; k <= n(); ++k) {
+        b.start(s);
+        for (ProcessId i = 0; i < n(); ++i) {
+          const auto iu = static_cast<std::size_t>(i);
+          std::vector<Obs>& obs = b.obs[0];
+          obs.clear();
+          for (ProcessId sender = 0; sender < n(); ++sender) {
+            if (sender == i) continue;
+            const bool lost = sender == j && i < k;
+            const ViewId sent = s.locals[static_cast<std::size_t>(sender)];
+            obs.push_back(Obs{sender, lost ? kNoView : sent});
+          }
+          const ViewId view = views().extend(s.locals[iu], obs);
+          b.next.locals[iu] = view;
+          b.next.decisions[iu] = updated_decision(i, s.decisions[iu], view);
+        }
+        succ.push_back(intern_canonical(b.next));
+      }
+    }
+    return succ;
+  }
+
+ private:
+  std::uint64_t mask_;
+};
+
+TEST(SimilarityIndex, CutRowsGroupUnrelatedStatesAndStillMatchNaive) {
+  auto rule = min_after_round(2);
+  auto& rejected = runtime::Stats::global().counter("relation.index_rejected");
+  for (int bits : {2, 8}) {
+    CutRowModel model(3, *rule, bits);
+    const std::uint64_t rejected_before = rejected.value();
+    // Levels of 8, 56, 392 and 2,744 states.
+    for (const auto& level : reachable_by_depth(model, 3)) {
+      const Graph naive = similarity_graph_naive(model, level);
+      const Graph indexed = similarity_graph_indexed(model, level);
+      EXPECT_TRUE(graphs_identical(naive, indexed))
+          << bits << " bits, |X|=" << level.size();
+    }
+    EXPECT_GT(rejected.value(), rejected_before) << bits << " bits";
   }
 }
 
