@@ -199,6 +199,21 @@ run_config() {
     grep -q '"status":"truncated","truncation":"deadline"' \
       store_artifacts/starved.json
     grep -q '"status":"ok"' store_artifacts/free.json
+    # The same unbudgeted request again is replayed from the session's
+    # answer cache: the first response's result, with metrics.cached set.
+    "$dir/examples/laconrd" --socket "$sock" --client \
+      '{"id":"free","model":"mobile","n":3,"depth":2,"query":"valence"}' \
+      > store_artifacts/free_again.json
+    python3 -c '
+import json, sys
+first, again = (json.load(open(p)) for p in sys.argv[1:])
+assert again["result"] == first["result"], (first, again)
+assert again["metrics"]["cached"] is True, again
+' store_artifacts/free.json store_artifacts/free_again.json
+    # The stats query answers the live lacon.metrics.v2 document.
+    "$dir/examples/laconrd" --socket "$sock" --client \
+      '{"id":"stats","query":"stats"}' > store_artifacts/stats.json
+    python3 bench/validate_metrics.py store_artifacts/stats.json
     kill -TERM "$laconrd_pid"
     wait "$laconrd_pid"
     # Symmetry identity lane (DESIGN.md §15): the same request sequence
@@ -259,10 +274,15 @@ run_config() {
       "$dir/examples/laconrd" --socket "$wsock" &
     wal_pid=$!
     wait_listening "$wsock"
+    # Every request goes twice on both sides of the kill: the second is
+    # replayed from the session's answer cache, so check_recovery.py also
+    # compares the pre-crash replays with the post-restart answers.
     : > "$wal_dir/before.jsonl"
     for r in "${wal_reqs[@]}"; do
-      "$dir/examples/laconrd" --socket "$wsock" --client "$r" \
-        >> "$wal_dir/before.jsonl"
+      for _ in 1 2; do
+        "$dir/examples/laconrd" --socket "$wsock" --client "$r" \
+          >> "$wal_dir/before.jsonl"
+      done
     done
     # Four clients go in flight concurrently — three hammer the committed
     # session at distinct horizons (their commits coalesce into group-commit
@@ -295,8 +315,10 @@ run_config() {
     wait_listening "$wsock2"
     : > "$wal_dir/after.jsonl"
     for r in "${wal_reqs[@]}"; do
-      "$dir/examples/laconrd" --socket "$wsock2" --client "$r" \
-        >> "$wal_dir/after.jsonl"
+      for _ in 1 2; do
+        "$dir/examples/laconrd" --socket "$wsock2" --client "$r" \
+          >> "$wal_dir/after.jsonl"
+      done
     done
     "$dir/examples/laconrd" --socket "$wsock2" --client \
       '{"id":9,"model":"mobile","n":3,"query":"layers","depth":2,"metrics":true}' \

@@ -95,6 +95,11 @@ std::vector<StateId> unfold_frontier(LayeredModel& model,
   return full;
 }
 
+// The answer cache's key: only a valence answer depends on the horizon.
+std::tuple<std::string, int, int> answer_key(const Request& req) {
+  return {req.query, req.depth, req.query == "valence" ? req.horizon : -1};
+}
+
 }  // namespace
 
 bool parse_request(const Json& doc, Request* out, std::string* error) {
@@ -129,8 +134,9 @@ bool parse_request(const Json& doc, Request* out, std::string* error) {
     out->query = query->as_string();
   }
   if (out->query != "layers" && out->query != "valence" &&
-      out->query != "diameter" && out->query != "similarity") {
-    *error = "query must be one of layers|valence|diameter|similarity";
+      out->query != "diameter" && out->query != "similarity" &&
+      out->query != "stats") {
+    *error = "query must be one of layers|valence|diameter|similarity|stats";
     return false;
   }
 
@@ -301,6 +307,18 @@ void Session::commit_wal(const std::vector<ValenceEngine*>& engines) {
   }
 }
 
+std::optional<std::string> Session::cached_answer(const Request& req) {
+  std::lock_guard<std::mutex> lock(answers_mu_);
+  auto it = answers_.find(answer_key(req));
+  if (it == answers_.end()) return std::nullopt;
+  return it->second;
+}
+
+void Session::cache_answer(const Request& req, std::string result) {
+  std::lock_guard<std::mutex> lock(answers_mu_);
+  answers_.try_emplace(answer_key(req), std::move(result));
+}
+
 std::string Session::take_notice() {
   std::lock_guard<std::mutex> lock(store_mu_);
   std::string out;
@@ -334,32 +352,21 @@ struct Executed {
   ValenceEngine* engine = nullptr;
 };
 
-Executed execute_request(SessionManager& sessions, const Request& req) {
-  const auto start = std::chrono::steady_clock::now();
-  auto& stats = runtime::Stats::global();
-  stats.counter("service.requests").increment();
-
-  Session& session = sessions.session(req.kind, req.n, req.t);
-  ValenceEngine& engine = session.engine(req.horizon);
-  session.ensure_store_loaded(&engine);
-  LayeredModel& model = session.model();
-  const std::size_t states_before = model.num_states();
-  const std::size_t views_before = model.num_views();
-
+// The computing path: explores to req.depth under the request's own guard
+// and answers the query over the last level. Sets `reason` when a budget
+// (or an injected fault) cut the answer short.
+Json compute_result(LayeredModel& model, ValenceEngine& engine,
+                    const Request& req, guard::TruncationReason* reason) {
   guard::Guard g;  // live even without limits: fault probes still apply
   if (req.budget_ms > 0) {
     g.with_deadline(std::chrono::milliseconds(req.budget_ms));
   }
   if (req.max_states > 0) g.with_state_budget(req.max_states);
 
-  Json resp;
-  resp.set("id", req.id);
-  guard::TruncationReason reason = guard::TruncationReason::kNone;
   Json result;
-
   try {
     auto levels = reachable_by_depth(model, req.depth, g);
-    reason = levels.truncation;
+    *reason = levels.truncation;
     const std::vector<StateId> frontier =
         levels.value.empty() ? std::vector<StateId>{} : levels.value.back();
 
@@ -376,7 +383,7 @@ Executed execute_request(SessionManager& sessions, const Request& req) {
       result.set("total_states", Json(total));
     } else if (req.query == "valence") {
       auto infos = engine.classify_all(frontier, g);
-      if (reason == guard::TruncationReason::kNone) reason = infos.truncation;
+      if (*reason == guard::TruncationReason::kNone) *reason = infos.truncation;
       // Valence is permutation-invariant (a symmetric rule decides the same
       // values along π·run as along run), so one representative's verdict
       // counts for its whole orbit.
@@ -398,7 +405,7 @@ Executed execute_request(SessionManager& sessions, const Request& req) {
     } else if (req.query == "diameter") {
       const std::vector<StateId> full = unfold_frontier(model, frontier);
       auto d = s_diameter(model, full, g);
-      if (reason == guard::TruncationReason::kNone) reason = d.truncation;
+      if (*reason == guard::TruncationReason::kNone) *reason = d.truncation;
       result.set("frontier", Json(full.size()));
       result.set("sources_completed", Json(d.completed));
       result.set("diameter",
@@ -407,7 +414,9 @@ Executed execute_request(SessionManager& sessions, const Request& req) {
     } else {  // similarity
       const std::vector<StateId> full = unfold_frontier(model, frontier);
       auto graph = similarity_graph(model, full, g);
-      if (reason == guard::TruncationReason::kNone) reason = graph.truncation;
+      if (*reason == guard::TruncationReason::kNone) {
+        *reason = graph.truncation;
+      }
       result.set("frontier", Json(full.size()));
       result.set("edges", Json(graph.value.edge_count()));
       if (graph.complete()) {
@@ -421,9 +430,43 @@ Executed execute_request(SessionManager& sessions, const Request& req) {
     // Injected allocation faults (runtime/fault.hpp) or real exhaustion:
     // report this request truncated by its state budget, keep serving.
     g.note_memory_exhausted();
-    reason = guard::TruncationReason::kStateBudget;
+    *reason = guard::TruncationReason::kStateBudget;
+  }
+  return result;
+}
+
+Executed execute_request(SessionManager& sessions, const Request& req) {
+  const auto start = std::chrono::steady_clock::now();
+  auto& stats = runtime::Stats::global();
+  stats.counter("service.requests").increment();
+
+  Session& session = sessions.session(req.kind, req.n, req.t);
+  ValenceEngine& engine = session.engine(req.horizon);
+  session.ensure_store_loaded(&engine);
+  LayeredModel& model = session.model();
+  const std::size_t states_before = model.num_states();
+  const std::size_t views_before = model.num_views();
+
+  // A budget may cut an answer short, so budgeted requests neither read
+  // nor fill the session's answer cache; the computing path below is its
+  // only filler, and only with complete answers.
+  const bool unbudgeted = req.budget_ms == 0 && req.max_states == 0;
+  std::optional<std::string> cached;
+  if (unbudgeted) cached = session.cached_answer(req);
+  guard::TruncationReason reason = guard::TruncationReason::kNone;
+  Json result;
+  if (cached) {
+    stats.counter("service.answer_hits").increment();
+    result = Json::raw(std::move(*cached));
+  } else {
+    result = compute_result(model, engine, req, &reason);
+    if (unbudgeted && reason == guard::TruncationReason::kNone) {
+      session.cache_answer(req, result.dump());
+    }
   }
 
+  Json resp;
+  resp.set("id", req.id);
   resp.set("status", reason == guard::TruncationReason::kNone
                          ? Json("ok")
                          : Json("truncated"));
@@ -447,6 +490,7 @@ Executed execute_request(SessionManager& sessions, const Request& req) {
   // representative per orbit); stamping the mode here keeps them
   // interpretable. The "result" object above is mode-independent.
   metrics.set("symmetry", Json(model.sym_quotient_active()));
+  metrics.set("cached", Json(cached.has_value()));
   resp.set("metrics", std::move(metrics));
   if (req.include_metrics) {
     // The same lacon.metrics.v2 document the bench harnesses emit.
@@ -457,7 +501,19 @@ Executed execute_request(SessionManager& sessions, const Request& req) {
   // file's path reaches the wire rather than only stderr.
   const std::string notice = session.take_notice();
   if (!notice.empty()) resp.set("notice", Json(notice));
+  // A replayed answer still commits its session: the computation it
+  // replays may be another connection's, not yet durable.
   return Executed{std::move(resp), &session, &engine};
+}
+
+// The "stats" query: the live lacon.metrics.v2 document. It reads the
+// stats registry only, so it creates no session and commits nothing.
+Json stats_response(const Request& req) {
+  Json resp;
+  resp.set("id", req.id);
+  resp.set("status", Json("ok"));
+  resp.set("snapshot", Json::raw(runtime::metrics_snapshot_json()));
+  return resp;
 }
 
 // Parses one NDJSON line into `req`. On failure fills `error_resp` with the
@@ -488,6 +544,10 @@ std::vector<std::string> handle_batch(SessionManager& sessions,
     Json error_resp;
     if (!parse_line(line, &req, &error_resp)) {
       out.push_back(error_resp.dump());
+      continue;
+    }
+    if (req.query == "stats") {
+      out.push_back(stats_response(req).dump());
       continue;
     }
     Executed ex = execute_request(sessions, req);

@@ -10,7 +10,7 @@
 //   {"id": <any>,              echoed verbatim in the response
 //    "model": "mobile" | "sharedmem" | "msgpass" | "sync"  (default mobile)
 //    "n": <int>, "t": <int>,   t only meaningful for "sync"
-//    "query": "layers" | "valence" | "diameter" | "similarity",
+//    "query": "layers" | "valence" | "diameter" | "similarity" | "stats",
 //    "depth": <int>,           exploration depth (default 2)
 //    "horizon": <int>,         valence lookahead (default depth + 1)
 //    "budget_ms": <int>,       per-request wall-clock budget (0 = none)
@@ -19,9 +19,15 @@
 //
 // Response: {"id", "status": "ok" | "truncated" | "error", result fields
 // per query, "truncation": <guard reason> when truncated, "error": <msg>
-// on error, "metrics": {elapsed_ms, states, views, new_states, new_views}}.
-// Results are id-free (counts, level sizes, diameters) — raw StateIds are
-// scheduling-dependent and never cross the wire (DESIGN.md §9).
+// on error, "metrics": {elapsed_ms, states, views, new_states, new_views,
+// symmetry, cached}}. Results are id-free (counts, level sizes, diameters)
+// — raw StateIds are scheduling-dependent and never cross the wire
+// (DESIGN.md §9). A "stats" query answers {"id", "status": "ok",
+// "snapshot": <lacon.metrics.v2>} and touches no session.
+//
+// Each session keeps the first complete answer to every unbudgeted
+// request (no budget_ms, no max_states) and replays it to later ones with
+// the same (query, depth[, horizon]); metrics.cached says which happened.
 //
 // Budgets ride on lacon::guard: each request gets its own live Guard, so a
 // tiny budget truncates that request to a valid partial result (with its
@@ -38,6 +44,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -113,6 +120,16 @@ class Session {
   // snapshot once it outgrows store::kWalCompactRatio times the snapshot.
   void commit_wal(const std::vector<ValenceEngine*>& engines);
 
+  // The answer cache (DESIGN.md §12): the serialized "result" of the first
+  // complete answer to each unbudgeted request, keyed by its query and
+  // depth, plus its horizon for "valence". A complete answer is a function
+  // of one complete level, which never changes within a session, so an
+  // entry is never invalidated, and PROTOCOL.md's ranges bound the key
+  // space at 468 entries. cached_answer returns nullopt on a miss;
+  // cache_answer keeps the first answer stored under a key.
+  std::optional<std::string> cached_answer(const Request& req);
+  void cache_answer(const Request& req, std::string result);
+
   // Drains the pending operator notice (empty if none): set when store
   // recovery quarantined a refused snapshot or an unreadable WAL, and
   // attached to the session's next response as a "notice" field so
@@ -128,6 +145,10 @@ class Session {
   std::unique_ptr<LayeredModel> model_;
   std::mutex engines_mu_;
   std::map<int, std::unique_ptr<ValenceEngine>> engines_;
+
+  // (query, depth, horizon or -1) -> serialized result.
+  std::mutex answers_mu_;
+  std::map<std::tuple<std::string, int, int>, std::string> answers_;
 
   // Serializes store loads, appends, compaction and the notice.
   std::mutex store_mu_;
@@ -153,11 +174,12 @@ class SessionManager {
 // The one request path: executes the NDJSON request lines one connection
 // read — parse, validate, execute, serialize. Requests execute IN ORDER,
 // every session the batch touched is committed ONCE (all the batch's work
-// shares one WAL fsync), and only then are the responses returned —
-// in request order, one one-line JSON response per line (parse failures
-// become status "error" with a null id). Never throws. The commit precedes
-// every response byte, so any response on the wire implies the whole
-// batch's work survives kill -9. See PROTOCOL.md "Pipelining".
+// shares one WAL fsync; a "stats" line touches none), and only then are
+// the responses returned — in request order, one one-line JSON response
+// per line (parse failures become status "error" with a null id). Never
+// throws. The commit precedes every response byte, so any response on the
+// wire implies the whole batch's work survives kill -9. See PROTOCOL.md
+// "Pipelining".
 std::vector<std::string> handle_batch(SessionManager& sessions,
                                       const std::vector<std::string>& lines);
 

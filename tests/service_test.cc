@@ -20,7 +20,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -380,6 +382,324 @@ TEST(SymmetryIdentityTest, AllQueriesMatchFullSpaceVerdicts) {
           << c.model << " " << query;
     }
   }
+}
+
+// --- answer cache ----------------------------------------------------------
+
+Json response_of(SessionManager& sessions, const std::string& line) {
+  const std::string text = handle_line(sessions, line);
+  std::optional<Json> doc = Json::parse(text);
+  EXPECT_TRUE(doc.has_value()) << text;
+  return doc.has_value() ? std::move(*doc) : Json();
+}
+
+std::string status_of(const Json& response) {
+  const Json* status = response.find("status");
+  return status != nullptr ? status->as_string() : std::string{};
+}
+
+std::string result_text(const Json& response) {
+  const Json* result = response.find("result");
+  return result != nullptr ? result->dump() : std::string{};
+}
+
+bool replayed(const Json& response) {
+  const Json* cached = find_path(response, {"metrics", "cached"});
+  EXPECT_NE(cached, nullptr) << response.dump();
+  return cached != nullptr && cached->as_bool();
+}
+
+// A budget this large never trips, but it makes the request budgeted: it
+// neither reads nor fills the answer cache, so it recomputes its answer.
+// Appended in place of a request's closing brace.
+constexpr const char* kBypass = ",\"max_states\":1000000000}";
+
+// Seeded request sequences over the four served models at n = 2 and 3, all
+// four queries, depths 0–2 and horizons 0–3, sent plainly to one manager
+// (whose sessions replay repeated requests) and with kBypass to a second
+// (which recomputes every answer): every result must match byte for byte.
+void expect_replays_equal_recomputations(bool symmetry, std::uint64_t seed) {
+  constexpr int kRequestsPerInstance = 40;
+  struct Instance {
+    const char* model;
+    int n;
+    int t;
+  };
+  const Instance instances[] = {
+      {"mobile", 2, 1},    {"mobile", 3, 1},    {"sync", 2, 1},
+      {"sync", 3, 2},      {"sharedmem", 2, 1}, {"sharedmem", 3, 1},
+      {"msgpass", 2, 1},   {"msgpass", 3, 1},
+  };
+  const char* const queries[] = {"layers", "valence", "diameter",
+                                 "similarity"};
+  sym::ScopedSymmetry mode(symmetry);
+  std::mt19937_64 rng(seed);
+  int replays = 0;
+  for (const Instance& in : instances) {
+    SessionManager cached, recomputed;
+    for (int i = 0; i < kRequestsPerInstance; ++i) {
+      const std::string query = queries[rng() % 4];
+      std::string body = std::string("{\"model\":\"") + in.model +
+                         "\",\"n\":" + std::to_string(in.n) +
+                         ",\"t\":" + std::to_string(in.t) + ",\"query\":\"" +
+                         query + "\",\"depth\":" + std::to_string(rng() % 3);
+      if (query == "valence") {
+        body += ",\"horizon\":" + std::to_string(rng() % 4);
+      }
+      const Json a = response_of(cached, body + "}");
+      const Json b = response_of(recomputed, body + kBypass);
+      ASSERT_EQ(status_of(a), "ok") << body;
+      ASSERT_EQ(status_of(b), "ok") << body;
+      EXPECT_EQ(result_text(a), result_text(b))
+          << body << "} (request " << i << ")";
+      EXPECT_FALSE(replayed(b)) << body;
+      if (replayed(a)) ++replays;
+    }
+  }
+  EXPECT_GT(replays, 0);
+}
+
+TEST(AnswerCacheTest, ReplaysEqualRecomputationsQuotientOff) {
+  expect_replays_equal_recomputations(false, 0x616e737765720001ULL);
+}
+
+TEST(AnswerCacheTest, ReplaysEqualRecomputationsQuotientOn) {
+  expect_replays_equal_recomputations(true, 0x616e737765720002ULL);
+}
+
+TEST(AnswerCacheTest, RepeatedRequestIsReplayed) {
+  SessionManager sessions;
+  const std::string similarity =
+      "{\"id\":1,\"model\":\"mobile\",\"n\":3,\"query\":\"similarity\","
+      "\"depth\":2";
+  // A budgeted request's answer, complete or not, is not kept.
+  EXPECT_FALSE(replayed(response_of(sessions, similarity + kBypass)));
+  const Json first = response_of(sessions, similarity + "}");
+  const Json again = response_of(sessions, similarity + "}");
+  EXPECT_FALSE(replayed(first));
+  EXPECT_TRUE(replayed(again));
+  EXPECT_EQ(status_of(again), "ok");
+  EXPECT_EQ(find_path(again, {"id"})->as_number(), 1.0);
+  EXPECT_EQ(find_path(again, {"metrics", "new_states"})->as_number(), 0.0);
+  EXPECT_EQ(result_text(again), result_text(first));
+
+  // Only a valence answer depends on the horizon.
+  EXPECT_TRUE(replayed(response_of(
+      sessions,
+      "{\"model\":\"mobile\",\"n\":3,\"query\":\"similarity\",\"depth\":2,"
+      "\"horizon\":7}")));
+  const std::string valence =
+      "{\"model\":\"mobile\",\"n\":3,\"query\":\"valence\",\"depth\":2,"
+      "\"horizon\":3";
+  EXPECT_FALSE(replayed(response_of(sessions, valence + "}")));
+  EXPECT_TRUE(replayed(response_of(sessions, valence + "}")));
+  EXPECT_FALSE(replayed(response_of(
+      sessions,
+      "{\"model\":\"mobile\",\"n\":3,\"query\":\"valence\",\"depth\":2,"
+      "\"horizon\":2}")));
+  // A budgeted request does not read the cache either.
+  EXPECT_FALSE(replayed(response_of(sessions, valence + kBypass)));
+  EXPECT_FALSE(replayed(response_of(
+      sessions, valence + ",\"budget_ms\":60000}")));
+}
+
+TEST(AnswerCacheTest, TruncatedAnswersAreNeverReplayed) {
+  const std::string line =
+      "{\"model\":\"mobile\",\"n\":3,\"query\":\"layers\",\"depth\":3}";
+  SessionManager sessions;
+  // Cut short by its own budget.
+  const Json starved = response_of(
+      sessions, "{\"model\":\"mobile\",\"n\":3,\"query\":\"layers\","
+                "\"depth\":3,\"max_states\":50}");
+  EXPECT_EQ(status_of(starved), "truncated");
+  {
+    // Unbudgeted, but cut short by injected faults: every guard probe
+    // trips and every intern fails.
+    fault::FaultScope faults(/*seed=*/1, /*rate=*/1.0);
+    const Json faulted = response_of(sessions, line);
+    EXPECT_EQ(status_of(faulted), "truncated");
+    EXPECT_FALSE(replayed(faulted));
+  }
+  const Json complete = response_of(sessions, line);
+  EXPECT_EQ(status_of(complete), "ok");
+  EXPECT_FALSE(replayed(complete));
+  SessionManager fresh;
+  EXPECT_EQ(result_text(complete), result_text(response_of(fresh, line)));
+  EXPECT_TRUE(replayed(response_of(sessions, line)));
+}
+
+// ROADMAP "Answers depend only on the request": at horizon 1, a mobile n=3
+// session that answered the depth-1 valence query first answers the
+// depth-0 one differently from a fresh session. Whatever that answer is,
+// its replay must equal it and its budget-bypassed recomputation.
+TEST(AnswerCacheTest, HistoryDependentValenceReplaysItsRecomputation) {
+  const std::string depth0 =
+      "{\"model\":\"mobile\",\"n\":3,\"query\":\"valence\",\"depth\":0,"
+      "\"horizon\":1";
+  SessionManager sessions;
+  EXPECT_EQ(status_of(response_of(
+                sessions,
+                "{\"model\":\"mobile\",\"n\":3,\"query\":\"valence\","
+                "\"depth\":1,\"horizon\":1}")),
+            "ok");
+  const Json answer = response_of(sessions, depth0 + "}");
+  const Json replay = response_of(sessions, depth0 + "}");
+  const Json recomputed = response_of(sessions, depth0 + kBypass);
+  EXPECT_EQ(status_of(answer), "ok");
+  EXPECT_FALSE(replayed(answer));
+  EXPECT_TRUE(replayed(replay));
+  EXPECT_FALSE(replayed(recomputed));
+  EXPECT_EQ(result_text(replay), result_text(answer));
+  EXPECT_EQ(result_text(recomputed), result_text(answer));
+}
+
+// --- stats query -------------------------------------------------------------
+
+double counter_of(const Json& stats, const char* name) {
+  const Json* c = find_path(stats, {"snapshot", "counters", name});
+  return c != nullptr ? c->as_number() : 0.0;
+}
+
+TEST(StatsQueryTest, AnswersTheRegistryWithoutASession) {
+  SessionManager sessions;
+  const std::string stats = "{\"id\":\"s\",\"query\":\"stats\"}";
+  const Json before = response_of(sessions, stats);
+  EXPECT_EQ(sessions.session_count(), 0u);
+  EXPECT_EQ(find_path(before, {"id"})->as_string(), "s");
+  EXPECT_EQ(status_of(before), "ok");
+  EXPECT_EQ(before.find("result"), nullptr);
+  EXPECT_EQ(before.find("metrics"), nullptr);
+  const Json* schema = find_path(before, {"snapshot", "schema"});
+  ASSERT_NE(schema, nullptr);
+  EXPECT_EQ(schema->as_string(), "lacon.metrics.v2");
+
+  const std::string line =
+      "{\"model\":\"mobile\",\"n\":2,\"query\":\"diameter\",\"depth\":2}";
+  EXPECT_FALSE(replayed(response_of(sessions, line)));
+  EXPECT_TRUE(replayed(response_of(sessions, line)));
+  const Json after = response_of(sessions, stats);
+  EXPECT_EQ(counter_of(after, "service.answer_hits") -
+                counter_of(before, "service.answer_hits"),
+            1.0);
+  EXPECT_EQ(counter_of(after, "service.requests") -
+                counter_of(before, "service.requests"),
+            2.0);
+  EXPECT_EQ(sessions.session_count(), 1u);
+}
+
+// --- wire fuzzer -------------------------------------------------------------
+
+// One seeded mutation of a request line: a bit flip, an inserted or deleted
+// byte, a truncation, deep nesting, an out-of-range or non-integral number,
+// or a duplicate member. Draws on raw std::mt19937_64 output only (no
+// std::uniform_*_distribution, whose draws differ between standard
+// libraries), so a seed replays the same lines everywhere.
+void mutate(std::string& line, std::mt19937_64& rng) {
+  static const char* const kNumbers[] = {
+      "1e999", "-1e999", "1e308",   "3.5",  "-0",   "1e-400", "2.5e1",
+      "9007199254740993", "4294967296", "-2147483649", "1e10", "0.1"};
+  static const char* const kMembers[] = {
+      "\"depth\":13,",  "\"n\":2,",          "\"query\":\"stats\",",
+      "\"query\":7,",   "\"model\":\"sync\",", "\"horizon\":-1,",
+      "\"max_states\":1e10,", "\"id\":{},",  "\"t\":null,"};
+  const auto at = [&](std::size_t extra) {
+    return static_cast<std::size_t>(rng() % (line.size() + extra));
+  };
+  switch (rng() % 8) {
+    case 0:  // flip one bit
+      if (!line.empty()) line[at(0)] ^= static_cast<char>(1u << (rng() % 8));
+      break;
+    case 1:  // insert a byte
+      line.insert(at(1), 1, static_cast<char>(rng() & 0xff));
+      break;
+    case 2:  // delete a byte
+      if (!line.empty()) line.erase(at(0), 1);
+      break;
+    case 3:  // truncate
+      line.resize(at(1));
+      break;
+    case 4: {  // nest the whole line in arrays, past the parser's cap or not
+      const std::size_t depth = 1 + rng() % 100;
+      line = std::string(depth, '[') + line + std::string(depth, ']');
+      break;
+    }
+    case 5: {  // a deeply nested extra member
+      const std::size_t depth = 1 + rng() % 100;
+      const std::size_t brace = line.find('{');
+      if (brace != std::string::npos) {
+        line.insert(brace + 1, "\"x\":" + std::string(depth, '[') +
+                                   std::string(depth, ']') + ",");
+      }
+      break;
+    }
+    case 6: {  // replace the number found at or after a random byte
+      const std::size_t from = line.find_first_of("-0123456789", at(1));
+      if (from != std::string::npos) {
+        const std::size_t end = line.find_first_not_of("-+.eE0123456789", from);
+        line.replace(from, end == std::string::npos ? end : end - from,
+                     kNumbers[rng() % std::size(kNumbers)]);
+      }
+      break;
+    }
+    default: {  // a duplicate member ahead of the original
+      const std::size_t brace = line.find('{');
+      if (brace != std::string::npos) {
+        line.insert(brace + 1, kMembers[rng() % std::size(kMembers)]);
+      }
+      break;
+    }
+  }
+}
+
+// Every mutated line yields a document or nullopt with an error from
+// Json::parse, then true, or false with an error, from parse_request. A
+// line refused at either stage goes through handle_line and must come back
+// as one error response. A line that still parses as a request is not
+// executed, so no mutation can start an analysis (an unbudgeted n=8
+// depth-12 request has no ceiling).
+TEST(WireFuzzTest, MutatedRequestLinesParseOrFailCleanly) {
+  const std::string corpus[] = {
+      "{\"id\":1,\"model\":\"mobile\",\"n\":3,\"query\":\"layers\","
+      "\"depth\":2}",
+      "{\"id\":\"q7\",\"model\":\"sync\",\"n\":4,\"t\":2,\"query\":"
+      "\"valence\",\"depth\":3,\"horizon\":5,\"budget_ms\":250,"
+      "\"max_states\":1000,\"metrics\":true}",
+      "{\"model\":\"msgpass\",\"n\":3,\"query\":\"similarity\",\"depth\":1}",
+      "{\"id\":[1,{\"k\":null}],\"model\":\"sharedmem\",\"query\":"
+      "\"diameter\",\"depth\":0}",
+      "{\"id\":7,\"query\":\"stats\"}",
+      "{\"query\":\"stats\"}",
+  };
+  constexpr int kLines = 20'000;
+  std::mt19937_64 rng(0x6c61636f6e726431ULL);
+  SessionManager sessions;
+  int accepted = 0, refused = 0;
+  for (int i = 0; i < kLines; ++i) {
+    std::string line = corpus[rng() % std::size(corpus)];
+    for (int edits = 1 + static_cast<int>(rng() % 4); edits > 0; --edits) {
+      mutate(line, rng);
+    }
+    std::string error;
+    const std::optional<Json> doc = Json::parse(line, &error);
+    if (doc.has_value()) {
+      Request req;
+      if (parse_request(*doc, &req, &error)) {
+        ++accepted;
+        continue;
+      }
+    }
+    ASSERT_FALSE(error.empty()) << line;
+    ++refused;
+    const std::optional<Json> resp = Json::parse(handle_line(sessions, line));
+    ASSERT_TRUE(resp.has_value()) << line;
+    EXPECT_EQ(status_of(*resp), "error") << line;
+    const Json* message = resp->find("error");
+    ASSERT_NE(message, nullptr) << line;
+    EXPECT_FALSE(message->as_string().empty()) << line;
+  }
+  EXPECT_EQ(sessions.session_count(), 0u);
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(refused, 0);
 }
 
 // --- Server (socket) -------------------------------------------------------
